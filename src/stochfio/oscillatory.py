@@ -20,6 +20,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,6 +87,22 @@ class QuadratureConfig:
     max_refinements: int = 5
     max_chunk_elements: int = 262144
     workers: int = 1
+
+    def __post_init__(self):
+        if not self.xi_radius > 0:
+            raise ValueError("xi_radius must be positive")
+        if self.nodes_per_panel < 1:
+            raise ValueError("nodes_per_panel must be at least 1")
+        for name in ("xi_panel_max_width", "y_panel_max_width",
+                     "transition_panel_width", "osc_nodes_budget"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if self.max_chunk_elements < 1:
+            raise ValueError("max_chunk_elements must be at least 1")
+        if self.max_refinements < 0:
+            raise ValueError("max_refinements must be nonnegative")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
     def refined(self, level: int) -> "QuadratureConfig":
         """Refinement doubles the tail radius and halves panel widths."""
@@ -194,8 +211,17 @@ class FioOperator:
 # node planning
 
 
-def _gl_nodes(lo: float, hi: float, p: int):
+@lru_cache(maxsize=None)
+def _gl_rule(p: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
     x, w = np.polynomial.legendre.leggauss(p)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gl_nodes(lo: float, hi: float, p: int):
+    x, w = _gl_rule(p)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -349,32 +375,34 @@ def _eval_band(phase, amp, u, chi, kappa, x_cols, xn, xw, yn, yw, sign,
     return out_acc
 
 
+def _band_meta(bands, rates) -> dict:
+    return {"bands": [(lo, hi, int(xn.size), int(yn.size))
+                      for lo, hi, xn, _xw, yn, _yw in bands],
+            "nodes": sum(2 * xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands),
+            "rates": rates}
+
+
 def _engine(phase, amp, u, chi, kappa, x_arrays, out_order, config,
-            y_window, two_pi_measure, x_slice=None):
+            y_window, two_pi_measure, bands, x_slice=None):
+    """Weighted sums over the planned ``bands`` for the x points in ``x_slice``."""
     layout = phase.layout
     x_arrays = tuple(np.asarray(a, dtype=float) for a in x_arrays)
     npts = x_arrays[0].size if x_arrays else 1
-    bands, rates = _plan_nodes(phase, chi, config, x_arrays, y_window, kappa)
     cols = x_arrays if x_slice is None else tuple(a[x_slice] for a in x_arrays)
     nloc = cols[0].size if cols else 1
     chunk_nodes = max(config.nodes_per_panel,
                       config.max_chunk_elements // max(npts, 1))
     iset_x = IndexSet(layout, out_order, 0)
     acc = {k: np.zeros(nloc, dtype=complex) for k in iset_x.keys()}
-    node_count = 0
     for lo, hi, xn, xw, yn, yw in bands:
         skip = hi <= chi.inner_radius + 1e-12
         for sign in (-1.0, 1.0):
             _eval_band(phase, amp, u, chi, kappa, cols, xn, xw, yn, yw, sign,
                        out_order, chunk_nodes, skip, acc)
-        node_count += 2 * xn.size * yn.size
     if two_pi_measure:
         f = (2.0 * math.pi) ** (-layout.n_xi)
         acc = {k: f * v for k, v in acc.items()}
-    meta = {"bands": [(lo, hi, int(xn.size), int(yn.size))
-                      for lo, hi, xn, xw, yn, yw in bands],
-            "nodes": node_count, "rates": rates}
-    return acc, meta
+    return acc
 
 
 # worker processes read the job from module state inherited across fork; the
@@ -385,23 +413,32 @@ _FORK_JOB: dict = {}
 def _fork_entry(args):
     i, sl = args
     job = _FORK_JOB["payload"]
-    acc, _meta = _engine(*job, x_slice=sl)
-    return i, acc
+    return i, _engine(*job, x_slice=sl)
+
+
+def _worker_slices(npts: int, workers: int, cpus: int | None) -> list:
+    """Contiguous x-point slices, one per worker process.
+
+    The process count is at most the number of points and at most ``cpus``
+    (``os.cpu_count()``, which may be None when unknown).
+    """
+    workers = max(1, min(workers, npts, cpus or 1))
+    edges = np.linspace(0, npts, workers + 1).astype(int)
+    return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
 def _run_engine(phase, amp, u, chi, kappa, x_arrays, out_order, config,
                 y_window, two_pi_measure, workers):
     workers = config.workers if workers is None else workers
     npts = x_arrays[0].size if x_arrays else 1
-    if workers > 1 and npts > 1 and hasattr(os, "fork"):
+    bands, rates = _plan_nodes(phase, chi, config, x_arrays, y_window, kappa)
+    job = (phase, amp, u, chi, kappa, x_arrays, out_order, config, y_window,
+           two_pi_measure, bands)
+    slices = _worker_slices(npts, workers, os.cpu_count())
+    if len(slices) > 1 and hasattr(os, "fork"):
         import multiprocessing as mp
         ctx = mp.get_context("fork")
-        workers = min(workers, npts)
-        edges = np.linspace(0, npts, workers + 1).astype(int)
-        slices = [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])
-                  if b > a]
-        _FORK_JOB["payload"] = (phase, amp, u, chi, kappa, x_arrays, out_order,
-                                config, y_window, two_pi_measure)
+        _FORK_JOB["payload"] = job
         try:
             with ctx.Pool(len(slices)) as pool:
                 parts = pool.map(_fork_entry, list(enumerate(slices)))
@@ -410,18 +447,9 @@ def _run_engine(phase, amp, u, chi, kappa, x_arrays, out_order, config,
         parts.sort(key=lambda t: t[0])
         acc = {k: np.concatenate([p[1][k] for p in parts])
                for k in parts[0][1].keys()}
-        _m, meta = _plan_only_meta(phase, chi, config, x_arrays, y_window, kappa)
-        return acc, meta
-    return _engine(phase, amp, u, chi, kappa, x_arrays, out_order, config,
-                   y_window, two_pi_measure)
-
-
-def _plan_only_meta(phase, chi, config, x_arrays, y_window, kappa):
-    bands, rates = _plan_nodes(phase, chi, config, x_arrays, y_window, kappa)
-    n = sum(2 * xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands)
-    return bands, {"bands": [(lo, hi, int(xn.size), int(yn.size))
-                             for lo, hi, xn, _xw, yn, _yw in bands],
-                   "nodes": n, "rates": rates}
+    else:
+        acc = _engine(*job)
+    return acc, _band_meta(bands, rates)
 
 
 def _normalize_x_points(layout: VarLayout, x_points):
@@ -526,9 +554,10 @@ def oscillatory_integral(phase, amplitude, chi: CutoffChi | None = None,
     prev = None
     achieved = math.inf
     for level in range(config.max_refinements + 1):
-        acc, _meta = _engine(phase, amplitude, ident, chi, kappa, (), 0,
-                             config.refined(level) if level else config,
-                             window, False)
+        cfg = config.refined(level) if level else config
+        bands, _rates = _plan_nodes(phase, chi, cfg, (), window, kappa)
+        acc = _engine(phase, amplitude, ident, chi, kappa, (), 0, cfg,
+                      window, False, bands)
         val = complex(acc[(0,) * layout.nvars][0])
         if prev is not None:
             achieved = abs(val - prev)

@@ -8,6 +8,14 @@ of M.  The coefficients divide by r = ||xi||^2 |grad_xi Phi|^2 +
 |grad_y Phi|^2, which nondegeneracy keeps above alpha ||xi||^2 outside the
 unit ball; inside it the cutoff chi makes M the identity, so r is never
 actually inverted there.
+
+With gamma = chi and s' = (1 - chi) / r, the coefficients are
+alpha = -i alpha' and beta = -i beta' with the real fields
+alpha' = s' ||xi||^2 grad_xi Phi and beta' = s' grad_y Phi.  So
+L = gamma + i D with the real operator D g = sum_l d_xi_l(alpha'_l g) +
+sum_k d_y_k(beta'_k g), and the ladder runs in real arithmetic on real
+data.  Where chi == 0 exactly (beyond the clamped outer edge of the
+profile), the cutoff table holds exact zeros and L^kappa = i^kappa D^kappa.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .jets import (
     IndexSet,
     SmoothMap,
     VarLayout,
+    _is_zero,
     _uni_iset,
     _xi_norm_sq_table,
     _xi_norm_table,
@@ -79,11 +88,16 @@ class CutoffChi:
         """Cutoff of the dilated argument: chi(factor * xi)."""
         return CutoffChi(self.inner_radius / factor, self.outer_radius / factor, self.guard)
 
+    def _u(self, s):
+        """Normalised radial coordinate: 0 at inner_radius, 1 at outer_radius."""
+        width = self.outer_radius - self.inner_radius
+        return (np.asarray(s, dtype=float) - self.inner_radius) / width
+
     def profile_derivs(self, s, order: int) -> list:
         """Values and s-derivatives of the radial profile, orders 0..order."""
         s = np.asarray(s, dtype=float)
         width = self.outer_radius - self.inner_radius
-        u = (s - self.inner_radius) / width
+        u = self._u(s)
         lo = u <= self.guard
         hi = u >= 1.0 - self.guard
         mid = ~(lo | hi)
@@ -108,8 +122,14 @@ class CutoffChi:
         return self.profile_derivs(np.abs(np.asarray(xi, dtype=float)), 0)[0]
 
     def xi_table(self, coords: Coords, iset: IndexSet) -> dict:
-        """Derivative table of chi(||xi||) over the full layout of ``iset``."""
+        """Derivative table of chi(||xi||) over the full layout of ``iset``.
+
+        When every point lies on the clamped outer plateau the table is
+        ``t_blank``: exact scalar zeros, which the jet kernels skip.
+        """
         norm_t = _xi_norm_table(coords, iset)
+        if np.all(self._u(norm_t[iset.zero]) >= 1.0 - self.guard):
+            return t_blank(iset)
         derivs = self.profile_derivs(norm_t[iset.zero], iset.max_total())
         return t_compose(derivs, norm_t, iset)
 
@@ -161,24 +181,37 @@ def select_kappa(d: float, rho: float, delta: float, n_xi: int,
 
 @dataclass(frozen=True)
 class RegCoeffTables:
-    """Derivative tables of the regularizer coefficients on one index set."""
+    """Derivative tables of the regularizer coefficients on one index set.
 
-    alpha: tuple
-    beta: tuple
+    ``alpha_prime`` and ``beta_prime`` are the real fields of D in
+    L = gamma + i D; ``alpha`` and ``beta`` give the complex coefficients
+    -i alpha' and -i beta' of M.
+    """
+
+    alpha_prime: tuple
+    beta_prime: tuple
     gamma: dict
     r: dict
     iset: IndexSet
 
+    @property
+    def alpha(self) -> tuple:
+        return tuple(t_scale(t, -1.0j) for t in self.alpha_prime)
+
+    @property
+    def beta(self) -> tuple:
+        return tuple(t_scale(t, -1.0j) for t in self.beta_prime)
+
 
 def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
                        iset: IndexSet) -> RegCoeffTables:
-    """Tables of alpha_l, beta_k, gamma and r on ``iset``.
+    """Tables of alpha'_l, beta'_k, gamma and r on ``iset``.
 
     ``phase_table`` must contain every key of ``iset`` plus one extra order
     in each y and xi direction (it is shifted to read the phase gradient).
     On points where chi == 1 exactly, r is swapped for 1 before dividing;
     the factor (1 - chi) and all its derivatives vanish exactly there, so
-    the finite quotient is multiplied away and alpha = beta = 0 exactly.
+    the finite quotient is multiplied away and alpha' = beta' = 0 exactly.
     """
     layout = iset.layout
     nx, ny, nxi = layout.n_x, layout.n_y, layout.n_xi
@@ -200,7 +233,6 @@ def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
     r_safe = dict(r)
     r_safe[iset.zero] = np.where(inner, 1.0, np.asarray(r[iset.zero]))
     s = t_div(omc, r_safe, iset)
-    s = t_scale(s, -1.0j)
     alpha = tuple(t_mul(s, t_mul(nsq, t, iset), iset) for t in dphi_xi)
     beta = tuple(t_mul(s, t, iset) for t in dphi_y)
     return RegCoeffTables(alpha, beta, gamma, r, iset)
@@ -269,30 +301,40 @@ def compute_coeffs(phase, chi: CutoffChi, point) -> RegularizerCoeffs:
     return RegularizerCoeffs(alpha, beta, gamma, r, resid, point)
 
 
+_I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
+
+
 def apply_l_ladder(f: dict, coeffs: RegCoeffTables, kappa: int,
                    iset: IndexSet) -> dict:
     """L^kappa f, consuming one integration order per application.
 
     ``f`` lives on ``iset`` (whose int cap must be at least kappa) and the
-    coefficient tables on a superset.  Each step forms the products on the
-    current set and differentiates them by shifting, returning a table one
-    int order smaller.
+    coefficient tables on a superset.  Each step forms D g from real
+    products on the current set, differentiated by shifting, on a table one
+    int order smaller.  Where every gamma entry is an exact zero (chi == 0
+    on the whole chunk), L^kappa f = i^kappa D^kappa f; otherwise each step
+    is g <- gamma g + i D g.
     """
     layout = iset.layout
     base = layout.n_x + layout.n_y
+    fields = ([(a, base + l) for l, a in enumerate(coeffs.alpha_prime)]
+              + [(b, layout.n_x + k) for k, b in enumerate(coeffs.beta_prime)])
+    outer = all(_is_zero(v) for v in coeffs.gamma.values())
     g = f
     cur = iset
     for _ in range(kappa):
         nxt = cur.shrink_int(1)
-        acc = t_mul(coeffs.gamma, g, nxt)
-        for l, a in enumerate(coeffs.alpha):
-            p = t_mul(a, g, cur)
-            acc = t_add(acc, t_scale(t_shift(p, base + l, nxt), -1.0), nxt)
-        for k, b in enumerate(coeffs.beta):
-            p = t_mul(b, g, cur)
-            acc = t_add(acc, t_scale(t_shift(p, layout.n_x + k, nxt), -1.0), nxt)
-        g = acc
+        dg = None
+        for c, var in fields:
+            term = t_shift(t_mul(c, g, cur), var, nxt)
+            dg = term if dg is None else t_add(dg, term, nxt)
+        if outer:
+            g = dg
+        else:
+            g = t_add(t_mul(coeffs.gamma, g, nxt), t_scale(dg, 1.0j), nxt)
         cur = nxt
+    if outer and kappa % 4:
+        g = t_scale(g, _I_POWERS[kappa % 4])
     return g
 
 
@@ -361,8 +403,8 @@ def check_coefficient_symbol_bounds(phase, chi: CutoffChi,
         coords, _shape = scan
         phase_t = pm.table(coords, IndexSet(layout, m, m + 1, m + m + 1))
         ct = coefficient_tables(phase_t, coords, chi, iset)
-        named = [(f"alpha_{l}", t) for l, t in enumerate(ct.alpha)]
-        named += [(f"beta_{k}", t) for k, t in enumerate(ct.beta)]
+        named = [(f"alpha_{l}", t) for l, t in enumerate(ct.alpha_prime)]
+        named += [(f"beta_{k}", t) for k, t in enumerate(ct.beta_prime)]
         for name, table in named:
             for key in iset.keys():
                 mx = float(np.max(np.abs(np.asarray(table[key]))))

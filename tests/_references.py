@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own quadrature engine:
 Fourier-side references use dense Gauss-Legendre panels on analytically
-known transforms, and characteristic curves come from scipy's adaptive
-Runge-Kutta integrator at tight tolerance.
+known transforms, characteristic curves come from scipy's adaptive
+Runge-Kutta integrator at tight tolerance, and the L ladder is checked
+against its plain complex recurrence.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 
+from stochfio.jets import t_add, t_mul, t_scale, t_shift
 from stochfio.regularizer import CutoffChi
 
 
@@ -128,3 +130,23 @@ def pseudospectral_halfwave(c_fn, t: float, n_grid: int = 2048,
         k4 = rhs(u + h * k3)
         u = u + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return xg, u
+
+
+def complex_l_ladder(f: dict, coeffs, kappa: int, iset) -> dict:
+    """L^kappa f by the complex recurrence g <- gamma g - d_xi(alpha g) - d_y(beta g).
+
+    Uses the complex coefficients alpha = -i alpha', beta = -i beta' of the
+    coefficient tables, one step per application, with no real factoring.
+    """
+    layout = iset.layout
+    base = layout.n_x + layout.n_y
+    fields = ([(a, base + l) for l, a in enumerate(coeffs.alpha)]
+              + [(b, layout.n_x + k) for k, b in enumerate(coeffs.beta)])
+    g, cur = f, iset
+    for _ in range(kappa):
+        nxt = cur.shrink_int(1)
+        acc = t_mul(coeffs.gamma, g, nxt)
+        for c, var in fields:
+            acc = t_add(acc, t_scale(t_shift(t_mul(c, g, cur), var, nxt), -1.0), nxt)
+        g, cur = acc, nxt
+    return g

@@ -66,6 +66,13 @@ def test_unknown_quadrature_option(tmp_path):
     assert main(["apply", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("option", [{"xi_radius": -4.0}, {"nodes_per_panel": 0}])
+def test_nonsense_quadrature_value_exits_2(tmp_path, capsys, option):
+    cfg = write_config(tmp_path, "cfg.json", apply_config(quadrature=option))
+    assert main(["apply", "--config", cfg]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_missing_required_entry(tmp_path):
     bare = apply_config()
     del bare["grid"]

@@ -14,6 +14,8 @@ from stochfio.oscillatory import (
     ToleranceError,
     convergence_study,
     oscillatory_integral,
+    _gl_rule,
+    _worker_slices,
     pair_distribution,
 )
 from stochfio.symbol_spaces import Amplitude, PhaseFunction
@@ -108,6 +110,36 @@ def test_engine_is_deterministic_across_worker_counts():
     one = op.apply(gaussian(), XS, workers=1)
     two = op.apply(gaussian(), XS, workers=2)
     assert np.array_equal(one.value, two.value)
+
+
+def test_worker_slices_cap_processes_at_cpus_and_points():
+    # slice arithmetic only: no process is started here
+    assert _worker_slices(100, 1000, 2) == [slice(0, 50), slice(50, 100)]
+    assert len(_worker_slices(3, 8, 64)) == 3
+    assert _worker_slices(10, 4, None) == [slice(0, 10)]
+    assert _worker_slices(1, 4, 4) == [slice(0, 1)]
+    cover = _worker_slices(17, 5, 8)
+    assert len(cover) == 5
+    assert [i for sl in cover for i in range(sl.start, sl.stop)] == list(range(17))
+
+
+@pytest.mark.parametrize("option", [
+    {"xi_radius": 0.0}, {"xi_radius": -4.0}, {"nodes_per_panel": 0},
+    {"xi_panel_max_width": 0.0}, {"y_panel_max_width": -0.5},
+    {"transition_panel_width": 0.0}, {"osc_nodes_budget": 0.0},
+    {"max_chunk_elements": 0}, {"max_refinements": -1}, {"workers": 0},
+    {"xi_radius": math.nan},
+])
+def test_quadrature_config_rejects_nonsense(option):
+    with pytest.raises(ValueError):
+        QuadratureConfig(**option)
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    x, w = _gl_rule(12)
+    assert _gl_rule(12)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    assert w.sum() == pytest.approx(2.0, abs=1e-14)
 
 
 def test_y_window_override_matches_default():

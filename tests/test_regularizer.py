@@ -7,11 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochfio.jets import VarLayout, builtin_map
+from _references import complex_l_ladder
+from stochfio.jets import (
+    Coords,
+    IndexSet,
+    VarLayout,
+    builtin_map,
+    embed_table,
+    project_coords,
+)
 from stochfio.regularizer import (
     CutoffChi,
     apply_L_power,
+    apply_l_ladder,
     check_coefficient_symbol_bounds,
+    coefficient_tables,
     compute_coeffs,
     compute_r,
     select_kappa,
@@ -56,6 +66,34 @@ def test_chi_rescaled_moves_the_bands():
     assert low.outer_radius == pytest.approx(0.5)
     assert float(low.values(np.array([0.2]))[0]) == 1.0
     assert float(low.values(np.array([0.6]))[0]) == 0.0
+
+
+def _is_scalar_zero(v):
+    return not isinstance(v, np.ndarray) and v == 0
+
+
+def test_chi_table_is_blank_wholly_beyond_the_clamp():
+    chi = CutoffChi()
+    layout = VarLayout(1, 1, 1)
+    iset = IndexSet(layout, 2, 4)
+    xi = np.array([-40.0, -2.0, 1.99, 2.0, 3.5, 40.0])
+    coords = Coords((np.zeros(6),), (np.zeros(6),), (xi,))
+    table = chi.xi_table(coords, iset)
+    assert set(table) == set(iset.keys())
+    assert all(_is_scalar_zero(v) for v in table.values())
+
+
+def test_chi_table_has_arrays_on_a_chunk_straddling_the_clamp():
+    chi = CutoffChi()
+    iset = IndexSet(VarLayout(0, 0, 1), 0, 3)
+    xi = np.array([1.9, 1.95, 1.99, 2.5])
+    table = chi.xi_table(Coords((), (), (xi,)), iset)
+    assert all(isinstance(v, np.ndarray) for v in table.values())
+    assert np.array_equal(table[(0,)], chi.values(xi))
+    derivs = chi.profile_derivs(xi, 3)
+    for k in range(4):
+        assert np.array_equal(table[(k,)], derivs[k])
+    assert np.any(table[(1,)] != 0.0) and np.all(table[(1,)][2:] == 0.0)
 
 
 def test_chi_validates_radii():
@@ -211,3 +249,59 @@ def test_coefficient_symbol_bounds_fit():
     assert rep.max_misfit < 0.01
     # one frequency dimension: alpha's xi-derivative series vanish identically
     assert rep.skipped == 4
+
+
+def perturbed_phase():
+    trig = builtin_map("trig_polynomial", block="x", offset=1.0,
+                       terms=[(0.2, 1.0, 0.0)])
+    return PhaseFunction(builtin_map(
+        "product", factors=[trig, builtin_map("linear_phase", n=1)]))
+
+
+def real_amplitude():
+    return builtin_map("product", factors=[
+        builtin_map("gaussian_bump", block="y", center=0.1, width=0.8),
+        builtin_map("bracket_power", exponent=0.5)])
+
+
+def complex_amplitude():
+    # real and imaginary parts are independent functions of (y, xi)
+    wave = builtin_map("trig_polynomial", block="y", terms=[(1.0, 1.5, 0.3)])
+    return builtin_map("sum", coefficients=[1.0, 0.5j], terms=[
+        builtin_map("gaussian_bump", block="y", center=-0.2, width=0.7),
+        builtin_map("product", factors=[wave, builtin_map("bracket_power", exponent=-1.0)])])
+
+
+def ladder_case(xi_lo, xi_hi, kappa, amp, seed, n=48):
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(xi_lo, xi_hi, n) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    coords = Coords((rng.uniform(-1.0, 1.0, n),), (rng.uniform(-1.0, 1.0, n),), (xi,))
+    layout = VarLayout(1, 1, 1)
+    iset = IndexSet(layout, 1, kappa)
+    phase_t = perturbed_phase().table(coords, IndexSet(layout, 1, kappa + 1))
+    coeffs = coefficient_tables(phase_t, coords, CutoffChi(), iset)
+    f = embed_table(amp.provider(project_coords(coords, amp.layout),
+                                 IndexSet(amp.layout, 0, kappa)), amp.layout, iset)
+    return f, coeffs, iset, n
+
+
+@pytest.mark.parametrize("band,xi_lo,xi_hi", [("transition", 1.0, 2.0),
+                                              ("outer", 2.0, 40.0)])
+@pytest.mark.parametrize("kappa", [1, 2, 3, 4])
+@pytest.mark.parametrize("amp_kind", ["real", "complex"])
+def test_ladder_matches_complex_recurrence(band, xi_lo, xi_hi, kappa, amp_kind):
+    amp = real_amplitude() if amp_kind == "real" else complex_amplitude()
+    f, coeffs, iset, n = ladder_case(xi_lo, xi_hi, kappa, amp, seed=100 + kappa)
+    assert all(_is_scalar_zero(v) for v in coeffs.gamma.values()) == (band == "outer")
+    got = apply_l_ladder(f, coeffs, kappa, iset)
+    ref = complex_l_ladder(f, coeffs, kappa, iset)
+    out_keys = iset.shrink_int(kappa).keys()
+    assert set(got) == set(out_keys)
+    for key in out_keys:
+        g = np.broadcast_to(got[key], (n,))
+        r = np.broadcast_to(ref[key], (n,))
+        assert np.max(np.abs(r)) > 0.0
+        np.testing.assert_allclose(g, r, rtol=1e-12)
+    if band == "outer" and amp_kind == "real" and kappa % 2 == 0:
+        # i^kappa is real: the whole outer ladder stayed in real arithmetic
+        assert all(np.isrealobj(v) for v in got.values())
