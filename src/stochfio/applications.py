@@ -12,7 +12,7 @@ refuse to build a phase outside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .jets import (
     builtin_map,
     t_compose,
     t_mul,
-    t_scale,
 )
 from .oscillatory import FioOperator, GridField, QuadratureConfig, apply
 from .regularizer import CutoffChi, select_kappa
@@ -141,43 +140,41 @@ def solve_characteristics(speed: SmoothMap, x, t: float, order: int = 0,
     return _rk4(state, rhs, t, n)
 
 
-class _FlowCache:
-    """Memoizes flow jets keyed by the x array bytes and flow parameters."""
-
-    def __init__(self):
-        self.data = {}
-
-    def get(self, key, compute):
-        if key not in self.data:
-            self.data[key] = compute()
-        return self.data[key]
-
-
 def transport_phase(speed: SmoothMap, t: float, tol: float = 1e-10) -> PhaseFunction:
     """Phase xi (gamma(x, t) - y) driving the transport solution."""
-    cache = _FlowCache()
+    cache = {}  # characteristic jets keyed by the x array and the order
 
     def g_provider(x, sgn, order):
         x = np.asarray(x, dtype=float)
         key = (x.tobytes(), x.shape, order)
-        jets = cache.get(key, lambda: solve_characteristics(
-            speed, x.ravel(), t, order, tol))
-        return [j.reshape(x.shape) for j in jets]
+        if key not in cache:
+            cache[key] = [j.reshape(x.shape) for j in
+                          solve_characteristics(speed, x.ravel(), t, order, tol)]
+        return cache[key]
 
     return PhaseFunction(builtin_map(
         "tabulated_phase", g_provider=g_provider,
         describe=f"xi (gamma(x, {t}) - y)"))
 
 
+def _order_zero_apply(phase: PhaseFunction, amp: Amplitude, u0: SmoothMap,
+                      x_points, config: QuadratureConfig | None,
+                      workers: int | None) -> GridField:
+    """Apply the operator of a phase and an order-zero amplitude to u0."""
+    plan = select_kappa(0.0, 1.0, 0.0, 1)
+    op = FioOperator(phase, amp, CutoffChi(), plan, config or QuadratureConfig())
+    return apply(op, u0, x_points, workers=workers)
+
+
+_UNIT_AMPLITUDE = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(1, 1, 1)))
+
+
 def transport_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
                     config: QuadratureConfig | None = None,
                     workers: int | None = None) -> GridField:
     """u(x, t) = u0(gamma(x, t)) evaluated through the operator quadrature."""
-    phase = transport_phase(speed, t)
-    amp = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(1, 1, 1)))
-    plan = select_kappa(0.0, 1.0, 0.0, 1)
-    op = FioOperator(phase, amp, CutoffChi(), plan, config or QuadratureConfig())
-    return apply(op, u0, x_points, workers=workers)
+    return _order_zero_apply(transport_phase(speed, t), _UNIT_AMPLITUDE, u0,
+                             x_points, config, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -248,37 +245,24 @@ def eikonal_phi(speed: SmoothMap, x, t: float, sigma: int, order: int = 0,
 
     Along the lifted flow of the 1-homogeneous Hamiltonian the action
     integrand G dF - H vanishes identically, so the eikonal solution is the
-    flow endpoint itself; the returned ``action`` accumulates the integrand
-    by the trapezoid rule on the RK4 grid as an independent consistency
-    check (analytically zero in regime).
+    flow endpoint itself; the returned ``action`` integrates the integrand
+    with RK4, as a third component next to the point flow (F, G), as an
+    independent consistency check (analytically zero in regime).
     """
     flow = solve_flows(speed, x, t, sigma, order=order, tol=tol)
     if not flow.in_regime:
         raise RegimeError(f"flow left the |G| > 1/2 regime (min |G| = {flow.min_abs_G:.3f})")
-    x = flow.x
-    n = rk4_step_count(t, tol)
-    z = x.copy()
-    g = np.full_like(x, float(sigma))
-    action = np.zeros_like(x)
-    h = t / n
     s = float(sigma)
 
-    def point_rhs(z, g):
+    def rhs(st):
+        z, g, _action = st
         c = np.asarray(_compose_speed(speed, [z], 0)[(0,)])
         cp = np.asarray(_compose_speed(speed, [z], 0, shift=1)[(0,)])
-        return s * c * np.ones_like(z), -s * cp * g
+        dz = s * c * np.ones_like(z)
+        return [dz, -s * cp * g, g * dz - c * np.abs(g)]
 
-    for _ in range(n):
-        dz1, dg1 = point_rhs(z, g)
-        integrand0 = g * dz1 - np.asarray(_compose_speed(speed, [z], 0)[(0,)]) * np.abs(g)
-        dz2, dg2 = point_rhs(z + 0.5 * h * dz1, g + 0.5 * h * dg1)
-        dz3, dg3 = point_rhs(z + 0.5 * h * dz2, g + 0.5 * h * dg2)
-        dz4, dg4 = point_rhs(z + h * dz3, g + h * dg3)
-        z = z + (h / 6) * (dz1 + 2 * dz2 + 2 * dz3 + dz4)
-        g = g + (h / 6) * (dg1 + 2 * dg2 + 2 * dg3 + dg4)
-        dz1b, _ = point_rhs(z, g)
-        integrand1 = g * dz1b - np.asarray(_compose_speed(speed, [z], 0)[(0,)]) * np.abs(g)
-        action += 0.5 * h * (integrand0 + integrand1)
+    start = [flow.x, np.full_like(flow.x, s), np.zeros_like(flow.x)]
+    action = _rk4(start, rhs, t, rk4_step_count(t, tol))[2]
     phi = [s * f for f in flow.F]
     return {"phi": phi, "flow": flow, "action": action,
             "grad_x": s * flow.F[1] if order >= 1 else None}
@@ -316,30 +300,31 @@ def halfwave_phase(speed: SmoothMap, t: float, tol: float = 1e-10,
     sigma = sign(xi), so the half-wave phase is a tabulated transport-type
     phase whose g depends on the sign of xi.
     """
-    cache = _FlowCache()
+    cache = {}  # flow jets keyed by the x array, the order and sigma
 
-    def branch(x_flat, sigma, order):
-        flow = solve_flows(speed, x_flat, t, sigma, order=order, tol=tol,
-                           regime_threshold=regime_threshold)
-        if not flow.in_regime:
-            raise RegimeError(
-                f"half-wave flow left the |G| > 1/2 regime before t = {t} "
-                f"(min |G| = {flow.min_abs_G:.3f}); shorten the time or "
-                "smooth the speed")
-        return flow.F
+    def branch(x, sigma, order):
+        key = (x.tobytes(), x.shape, order, sigma)
+        if key not in cache:
+            flow = solve_flows(speed, x.ravel(), t, sigma, order=order, tol=tol,
+                               regime_threshold=regime_threshold)
+            if not flow.in_regime:
+                raise RegimeError(
+                    f"half-wave flow left the |G| > 1/2 regime before t = {t} "
+                    f"(min |G| = {flow.min_abs_G:.3f}); shorten the time or "
+                    "smooth the speed")
+            cache[key] = [f.reshape(x.shape) for f in flow.F]
+        return cache[key]
 
     def g_provider(x, sgn, order):
         x = np.asarray(x, dtype=float)
         sgn = np.asarray(sgn)
-        key = (x.tobytes(), x.shape, order)
-        jets_p = cache.get(key + (1,), lambda: branch(x.ravel(), +1, order))
+        jets_p = branch(x, +1, order)
         if np.all(sgn > 0):
-            return [j.reshape(x.shape) for j in jets_p]
-        jets_m = cache.get(key + (-1,), lambda: branch(x.ravel(), -1, order))
+            return jets_p
+        jets_m = branch(x, -1, order)
         if np.all(sgn < 0):
-            return [j.reshape(x.shape) for j in jets_m]
-        return [np.where(sgn > 0, p.reshape(x.shape), q.reshape(x.shape))
-                for p, q in zip(jets_p, jets_m)]
+            return jets_m
+        return [np.where(sgn > 0, p, q) for p, q in zip(jets_p, jets_m)]
 
     return PhaseFunction(builtin_map(
         "tabulated_phase", g_provider=g_provider,
@@ -356,11 +341,30 @@ def halfwave_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
     t; for constant speed it is exact up to the low-frequency part where
     P differs from |xi|.
     """
-    phase = halfwave_phase(speed, t)
-    amp = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(1, 1, 1)))
-    plan = select_kappa(0.0, 1.0, 0.0, 1)
-    op = FioOperator(phase, amp, CutoffChi(), plan, config or QuadratureConfig())
-    return apply(op, u0, x_points, workers=workers)
+    return _order_zero_apply(halfwave_phase(speed, t), _UNIT_AMPLITUDE, u0,
+                             x_points, config, workers)
+
+
+def _wave_branches(speed, amp: Amplitude, u0: SmoothMap, t: float, x_points,
+                   config: QuadratureConfig | None,
+                   workers: int | None) -> GridField:
+    """Sum of the branches exp(-+ i c t |xi|), each with amplitude ``amp``.
+
+    Each branch's meta goes under ``branch_+`` / ``branch_-`` without its
+    wall time; the summed wall time is the top-level ``wall_time``.
+    """
+    xs = np.atleast_1d(np.asarray(x_points, dtype=float))
+    cols = (xs, np.full(xs.size, float(t)))
+    total = None
+    meta = {"wall_time": 0.0}
+    for sign in (+1, -1):
+        phase = PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, sign=sign))
+        out = _order_zero_apply(phase, amp, u0, cols, config, workers)
+        total = out.value if total is None else total + out.value
+        branch_meta = dict(out.meta)
+        meta["wall_time"] += branch_meta.pop("wall_time")
+        meta[f"branch_{'+' if sign > 0 else '-'}"] = branch_meta
+    return GridField((xs,), {(0,): total}, meta)
 
 
 def wave_solve(speed, u0: SmoothMap, t: float, x_points,
@@ -374,18 +378,6 @@ def wave_solve(speed, u0: SmoothMap, t: float, x_points,
     ``speed`` is a number or a map of x; time rides along as the last x
     coordinate of the phase layout, so ``x_points`` are spatial only.
     """
-    xs = np.atleast_1d(np.asarray(x_points, dtype=float))
-    cols = (xs, np.full(xs.size, float(t)))
-    total = None
-    meta = {}
-    for sign in (+1, -1):
-        phase = builtin_map("scaled_norm_phase", speed=speed, sign=sign, n=1)
-        amp = Amplitude(builtin_map("constant", value=float(amplitude_value),
-                                    layout=VarLayout(2, 1, 1)))
-        plan = select_kappa(0.0, 1.0, 0.0, 1)
-        op = FioOperator(PhaseFunction(phase), amp, CutoffChi(), plan,
-                         config or QuadratureConfig())
-        out = apply(op, u0, cols, workers=workers)
-        total = out.value if total is None else total + out.value
-        meta[f"branch_{'+' if sign > 0 else '-'}"] = out.meta
-    return GridField((xs,), {(0,): total}, meta)
+    amp = Amplitude(builtin_map("constant", value=float(amplitude_value),
+                                layout=VarLayout(2, 1, 1)))
+    return _wave_branches(speed, amp, u0, t, x_points, config, workers)

@@ -46,15 +46,13 @@ class ConfigError(ValueError):
 
 
 def json_default(obj: Any):
-    """Encoder fallback: numpy scalars/arrays, complex, report objects."""
+    """Encoder fallback: numpy scalars/arrays, complex, dataclasses, sets."""
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if hasattr(obj, "to_dict"):
-        return obj.to_dict()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return dataclasses.asdict(obj)
     if isinstance(obj, (set, frozenset)):

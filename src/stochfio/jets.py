@@ -38,9 +38,6 @@ __all__ = [
     "SmoothMap",
     "builtin_map",
     "fd_jet",
-    "jet_mul",
-    "jet_div",
-    "jet_linear",
 ]
 
 DEFAULT_MAX_ORDER = 8
@@ -56,16 +53,6 @@ class VarLayout(NamedTuple):
     @property
     def nvars(self) -> int:
         return self.n_x + self.n_y + self.n_xi
-
-    def block_slice(self, block: str) -> slice:
-        starts = {"x": 0, "y": self.n_x, "xi": self.n_x + self.n_y}
-        sizes = {"x": self.n_x, "y": self.n_y, "xi": self.n_xi}
-        if block not in starts:
-            raise ValueError(f"unknown block {block!r}")
-        return slice(starts[block], starts[block] + sizes[block])
-
-    def block_size(self, block: str) -> int:
-        return {"x": self.n_x, "y": self.n_y, "xi": self.n_xi}[block]
 
 
 class Coords(NamedTuple):
@@ -155,19 +142,6 @@ def _binom_prod(nu: tuple, mu: tuple) -> int:
 
 
 @lru_cache(maxsize=None)
-def _mul_plan(layout, cap_x, cap_int, cap_total):
-    """For each sigma in the set: tuple of (mu, sigma-mu, binomial coeff)."""
-    plan = {}
-    for sigma in _enum_keys(layout, cap_x, cap_int, cap_total):
-        rows = []
-        for mu in _iproduct(*(range(s + 1) for s in sigma)):
-            nu = tuple(s - m for s, m in zip(sigma, mu))
-            rows.append((mu, nu, _binom_prod(sigma, mu)))
-        plan[sigma] = tuple(rows)
-    return plan
-
-
-@lru_cache(maxsize=None)
 def _sub_splits(sigma: tuple) -> tuple:
     """All (mu, sigma-mu, C(sigma, mu)) splits of a single multi-index."""
     rows = []
@@ -175,10 +149,6 @@ def _sub_splits(sigma: tuple) -> tuple:
         nu = tuple(s - m for s, m in zip(sigma, mu))
         rows.append((mu, nu, _binom_prod(sigma, mu)))
     return tuple(rows)
-
-
-def _plan(iset: IndexSet):
-    return _mul_plan(iset.layout, iset.cap_x, iset.cap_int, iset.cap_total)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +164,10 @@ def t_blank(iset: IndexSet) -> dict:
 
 
 def t_mul(a: dict, b: dict, iset: IndexSet) -> dict:
-    plan = _plan(iset)
     out = {}
     for sigma in iset.keys():
         acc = None
-        for mu, nu, c in plan[sigma]:
+        for mu, nu, c in _sub_splits(sigma):
             av = a[mu]
             if _is_zero(av):
                 continue
@@ -411,10 +380,6 @@ class MultiIndex:
     y: tuple = ()
     xi: tuple = ()
 
-    @property
-    def total(self) -> int:
-        return sum(self.x) + sum(self.y) + sum(self.xi)
-
     def flat(self) -> tuple:
         return tuple(self.x) + tuple(self.y) + tuple(self.xi)
 
@@ -464,10 +429,6 @@ def _scalarize(table: dict, iset: IndexSet) -> dict:
     return out
 
 
-def _same_base(a: Jet, b: Jet) -> bool:
-    return a.layout == b.layout and a.order == b.order and a.point == b.point
-
-
 @dataclass(frozen=True)
 class SmoothMap:
     """A smooth function of (x, y, xi) exposing exact jets.
@@ -502,34 +463,6 @@ class SmoothMap:
 
     def value(self, point) -> complex:
         return self.jet(point, 0).value
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    if not _same_base(a, b):
-        raise ValueError("jet_mul requires matching base point, order and layout")
-    iset = IndexSet(a.layout, a.order, a.order, a.order)
-    return Jet(a.layout, a.point, a.order, t_mul(a.table, b.table, iset))
-
-
-def jet_div(a: Jet, b: Jet) -> Jet:
-    if not _same_base(a, b):
-        raise ValueError("jet_div requires matching base point, order and layout")
-    iset = IndexSet(a.layout, a.order, a.order, a.order)
-    return Jet(a.layout, a.point, a.order, t_div(a.table, b.table, iset))
-
-
-def jet_linear(coeffs: Sequence[complex], jets: Sequence[Jet]) -> Jet:
-    if len(coeffs) != len(jets) or not jets:
-        raise ValueError("need equal, nonzero numbers of coefficients and jets")
-    first = jets[0]
-    for j in jets[1:]:
-        if not _same_base(first, j):
-            raise ValueError("jet_linear requires matching base point, order and layout")
-    table = dict.fromkeys(first.table, 0.0)
-    for c, j in zip(coeffs, jets):
-        for k in table:
-            table[k] = table[k] + c * j.table[k]
-    return Jet(first.layout, first.point, first.order, table)
 
 
 # ---------------------------------------------------------------------------
@@ -641,112 +574,75 @@ def _sqrt_cos_derivs(omega: float):
     return fn
 
 
-def _xi_norm_table(coords: Coords, iset: IndexSet) -> dict:
-    """Table of ||xi|| over the full layout of ``iset`` (xi away from 0)."""
-    layout = iset.layout
-    n = layout.n_xi
-    if n == 0:
-        raise ValueError("layout has no xi block")
-    base = layout.n_x + layout.n_y
-    t = t_blank(iset)
-    if n == 1:
-        v = np.asarray(coords.xi[0])
-        key1 = iset.zero[:base] + (1,)
-        t[iset.zero] = np.abs(v)
-        if key1 in t:
-            t[key1] = np.sign(v)
-        return t
-    sq = t_blank(iset)
-    acc = None
-    for i, v in enumerate(coords.xi):
-        v = np.asarray(v)
-        acc = v * v if acc is None else acc + v * v
-        k1 = list(iset.zero)
-        k1[base + i] = 1
-        k2 = list(iset.zero)
-        k2[base + i] = 2
-        if tuple(k1) in sq:
-            sq[tuple(k1)] = 2.0 * v
-        if tuple(k2) in sq:
-            sq[tuple(k2)] = 2.0
-    sq[iset.zero] = acc
-    return t_pow(sq, 0.5, iset)
+def _xi_table(coords: Coords, iset: IndexSet, derivs) -> dict:
+    """Table of f(xi) over the full layout of ``iset`` (one xi coordinate).
 
-
-def _xi_norm_sq_table(coords: Coords, iset: IndexSet) -> dict:
-    layout = iset.layout
-    base = layout.n_x + layout.n_y
+    ``derivs(v)`` gives the xi-derivatives of f at v for orders 0, 1, ...;
+    the orders it leaves out are exactly zero.
+    """
+    if iset.layout.n_xi != 1:
+        raise ValueError("xi tables need exactly one xi coordinate")
     t = t_blank(iset)
-    acc = None
-    for i, v in enumerate(coords.xi):
-        v = np.asarray(v)
-        acc = v * v if acc is None else acc + v * v
-        k1 = list(iset.zero)
-        k1[base + i] = 1
-        k2 = list(iset.zero)
-        k2[base + i] = 2
-        if tuple(k1) in t:
-            t[tuple(k1)] = 2.0 * v
-        if tuple(k2) in t:
-            t[tuple(k2)] = 2.0
-    t[iset.zero] = 0.0 if acc is None else acc
+    for k, val in enumerate(derivs(np.asarray(coords.xi[0]))):
+        key = iset.zero[:-1] + (k,)
+        if key in t:
+            t[key] = val
     return t
 
 
-def _linear_phase_map(n: int) -> SmoothMap:
-    layout = VarLayout(n, n, n)
+def _xi_norm_table(coords: Coords, iset: IndexSet) -> dict:
+    """Table of |xi| (xi away from 0)."""
+    return _xi_table(coords, iset, lambda v: (np.abs(v), np.sign(v)))
+
+
+def _xi_norm_sq_table(coords: Coords, iset: IndexSet) -> dict:
+    """Table of xi^2."""
+    return _xi_table(coords, iset, lambda v: (v * v, 2.0 * v, 2.0))
+
+
+def _linear_phase_map() -> SmoothMap:
+    layout = VarLayout(1, 1, 1)
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
+        x, y, xi = (np.asarray(coords.x[0]), np.asarray(coords.y[0]), np.asarray(coords.xi[0]))
         t = t_blank(iset)
-        val = None
-        for i in range(n):
-            xi_, yi, wi = (np.asarray(coords.x[i]), np.asarray(coords.y[i]), np.asarray(coords.xi[i]))
-            term = (xi_ - yi) * wi
-            val = term if val is None else val + term
-            ex = tuple(1 if j == i else 0 for j in range(3 * n))
-            ey = tuple(1 if j == n + i else 0 for j in range(3 * n))
-            ew = tuple(1 if j == 2 * n + i else 0 for j in range(3 * n))
-            for key, v in ((ex, wi), (ey, -wi), (ew, xi_ - yi),
-                           (tuple(a + b for a, b in zip(ex, ew)), 1.0),
-                           (tuple(a + b for a, b in zip(ey, ew)), -1.0)):
-                if key in t:
-                    t[key] = v
-        t[iset.zero] = val
+        for key, v in (((1, 0, 0), xi), ((0, 1, 0), -xi), ((0, 0, 1), x - y),
+                       ((1, 0, 1), 1.0), ((0, 1, 1), -1.0)):
+            if key in t:
+                t[key] = v
+        t[iset.zero] = (x - y) * xi
         return t
 
-    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, f"<x-y, xi> on R^{n}")
+    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, "<x-y, xi> on R^1")
 
 
-def _scaled_norm_phase_map(speed, sign: int, n: int) -> SmoothMap:
-    """<x - y, xi> + sign * c(x) * t * ||xi|| with time as the last x coordinate."""
+def _scaled_norm_phase_map(speed, sign: int) -> SmoothMap:
+    """(x - y) xi + sign * c(x) * t * |xi| with time as the second x coordinate."""
     if isinstance(speed, (int, float)):
-        speed = builtin_map("constant", value=float(speed), layout=VarLayout(n, 0, 0))
-    if speed.layout != VarLayout(n, 0, 0):
-        raise ValueError("speed must be a map of the spatial x variables only")
-    layout = VarLayout(n + 1, n, n)
-    lin = _linear_phase_map(n)
+        speed = builtin_map("constant", value=float(speed), layout=VarLayout(1, 0, 0))
+    if speed.layout != VarLayout(1, 0, 0):
+        raise ValueError("speed must be a map of the spatial x variable only")
+    lin = _linear_phase_map()
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
-        sp_coords = Coords(coords.x[:n], coords.y, coords.xi)
-        lin_t = embed_table(lin.provider(Coords(coords.x[:n], coords.y, coords.xi),
-                                         IndexSet(VarLayout(n, n, n), iset.cap_x, iset.cap_int, iset.cap_total)),
-                            VarLayout(n, n, n), iset)
-        # the embed above maps spatial x to the leading x coordinates; time is coordinate n
-        c_t = embed_table(speed.provider(Coords(coords.x[:n], (), ()),
-                                         IndexSet(VarLayout(n, 0, 0), iset.cap_x, 0, iset.cap_x)),
-                          VarLayout(n, 0, 0), iset)
+        # embedding maps spatial x to the leading x coordinate; time is the second
+        lin_t = embed_table(lin.provider(Coords(coords.x[:1], coords.y, coords.xi),
+                                         IndexSet(lin.layout, iset.cap_x, iset.cap_int, iset.cap_total)),
+                            lin.layout, iset)
+        c_t = embed_table(speed.provider(Coords(coords.x[:1], (), ()),
+                                         IndexSet(speed.layout, iset.cap_x, 0, iset.cap_x)),
+                          speed.layout, iset)
         tt = t_blank(iset)
-        tt[iset.zero] = np.asarray(coords.x[n])
-        et = tuple(1 if j == n else 0 for j in range(layout.nvars))
-        if et in tt:
-            tt[et] = 1.0
+        tt[iset.zero] = np.asarray(coords.x[1])
+        if (0, 1, 0, 0) in tt:
+            tt[(0, 1, 0, 0)] = 1.0
         nrm = _xi_norm_table(coords, iset)
         prod = t_mul(t_mul(c_t, tt, iset), nrm, iset)
         if sign < 0:
             prod = t_scale(prod, -1.0)
         return t_add(lin_t, prod, iset)
 
-    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER,
+    return SmoothMap(VarLayout(2, 1, 1), provider, DEFAULT_MAX_ORDER,
                      f"<x-y, xi> {'+' if sign > 0 else '-'} c(x) t ||xi||")
 
 
@@ -894,20 +790,18 @@ def builtin_map(family: str, **params) -> SmoothMap:
         return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, f"constant {value}")
 
     if family == "linear_phase":
-        n = params.pop("n", 1)
+        _pop_dimension(params)
         _no_extra(params)
-        if n < 1:
-            raise ValueError("dimension must be positive")
-        return _linear_phase_map(n)
+        return _linear_phase_map()
 
     if family == "scaled_norm_phase":
         speed = params.pop("speed")
         sign = params.pop("sign", +1)
-        n = params.pop("n", 1)
+        _pop_dimension(params)
         _no_extra(params)
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        return _scaled_norm_phase_map(speed, sign, n)
+        return _scaled_norm_phase_map(speed, sign)
 
     if family == "tabulated_phase":
         g_provider = params.pop("g_provider")
@@ -985,6 +879,14 @@ def builtin_map(family: str, **params) -> SmoothMap:
 def _no_extra(params: dict):
     if params:
         raise ValueError(f"unexpected parameters {sorted(params)}")
+
+
+def _pop_dimension(params: dict):
+    """Phases have one y and one xi dimension, so ``n`` may only be 1."""
+    n = params.pop("n", 1)
+    if n != 1:
+        raise ValueError(f"n = {n!r} is not supported: the engine runs one y "
+                         "and one xi dimension")
 
 
 # ---------------------------------------------------------------------------

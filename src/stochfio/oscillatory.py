@@ -29,8 +29,7 @@ from .jets import (
     IndexSet,
     SmoothMap,
     VarLayout,
-    embed_table,
-    project_coords,
+    builtin_map,
     t_exp,
     t_mul,
     t_scale,
@@ -38,8 +37,7 @@ from .jets import (
 from .regularizer import (
     CutoffChi,
     KappaPlan,
-    apply_l_ladder,
-    coefficient_tables,
+    _regularized_tables,
     select_kappa,
 )
 from .symbol_spaces import Amplitude, PhaseFunction, check_alpha_membership
@@ -154,6 +152,12 @@ class PointDistribution:
         return max((sum(o) for o in self.orders), default=0)
 
 
+def _as_symbols(phase, amplitude) -> tuple:
+    """Wrap bare maps as a PhaseFunction and an Amplitude (d = 0, rho = 1)."""
+    return (phase if isinstance(phase, PhaseFunction) else PhaseFunction(phase),
+            amplitude if isinstance(amplitude, Amplitude) else Amplitude(amplitude))
+
+
 @dataclass(frozen=True)
 class FioOperator:
     """A phase, an amplitude and a regularization plan, ready to apply."""
@@ -174,10 +178,7 @@ class FioOperator:
         ``alpha = None`` skips the nondegeneracy scan (used when the caller
         has already certified the phase family analytically).
         """
-        if not isinstance(phase, PhaseFunction):
-            phase = PhaseFunction(phase)
-        if not isinstance(amplitude, Amplitude):
-            amplitude = Amplitude(amplitude)
+        phase, amplitude = _as_symbols(phase, amplitude)
         layout = phase.layout
         if amplitude.layout.n_x > layout.n_x or amplitude.layout.n_y > layout.n_y \
                 or amplitude.layout.n_xi > layout.n_xi:
@@ -259,10 +260,8 @@ def _probe_rates(phase: PhaseFunction, x_arrays, y_window, n_samples: int = 5):
     for sgn in (-1.0, 1.0):
         coords = Coords(tuple(cols[:layout.n_x]), (cols[layout.n_x],), (np.full(n, sgn),))
         t = phase.table(coords, iset)
-        for i in range(layout.n_xi):
-            key = tuple(1 if j == layout.n_x + layout.n_y + i else 0
-                        for j in range(layout.nvars))
-            d_xi = max(d_xi, float(np.max(np.abs(np.asarray(t[key])))))
+        key = (0,) * (layout.nvars - 1) + (1,)  # the one xi coordinate is last
+        d_xi = max(d_xi, float(np.max(np.abs(np.asarray(t[key])))))
         key = tuple(1 if j == layout.n_x else 0 for j in range(layout.nvars))
         d_y = max(d_y, float(np.max(np.abs(np.asarray(t[key])))))
     return d_xi, d_y
@@ -327,35 +326,10 @@ def _plan_nodes(phase, chi, config, x_arrays, y_window, kappa):
 # core evaluation
 
 
-def _x_only_subtable(table: dict, iset_x: IndexSet) -> dict:
-    return {k: table[k] for k in iset_x.keys()}
-
-
-def _integrand_tables(phase, amp, u, chi, kappa, coords, out_order, skip_ladder):
-    """Tables of d^j_x [exp(i Phi) L^kappa(a u)] over the x-only index set."""
-    layout = phase.layout
-    iset_f = IndexSet(layout, out_order, kappa)
-    iset_x = IndexSet(layout, out_order, 0)
-    phase_t = phase.table(coords, IndexSet(layout, out_order, kappa + 1))
-    amp_t = embed_table(amp.map.provider(project_coords(coords, amp.layout),
-                                         IndexSet(amp.layout, out_order, kappa)),
-                        amp.layout, iset_f)
-    u_t = embed_table(u.provider(project_coords(coords, u.layout),
-                                 IndexSet(u.layout, out_order, kappa)),
-                      u.layout, iset_f)
-    f = t_mul(amp_t, u_t, iset_f)
-    if skip_ladder or kappa == 0:
-        g = _x_only_subtable(f, iset_x)
-    else:
-        coeffs = coefficient_tables(phase_t, coords, chi, iset_f)
-        g = apply_l_ladder(f, coeffs, kappa, iset_f)
-    osc = t_exp(t_scale(_x_only_subtable(phase_t, iset_x), 1.0j), iset_x)
-    return t_mul(osc, g, iset_x), iset_x
-
-
 def _eval_band(phase, amp, u, chi, kappa, x_cols, xn, xw, yn, yw, sign,
-               out_order, chunk_nodes, skip_ladder, out_acc):
-    """Accumulate the weighted band sum into ``out_acc`` (per x-key arrays)."""
+               out_order, chunk_nodes, out_acc):
+    """Accumulate the weighted band sum of d^j_x [exp(i Phi) L^kappa(a u)]
+    into ``out_acc`` (per x-key arrays)."""
     ynodes = yn[None, :].repeat(xn.size, axis=0).ravel()
     xinodes = np.repeat(sign * xn, yn.size)
     wts = np.repeat(xw, yn.size) * np.tile(yw, xn.size)
@@ -364,8 +338,9 @@ def _eval_band(phase, amp, u, chi, kappa, x_cols, xn, xw, yn, yw, sign,
     for s in range(0, total, chunk_nodes):
         sl = slice(s, min(s + chunk_nodes, total))
         coords = Coords(nx_cols, (ynodes[None, sl],), (xinodes[None, sl],))
-        tab, iset_x = _integrand_tables(phase, amp, u, chi, kappa, coords,
-                                        out_order, skip_ladder)
+        g, phase_x, iset_x = _regularized_tables(phase, amp.map, u, chi, kappa,
+                                                 coords, out_order)
+        tab = t_mul(t_exp(t_scale(phase_x, 1.0j), iset_x), g, iset_x)
         w = wts[sl]
         for k in iset_x.keys():
             v = np.asarray(tab[k])
@@ -395,10 +370,11 @@ def _engine(phase, amp, u, chi, kappa, x_arrays, out_order, config,
     iset_x = IndexSet(layout, out_order, 0)
     acc = {k: np.zeros(nloc, dtype=complex) for k in iset_x.keys()}
     for lo, hi, xn, xw, yn, yw in bands:
-        skip = hi <= chi.inner_radius + 1e-12
+        # chi == 1 on the inner band, where L is the identity
+        band_kappa = 0 if hi <= chi.inner_radius + 1e-12 else kappa
         for sign in (-1.0, 1.0):
-            _eval_band(phase, amp, u, chi, kappa, cols, xn, xw, yn, yw, sign,
-                       out_order, chunk_nodes, skip, acc)
+            _eval_band(phase, amp, u, chi, band_kappa, cols, xn, xw, yn, yw, sign,
+                       out_order, chunk_nodes, acc)
     if two_pi_measure:
         f = (2.0 * math.pi) ** (-layout.n_xi)
         acc = {k: f * v for k, v in acc.items()}
@@ -486,11 +462,7 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
     meta.update({"kappa": op.plan.kappa, "y_window": tuple(window),
                  "wall_time": time.perf_counter() - t0,
                  "xi_radius": op.config.xi_radius})
-    return GridField(cols, {_xkey(k, layout): v for k, v in acc.items()}, meta)
-
-
-def _xkey(k: tuple, layout: VarLayout) -> tuple:
-    return k[:layout.n_x]
+    return GridField(cols, {k[:layout.n_x]: v for k, v in acc.items()}, meta)
 
 
 def apply_adjoint(op: FioOperator, v: SmoothMap, y_points, out_order: int = 0,
@@ -535,10 +507,7 @@ def oscillatory_integral(phase, amplitude, chi: CutoffChi | None = None,
     doubled, panels halved) until two consecutive values agree within
     ``abs_tol``; failure raises ToleranceError with the achieved difference.
     """
-    if not isinstance(phase, PhaseFunction):
-        phase = PhaseFunction(phase)
-    if not isinstance(amplitude, Amplitude):
-        amplitude = Amplitude(amplitude)
+    phase, amplitude = _as_symbols(phase, amplitude)
     layout = phase.layout
     if layout.n_x != 0:
         raise ValueError("oscillatory_integral expects a phase without x block")
@@ -549,7 +518,7 @@ def oscillatory_integral(phase, amplitude, chi: CutoffChi | None = None,
     if kappa is None:
         kappa = select_kappa(amplitude.d, amplitude.rho, amplitude.delta,
                              layout.n_xi, 0).kappa
-    ident = SmoothMap(VarLayout(0, 1, 0), _one_provider, 12, "1")
+    ident = builtin_map("constant", value=1.0, layout=VarLayout(0, 1, 0))
     window = _support_window([amplitude.map], "y", y_window)
     prev = None
     achieved = math.inf
@@ -567,12 +536,6 @@ def oscillatory_integral(phase, amplitude, chi: CutoffChi | None = None,
     raise ToleranceError(
         f"refinement stalled at difference {achieved:.3e} > tol {config.abs_tol:.1e}",
         achieved)
-
-
-def _one_provider(coords, iset):
-    t = dict.fromkeys(iset.keys(), 0.0)
-    t[iset.zero] = 1.0
-    return t
 
 
 @dataclass(frozen=True)
@@ -606,10 +569,7 @@ def convergence_study(phase, amplitude, u: SmoothMap, x_points, m_tilde: int = 2
     R is O(R^(-m_tilde)).  The study reports sup-norm deviations from the
     richest radius and the fitted decay rate.
     """
-    if not isinstance(phase, PhaseFunction):
-        phase = PhaseFunction(phase)
-    if not isinstance(amplitude, Amplitude):
-        amplitude = Amplitude(amplitude)
+    phase, amplitude = _as_symbols(phase, amplitude)
     radii = tuple(sorted(radii))
     chi = chi or CutoffChi()
     base = config or QuadratureConfig()

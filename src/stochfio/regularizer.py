@@ -36,6 +36,7 @@ from .jets import (
     _xi_norm_table,
     as_coords,
     embed_table,
+    project_coords,
     t_add,
     t_blank,
     t_compose,
@@ -133,12 +134,6 @@ class CutoffChi:
         derivs = self.profile_derivs(norm_t[iset.zero], iset.max_total())
         return t_compose(derivs, norm_t, iset)
 
-    def as_map(self, n_xi: int = 1) -> SmoothMap:
-        layout = VarLayout(0, 0, n_xi)
-        return SmoothMap(layout, lambda coords, iset: self.xi_table(coords, iset),
-                         12, f"chi on [{self.inner_radius}, {self.outer_radius}]",
-                         {"xi": (-self.outer_radius, self.outer_radius)})
-
 
 @dataclass(frozen=True)
 class KappaPlan:
@@ -152,12 +147,6 @@ class KappaPlan:
     delta: float
     n_xi: int
     extra_decay: int
-
-    def to_dict(self) -> dict:
-        return {"kappa": self.kappa, "gain": self.gain,
-                "decay_exponent": self.decay_exponent, "d": self.d,
-                "rho": self.rho, "delta": self.delta, "n_xi": self.n_xi,
-                "extra_decay": self.extra_decay}
 
 
 def select_kappa(d: float, rho: float, delta: float, n_xi: int,
@@ -213,17 +202,11 @@ def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
     the factor (1 - chi) and all its derivatives vanish exactly there, so
     the finite quotient is multiplied away and alpha' = beta' = 0 exactly.
     """
-    layout = iset.layout
-    nx, ny, nxi = layout.n_x, layout.n_y, layout.n_xi
-    base = nx + ny
-    dphi_xi = [t_shift(phase_table, base + l, iset) for l in range(nxi)]
+    nx, ny = iset.layout.n_x, iset.layout.n_y
+    nsq = _xi_norm_sq_table(coords, iset)  # one xi coordinate, the last variable
+    dphi_xi = t_shift(phase_table, nx + ny, iset)
     dphi_y = [t_shift(phase_table, nx + k, iset) for k in range(ny)]
-    nsq = _xi_norm_sq_table(coords, iset)
-    grad = None
-    for t in dphi_xi:
-        sq = t_mul(t, t, iset)
-        grad = sq if grad is None else t_add(grad, sq, iset)
-    r = t_mul(nsq, grad, iset)
+    r = t_mul(nsq, t_mul(dphi_xi, dphi_xi, iset), iset)
     for t in dphi_y:
         r = t_add(r, t_mul(t, t, iset), iset)
     gamma = chi.xi_table(coords, iset)
@@ -233,7 +216,7 @@ def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
     r_safe = dict(r)
     r_safe[iset.zero] = np.where(inner, 1.0, np.asarray(r[iset.zero]))
     s = t_div(omc, r_safe, iset)
-    alpha = tuple(t_mul(s, t_mul(nsq, t, iset), iset) for t in dphi_xi)
+    alpha = (t_mul(s, t_mul(nsq, dphi_xi, iset), iset),)
     beta = tuple(t_mul(s, t, iset) for t in dphi_y)
     return RegCoeffTables(alpha, beta, gamma, r, iset)
 
@@ -252,18 +235,7 @@ class RegularizerCoeffs:
 
 def compute_r(phase, point) -> float:
     """r = ||xi||^2 |grad_xi Phi|^2 + |grad_y Phi|^2 at one point."""
-    m = phase.map if hasattr(phase, "map") else phase
-    layout = m.layout
-    coords = as_coords(layout, point)
-    iset = IndexSet(layout, 0, 1)
-    t = m.table(coords, iset)
-    nsq = sum(float(v) ** 2 for v in coords.xi)
-    base = layout.n_x + layout.n_y
-    gxi = sum(abs(complex(np.asarray(t[_unit(layout, base + l)]).reshape(()))) ** 2
-              for l in range(layout.n_xi))
-    gy = sum(abs(complex(np.asarray(t[_unit(layout, layout.n_x + k)]).reshape(()))) ** 2
-             for k in range(layout.n_y))
-    return nsq * gxi + gy
+    return compute_coeffs(phase, CutoffChi(), point).r
 
 
 def _unit(layout: VarLayout, i: int) -> tuple:
@@ -338,25 +310,40 @@ def apply_l_ladder(f: dict, coeffs: RegCoeffTables, kappa: int,
     return g
 
 
+def _regularized_tables(phase, amp: SmoothMap, psi: SmoothMap, chi: CutoffChi,
+                        kappa: int, coords: Coords, out_order: int):
+    """x-only tables of L^kappa(a psi) and of Phi, and their index set.
+
+    ``phase`` is anything with ``layout`` and ``table``; ``amp`` and ``psi``
+    live on sub-layouts of the phase layout.  The product a psi carries
+    ``kappa`` integration orders, one for each application of L.
+    """
+    layout = phase.layout
+    iset_f = IndexSet(layout, out_order, kappa)
+    iset_x = IndexSet(layout, out_order, 0)
+    phase_t = phase.table(coords, IndexSet(layout, out_order, kappa + 1))
+    amp_t = embed_table(amp.provider(project_coords(coords, amp.layout),
+                                     IndexSet(amp.layout, out_order, kappa)),
+                        amp.layout, iset_f)
+    psi_t = embed_table(psi.provider(project_coords(coords, psi.layout),
+                                     IndexSet(psi.layout, out_order, kappa)),
+                        psi.layout, iset_f)
+    f = t_mul(amp_t, psi_t, iset_f)
+    if kappa:
+        f = apply_l_ladder(f, coefficient_tables(phase_t, coords, chi, iset_f),
+                           kappa, iset_f)
+    keys = iset_x.keys()
+    return {k: f[k] for k in keys}, {k: phase_t[k] for k in keys}, iset_x
+
+
 def apply_L_power(phase, amplitude, testfn: SmoothMap, chi: CutoffChi,
                   kappa: int, point) -> complex:
     """Value of L^kappa (a * psi) at one point of (x, y, xi) space."""
     pm = phase.map if hasattr(phase, "map") else phase
     am = amplitude.map if hasattr(amplitude, "map") else amplitude
-    layout = pm.layout
-    coords = as_coords(layout, point)
-    iset = IndexSet(layout, 0, kappa)
-    phase_t = pm.table(coords, IndexSet(layout, 0, kappa + 1))
-    coeffs = coefficient_tables(phase_t, coords, chi, iset)
-    from .jets import project_coords
-    amp_t = embed_table(am.provider(project_coords(coords, am.layout),
-                                    IndexSet(am.layout, 0, kappa)), am.layout, iset)
-    psi_t = embed_table(testfn.provider(project_coords(coords, testfn.layout),
-                                        IndexSet(testfn.layout, 0, kappa)),
-                        testfn.layout, iset)
-    f = t_mul(amp_t, psi_t, iset)
-    out = apply_l_ladder(f, coeffs, kappa, iset)
-    return complex(np.asarray(out[iset.zero]).reshape(()))
+    coords = as_coords(pm.layout, point)
+    g, _phase_x, iset_x = _regularized_tables(pm, am, testfn, chi, kappa, coords, 0)
+    return complex(np.asarray(g[iset_x.zero]).reshape(()))
 
 
 @dataclass(frozen=True)

@@ -16,15 +16,15 @@ from one base seed so results are reproducible and mergeable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .applications import _wave_branches, make_speed, wave_solve
 from .jets import SmoothMap, VarLayout, builtin_map
-from .oscillatory import FioOperator, GridField, QuadratureConfig, apply
-from .regularizer import CutoffChi, select_kappa
-from .symbol_spaces import Amplitude, PhaseFunction
+from .oscillatory import GridField, QuadratureConfig
+from .symbol_spaces import Amplitude
 
 __all__ = [
     "RandomFieldModel",
@@ -100,7 +100,6 @@ def sample_field(model: RandomFieldModel, seed_or_rng) -> SmoothMap:
     z = rng.standard_normal(model.n_modes)
     terms = [(a * math.tanh(zj), k, th) for a, k, th, zj
              in zip(model.amplitudes, model.wavenumbers, model.phases, z)]
-    from .applications import make_speed
     return make_speed("trig_field", offset=model.c0, terms=terms)
 
 
@@ -270,20 +269,11 @@ def expected_wave_field(model: TruncatedSpeedModel, u0: SmoothMap, t: float,
     truncation of W changes this by at most ``model.truncation_mass``
     relative mass, reported in the metadata.
     """
-    xs = np.atleast_1d(np.asarray(x_points, dtype=float))
-    cols = (xs, np.full(xs.size, float(t)))
-    total = None
-    for sign in (+1, -1):
-        phase = builtin_map("scaled_norm_phase", speed=model.c0, sign=sign, n=1)
-        amp = _damping_amplitude(model.s, t)
-        plan = select_kappa(0.0, 1.0, 0.0, 1)
-        op = FioOperator(PhaseFunction(phase), amp, CutoffChi(), plan,
-                         config or QuadratureConfig())
-        out = apply(op, u0, cols, workers=workers)
-        total = out.value if total is None else total + out.value
-    meta = {"truncation_mass": model.truncation_mass, "t": t,
-            "c0": model.c0, "s": model.s}
-    return GridField((xs,), {(0,): total}, meta)
+    field_ = _wave_branches(model.c0, _damping_amplitude(model.s, t), u0, t,
+                            x_points, config, workers)
+    return GridField(field_.points, field_.values,
+                     {**field_.meta, "truncation_mass": model.truncation_mass,
+                      "t": t, "c0": model.c0, "s": model.s})
 
 
 def expected_wave_analytic(model: TruncatedSpeedModel, t: float, x_points,
@@ -343,8 +333,6 @@ def mc_wave_estimate(model: TruncatedSpeedModel, u0: SmoothMap, t: float,
             c = float(sample_speeds(model, rng, 1)[0])
             return 0.5 * (map_values(u0, xs - c * t) + map_values(u0, xs + c * t))
     elif engine == "fio":
-        from .applications import wave_solve
-
         def sampler(rng):
             c = float(sample_speeds(model, rng, 1)[0])
             return wave_solve(c, u0, t, xs, config=config).value

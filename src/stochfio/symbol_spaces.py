@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product as _iproduct
 
 import numpy as np
 
@@ -50,10 +49,6 @@ class CompactBox:
     @property
     def empty(self) -> bool:
         return any(l > h for l, h in zip(self.lo, self.hi))
-
-    @property
-    def ndim(self) -> int:
-        return len(self.lo)
 
     def axes(self, points_per_axis: int) -> list:
         if self.empty:
@@ -105,9 +100,6 @@ class PhaseFunction:
     def table(self, coords, iset):
         return self.map.table(coords, iset)
 
-    def jet(self, point, order):
-        return self.map.jet(point, order)
-
     def swapped(self) -> "PhaseFunction":
         return PhaseFunction(swapped_map(self.map))
 
@@ -131,9 +123,6 @@ class Amplitude:
 
     def table(self, coords, iset):
         return self.map.table(coords, iset)
-
-    def jet(self, point, order):
-        return self.map.jet(point, order)
 
     def swapped(self) -> "Amplitude":
         return Amplitude(swapped_map(self.map), self.d, self.rho, self.delta)
@@ -176,19 +165,6 @@ class SeminormReport:
     scale_values: dict = field(default_factory=dict)
     flagged: bool = False
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "m": self.m,
-            "value": self.value,
-            "witness": list(self.witness),
-            "witness_index": list(self.witness_index),
-            "grid_shape": list(self.grid_shape),
-            "scale_values": {str(k): v for k, v in self.scale_values.items()},
-            "flagged": self.flagged,
-            "note": self.note,
-        }
 
 
 def _unit_sphere(n_xi: int):

@@ -60,6 +60,15 @@ def test_unknown_map_family(tmp_path):
     assert main(["apply", "--config", cfg]) == 2
 
 
+def test_phase_dimension_other_than_one_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json",
+                       apply_config(phase={"family": "linear_phase", "n": 2}))
+    assert main(["apply", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n = 2" in captured.err
+
+
 def test_unknown_quadrature_option(tmp_path):
     cfg = write_config(tmp_path, "cfg.json",
                        apply_config(quadrature={"xi_radius": 30.0, "bogus": 1}))
@@ -320,6 +329,25 @@ def test_rerun_and_worker_count_leave_output_unchanged(tmp_path):
         payload["manifest"] = strip_timing(payload["manifest"])
         payloads.append(json.dumps(payload, sort_keys=True))
     assert payloads[0] == payloads[1] == payloads[2]
+
+
+def test_wave_reruns_are_identical_after_strip_timing(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "speed": 2.0,
+        "test_function": {"family": "gaussian_bump", "block": "y"},
+        "time": 0.2,
+        "grid": {"lo": -1.0, "hi": 1.0, "n": 5},
+        "quadrature": XI30,
+    })
+    payloads = []
+    for tag in ("a", "b"):
+        out = tmp_path / f"{tag}.json"
+        assert main(["wave", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["manifest"]["timing"]["wall_time"] > 0
+        payload["manifest"] = strip_timing(payload["manifest"])
+        payloads.append(json.dumps(payload, sort_keys=True))
+    assert payloads[0] == payloads[1]
 
 
 def test_csv_reruns_are_byte_identical(tmp_path):

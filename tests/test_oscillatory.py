@@ -257,7 +257,9 @@ def test_pair_distribution_closed_form():
 
 
 def test_engine_rejects_multidimensional_y():
-    phase = PhaseFunction(builtin_map("linear_phase", n=2))
+    with pytest.raises(ValueError):
+        builtin_map("linear_phase", n=2)
+    phase = PhaseFunction(builtin_map("constant", value=0.0, layout=VarLayout(2, 2, 2)))
     amp = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(2, 2, 2)))
     op = FioOperator.build(phase, amp, alpha=None)
     with pytest.raises(NotImplementedError):

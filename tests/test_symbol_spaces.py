@@ -120,7 +120,9 @@ def test_amplitude_class_parameters_validated():
 
 
 def test_multidimensional_frequency_scan_unsupported():
-    phase = PhaseFunction(builtin_map("linear_phase", n=2))
+    with pytest.raises(ValueError):
+        builtin_map("linear_phase", n=2)
+    phase = PhaseFunction(builtin_map("constant", value=0.0, layout=VarLayout(2, 2, 2)))
     with pytest.raises(NotImplementedError):
         seminorm_p(phase, 1)
 
