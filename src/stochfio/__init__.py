@@ -49,6 +49,7 @@ from .jets import (
     as_coords,
     builtin_map,
     fd_jet,
+    make_speed,
 )
 from .symbol_spaces import (
     Amplitude,
@@ -90,7 +91,6 @@ from .applications import (
     eikonal_phi,
     halfwave_phase,
     halfwave_solve,
-    make_speed,
     regime_horizon,
     solve_characteristics,
     solve_flows,
@@ -117,7 +117,7 @@ __all__ = [
     "__version__",
     # jets
     "Coords", "IndexSet", "Jet", "MultiIndex", "SmoothMap", "VarLayout",
-    "as_coords", "builtin_map", "fd_jet",
+    "as_coords", "builtin_map", "fd_jet", "make_speed",
     # symbol spaces
     "Amplitude", "CompactBox", "PhaseFunction", "check_alpha_membership",
     "check_derivative_bound", "check_homogeneity", "compact_box",
@@ -132,7 +132,7 @@ __all__ = [
     "convergence_study", "oscillatory_integral", "pair_distribution",
     # applications
     "FlowResult", "RegimeError", "eikonal_phi", "halfwave_phase",
-    "halfwave_solve", "make_speed", "regime_horizon",
+    "halfwave_solve", "regime_horizon",
     "solve_characteristics", "solve_flows", "transport_phase",
     "transport_solve", "wave_solve",
     # stochastic

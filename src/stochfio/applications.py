@@ -22,6 +22,7 @@ from .jets import (
     SmoothMap,
     VarLayout,
     builtin_map,
+    make_speed,
     t_compose,
     t_mul,
 )
@@ -50,34 +51,6 @@ class RegimeError(RuntimeError):
     """Raised when a bicharacteristic flow leaves the regime where the
     half-wave symbol acts as the exact absolute value, so the eikonal
     construction is no longer valid at the requested time."""
-
-
-def make_speed(kind: str, **params) -> SmoothMap:
-    """Speed profiles c(x) as maps over the x block.
-
-    Kinds: ``constant`` (value), ``affine`` (offset + slope * x) and
-    ``trig_field`` (offset plus a cosine sum given as (amp, freq, phase)
-    terms), the shape used for random sound-speed fields.
-    """
-    if kind == "constant":
-        return builtin_map("constant", value=float(params.pop("value")),
-                           layout=VarLayout(1, 0, 0))
-    if kind == "affine":
-        offset = float(params.pop("offset", 0.0))
-        slope = float(params.pop("slope", 1.0))
-        terms = [builtin_map("coordinate", block="x", index=0)]
-        coeffs = [slope]
-        if offset:
-            terms.append(builtin_map("constant", value=1.0, layout=VarLayout(1, 0, 0)))
-            coeffs.append(offset)
-        return builtin_map("sum", terms=terms, coefficients=coeffs)
-    if kind == "trig_field":
-        offset = float(params.pop("offset"))
-        terms = [tuple(map(float, t)) for t in params.pop("terms", [])]
-        if not terms:
-            return builtin_map("constant", value=offset, layout=VarLayout(1, 0, 0))
-        return builtin_map("trig_polynomial", block="x", terms=terms, offset=offset)
-    raise ValueError(f"unknown speed kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +248,8 @@ def regime_horizon(speed: SmoothMap, x, t_max: float, dt: float = 0.05,
     Scans both signs of sigma on the given x grid; returns the observed
     horizon (t_max if the margin never drops) and the margin trajectory.
     """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     steps = max(1, math.ceil(t_max / dt))
     times = [i * t_max / steps for i in range(1, steps + 1)]
@@ -351,18 +326,21 @@ def _wave_branches(speed, amp: Amplitude, u0: SmoothMap, t: float, x_points,
     """Sum of the branches exp(-+ i c t |xi|), each with amplitude ``amp``.
 
     Each branch's meta goes under ``branch_+`` / ``branch_-`` without its
-    wall time; the summed wall time is the top-level ``wall_time``.
+    wall time.  The top level has the summed ``wall_time`` and ``nodes``
+    and the ``kappa`` and ``xi_radius`` the branches share.
     """
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
     cols = (xs, np.full(xs.size, float(t)))
     total = None
-    meta = {"wall_time": 0.0}
+    meta = {"wall_time": 0.0, "nodes": 0}
     for sign in (+1, -1):
         phase = PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, sign=sign))
         out = _order_zero_apply(phase, amp, u0, cols, config, workers)
         total = out.value if total is None else total + out.value
         branch_meta = dict(out.meta)
         meta["wall_time"] += branch_meta.pop("wall_time")
+        meta["nodes"] += branch_meta["nodes"]
+        meta.update(kappa=branch_meta["kappa"], xi_radius=branch_meta["xi_radius"])
         meta[f"branch_{'+' if sign > 0 else '-'}"] = branch_meta
     return GridField((xs,), {(0,): total}, meta)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
@@ -28,7 +29,6 @@ import numpy as np
 from .applications import (
     RegimeError,
     halfwave_solve,
-    make_speed,
     regime_horizon,
     transport_solve,
     wave_solve,
@@ -43,7 +43,7 @@ from .io import (
     stats_to_dict,
     write_field_csv,
 )
-from .jets import SmoothMap, VarLayout, builtin_map
+from .jets import SmoothMap, _resolve_map, _resolve_speed
 from .oscillatory import (
     FioOperator,
     QuadratureConfig,
@@ -81,55 +81,25 @@ def _require(cfg: dict, key: str, command: str):
     return cfg[key]
 
 
+@contextmanager
+def _config_errors(what: str):
+    """Report a parser's TypeError / ValueError / KeyError as a bad ``what``."""
+    try:
+        yield
+    except (TypeError, ValueError, KeyError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def build_speed(spec) -> SmoothMap:
     """Speed from a number or a ``{"kind": ..., ...}`` object."""
-    if isinstance(spec, (int, float)):
-        return make_speed("constant", value=float(spec))
-    if not isinstance(spec, dict):
-        raise ConfigError("speed must be a number or an object with 'kind'")
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind is None:
-        raise ConfigError("speed object needs a 'kind' entry")
-    try:
-        if kind == "trig_field":
-            spec["terms"] = [tuple(term) for term in spec.get("terms", [])]
-        return make_speed(kind, **spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad speed spec (kind {kind!r}): {exc}") from exc
+    with _config_errors("speed spec"):
+        return _resolve_speed(spec)
 
 
 def build_map(spec, what: str = "map") -> SmoothMap:
-    """Smooth map from a ``{"family": ..., ...}`` object.
-
-    ``product`` / ``sum`` / ``scaled`` nest recursively through their
-    ``factors`` / ``terms`` / ``inner`` entries; ``scaled_norm_phase``
-    accepts a number or speed object for its ``speed``.
-    """
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigError(f"{what} spec must be an object with a 'family' key")
-    spec = dict(spec)
-    family = spec.pop("family")
-    try:
-        if family == "constant" and "layout" in spec:
-            spec["layout"] = VarLayout(*(int(v) for v in spec["layout"]))
-        elif family == "product":
-            spec["factors"] = [build_map(s, what) for s in spec.get("factors", [])]
-        elif family == "sum":
-            spec["terms"] = [build_map(s, what) for s in spec.get("terms", [])]
-        elif family == "scaled":
-            spec["inner"] = build_map(_require(spec, "inner", family), what)
-        elif family == "scaled_norm_phase":
-            speed = spec.get("speed", 1.0)
-            if isinstance(speed, dict):
-                spec["speed"] = build_speed(speed)
-        elif family == "trig_polynomial":
-            spec["terms"] = [tuple(term) for term in spec.get("terms", [])]
-        return builtin_map(family, **spec)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"bad {what} spec (family {family!r}): {exc}") from exc
+    """Smooth map from a ``{"family": ..., ...}`` object; specs nest."""
+    with _config_errors(f"{what} spec"):
+        return _resolve_map(spec)
 
 
 def build_phase(cfg: dict, command: str) -> PhaseFunction:
@@ -141,13 +111,11 @@ def build_amplitude(cfg: dict, command: str) -> Amplitude:
     if not isinstance(spec, dict):
         raise ConfigError("amplitude must be an object")
     spec = dict(spec)
-    d = float(spec.pop("d", 0.0))
-    rho = float(spec.pop("rho", 1.0))
-    delta = float(spec.pop("delta", 0.0))
-    try:
-        return Amplitude(build_map(spec, "amplitude"), d=d, rho=rho, delta=delta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _config_errors("amplitude spec"):
+        d = float(spec.pop("d", 0.0))
+        rho = float(spec.pop("rho", 1.0))
+        delta = float(spec.pop("delta", 0.0))
+        return Amplitude(_resolve_map(spec), d=d, rho=rho, delta=delta)
 
 
 def build_test_function(cfg: dict, command: str, key: str = "test_function") -> SmoothMap:
@@ -175,10 +143,8 @@ def build_quadrature(cfg: dict, workers=None) -> QuadratureConfig:
         raise ConfigError(f"unknown quadrature options: {sorted(unknown)}")
     if workers is not None:
         spec["workers"] = int(workers)
-    try:
+    with _config_errors("quadrature options"):
         return QuadratureConfig(**spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad quadrature options: {exc}") from exc
 
 
 def build_time(cfg: dict, command: str) -> float:
@@ -314,13 +280,15 @@ cmd_wave = _solver_command("wave", wave_solve)
 def cmd_horizon(cfg: dict, args) -> int:
     speed = build_speed(_require(cfg, "speed", "horizon"))
     options = cfg.get("horizon", {})
-    if "t_max" in options:
-        t_max = float(options["t_max"])
-    else:
-        t_max = build_time(cfg, "horizon")
-    result = regime_horizon(speed, float(options.get("x", 0.0)), t_max,
-                            dt=float(options.get("dt", 0.05)),
-                            threshold=float(options.get("threshold", 0.6)))
+    t_max = options["t_max"] if "t_max" in options else build_time(cfg, "horizon")
+    values = {}
+    for key, value in (("x", options.get("x", 0.0)), ("t_max", t_max),
+                       ("dt", options.get("dt", 0.05)),
+                       ("threshold", options.get("threshold", 0.6))):
+        with _config_errors(f"horizon option {key!r}"):
+            values[key] = float(value)
+    with _config_errors("horizon options"):
+        result = regime_horizon(speed, **values)
     payload = {"manifest": make_manifest("horizon", cfg), "horizon": result}
     _emit(args, payload)
     return 0
@@ -330,12 +298,10 @@ def cmd_mc(cfg: dict, args) -> int:
     model_spec = _require(cfg, "model", "mc")
     if not isinstance(model_spec, dict):
         raise ConfigError("model must be an object with c0 / s / alpha")
-    try:
+    with _config_errors("model spec"):
         model = TruncatedSpeedModel(float(model_spec["c0"]),
                                     float(model_spec["s"]),
                                     alpha=float(model_spec.get("alpha", 0.25)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model spec: {exc}") from exc
     u0_spec = _require(cfg, "test_function", "mc")
     u0 = build_map(u0_spec, "test_function")
     t = build_time(cfg, "mc")
@@ -349,10 +315,8 @@ def cmd_mc(cfg: dict, args) -> int:
     if (not isinstance(raw_pairs, list)
             or any(not isinstance(p, list) or len(p) != 2 for p in raw_pairs)):
         raise ConfigError("mc.autocov_pairs must be a list of [p, q] index pairs")
-    try:
+    with _config_errors("autocov_pairs entry"):
         pairs = tuple((int(p), int(q)) for p, q in raw_pairs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad autocov_pairs entry: {exc}") from exc
     if any(not 0 <= p < xs.size or not 0 <= q < xs.size for p, q in pairs):
         raise ConfigError("autocov_pairs indices must lie inside the grid")
     qc = build_quadrature(cfg, args.workers) if engine == "fio" else None

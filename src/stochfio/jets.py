@@ -37,6 +37,7 @@ __all__ = [
     "Jet",
     "SmoothMap",
     "builtin_map",
+    "make_speed",
     "fd_jet",
 ]
 
@@ -466,21 +467,17 @@ class SmoothMap:
 
 
 # ---------------------------------------------------------------------------
-# builtin families
+# builtin families: one builder per family, whose keyword parameters are the
+# family's parameters
 
 
-def _layout_for_block(block: str) -> VarLayout:
-    return {"x": VarLayout(1, 0, 0), "y": VarLayout(0, 1, 0), "xi": VarLayout(0, 0, 1)}[block]
-
-
-def _univariate_map(block: str, derivs_fn, describe: str, support=None,
-                    max_order: int = DEFAULT_MAX_ORDER) -> SmoothMap:
+def _univariate_map(block: str, derivs_fn, describe: str, support=None) -> SmoothMap:
     """Map depending on a single coordinate of one block.
 
     ``derivs_fn(v, cap)`` returns the list of derivative values d^k/dv^k for
     k = 0..cap at the array of coordinate values v.
     """
-    layout = _layout_for_block(block)
+    layout = {"x": VarLayout(1, 0, 0), "y": VarLayout(0, 1, 0), "xi": VarLayout(0, 0, 1)}[block]
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
         v = coords.flat()[0]
@@ -494,26 +491,39 @@ def _univariate_map(block: str, derivs_fn, describe: str, support=None,
         return t
 
     sup = {block: tuple(support)} if support is not None else {}
-    return SmoothMap(layout, provider, max_order, describe, sup)
+    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, describe, sup)
 
 
-def _gaussian_derivs(center: float, width: float):
-    def fn(v, cap):
+_GAUSS_SUPPORT_DECADES = 6.5  # exp(-6.5^2) ~ 4.4e-19, below quadrature resolution
+
+
+def _gaussian_bump(*, block="y", center=0.0, width=1.0) -> SmoothMap:
+    center, width = float(center), float(width)
+    if width <= 0:
+        raise ValueError("width must be positive")
+
+    def derivs(v, cap):
         u = (v - center) / width
         s = {(0,): -u * u, (1,): np.asarray(-2.0 * u / width)}
         for k in range(2, cap + 1):
             s[(k,)] = -2.0 / width ** 2 if k == 2 else 0.0
         h = t_exp(s, _uni_iset(cap))
         return [h[(k,)] for k in range(cap + 1)]
-    return fn
+
+    halfw = _GAUSS_SUPPORT_DECADES * width
+    return _univariate_map(block, derivs, f"exp(-(({block}-{center})/{width})^2)",
+                           (center - halfw, center + halfw))
 
 
-def _mollifier_derivs(center: float, radius: float):
+def _mollifier_bump(*, block="y", center=0.0, radius=1.0) -> SmoothMap:
+    center, radius = float(center), float(radius)
+    if radius <= 0:
+        raise ValueError("radius must be positive")
     # flat outside |u| < 1 - eps: values there are below 1e-18 and are
     # clamped to exact zero so the support is genuinely compact.
     eps = 0.01
 
-    def fn(v, cap):
+    def derivs(v, cap):
         v = np.asarray(v)
         u = (v - center) / radius
         inside = np.abs(u) < 1.0 - eps
@@ -526,16 +536,18 @@ def _mollifier_derivs(center: float, radius: float):
         arg = t_scale(inv, -1.0)
         arg[(0,)] = arg[(0,)] + 1.0
         h = t_exp(arg, iset)
-        out = []
-        for k in range(cap + 1):
-            hv = h[(k,)]
-            out.append(np.where(inside, hv, 0.0))
-        return out
-    return fn
+        return [np.where(inside, h[(k,)], 0.0) for k in range(cap + 1)]
+
+    return _univariate_map(block, derivs, f"bump at {center}, radius {radius}",
+                           (center - radius, center + radius))
 
 
-def _trig_derivs(terms, offset: float):
-    def fn(v, cap):
+def _trig_polynomial(*, terms, block="x", offset=0.0) -> SmoothMap:
+    """offset + sum of amp * cos(freq * v + phase) over (amp, freq, phase) terms."""
+    terms = [tuple(map(float, t)) for t in terms]
+    offset = float(offset)
+
+    def derivs(v, cap):
         v = np.asarray(v)
         out = []
         for k in range(cap + 1):
@@ -546,32 +558,50 @@ def _trig_derivs(terms, offset: float):
                 acc = acc + offset
             out.append(acc)
         return out
-    return fn
+
+    return _univariate_map(block, derivs, f"trig polynomial in {block}")
 
 
-def _bracket_derivs(exponent: float):
-    def fn(v, cap):
-        v = np.asarray(v)
-        u = {(0,): 1.0 + v * v, (1,): np.asarray(2.0 * v)}
-        for k in range(2, cap + 1):
-            u[(k,)] = 2.0 if k == 2 else 0.0
-        h = t_pow(u, exponent / 2.0, _uni_iset(cap))
+def _bracket_u(v, cap: int) -> dict:
+    """Table of 1 + v^2 in one variable."""
+    u = {(0,): 1.0 + v * v, (1,): np.asarray(2.0 * v)}
+    for k in range(2, cap + 1):
+        u[(k,)] = 2.0 if k == 2 else 0.0
+    return u
+
+
+def _bracket_power(*, exponent) -> SmoothMap:
+    d = float(exponent)
+
+    def derivs(v, cap):
+        h = t_pow(_bracket_u(np.asarray(v), cap), d / 2.0, _uni_iset(cap))
         return [h[(k,)] for k in range(cap + 1)]
-    return fn
+
+    return _univariate_map("xi", derivs, f"<xi>^{d}")
 
 
-def _sqrt_cos_derivs(omega: float):
-    def fn(v, cap):
-        v = np.asarray(v)
+def _sqrt_cos_symbol(*, omega=2.0) -> SmoothMap:
+    omega = float(omega)
+
+    def derivs(v, cap):
         iset = _uni_iset(cap)
-        u = {(0,): 1.0 + v * v, (1,): np.asarray(2.0 * v)}
-        for k in range(2, cap + 1):
-            u[(k,)] = 2.0 if k == 2 else 0.0
-        q = t_pow(u, 0.25, iset)
+        q = t_pow(_bracket_u(np.asarray(v), cap), 0.25, iset)
         ep = t_exp(t_scale(q, 1j * omega), iset)
         em = t_exp(t_scale(q, -1j * omega), iset)
         return [0.5 * (ep[(k,)] + em[(k,)]) for k in range(cap + 1)]
-    return fn
+
+    return _univariate_map("xi", derivs, f"cos({omega} <xi>^1/2)")
+
+
+def _constant(*, value, layout=(0, 0, 0)) -> SmoothMap:
+    layout = VarLayout(*(int(n) for n in layout))
+
+    def provider(coords: Coords, iset: IndexSet) -> dict:
+        t = t_blank(iset)
+        t[iset.zero] = value
+        return t
+
+    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, f"constant {value}")
 
 
 def _xi_table(coords: Coords, iset: IndexSet, derivs) -> dict:
@@ -600,8 +630,15 @@ def _xi_norm_sq_table(coords: Coords, iset: IndexSet) -> dict:
     return _xi_table(coords, iset, lambda v: (v * v, 2.0 * v, 2.0))
 
 
-def _linear_phase_map() -> SmoothMap:
-    layout = VarLayout(1, 1, 1)
+def _one_dimension(n) -> None:
+    """Phases have one y and one xi dimension, so ``n`` may only be 1."""
+    if n != 1:
+        raise ValueError(f"n = {n!r} is not supported: the engine runs one y "
+                         "and one xi dimension")
+
+
+def _linear_phase(*, n=1) -> SmoothMap:
+    _one_dimension(n)
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
         x, y, xi = (np.asarray(coords.x[0]), np.asarray(coords.y[0]), np.asarray(coords.xi[0]))
@@ -613,16 +650,18 @@ def _linear_phase_map() -> SmoothMap:
         t[iset.zero] = (x - y) * xi
         return t
 
-    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, "<x-y, xi> on R^1")
+    return SmoothMap(VarLayout(1, 1, 1), provider, DEFAULT_MAX_ORDER, "<x-y, xi> on R^1")
 
 
-def _scaled_norm_phase_map(speed, sign: int) -> SmoothMap:
+def _scaled_norm_phase(*, speed, sign=1, n=1) -> SmoothMap:
     """(x - y) xi + sign * c(x) * t * |xi| with time as the second x coordinate."""
-    if isinstance(speed, (int, float)):
-        speed = builtin_map("constant", value=float(speed), layout=VarLayout(1, 0, 0))
+    _one_dimension(n)
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    speed = _resolve_speed(speed)
     if speed.layout != VarLayout(1, 0, 0):
         raise ValueError("speed must be a map of the spatial x variable only")
-    lin = _linear_phase_map()
+    lin = _linear_phase()
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
         # embedding maps spatial x to the leading x coordinate; time is the second
@@ -646,14 +685,13 @@ def _scaled_norm_phase_map(speed, sign: int) -> SmoothMap:
                      f"<x-y, xi> {'+' if sign > 0 else '-'} c(x) t ||xi||")
 
 
-def _tabulated_phase_map(g_provider, describe: str = "xi (g(x) - y)") -> SmoothMap:
+def _tabulated_phase(*, g_provider, describe: str = "xi (g(x) - y)") -> SmoothMap:
     """Phase xi * (g(x) - y) with x-jets of g supplied by a callback.
 
     ``g_provider(x, sgn, order)`` returns the list of d^j g / dx^j arrays for
     j = 0..order; it may depend on sign(xi) (sgn is an array broadcastable
     against x).
     """
-    layout = VarLayout(1, 1, 1)
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
         x = np.asarray(coords.x[0])
@@ -675,10 +713,10 @@ def _tabulated_phase_map(g_provider, describe: str = "xi (g(x) - y)") -> SmoothM
             t[(0, 1, 1)] = -1.0
         return t
 
-    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, describe)
+    return SmoothMap(VarLayout(1, 1, 1), provider, DEFAULT_MAX_ORDER, describe)
 
 
-def _coordinate_map(block: str, index: int = 0) -> SmoothMap:
+def _coordinate(*, block, index=0) -> SmoothMap:
     sizes = {"x": (index + 1, 0, 0), "y": (0, index + 1, 0), "xi": (0, 0, index + 1)}
     layout = VarLayout(*sizes[block])
 
@@ -719,7 +757,8 @@ def _merge_support(maps, mode: str) -> dict:
     return out
 
 
-def _product_map(factors) -> SmoothMap:
+def _product(*, factors) -> SmoothMap:
+    factors = [_resolve_map(f) for f in factors]
     if not factors:
         raise ValueError("product needs at least one factor")
     layout = _merge_layout(factors)
@@ -737,7 +776,8 @@ def _product_map(factors) -> SmoothMap:
                      _merge_support(factors, "product"))
 
 
-def _sum_map(terms, coefficients=None) -> SmoothMap:
+def _sum(*, terms, coefficients=None) -> SmoothMap:
+    terms = [_resolve_map(f) for f in terms]
     if not terms:
         raise ValueError("sum needs at least one term")
     coeffs = [1.0] * len(terms) if coefficients is None else list(coefficients)
@@ -760,14 +800,31 @@ def _sum_map(terms, coefficients=None) -> SmoothMap:
                      _merge_support(terms, "sum"))
 
 
-def _scaled_map(inner: SmoothMap, factor) -> SmoothMap:
+def _scaled(*, inner, factor) -> SmoothMap:
+    inner = _resolve_map(inner)
+
     def provider(coords: Coords, iset: IndexSet) -> dict:
         return t_scale(inner.provider(coords, iset), factor)
+
     return SmoothMap(inner.layout, provider, inner.max_order,
                      f"{factor} * ({inner.describe})", dict(inner.support))
 
 
-_GAUSS_SUPPORT_DECADES = 6.5  # exp(-6.5^2) ~ 4.4e-19, below quadrature resolution
+_FAMILIES = {
+    "constant": _constant,
+    "linear_phase": _linear_phase,
+    "scaled_norm_phase": _scaled_norm_phase,
+    "tabulated_phase": _tabulated_phase,
+    "gaussian_bump": _gaussian_bump,
+    "mollifier_bump": _mollifier_bump,
+    "trig_polynomial": _trig_polynomial,
+    "coordinate": _coordinate,
+    "bracket_power": _bracket_power,
+    "sqrt_cos_symbol": _sqrt_cos_symbol,
+    "product": _product,
+    "sum": _sum,
+    "scaled": _scaled,
+}
 
 
 def builtin_map(family: str, **params) -> SmoothMap:
@@ -776,117 +833,83 @@ def builtin_map(family: str, **params) -> SmoothMap:
     Families: constant, linear_phase, scaled_norm_phase, tabulated_phase,
     gaussian_bump, mollifier_bump, trig_polynomial, coordinate,
     bracket_power, sqrt_cos_symbol, product, sum, scaled.
+
+    ``params`` bind as keywords to the family's builder, so a missing or
+    unexpected parameter raises ``TypeError`` and an unknown family
+    ``ValueError``.  Specs nest: ``product`` factors, ``sum`` terms and the
+    ``scaled`` inner map may each be a map or a ``{"family": ...}`` dict,
+    and the ``scaled_norm_phase`` speed a map, a number or a
+    ``{"kind": ...}`` dict (see :func:`make_speed`).
     """
-    if family == "constant":
-        layout = params.pop("layout", VarLayout(0, 0, 0))
-        value = params.pop("value")
-        _no_extra(params)
-        layout = VarLayout(*layout)
-
-        def provider(coords, iset, _v=value):
-            t = t_blank(iset)
-            t[iset.zero] = _v
-            return t
-        return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, f"constant {value}")
-
-    if family == "linear_phase":
-        _pop_dimension(params)
-        _no_extra(params)
-        return _linear_phase_map()
-
-    if family == "scaled_norm_phase":
-        speed = params.pop("speed")
-        sign = params.pop("sign", +1)
-        _pop_dimension(params)
-        _no_extra(params)
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        return _scaled_norm_phase_map(speed, sign)
-
-    if family == "tabulated_phase":
-        g_provider = params.pop("g_provider")
-        describe = params.pop("describe", "xi (g(x) - y)")
-        _no_extra(params)
-        return _tabulated_phase_map(g_provider, describe)
-
-    if family == "gaussian_bump":
-        block = params.pop("block", "y")
-        center = float(params.pop("center", 0.0))
-        width = float(params.pop("width", 1.0))
-        _no_extra(params)
-        if width <= 0:
-            raise ValueError("width must be positive")
-        halfw = _GAUSS_SUPPORT_DECADES * width
-        return _univariate_map(block, _gaussian_derivs(center, width),
-                               f"exp(-(({block}-{center})/{width})^2)",
-                               (center - halfw, center + halfw))
-
-    if family == "mollifier_bump":
-        block = params.pop("block", "y")
-        center = float(params.pop("center", 0.0))
-        radius = float(params.pop("radius", 1.0))
-        _no_extra(params)
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        return _univariate_map(block, _mollifier_derivs(center, radius),
-                               f"bump at {center}, radius {radius}",
-                               (center - radius, center + radius))
-
-    if family == "trig_polynomial":
-        block = params.pop("block", "x")
-        terms = [tuple(map(float, t)) for t in params.pop("terms")]
-        offset = float(params.pop("offset", 0.0))
-        _no_extra(params)
-        return _univariate_map(block, _trig_derivs(terms, offset),
-                               f"trig polynomial in {block}")
-
-    if family == "coordinate":
-        block = params.pop("block")
-        index = params.pop("index", 0)
-        _no_extra(params)
-        return _coordinate_map(block, index)
-
-    if family == "bracket_power":
-        d = float(params.pop("exponent"))
-        _no_extra(params)
-        return _univariate_map("xi", _bracket_derivs(d), f"<xi>^{d}")
-
-    if family == "sqrt_cos_symbol":
-        omega = float(params.pop("omega", 2.0))
-        _no_extra(params)
-        return _univariate_map("xi", _sqrt_cos_derivs(omega), f"cos({omega} <xi>^1/2)")
-
-    if family == "product":
-        factors = list(params.pop("factors"))
-        _no_extra(params)
-        return _product_map(factors)
-
-    if family == "sum":
-        terms = list(params.pop("terms"))
-        coefficients = params.pop("coefficients", None)
-        _no_extra(params)
-        return _sum_map(terms, coefficients)
-
-    if family == "scaled":
-        inner = params.pop("inner")
-        factor = params.pop("factor")
-        _no_extra(params)
-        return _scaled_map(inner, factor)
-
-    raise ValueError(f"unknown family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return _FAMILIES[family](**params)
 
 
-def _no_extra(params: dict):
-    if params:
-        raise ValueError(f"unexpected parameters {sorted(params)}")
+def _resolve_map(spec) -> SmoothMap:
+    """A map given as a SmoothMap or as a ``{"family": ...}`` spec."""
+    if isinstance(spec, SmoothMap):
+        return spec
+    if not isinstance(spec, dict) or "family" not in spec:
+        raise ValueError("a map spec is an object with a 'family' key")
+    return builtin_map(**spec)
 
 
-def _pop_dimension(params: dict):
-    """Phases have one y and one xi dimension, so ``n`` may only be 1."""
-    n = params.pop("n", 1)
-    if n != 1:
-        raise ValueError(f"n = {n!r} is not supported: the engine runs one y "
-                         "and one xi dimension")
+# ---------------------------------------------------------------------------
+# speeds c(x): maps of the x block
+
+
+def _constant_speed(*, value) -> SmoothMap:
+    return _constant(value=float(value), layout=(1, 0, 0))
+
+
+def _affine_speed(*, offset=0.0, slope=1.0) -> SmoothMap:
+    offset, slope = float(offset), float(slope)
+    terms = [_coordinate(block="x")]
+    coeffs = [slope]
+    if offset:
+        terms.append(_constant(value=1.0, layout=(1, 0, 0)))
+        coeffs.append(offset)
+    return _sum(terms=terms, coefficients=coeffs)
+
+
+def _trig_field_speed(*, offset, terms=()) -> SmoothMap:
+    terms = list(terms)
+    if not terms:
+        return _constant_speed(value=offset)
+    return _trig_polynomial(terms=terms, block="x", offset=offset)
+
+
+_SPEED_KINDS = {
+    "constant": _constant_speed,
+    "affine": _affine_speed,
+    "trig_field": _trig_field_speed,
+}
+
+
+def make_speed(kind: str, **params) -> SmoothMap:
+    """Speed profiles c(x) as maps over the x block.
+
+    Kinds: ``constant`` (value), ``affine`` (offset + slope * x) and
+    ``trig_field`` (offset plus a cosine sum given as (amp, freq, phase)
+    terms), the shape used for random sound-speed fields.  ``params`` bind
+    as keywords to the kind's builder, so a missing or unexpected parameter
+    raises ``TypeError`` and an unknown kind ``ValueError``.
+    """
+    if kind not in _SPEED_KINDS:
+        raise ValueError(f"unknown speed kind {kind!r}")
+    return _SPEED_KINDS[kind](**params)
+
+
+def _resolve_speed(spec) -> SmoothMap:
+    """A speed given as a map of x, a number or a ``{"kind": ...}`` spec."""
+    if isinstance(spec, SmoothMap):
+        return spec
+    if isinstance(spec, (int, float)):
+        return make_speed("constant", value=spec)
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError("a speed is a number or an object with a 'kind' key")
+    return make_speed(**spec)
 
 
 # ---------------------------------------------------------------------------

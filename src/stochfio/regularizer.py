@@ -238,6 +238,11 @@ def compute_r(phase, point) -> float:
     return compute_coeffs(phase, CutoffChi(), point).r
 
 
+def _as_map(obj) -> SmoothMap:
+    """The map of a phase or amplitude; a bare map is returned as it is."""
+    return obj.map if hasattr(obj, "map") else obj
+
+
 def _unit(layout: VarLayout, i: int) -> tuple:
     return tuple(1 if j == i else 0 for j in range(layout.nvars))
 
@@ -249,7 +254,7 @@ def compute_coeffs(phase, chi: CutoffChi, point) -> RegularizerCoeffs:
     algebraically zero; anything beyond roundoff indicates a broken phase
     provider.
     """
-    m = phase.map if hasattr(phase, "map") else phase
+    m = _as_map(phase)
     layout = m.layout
     coords = as_coords(layout, point)
     iset = IndexSet(layout, 0, 0)
@@ -339,8 +344,8 @@ def _regularized_tables(phase, amp: SmoothMap, psi: SmoothMap, chi: CutoffChi,
 def apply_L_power(phase, amplitude, testfn: SmoothMap, chi: CutoffChi,
                   kappa: int, point) -> complex:
     """Value of L^kappa (a * psi) at one point of (x, y, xi) space."""
-    pm = phase.map if hasattr(phase, "map") else phase
-    am = amplitude.map if hasattr(amplitude, "map") else amplitude
+    pm = _as_map(phase)
+    am = _as_map(amplitude)
     coords = as_coords(pm.layout, point)
     g, _phase_x, iset_x = _regularized_tables(pm, am, testfn, chi, kappa, coords, 0)
     return complex(np.asarray(g[iset_x.zero]).reshape(()))
@@ -375,7 +380,7 @@ def check_coefficient_symbol_bounds(phase, chi: CutoffChi,
     """
     from .symbol_spaces import compact_box, _scan_points, _unit_sphere
 
-    pm = phase.map if hasattr(phase, "map") else phase
+    pm = _as_map(phase)
     layout = pm.layout
     x_box = x_box if x_box is not None else compact_box(("whole", layout.n_x), 2)
     y_box = y_box if y_box is not None else compact_box(("whole", layout.n_y), 2)

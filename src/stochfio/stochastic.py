@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .applications import _wave_branches, make_speed, wave_solve
-from .jets import SmoothMap, VarLayout, builtin_map
+from .applications import _wave_branches, wave_solve
+from .jets import SmoothMap, VarLayout, builtin_map, make_speed
 from .oscillatory import GridField, QuadratureConfig
 from .symbol_spaces import Amplitude
 

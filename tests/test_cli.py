@@ -69,6 +69,32 @@ def test_phase_dimension_other_than_one_exits_2(tmp_path, capsys):
     assert "n = 2" in captured.err
 
 
+@pytest.mark.parametrize("speed,parameter", [
+    ({"kind": "affine", "offest": 1.0, "slope": 0.9}, "offest"),
+    ({"kind": "trig_field", "terms": [[0.5, 1.0, 0.0]]}, "offset"),
+    ({"kind": "constant"}, "value"),
+])
+def test_bad_speed_object_exits_2(tmp_path, capsys, speed, parameter):
+    cfg = write_config(tmp_path, "cfg.json",
+                       {"speed": speed, "horizon": {"t_max": 0.5}})
+    assert main(["horizon", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "speed" in captured.err and repr(parameter) in captured.err
+
+
+@pytest.mark.parametrize("dt", [0, "abc"])
+def test_nonsense_horizon_step_exits_2(tmp_path, capsys, dt):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "speed": {"kind": "affine", "offset": 1.0, "slope": 0.9},
+        "horizon": {"t_max": 0.5, "dt": dt},
+    })
+    assert main(["horizon", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dt" in captured.err
+
+
 def test_unknown_quadrature_option(tmp_path):
     cfg = write_config(tmp_path, "cfg.json",
                        apply_config(quadrature={"xi_radius": 30.0, "bogus": 1}))
@@ -200,6 +226,17 @@ def test_wave_command_matches_dalembert(tmp_path, capsys):
     exact = 0.5 * (np.exp(-(xs - 0.4) ** 2) + np.exp(-(xs + 0.4) ** 2))
     got = np.array(payload["field"]["values"]["0"]["re"])
     assert np.max(np.abs(got - exact)) < 1e-6
+
+
+def test_wave_manifest_reports_what_the_run_did(capsys):
+    rc, payload = run_json(capsys, ["wave", "--config", str(CONFIG_DIR / "wave.json")])
+    assert rc == 0
+    manifest, meta = payload["manifest"], payload["field"]["meta"]
+    branches = (meta["branch_+"], meta["branch_-"])
+    assert manifest["kappa"] == 2
+    assert manifest["xi_radius"] == 20.0
+    assert manifest["nodes"] == sum(b["nodes"] for b in branches) > 0
+    assert all(b["kappa"] == 2 and b["xi_radius"] == 20.0 for b in branches)
 
 
 def test_halfwave_out_of_regime_exits_3(tmp_path, capsys):

@@ -13,6 +13,7 @@ from stochfio.jets import (
     VarLayout,
     builtin_map,
     fd_jet,
+    make_speed,
     t_add,
     t_div,
     t_mul,
@@ -69,6 +70,13 @@ def test_scaled_norm_phase_both_signs():
         assert j[(0, 0, 0, 1)] == pytest.approx(0.5 + c * 0.25 * sgn, rel=1e-14)
         assert j[(0, 1, 0, 1)] == pytest.approx(c * sgn, rel=1e-14)
 
+    # a speed spec resolves to the same map as the speed it names
+    affine = {"offset": 1.0, "slope": 0.5}
+    from_spec = builtin_map("scaled_norm_phase", speed={"kind": "affine", **affine}, sign=-1)
+    from_map = builtin_map("scaled_norm_phase", speed=make_speed("affine", **affine), sign=-1)
+    point = ((0.4, 0.25), (-0.1,), (-1.3,))
+    assert from_spec.jet(point, 3).table == from_map.jet(point, 3).table
+
 
 @pytest.mark.parametrize("family,params,point", [
     ("gaussian_bump", {"block": "y", "center": 0.2, "width": 0.8},
@@ -124,6 +132,24 @@ def test_product_and_sum_jets_agree_with_jet_algebra():
     jl = t_add(jg.table, js.table, iset)
     for k in iset.keys():
         assert jt[k] == pytest.approx(jl[k], rel=1e-12, abs=1e-12)
+
+    # a factor given as a nested spec builds the same product
+    s_spec = {"family": "trig_polynomial", "block": "y", "terms": [[1.0, 1.5, 0.2]]}
+    nested = builtin_map("product", factors=[g, s_spec])
+    assert nested.jet(point, 3).table == jp.table
+
+
+@pytest.mark.parametrize("build,params,error", [
+    (builtin_map, {"family": "gaussian_bump", "widht": 1.0}, TypeError),
+    (builtin_map, {"family": "bracket_power"}, TypeError),
+    (builtin_map, {"family": "no_such_family"}, ValueError),
+    (builtin_map, {"family": "product", "factors": [{"block": "y"}]}, ValueError),
+    (make_speed, {"kind": "affine", "offest": 1.0}, TypeError),
+    (make_speed, {"kind": "trig_field", "terms": [[0.5, 1.0, 0.0]]}, TypeError),
+])
+def test_builders_bind_parameters_as_keywords(build, params, error):
+    with pytest.raises(error):
+        build(**params)
 
 
 def test_index_set_caps_and_shrink():

@@ -18,3 +18,7 @@ def test_module_exports_resolve(name):
 
 def test_package_exports_resolve():
     assert [n for n in stochfio.__all__ if not hasattr(stochfio, n)] == []
+
+
+def test_make_speed_has_one_definition():
+    assert stochfio.applications.make_speed is stochfio.jets.make_speed
