@@ -194,7 +194,8 @@ def _field_payload(command: str, cfg: dict, field) -> tuple:
 def cmd_verify(cfg: dict, args) -> int:
     phase = build_phase(cfg, "verify")
     options = cfg.get("verify", {})
-    alpha = float(options.get("alpha", 0.25))
+    with _config_errors("verify options"):
+        alpha = float(options.get("alpha", 0.25))
     checks: dict = {}
 
     hom = check_homogeneity(phase)
@@ -217,7 +218,9 @@ def cmd_verify(cfg: dict, args) -> int:
 
     if "amplitude" in cfg:
         amp = build_amplitude(cfg, "verify")
-        report = seminorm_q(amp, int(options.get("m", 2)))
+        with _config_errors("verify option 'm'"):
+            m = int(options.get("m", 2))
+        report = seminorm_q(amp, m)
         checks["amplitude_class"] = {"passed": not report.flagged,
                                      "seminorm": report.value,
                                      "note": report.note}
@@ -243,7 +246,8 @@ def cmd_apply(cfg: dict, args) -> int:
     qc = build_quadrature(cfg, args.workers)
     operator_opts = cfg.get("operator", {})
     alpha = operator_opts.get("alpha", 0.25)
-    alpha = None if alpha is None else float(alpha)
+    with _config_errors("operator options"):
+        alpha = None if alpha is None else float(alpha)
     try:
         op = FioOperator.build(phase, amplitude, alpha=alpha,
                                extra_decay=int(operator_opts.get("extra_decay", 0)),
@@ -307,9 +311,10 @@ def cmd_mc(cfg: dict, args) -> int:
     t = build_time(cfg, "mc")
     xs = build_grid(cfg, "mc")
     mc_opts = cfg.get("mc", {})
-    n_samples = int(mc_opts.get("n_samples", 256))
-    base_seed = int(args.seed if args.seed is not None
-                    else mc_opts.get("base_seed", 0))
+    with _config_errors("mc options"):
+        n_samples = int(mc_opts.get("n_samples", 256))
+        base_seed = int(args.seed if args.seed is not None
+                        else mc_opts.get("base_seed", 0))
     engine = mc_opts.get("engine", "translation")
     raw_pairs = mc_opts.get("autocov_pairs", [])
     if (not isinstance(raw_pairs, list)
@@ -359,11 +364,12 @@ def cmd_converge(cfg: dict, args) -> int:
     u = build_test_function(cfg, "converge")
     xs = build_grid(cfg, "converge")
     options = cfg.get("converge", {})
-    radii = tuple(float(r) for r in options.get("radii", (5.0, 10.0, 20.0, 40.0, 80.0)))
+    with _config_errors("converge options"):
+        radii = tuple(float(r) for r in options.get("radii", (5.0, 10.0, 20.0, 40.0, 80.0)))
+        m_tilde = int(options.get("m_tilde", 2))
+        slack = float(options.get("slack", 2.0))
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("converge radii must be at least three increasing values")
-    m_tilde = int(options.get("m_tilde", 2))
-    slack = float(options.get("slack", 2.0))
     qc = build_quadrature(cfg, args.workers)
     report = convergence_study(phase, amplitude, u, xs, m_tilde=m_tilde,
                                radii=radii, config=qc)

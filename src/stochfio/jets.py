@@ -165,8 +165,25 @@ def t_blank(iset: IndexSet) -> dict:
 
 
 def t_mul(a: dict, b: dict, iset: IndexSet) -> dict:
+    return _leibniz_rows(a, b, iset, None)
+
+
+def t_mul_shift(a: dict, b: dict, var: int, out_iset: IndexSet) -> dict:
+    """d_var(a b) on ``out_iset``: entry sigma is (a b)[sigma + e_var].
+
+    Only the Leibniz rows of the keys sigma + e_var are formed, in the same
+    order as ``t_shift(t_mul(a, b, iset), var, out_iset)``, so the result is
+    bit-identical to that expression.
+    """
+    return _leibniz_rows(a, b, out_iset, var)
+
+
+def _leibniz_rows(a: dict, b: dict, iset: IndexSet, var) -> dict:
+    """Rows of the product a b: entry ``key`` of ``iset`` is row ``key``, or
+    row ``key + e_var`` when ``var`` is given."""
     out = {}
-    for sigma in iset.keys():
+    for key in iset.keys():
+        sigma = key if var is None else _inc(key, var)
         acc = None
         for mu, nu, c in _sub_splits(sigma):
             av = a[mu]
@@ -179,7 +196,7 @@ def t_mul(a: dict, b: dict, iset: IndexSet) -> dict:
             if c != 1:
                 term = term * c
             acc = term if acc is None else acc + term
-        out[sigma] = 0.0 if acc is None else acc
+        out[key] = 0.0 if acc is None else acc
     return out
 
 

@@ -12,9 +12,15 @@ actually inverted there.
 With gamma = chi and s' = (1 - chi) / r, the coefficients are
 alpha = -i alpha' and beta = -i beta' with the real fields
 alpha' = s' ||xi||^2 grad_xi Phi and beta' = s' grad_y Phi.  So
-L = gamma + i D with the real operator D g = sum_l d_xi_l(alpha'_l g) +
-sum_k d_y_k(beta'_k g), and the ladder runs in real arithmetic on real
-data.  Where chi == 0 exactly (beyond the clamped outer edge of the
+L = gamma + i D with the real operator
+
+    D g = sum_l d_xi_l(||xi||^2 d_xi_l Phi h) + sum_k d_y_k(d_y_k Phi h),
+    h = s' g,
+
+and the ladder runs in real arithmetic on real data.  Factoring s' out
+leaves one dense product per step (s' g): the two phase-gradient fields
+have few nonzero entries for phases linear in xi on each half-line, and
+each derivative forms only the Leibniz rows it reads.  Where chi == 0 exactly (beyond the clamped outer edge of the
 profile), the cutoff table holds exact zeros and L^kappa = i^kappa D^kappa.
 """
 
@@ -43,6 +49,7 @@ from .jets import (
     t_div,
     t_exp,
     t_mul,
+    t_mul_shift,
     t_pow,
     t_scale,
     t_shift,
@@ -172,16 +179,28 @@ def select_kappa(d: float, rho: float, delta: float, n_xi: int,
 class RegCoeffTables:
     """Derivative tables of the regularizer coefficients on one index set.
 
-    ``alpha_prime`` and ``beta_prime`` are the real fields of D in
-    L = gamma + i D; ``alpha`` and ``beta`` give the complex coefficients
-    -i alpha' and -i beta' of M.
+    D g = sum_l d_xi_l(xi_fields[l] h) + sum_k d_y_k(y_fields[k] h) with
+    h = s_prime g, where ``s_prime`` is (1 - chi) / r, ``xi_fields`` holds
+    ||xi||^2 d_xi_l Phi and ``y_fields`` holds d_y_k Phi.  The real fields
+    alpha' = s' xi_fields and beta' = s' y_fields of L = gamma + i D, and
+    the complex coefficients alpha = -i alpha', beta = -i beta' of M, are
+    formed when read.
     """
 
-    alpha_prime: tuple
-    beta_prime: tuple
+    s_prime: dict
+    xi_fields: tuple
+    y_fields: tuple
     gamma: dict
     r: dict
     iset: IndexSet
+
+    @property
+    def alpha_prime(self) -> tuple:
+        return tuple(t_mul(self.s_prime, t, self.iset) for t in self.xi_fields)
+
+    @property
+    def beta_prime(self) -> tuple:
+        return tuple(t_mul(self.s_prime, t, self.iset) for t in self.y_fields)
 
     @property
     def alpha(self) -> tuple:
@@ -194,18 +213,18 @@ class RegCoeffTables:
 
 def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
                        iset: IndexSet) -> RegCoeffTables:
-    """Tables of alpha'_l, beta'_k, gamma and r on ``iset``.
+    """Tables of s', ||xi||^2 d_xi Phi, d_y Phi, gamma and r on ``iset``.
 
     ``phase_table`` must contain every key of ``iset`` plus one extra order
     in each y and xi direction (it is shifted to read the phase gradient).
     On points where chi == 1 exactly, r is swapped for 1 before dividing;
     the factor (1 - chi) and all its derivatives vanish exactly there, so
-    the finite quotient is multiplied away and alpha' = beta' = 0 exactly.
+    the finite quotient is multiplied away and s' = 0 exactly.
     """
     nx, ny = iset.layout.n_x, iset.layout.n_y
     nsq = _xi_norm_sq_table(coords, iset)  # one xi coordinate, the last variable
     dphi_xi = t_shift(phase_table, nx + ny, iset)
-    dphi_y = [t_shift(phase_table, nx + k, iset) for k in range(ny)]
+    dphi_y = tuple(t_shift(phase_table, nx + k, iset) for k in range(ny))
     r = t_mul(nsq, t_mul(dphi_xi, dphi_xi, iset), iset)
     for t in dphi_y:
         r = t_add(r, t_mul(t, t, iset), iset)
@@ -216,9 +235,7 @@ def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
     r_safe = dict(r)
     r_safe[iset.zero] = np.where(inner, 1.0, np.asarray(r[iset.zero]))
     s = t_div(omc, r_safe, iset)
-    alpha = (t_mul(s, t_mul(nsq, dphi_xi, iset), iset),)
-    beta = tuple(t_mul(s, t, iset) for t in dphi_y)
-    return RegCoeffTables(alpha, beta, gamma, r, iset)
+    return RegCoeffTables(s, (t_mul(nsq, dphi_xi, iset),), dphi_y, gamma, r, iset)
 
 
 @dataclass(frozen=True)
@@ -286,24 +303,26 @@ def apply_l_ladder(f: dict, coeffs: RegCoeffTables, kappa: int,
     """L^kappa f, consuming one integration order per application.
 
     ``f`` lives on ``iset`` (whose int cap must be at least kappa) and the
-    coefficient tables on a superset.  Each step forms D g from real
-    products on the current set, differentiated by shifting, on a table one
-    int order smaller.  Where every gamma entry is an exact zero (chi == 0
-    on the whole chunk), L^kappa f = i^kappa D^kappa f; otherwise each step
-    is g <- gamma g + i D g.
+    coefficient tables on a superset.  Each step forms h = s' g on the
+    current set, then D g = sum d_var(field h) on a table one int order
+    smaller, computing only the product rows each derivative reads.  Where
+    every gamma entry is an exact zero (chi == 0 on the whole chunk),
+    L^kappa f = i^kappa D^kappa f; otherwise each step is
+    g <- gamma g + i D g.
     """
     layout = iset.layout
     base = layout.n_x + layout.n_y
-    fields = ([(a, base + l) for l, a in enumerate(coeffs.alpha_prime)]
-              + [(b, layout.n_x + k) for k, b in enumerate(coeffs.beta_prime)])
+    fields = ([(p, base + l) for l, p in enumerate(coeffs.xi_fields)]
+              + [(q, layout.n_x + k) for k, q in enumerate(coeffs.y_fields)])
     outer = all(_is_zero(v) for v in coeffs.gamma.values())
     g = f
     cur = iset
     for _ in range(kappa):
         nxt = cur.shrink_int(1)
+        h = t_mul(coeffs.s_prime, g, cur)
         dg = None
         for c, var in fields:
-            term = t_shift(t_mul(c, g, cur), var, nxt)
+            term = t_mul_shift(c, h, var, nxt)
             dg = term if dg is None else t_add(dg, term, nxt)
         if outer:
             g = dg

@@ -4,7 +4,7 @@ Everything here deliberately avoids the package's own quadrature engine:
 Fourier-side references use dense Gauss-Legendre panels on analytically
 known transforms, characteristic curves come from scipy's adaptive
 Runge-Kutta integrator at tight tolerance, and the L ladder is checked
-against its plain complex recurrence.
+against its plain complex recurrence and eagerly built coefficient fields.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 
-from stochfio.jets import t_add, t_mul, t_scale, t_shift
+from stochfio.jets import _xi_norm_sq_table, t_add, t_div, t_mul, t_scale, t_shift
 from stochfio.regularizer import CutoffChi
 
 
@@ -150,3 +150,25 @@ def complex_l_ladder(f: dict, coeffs, kappa: int, iset) -> dict:
             acc = t_add(acc, t_scale(t_shift(t_mul(c, g, cur), var, nxt), -1.0), nxt)
         g, cur = acc, nxt
     return g
+
+
+def eager_coefficient_fields(phase_table: dict, coords, chi, iset) -> tuple:
+    """alpha' = s' ||xi||^2 d_xi Phi and beta' = s' d_y Phi, built on all of iset.
+
+    s' = (1 - chi) / r, with r swapped for 1 where chi == 1 exactly; one y
+    and one xi coordinate, the xi coordinate last.
+    """
+    nx = iset.layout.n_x
+    nsq = _xi_norm_sq_table(coords, iset)
+    dphi_xi = t_shift(phase_table, nx + 1, iset)
+    dphi_y = t_shift(phase_table, nx, iset)
+    r = t_add(t_mul(nsq, t_mul(dphi_xi, dphi_xi, iset), iset),
+              t_mul(dphi_y, dphi_y, iset), iset)
+    gamma = chi.xi_table(coords, iset)
+    omc = t_scale(gamma, -1.0)
+    omc[iset.zero] = 1.0 - np.asarray(gamma[iset.zero])
+    r_safe = dict(r)
+    r_safe[iset.zero] = np.where(np.asarray(omc[iset.zero]) == 0.0, 1.0,
+                                 np.asarray(r[iset.zero]))
+    s = t_div(omc, r_safe, iset)
+    return t_mul(s, t_mul(nsq, dphi_xi, iset), iset), t_mul(s, dphi_y, iset)

@@ -349,6 +349,24 @@ def test_converge_command_reports_decaying_errors(tmp_path, capsys):
     assert all(b < a for a, b in zip(errors[:-1], errors[1:-1]))
 
 
+@pytest.mark.parametrize("command,cfg,name", [
+    ("converge", apply_config(converge={"slack": "abc"}), "converge"),
+    ("converge", apply_config(converge={"radii": [4.0, "eight", 16.0]}), "converge"),
+    ("converge", apply_config(converge={"m_tilde": "two"}), "converge"),
+    ("mc", mc_config(mc={"n_samples": "many"}), "mc"),
+    ("mc", mc_config(mc={"base_seed": "abc"}), "mc"),
+    ("verify", apply_config(verify={"alpha": "abc"}), "verify"),
+    ("verify", apply_config(verify={"m": "two"}), "verify"),
+    ("apply", apply_config(operator={"alpha": "abc"}), "operator"),
+])
+def test_nonsense_command_option_exits_2(tmp_path, capsys, command, cfg, name):
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad {name} option" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # determinism
 

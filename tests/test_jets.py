@@ -17,7 +17,9 @@ from stochfio.jets import (
     t_add,
     t_div,
     t_mul,
+    t_mul_shift,
     t_scale,
+    t_shift,
 )
 
 LAYOUT_111 = VarLayout(1, 1, 1)
@@ -150,6 +152,38 @@ def test_product_and_sum_jets_agree_with_jet_algebra():
 def test_builders_bind_parameters_as_keywords(build, params, error):
     with pytest.raises(error):
         build(**params)
+
+
+def _mixed_table(rng, iset, shape, complex_values):
+    """Exact zeros, scalars, (1, n) and (m, n) arrays in random places."""
+    out = {}
+    for key in iset.keys():
+        kind = rng.integers(4)
+        if kind == 0:
+            out[key] = 0.0
+            continue
+        size = () if kind == 1 else (1, shape[1]) if kind == 2 else shape
+        v = rng.normal(size=size)
+        if complex_values:
+            v = v + 1j * rng.normal(size=size)
+        out[key] = v.item() if kind == 1 else v  # a Python scalar
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shifted_product_is_the_shift_of_the_product(seed):
+    rng = np.random.default_rng(seed)
+    iset = IndexSet(LAYOUT_111, 2, 3)
+    nxt = iset.shrink_int(1)
+    a = _mixed_table(rng, iset, (4, 5), complex_values=seed % 2 == 1)
+    b = _mixed_table(rng, iset, (4, 5), complex_values=seed % 3 == 0)
+    for var in (1, 2):  # the y and xi variables, whose order nxt lowers
+        got = t_mul_shift(a, b, var, nxt)
+        ref = t_shift(t_mul(a, b, iset), var, nxt)
+        assert list(got) == list(ref)
+        for key in ref:
+            assert type(got[key]) is type(ref[key])
+            assert np.array_equal(got[key], ref[key])  # bit for bit
 
 
 def test_index_set_caps_and_shrink():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from _references import fourier_pair_value
+from stochfio import oscillatory
 from stochfio.jets import VarLayout, builtin_map
 from stochfio.oscillatory import (
     FioOperator,
@@ -110,6 +111,42 @@ def test_engine_is_deterministic_across_worker_counts():
     one = op.apply(gaussian(), XS, workers=1)
     two = op.apply(gaussian(), XS, workers=2)
     assert np.array_equal(one.value, two.value)
+
+
+def test_chunk_counts_cover_the_bands_at_every_worker_count(monkeypatch):
+    op = build_identity(config=QuadratureConfig(xi_radius=8.0, max_chunk_elements=4096))
+    chunk_sizes = []
+    evaluate = oscillatory._regularized_tables
+
+    def counted(phase, amp, psi, chi, kappa, coords, out_order):
+        chunk_sizes.append(coords.xi[0].size)
+        return evaluate(phase, amp, psi, chi, kappa, coords, out_order)
+
+    monkeypatch.setattr(oscillatory, "_regularized_tables", counted)
+    one = op.apply(gaussian(), XS, workers=1)
+    monkeypatch.undo()
+    meta = one.meta
+    assert meta["chunk_nodes"] == 4096 // XS.size
+    assert len(meta["band_chunks"]) == len(meta["bands"])
+    assert sum(meta["band_chunks"]) == len(chunk_sizes)
+    assert max(chunk_sizes) == meta["chunk_nodes"]
+    start = 0
+    for (_lo, _hi, n_xi, n_y), count in zip(meta["bands"], meta["band_chunks"]):
+        assert sum(chunk_sizes[start:start + count]) == 2 * n_xi * n_y
+        start += count
+    two = op.apply(gaussian(), XS, workers=2)
+    for key in ("chunk_nodes", "band_chunks", "bands", "nodes"):
+        assert two.meta[key] == meta[key]
+
+
+def test_apply_does_not_depend_on_the_chunk_size():
+    fields = [build_identity(config=QuadratureConfig(
+        xi_radius=8.0, max_chunk_elements=elements)).apply(gaussian(), XS, out_order=2)
+        for elements in (4096, 16384, 262144)]
+    assert [sum(f.meta["band_chunks"]) for f in fields] == [68, 18, 8]
+    for other in fields[1:]:
+        for key, ref in fields[0].values.items():
+            assert np.max(np.abs(other.values[key] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_worker_slices_cap_processes_at_cpus_and_points():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _references import complex_l_ladder
+from _references import complex_l_ladder, eager_coefficient_fields
 from stochfio.jets import (
     Coords,
     IndexSet,
@@ -272,13 +272,18 @@ def complex_amplitude():
         builtin_map("product", factors=[wave, builtin_map("bracket_power", exponent=-1.0)])])
 
 
-def ladder_case(xi_lo, xi_hi, kappa, amp, seed, n=48):
+def ladder_points(xi_lo, xi_hi, kappa, seed, n):
+    """Seeded points with |xi| in [xi_lo, xi_hi], the phase table and iset."""
     rng = np.random.default_rng(seed)
     xi = rng.uniform(xi_lo, xi_hi, n) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
     coords = Coords((rng.uniform(-1.0, 1.0, n),), (rng.uniform(-1.0, 1.0, n),), (xi,))
     layout = VarLayout(1, 1, 1)
-    iset = IndexSet(layout, 1, kappa)
     phase_t = perturbed_phase().table(coords, IndexSet(layout, 1, kappa + 1))
+    return coords, phase_t, IndexSet(layout, 1, kappa)
+
+
+def ladder_case(xi_lo, xi_hi, kappa, amp, seed, n=48):
+    coords, phase_t, iset = ladder_points(xi_lo, xi_hi, kappa, seed, n)
     coeffs = coefficient_tables(phase_t, coords, CutoffChi(), iset)
     f = embed_table(amp.provider(project_coords(coords, amp.layout),
                                  IndexSet(amp.layout, 0, kappa)), amp.layout, iset)
@@ -305,3 +310,21 @@ def test_ladder_matches_complex_recurrence(band, xi_lo, xi_hi, kappa, amp_kind):
     if band == "outer" and amp_kind == "real" and kappa % 2 == 0:
         # i^kappa is real: the whole outer ladder stayed in real arithmetic
         assert all(np.isrealobj(v) for v in got.values())
+
+
+@pytest.mark.parametrize("xi_lo,xi_hi", [(0.0, 1.0), (1.0, 2.0), (2.0, 40.0)])
+def test_derived_fields_match_the_eager_formula(xi_lo, xi_hi):
+    n = 48
+    coords, phase_t, iset = ladder_points(xi_lo, xi_hi, 3, seed=7, n=n)
+    coeffs = coefficient_tables(phase_t, coords, CutoffChi(), iset)
+    alpha_ref, beta_ref = eager_coefficient_fields(phase_t, coords, CutoffChi(), iset)
+    assert len(coeffs.alpha) == len(coeffs.beta) == 1
+    for prime, cplx, ref in ((coeffs.alpha_prime[0], coeffs.alpha[0], alpha_ref),
+                             (coeffs.beta_prime[0], coeffs.beta[0], beta_ref)):
+        assert set(prime) == set(cplx) == set(iset.keys())
+        for key in iset.keys():
+            r = np.broadcast_to(ref[key], (n,))
+            np.testing.assert_allclose(np.broadcast_to(prime[key], (n,)), r,
+                                       rtol=1e-14, atol=0)
+            np.testing.assert_allclose(np.broadcast_to(cplx[key], (n,)), -1j * r,
+                                       rtol=1e-14, atol=0)
