@@ -12,7 +12,7 @@ refuse to build a phase outside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .jets import (
     t_compose,
     t_mul,
 )
-from .oscillatory import FioOperator, GridField, QuadratureConfig, apply
+from .oscillatory import FioOperator, GridField, QuadratureConfig, _apply_mirror_pair, apply
 from .regularizer import CutoffChi, select_kappa
 from .symbol_spaces import Amplitude, PhaseFunction
 
@@ -114,7 +114,10 @@ def solve_characteristics(speed: SmoothMap, x, t: float, order: int = 0,
 
 
 def transport_phase(speed: SmoothMap, t: float, tol: float = 1e-10) -> PhaseFunction:
-    """Phase xi (gamma(x, t) - y) driving the transport solution."""
+    """Phase xi (gamma(x, t) - y) driving the transport solution.
+
+    gamma does not depend on the sign of xi, so the phase is odd in xi.
+    """
     cache = {}  # characteristic jets keyed by the x array and the order
 
     def g_provider(x, sgn, order):
@@ -125,18 +128,16 @@ def transport_phase(speed: SmoothMap, t: float, tol: float = 1e-10) -> PhaseFunc
                           solve_characteristics(speed, x.ravel(), t, order, tol)]
         return cache[key]
 
-    return PhaseFunction(builtin_map(
+    return PhaseFunction(replace(builtin_map(
         "tabulated_phase", g_provider=g_provider,
-        describe=f"xi (gamma(x, {t}) - y)"))
+        describe=f"xi (gamma(x, {t}) - y)"), xi_reflection="odd"))
 
 
-def _order_zero_apply(phase: PhaseFunction, amp: Amplitude, u0: SmoothMap,
-                      x_points, config: QuadratureConfig | None,
-                      workers: int | None) -> GridField:
-    """Apply the operator of a phase and an order-zero amplitude to u0."""
-    plan = select_kappa(0.0, 1.0, 0.0, 1)
-    op = FioOperator(phase, amp, CutoffChi(), plan, config or QuadratureConfig())
-    return apply(op, u0, x_points, workers=workers)
+def _order_zero_op(phase: PhaseFunction, amp: Amplitude,
+                   config: QuadratureConfig | None) -> FioOperator:
+    """The operator of a phase and an order-zero amplitude."""
+    return FioOperator(phase, amp, CutoffChi(), select_kappa(0.0, 1.0, 0.0, 1),
+                       config or QuadratureConfig())
 
 
 _UNIT_AMPLITUDE = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(1, 1, 1)))
@@ -146,8 +147,8 @@ def transport_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
                     config: QuadratureConfig | None = None,
                     workers: int | None = None) -> GridField:
     """u(x, t) = u0(gamma(x, t)) evaluated through the operator quadrature."""
-    return _order_zero_apply(transport_phase(speed, t), _UNIT_AMPLITUDE, u0,
-                             x_points, config, workers)
+    return apply(_order_zero_op(transport_phase(speed, t), _UNIT_AMPLITUDE, config),
+                 u0, x_points, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +317,8 @@ def halfwave_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
     t; for constant speed it is exact up to the low-frequency part where
     P differs from |xi|.
     """
-    return _order_zero_apply(halfwave_phase(speed, t), _UNIT_AMPLITUDE, u0,
-                             x_points, config, workers)
+    return apply(_order_zero_op(halfwave_phase(speed, t), _UNIT_AMPLITUDE, config),
+                 u0, x_points, workers=workers)
 
 
 def _wave_branches(speed, amp: Amplitude, u0: SmoothMap, t: float, x_points,
@@ -325,22 +326,28 @@ def _wave_branches(speed, amp: Amplitude, u0: SmoothMap, t: float, x_points,
                    workers: int | None) -> GridField:
     """Sum of the branches exp(-+ i c t |xi|), each with amplitude ``amp``.
 
+    The branch phases Phi_s = (x - y) xi + s c t |xi| mirror each other,
+    Phi_s(-xi) = -Phi_{-s}(xi), so with a hermitian amplitude and u0 each
+    branch evaluates its xi > 0 half only (see ``_apply_mirror_pair``).
+
     Each branch's meta goes under ``branch_+`` / ``branch_-`` without its
     wall time.  The top level has the summed ``wall_time`` and ``nodes``
-    and the ``kappa`` and ``xi_radius`` the branches share.
+    and the ``kappa``, ``xi_radius`` and ``xi_reflected`` the branches share.
     """
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
     cols = (xs, np.full(xs.size, float(t)))
+    phases = [PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, sign=sign))
+              for sign in (+1, -1)]
+    op = _order_zero_op(phases[0], amp, config)
     total = None
     meta = {"wall_time": 0.0, "nodes": 0}
-    for sign in (+1, -1):
-        phase = PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, sign=sign))
-        out = _order_zero_apply(phase, amp, u0, cols, config, workers)
+    for sign, out in zip((+1, -1), _apply_mirror_pair(op, phases[1], u0, cols, workers)):
         total = out.value if total is None else total + out.value
         branch_meta = dict(out.meta)
         meta["wall_time"] += branch_meta.pop("wall_time")
         meta["nodes"] += branch_meta["nodes"]
-        meta.update(kappa=branch_meta["kappa"], xi_radius=branch_meta["xi_radius"])
+        meta.update(kappa=branch_meta["kappa"], xi_radius=branch_meta["xi_radius"],
+                    xi_reflected=branch_meta["xi_reflected"])
         meta[f"branch_{'+' if sign > 0 else '-'}"] = branch_meta
     return GridField((xs,), {(0,): total}, meta)
 

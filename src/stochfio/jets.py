@@ -22,6 +22,7 @@ differentiates in y and xi, so its operands need full order only there.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as _iproduct
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ORDER = 8
+XI_REFLECTIONS = (None, "odd", "hermitian")
 
 
 class VarLayout(NamedTuple):
@@ -455,6 +457,17 @@ class SmoothMap:
     requested index set; coordinate entries of ``coords`` are scalars or
     broadcastable numpy arrays.  Providers must be pure so that maps can be
     shared across worker processes.
+
+    ``xi_reflection`` declares how the map behaves under xi -> -xi:
+
+    * ``"odd"``: a real map with m(x, y, -xi) = -m(x, y, xi);
+    * ``"hermitian"``: m(x, y, -xi) = conj m(x, y, xi), which covers every
+      real map that is even in xi or does not depend on xi;
+    * ``None``: nothing is declared.
+
+    The built-in builders derive the declaration from their parameters.  A
+    hand-built map opts in only by declaring it, and the quadrature engine
+    trusts the declaration without checking it.
     """
 
     layout: VarLayout
@@ -462,6 +475,12 @@ class SmoothMap:
     max_order: int = DEFAULT_MAX_ORDER
     describe: str = ""
     support: dict = field(default_factory=dict)
+    xi_reflection: str | None = None
+
+    def __post_init__(self):
+        if self.xi_reflection not in XI_REFLECTIONS:
+            raise ValueError(f"xi_reflection must be one of {XI_REFLECTIONS}, "
+                             f"got {self.xi_reflection!r}")
 
     def table(self, coords: Coords, iset: IndexSet) -> dict:
         if iset.max_total() > self.max_order:
@@ -488,11 +507,13 @@ class SmoothMap:
 # family's parameters
 
 
-def _univariate_map(block: str, derivs_fn, describe: str, support=None) -> SmoothMap:
-    """Map depending on a single coordinate of one block.
+def _univariate_map(block: str, derivs_fn, describe: str, support=None,
+                    even: bool = False) -> SmoothMap:
+    """Real map depending on a single coordinate of one block.
 
     ``derivs_fn(v, cap)`` returns the list of derivative values d^k/dv^k for
-    k = 0..cap at the array of coordinate values v.
+    k = 0..cap at the array of coordinate values v.  A map of x or y is
+    hermitian under xi -> -xi; a map of xi is when ``even`` holds.
     """
     layout = {"x": VarLayout(1, 0, 0), "y": VarLayout(0, 1, 0), "xi": VarLayout(0, 0, 1)}[block]
 
@@ -508,7 +529,8 @@ def _univariate_map(block: str, derivs_fn, describe: str, support=None) -> Smoot
         return t
 
     sup = {block: tuple(support)} if support is not None else {}
-    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, describe, sup)
+    reflection = "hermitian" if block != "xi" or even else None
+    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, describe, sup, reflection)
 
 
 _GAUSS_SUPPORT_DECADES = 6.5  # exp(-6.5^2) ~ 4.4e-19, below quadrature resolution
@@ -529,7 +551,7 @@ def _gaussian_bump(*, block="y", center=0.0, width=1.0) -> SmoothMap:
 
     halfw = _GAUSS_SUPPORT_DECADES * width
     return _univariate_map(block, derivs, f"exp(-(({block}-{center})/{width})^2)",
-                           (center - halfw, center + halfw))
+                           (center - halfw, center + halfw), even=center == 0.0)
 
 
 def _mollifier_bump(*, block="y", center=0.0, radius=1.0) -> SmoothMap:
@@ -556,7 +578,7 @@ def _mollifier_bump(*, block="y", center=0.0, radius=1.0) -> SmoothMap:
         return [np.where(inside, h[(k,)], 0.0) for k in range(cap + 1)]
 
     return _univariate_map(block, derivs, f"bump at {center}, radius {radius}",
-                           (center - radius, center + radius))
+                           (center - radius, center + radius), even=center == 0.0)
 
 
 def _trig_polynomial(*, terms, block="x", offset=0.0) -> SmoothMap:
@@ -594,7 +616,7 @@ def _bracket_power(*, exponent) -> SmoothMap:
         h = t_pow(_bracket_u(np.asarray(v), cap), d / 2.0, _uni_iset(cap))
         return [h[(k,)] for k in range(cap + 1)]
 
-    return _univariate_map("xi", derivs, f"<xi>^{d}")
+    return _univariate_map("xi", derivs, f"<xi>^{d}", even=True)
 
 
 def _sqrt_cos_symbol(*, omega=2.0) -> SmoothMap:
@@ -607,7 +629,7 @@ def _sqrt_cos_symbol(*, omega=2.0) -> SmoothMap:
         em = t_exp(t_scale(q, -1j * omega), iset)
         return [0.5 * (ep[(k,)] + em[(k,)]) for k in range(cap + 1)]
 
-    return _univariate_map("xi", derivs, f"cos({omega} <xi>^1/2)")
+    return _univariate_map("xi", derivs, f"cos({omega} <xi>^1/2)", even=True)
 
 
 def _constant(*, value, layout=(0, 0, 0)) -> SmoothMap:
@@ -618,7 +640,9 @@ def _constant(*, value, layout=(0, 0, 0)) -> SmoothMap:
         t[iset.zero] = value
         return t
 
-    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, f"constant {value}")
+    reflection = "hermitian" if isinstance(value, numbers.Real) else None
+    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, f"constant {value}",
+                     xi_reflection=reflection)
 
 
 def _xi_table(coords: Coords, iset: IndexSet, derivs) -> dict:
@@ -667,7 +691,8 @@ def _linear_phase(*, n=1) -> SmoothMap:
         t[iset.zero] = (x - y) * xi
         return t
 
-    return SmoothMap(VarLayout(1, 1, 1), provider, DEFAULT_MAX_ORDER, "<x-y, xi> on R^1")
+    return SmoothMap(VarLayout(1, 1, 1), provider, DEFAULT_MAX_ORDER, "<x-y, xi> on R^1",
+                     xi_reflection="odd")
 
 
 def _scaled_norm_phase(*, speed, sign=1, n=1) -> SmoothMap:
@@ -707,7 +732,8 @@ def _tabulated_phase(*, g_provider, describe: str = "xi (g(x) - y)") -> SmoothMa
 
     ``g_provider(x, sgn, order)`` returns the list of d^j g / dx^j arrays for
     j = 0..order; it may depend on sign(xi) (sgn is an array broadcastable
-    against x).
+    against x), so the map declares no xi reflection.  A caller whose g does
+    not depend on the sign may declare the phase odd.
     """
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
@@ -745,7 +771,8 @@ def _coordinate(*, block, index=0) -> SmoothMap:
             t[e] = 1.0
         return t
 
-    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, f"coordinate {block}[{index}]")
+    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, f"coordinate {block}[{index}]",
+                     xi_reflection="odd" if block == "xi" else "hermitian")
 
 
 def _merge_layout(maps) -> VarLayout:
@@ -774,6 +801,26 @@ def _merge_support(maps, mode: str) -> dict:
     return out
 
 
+def _product_reflection(factors) -> str | None:
+    """An even number of odd factors times hermitian ones is hermitian; a
+    product of odd factors only, an odd number of them, is odd."""
+    kinds = [f.xi_reflection for f in factors]
+    if None in kinds:
+        return None
+    n_odd = kinds.count("odd")
+    if n_odd % 2 == 0:
+        return "hermitian"
+    return "odd" if n_odd == len(kinds) else None
+
+
+def _real_combination_reflection(maps, coefficients) -> str | None:
+    """Real multiples and sums of maps sharing one declaration keep it."""
+    kinds = {m.xi_reflection for m in maps}
+    if len(kinds) == 1 and all(isinstance(c, numbers.Real) for c in coefficients):
+        return kinds.pop()
+    return None
+
+
 def _product(*, factors) -> SmoothMap:
     factors = [_resolve_map(f) for f in factors]
     if not factors:
@@ -790,7 +837,7 @@ def _product(*, factors) -> SmoothMap:
 
     return SmoothMap(layout, provider, min(f.max_order for f in factors),
                      " * ".join(f.describe or "?" for f in factors),
-                     _merge_support(factors, "product"))
+                     _merge_support(factors, "product"), _product_reflection(factors))
 
 
 def _sum(*, terms, coefficients=None) -> SmoothMap:
@@ -814,7 +861,7 @@ def _sum(*, terms, coefficients=None) -> SmoothMap:
 
     return SmoothMap(layout, provider, min(f.max_order for f in terms),
                      " + ".join(f.describe or "?" for f in terms),
-                     _merge_support(terms, "sum"))
+                     _merge_support(terms, "sum"), _real_combination_reflection(terms, coeffs))
 
 
 def _scaled(*, inner, factor) -> SmoothMap:
@@ -824,7 +871,8 @@ def _scaled(*, inner, factor) -> SmoothMap:
         return t_scale(inner.provider(coords, iset), factor)
 
     return SmoothMap(inner.layout, provider, inner.max_order,
-                     f"{factor} * ({inner.describe})", dict(inner.support))
+                     f"{factor} * ({inner.describe})", dict(inner.support),
+                     _real_combination_reflection([inner], [factor]))
 
 
 _FAMILIES = {
@@ -857,6 +905,14 @@ def builtin_map(family: str, **params) -> SmoothMap:
     ``scaled`` inner map may each be a map or a ``{"family": ...}`` dict,
     and the ``scaled_norm_phase`` speed a map, a number or a
     ``{"kind": ...}`` dict (see :func:`make_speed`).
+
+    Each builder derives the map's ``xi_reflection``: ``linear_phase`` and
+    the xi ``coordinate`` are odd; real constants, maps of x or y, xi bumps
+    centred at 0, ``bracket_power`` and ``sqrt_cos_symbol`` are hermitian;
+    ``sum`` and ``scaled`` keep a shared declaration under real
+    coefficients and ``product`` combines its factors'.  ``tabulated_phase``,
+    ``scaled_norm_phase``, trig polynomials in xi and complex constants
+    declare nothing.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")

@@ -9,9 +9,23 @@ the y axis into panels sized against the fastest oscillation in the band.
 All node tensors are evaluated jointly over (x grid) x (nodes) chunks, so
 the jet kernels see broadcast arrays instead of Python loops.
 
-Sums run in a fixed (band, sign, chunk) order with per-row reductions, so
-results are byte-identical for a given configuration and x grid no matter
-how many workers split the grid.
+Each (band, sign) pair has its own accumulator, filled chunk by chunk with
+per-row reductions and summed in the fixed band order, so results are
+byte-identical for a given configuration and x grid no matter how many
+workers split the grid.  The per-band sums also give the band
+contributions reported in the field meta.
+
+Mirrored half-line: when the phase is declared odd in xi
+(Phi(x, y, -xi) = -Phi(x, y, xi), real) and the amplitude and the test
+function hermitian (m(-xi) = conj m(xi)), the integrand at -xi is the
+conjugate of its value at xi.  exp(i Phi) is conjugated, and L^kappa(a u)
+stays hermitian because L = chi + i D with a real D that flips sign under
+the reflection.  The xi-nodes of the two half-lines are exact mirrors, so
+``apply`` evaluates xi > 0 alone and takes 2 Re of each band sum: an exact
+identity, not an approximation.  Two phases with
+Phi_a(-xi) = -Phi_b(xi), such as the wave branches, pair up the same way
+(``_apply_mirror_pair``).  Declarations come from ``SmoothMap.xi_reflection``
+and are trusted; any other input runs both half-lines.
 """
 
 from __future__ import annotations
@@ -336,8 +350,8 @@ def _plan_nodes(phase, chi, config, x_arrays, y_window, kappa):
 
 def _eval_band(phase, amp, u, chi, kappa, x_cols, xn, xw, yn, yw, sign,
                out_order, chunk_nodes, out_acc):
-    """Accumulate the weighted band sum of d^j_x [exp(i Phi) L^kappa(a u)]
-    into ``out_acc`` (per x-key arrays)."""
+    """Accumulate the weighted sum of d^j_x [exp(i Phi) L^kappa(a u)] over
+    one band's ``sign`` half-line into ``out_acc`` (per x-key arrays)."""
     ynodes = yn[None, :].repeat(xn.size, axis=0).ravel()
     xinodes = np.repeat(sign * xn, yn.size)
     wts = np.repeat(xw, yn.size) * np.tile(yw, xn.size)
@@ -363,38 +377,44 @@ def _chunk_nodes(config, npts: int) -> int:
     return max(config.nodes_per_panel, config.max_chunk_elements // max(npts, 1))
 
 
-def _band_meta(bands, rates, chunk_nodes: int) -> dict:
-    """Band edges and node counts; ``band_chunks`` counts both xi signs."""
+def _band_meta(bands, rates, chunk_nodes: int, signs) -> dict:
+    """Band edges and node counts; ``nodes`` and ``band_chunks`` count the
+    evaluated half-lines ``signs`` only."""
+    sides = len(signs)
     return {"bands": [(lo, hi, int(xn.size), int(yn.size))
                       for lo, hi, xn, _xw, yn, _yw in bands],
-            "nodes": sum(2 * xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands),
+            "nodes": sum(sides * xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands),
             "chunk_nodes": chunk_nodes,
-            "band_chunks": [2 * math.ceil(xn.size * yn.size / chunk_nodes)
+            "band_chunks": [sides * math.ceil(xn.size * yn.size / chunk_nodes)
                             for _lo, _hi, xn, _xw, yn, _yw in bands],
             "rates": rates}
 
 
 def _engine(phase, amp, u, chi, kappa, x_arrays, out_order, config,
-            y_window, two_pi_measure, bands, x_slice=None):
-    """Weighted sums over the planned ``bands`` for the x points in ``x_slice``."""
+            bands, signs, x_slice=None):
+    """Weighted sums over the planned ``bands`` for the x points in ``x_slice``.
+
+    Returns one accumulator per (band, sign): ``parts[b][j]`` maps each
+    x-derivative key to the sum over band ``b`` on the half-line ``signs[j]``.
+    """
     layout = phase.layout
     x_arrays = tuple(np.asarray(a, dtype=float) for a in x_arrays)
     npts = x_arrays[0].size if x_arrays else 1
     cols = x_arrays if x_slice is None else tuple(a[x_slice] for a in x_arrays)
     nloc = cols[0].size if cols else 1
     chunk_nodes = _chunk_nodes(config, npts)
-    iset_x = IndexSet(layout, out_order, 0)
-    acc = {k: np.zeros(nloc, dtype=complex) for k in iset_x.keys()}
+    keys = IndexSet(layout, out_order, 0).keys()
+    parts = []
     for lo, hi, xn, xw, yn, yw in bands:
         # chi == 1 on the inner band, where L is the identity
         band_kappa = 0 if hi <= chi.inner_radius + 1e-12 else kappa
-        for sign in (-1.0, 1.0):
-            _eval_band(phase, amp, u, chi, band_kappa, cols, xn, xw, yn, yw, sign,
-                       out_order, chunk_nodes, acc)
-    if two_pi_measure:
-        f = (2.0 * math.pi) ** (-layout.n_xi)
-        acc = {k: f * v for k, v in acc.items()}
-    return acc
+        per_sign = []
+        for sign in signs:
+            acc = {k: np.zeros(nloc, dtype=complex) for k in keys}
+            per_sign.append(_eval_band(phase, amp, u, chi, band_kappa, cols, xn, xw,
+                                       yn, yw, sign, out_order, chunk_nodes, acc))
+        parts.append(per_sign)
+    return parts
 
 
 # worker processes read the job from module state inherited across fork; the
@@ -420,12 +440,12 @@ def _worker_slices(npts: int, workers: int, cpus: int | None) -> list:
 
 
 def _run_engine(phase, amp, u, chi, kappa, x_arrays, out_order, config,
-                y_window, two_pi_measure, workers):
+                y_window, signs, workers):
+    """Plan the nodes, then the (band, sign) sums on every x point."""
     workers = config.workers if workers is None else workers
     npts = x_arrays[0].size if x_arrays else 1
     bands, rates = _plan_nodes(phase, chi, config, x_arrays, y_window, kappa)
-    job = (phase, amp, u, chi, kappa, x_arrays, out_order, config, y_window,
-           two_pi_measure, bands)
+    job = (phase, amp, u, chi, kappa, x_arrays, out_order, config, bands, signs)
     slices = _worker_slices(npts, workers, os.cpu_count())
     if len(slices) > 1 and hasattr(os, "fork"):
         import multiprocessing as mp
@@ -433,15 +453,83 @@ def _run_engine(phase, amp, u, chi, kappa, x_arrays, out_order, config,
         _FORK_JOB["payload"] = job
         try:
             with ctx.Pool(len(slices)) as pool:
-                parts = pool.map(_fork_entry, list(enumerate(slices)))
+                pieces = pool.map(_fork_entry, list(enumerate(slices)))
         finally:
             _FORK_JOB.clear()
-        parts.sort(key=lambda t: t[0])
-        acc = {k: np.concatenate([p[1][k] for p in parts])
-               for k in parts[0][1].keys()}
+        pieces = [p for _i, p in sorted(pieces, key=lambda t: t[0])]
+        parts = [[{k: np.concatenate([p[b][j][k] for p in pieces]) for k in acc}
+                  for j, acc in enumerate(per_sign)]
+                 for b, per_sign in enumerate(pieces[0])]
     else:
-        acc = _engine(*job)
-    return acc, _band_meta(bands, rates, _chunk_nodes(config, npts))
+        parts = _engine(*job)
+    return parts, _band_meta(bands, rates, _chunk_nodes(config, npts), signs)
+
+
+# The half-lines the engine evaluates: both, or xi > 0 alone when the xi < 0
+# half is its complex conjugate.
+_BOTH_SIGNS = (-1.0, 1.0)
+_POSITIVE_SIGN = (1.0,)
+
+
+def _xi_mirrored(phase, amp, u: SmoothMap) -> bool:
+    """Whether the integrand at -xi is the conjugate of its value at xi.
+
+    An odd real phase conjugates exp(i Phi).  D is real and the reflection
+    flips its sign, so L = chi + i D maps hermitian tables to hermitian ones
+    and L^kappa(a u) stays hermitian when a and u are.
+    """
+    return (phase.map.xi_reflection == "odd"
+            and amp.map.xi_reflection == "hermitian"
+            and u.xi_reflection == "hermitian")
+
+
+def _band_totals(parts, mirrored: bool) -> list:
+    """Per-band sums over both half-lines from the (band, sign) accumulators.
+
+    Mirrored parts hold the xi > 0 half P alone, and P + conj(P) = 2 Re P.
+    """
+    if mirrored:
+        return [{k: 2.0 * v.real for k, v in pos.items()} for (pos,) in parts]
+    return [{k: neg[k] + v for k, v in pos.items()} for neg, pos in parts]
+
+
+def _half_line_sums(op: FioOperator, u: SmoothMap, x_points, out_order: int,
+                    workers, y_window, signs):
+    """Validate an apply, then return its x columns, its (band, sign)
+    accumulators over ``signs`` and its meta."""
+    layout = op.phase.layout
+    if layout.n_y != 1 or layout.n_xi != 1:
+        raise NotImplementedError("quadrature engine handles one y and one xi "
+                                  "dimension")
+    if u.layout.n_x or u.layout.n_xi or u.layout.n_y != 1:
+        raise ValueError("test function must be a map of y alone")
+    cols = _normalize_x_points(layout, x_points)
+    window = _support_window([u, op.amplitude.map], "y", y_window)
+    t0 = time.perf_counter()
+    parts, meta = _run_engine(op.phase, op.amplitude, u, op.chi, op.plan.kappa,
+                              cols, out_order, op.config, window, signs, workers)
+    meta.update({"kappa": op.plan.kappa, "y_window": tuple(window),
+                 "wall_time": time.perf_counter() - t0,
+                 "xi_radius": op.config.xi_radius})
+    return cols, parts, meta
+
+
+def _band_field(layout: VarLayout, cols, band_totals, meta: dict,
+                mirrored: bool) -> GridField:
+    """Field of the (2 pi)^-1-normalised band totals, summed in band order.
+
+    ``band_contributions`` holds the sup over x of each band's value.
+    """
+    f = (2.0 * math.pi) ** (-layout.n_xi)
+    zero = (0,) * layout.nvars
+    total = {k: np.zeros(np.shape(v), dtype=complex) for k, v in band_totals[0].items()}
+    contributions = []
+    for band in band_totals:
+        for k, v in band.items():
+            total[k] += v
+        contributions.append(f * float(np.max(np.abs(band[zero]))))
+    meta = {**meta, "xi_reflected": mirrored, "band_contributions": contributions}
+    return GridField(cols, {k[:layout.n_x]: f * v for k, v in total.items()}, meta)
 
 
 def _normalize_x_points(layout: VarLayout, x_points):
@@ -462,23 +550,47 @@ def _normalize_x_points(layout: VarLayout, x_points):
 
 def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
           workers: int | None = None, y_window=None) -> GridField:
-    """Evaluate A[u] (and x derivatives up to ``out_order``) on a grid."""
-    layout = op.phase.layout
-    if layout.n_y != 1 or layout.n_xi != 1:
-        raise NotImplementedError("quadrature engine handles one y and one xi "
-                                  "dimension")
-    if u.layout.n_x or u.layout.n_xi or u.layout.n_y != 1:
-        raise ValueError("test function must be a map of y alone")
-    cols = _normalize_x_points(layout, x_points)
-    window = _support_window([u, op.amplitude.map], "y", y_window)
-    t0 = time.perf_counter()
-    acc, meta = _run_engine(op.phase, op.amplitude, u, op.chi, op.plan.kappa,
-                            cols, out_order, op.config, window, True, workers)
-    meta = dict(meta)
-    meta.update({"kappa": op.plan.kappa, "y_window": tuple(window),
-                 "wall_time": time.perf_counter() - t0,
-                 "xi_radius": op.config.xi_radius})
-    return GridField(cols, {k[:layout.n_x]: v for k, v in acc.items()}, meta)
+    """Evaluate A[u] (and x derivatives up to ``out_order``) on a grid.
+
+    When the phase is declared odd and the amplitude and u hermitian in xi,
+    only the xi > 0 half-line is evaluated and each band gives 2 Re of it.
+    """
+    mirrored = _xi_mirrored(op.phase, op.amplitude, u)
+    signs = _POSITIVE_SIGN if mirrored else _BOTH_SIGNS
+    cols, parts, meta = _half_line_sums(op, u, x_points, out_order, workers,
+                                        y_window, signs)
+    return _band_field(op.phase.layout, cols, _band_totals(parts, mirrored), meta,
+                       mirrored)
+
+
+def _apply_mirror_pair(op: FioOperator, mirror_phase: PhaseFunction, u: SmoothMap,
+                       x_points, workers: int | None = None) -> tuple:
+    """``apply`` of ``op`` and of ``op`` with ``mirror_phase``, where the two
+    phases satisfy Phi(x, y, -xi) = -Phi_mirror(x, y, xi).
+
+    With a hermitian amplitude and u, the xi < 0 half of each integrand is
+    the conjugate of the other's xi > 0 half.  So only the xi > 0 halves P
+    and P_mirror are evaluated, and the fields are P + conj(P_mirror) and
+    P_mirror + conj(P), band by band.  Both phases probe the same rates
+    (the probe takes the max over both signs of xi), so their node plans
+    coincide; the check below guards that.
+    """
+    ops = (op, replace(op, phase=mirror_phase))
+    if not (op.amplitude.map.xi_reflection == "hermitian"
+            and u.xi_reflection == "hermitian"):
+        return tuple(apply(o, u, x_points, workers=workers) for o in ops)
+    halves = [_half_line_sums(o, u, x_points, 0, workers, None, _POSITIVE_SIGN)
+              for o in ops]
+    (cols, parts, meta), (_cols, mirror_parts, mirror_meta) = halves
+    if (meta["bands"], meta["rates"]) != (mirror_meta["bands"], mirror_meta["rates"]):
+        raise RuntimeError("mirrored phases got different node plans")
+    fields = []
+    for own, other, own_meta in ((parts, mirror_parts, meta),
+                                 (mirror_parts, parts, mirror_meta)):
+        totals = [{k: v + np.conj(q[k]) for k, v in p.items()}
+                  for (p,), (q,) in zip(own, other)]
+        fields.append(_band_field(op.phase.layout, cols, totals, own_meta, True))
+    return tuple(fields)
 
 
 def apply_adjoint(op: FioOperator, v: SmoothMap, y_points, out_order: int = 0,
@@ -536,14 +648,16 @@ def oscillatory_integral(phase, amplitude, chi: CutoffChi | None = None,
                              layout.n_xi, 0).kappa
     ident = builtin_map("constant", value=1.0, layout=VarLayout(0, 1, 0))
     window = _support_window([amplitude.map], "y", y_window)
+    mirrored = _xi_mirrored(phase, amplitude, ident)
+    signs = _POSITIVE_SIGN if mirrored else _BOTH_SIGNS
     prev = None
     achieved = math.inf
     for level in range(config.max_refinements + 1):
         cfg = config.refined(level) if level else config
         bands, _rates = _plan_nodes(phase, chi, cfg, (), window, kappa)
-        acc = _engine(phase, amplitude, ident, chi, kappa, (), 0, cfg,
-                      window, False, bands)
-        val = complex(acc[(0,) * layout.nvars][0])
+        parts = _engine(phase, amplitude, ident, chi, kappa, (), 0, cfg, bands, signs)
+        val = complex(sum(band[(0,) * layout.nvars][0]
+                          for band in _band_totals(parts, mirrored)))
         if prev is not None:
             achieved = abs(val - prev)
             if achieved <= config.abs_tol:

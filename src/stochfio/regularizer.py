@@ -22,6 +22,13 @@ leaves one dense product per step (s' g): the two phase-gradient fields
 have few nonzero entries for phases linear in xi on each half-line, and
 each derivative forms only the Leibniz rows it reads.  Where chi == 0 exactly (beyond the clamped outer edge of the
 profile), the cutoff table holds exact zeros and L^kappa = i^kappa D^kappa.
+
+Reflection xi -> -xi: for a real phase that is odd in xi, d_xi Phi and r
+are even and d_y Phi is odd, so D maps a table g with g(-xi) = conj g(xi)
+(hermitian) to one with (D g)(-xi) = -conj (D g)(xi).  chi is even, so
+L = chi + i D maps hermitian tables to hermitian tables, and L^kappa(a psi)
+is hermitian whenever a and psi are.  The quadrature engine uses this to
+evaluate only the xi > 0 half-line.
 """
 
 from __future__ import annotations

@@ -129,7 +129,10 @@ class Amplitude:
 
 
 def swapped_map(m: SmoothMap) -> SmoothMap:
-    """View of a map with the roles of the x and y blocks exchanged."""
+    """View of a map with the roles of the x and y blocks exchanged.
+
+    The swap leaves xi alone, so the view keeps the map's ``xi_reflection``.
+    """
     inner_layout = m.layout
     layout = VarLayout(inner_layout.n_y, inner_layout.n_x, inner_layout.n_xi)
 
@@ -149,7 +152,8 @@ def swapped_map(m: SmoothMap) -> SmoothMap:
         support["y"] = sx
     if sy is not None:
         support["x"] = sy
-    return SmoothMap(layout, provider, m.max_order, f"swapped({m.describe})", support)
+    return SmoothMap(layout, provider, m.max_order, f"swapped({m.describe})", support,
+                     m.xi_reflection)
 
 
 @dataclass(frozen=True)

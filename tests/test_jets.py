@@ -1,10 +1,11 @@
 """Jet arithmetic: exact tables, finite-difference cross-checks, algebra."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stochfio.jets import (
@@ -15,6 +16,7 @@ from stochfio.jets import (
     fd_jet,
     make_speed,
     t_add,
+    t_blank,
     t_div,
     t_mul,
     t_mul_shift,
@@ -232,15 +234,35 @@ def test_jet_multiplication_commutes(y, xi):
         assert ab[k] == pytest.approx(ba[k], rel=1e-11, abs=1e-13)
 
 
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _abs_product(a, b, iset):
+    """The jet product of the entrywise absolute values, |a| * |b|."""
+    return t_mul({k: abs(v) for k, v in a.items()}, {k: abs(v) for k, v in b.items()}, iset)
+
+
 @settings(max_examples=25, deadline=None)
 @given(y=coord, xi=xi_coord)
+@example(y=0.0, xi=2.25)  # sqrt_cos_symbol vanishes at <xi>^1/2 = pi/2, xi ~ 2.255
 def test_jet_division_inverts_multiplication(y, xi):
+    # Rounding leaves c = a b with an error dc <= g (|a| * |b|) and t_div's
+    # triangular solve with a residual r <= 2 g (|a| * |b|), entrywise, where
+    # g ~ 9 u at order <= 3 (six Leibniz terms per row, complex products, the
+    # binomial factor).  The quotient error is b^-1 (dc + r), so it is at
+    # most 3 g |b^-1| * |a| * |b| <= 32 u |b^-1| * |a| * |b|.  Near the zero
+    # of b the entries of b^-1 grow like |b'|^k / |b0|^(k+1): that is how
+    # the divisor's conditioning enters.
     pa, pb = _sample_jets(0.0, y, xi)
-    assert abs(pb.value) > 1e-6
+    assume(pb.value != 0)
     iset = _full_iset(pa)
     back = t_div(t_mul(pa.table, pb.table, iset), pb.table, iset)
+    unit = t_blank(iset)
+    unit[iset.zero] = 1.0
+    inverse = t_div(unit, pb.table, iset)
+    bound = _abs_product(inverse, _abs_product(pa.table, pb.table, iset), iset)
     for k in iset.keys():
-        assert back[k] == pytest.approx(pa[k], rel=1e-9, abs=1e-11)
+        assert abs(back[k] - pa[k]) <= 32 * UNIT_ROUNDOFF * bound[k], k
 
 
 @settings(max_examples=15, deadline=None)
@@ -252,3 +274,92 @@ def test_jet_linear_combination(y, xi, c1, c2):
     for k in iset.keys():
         assert lin[k] == pytest.approx(c1 * pa[k] + c2 * pb[k],
                                        rel=1e-12, abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# declared xi reflections
+
+
+def _declared_maps():
+    """Built-in families and compositions with a declared xi reflection."""
+    from stochfio.applications import transport_phase
+    from stochfio.symbol_spaces import swapped_map
+
+    lin = builtin_map("linear_phase")
+    xi = builtin_map("coordinate", block="xi")
+    gauss_y = builtin_map("gaussian_bump", block="y", center=0.3, width=0.8)
+    bracket = builtin_map("bracket_power", exponent=-1.0)
+    trig_x = builtin_map("trig_polynomial", block="x", terms=[(0.5, 2.0, 0.3)], offset=1.0)
+    return [
+        ("constant", builtin_map("constant", value=1.7, layout=(1, 1, 1)), "hermitian"),
+        ("linear_phase", lin, "odd"),
+        ("coordinate xi", xi, "odd"),
+        ("coordinate y", builtin_map("coordinate", block="y"), "hermitian"),
+        ("coordinate x", builtin_map("coordinate", block="x"), "hermitian"),
+        ("gaussian_bump y", gauss_y, "hermitian"),
+        ("gaussian_bump xi", builtin_map("gaussian_bump", block="xi", width=1.3), "hermitian"),
+        ("mollifier_bump y", builtin_map("mollifier_bump", block="y", radius=1.6), "hermitian"),
+        ("mollifier_bump xi", builtin_map("mollifier_bump", block="xi", radius=7.0), "hermitian"),
+        ("trig_polynomial x", trig_x, "hermitian"),
+        ("bracket_power", bracket, "hermitian"),
+        ("sqrt_cos_symbol", builtin_map("sqrt_cos_symbol", omega=1.0), "hermitian"),
+        ("transport_phase", transport_phase(make_speed("affine", offset=1.0, slope=0.4),
+                                            0.3).map, "odd"),
+        ("sum of odd maps", builtin_map("sum", terms=[lin, xi], coefficients=[0.5, -2.0]),
+         "odd"),
+        ("sum of hermitian maps", builtin_map("sum", terms=[gauss_y, bracket]), "hermitian"),
+        ("product odd odd", builtin_map("product", factors=[xi, lin]), "hermitian"),
+        ("product odd odd odd", builtin_map("product", factors=[xi, xi, lin]), "odd"),
+        ("product hermitian", builtin_map("product", factors=[trig_x, gauss_y, bracket]),
+         "hermitian"),
+        ("scaled odd", builtin_map("scaled", inner=lin, factor=-1.5), "odd"),
+        ("scaled hermitian", builtin_map("scaled", inner=bracket, factor=2.5), "hermitian"),
+        ("swapped odd", swapped_map(lin), "odd"),
+        ("swapped hermitian",
+         swapped_map(builtin_map("product", factors=[trig_x, gauss_y, bracket])), "hermitian"),
+    ]
+
+
+def _point(layout, x, y, xi):
+    return ((x, 0.3)[:layout.n_x], (y,) * layout.n_y, (xi,) * layout.n_xi)
+
+
+@settings(max_examples=20, deadline=None)
+@given(x=coord, y=coord, xi=st.floats(min_value=0.1, max_value=6.0, allow_nan=False))
+def test_declared_xi_reflections_hold(x, y, xi):
+    for name, m, kind in _declared_maps():
+        assert m.xi_reflection == kind, name
+        at = m.jet(_point(m.layout, x, y, xi), 3)
+        mirrored = m.jet(_point(m.layout, x, y, -xi), 3)
+        n_xi = m.layout.n_xi
+        for key in at.table:
+            sign = (-1) ** sum(key[len(key) - n_xi:])
+            if kind == "odd":
+                assert at[key].imag == 0, (name, key)
+                expected = -sign * at[key]
+            else:
+                expected = sign * np.conj(at[key])
+            assert abs(mirrored[key] - expected) <= 1e-12 * max(1.0, abs(at[key])), (name, key)
+
+
+def test_undeclared_families_stay_undeclared():
+    from stochfio.applications import halfwave_phase
+
+    lin = builtin_map("linear_phase")
+    bracket = builtin_map("bracket_power", exponent=1.0)
+    undeclared = [
+        builtin_map("tabulated_phase", g_provider=lambda x, sgn, order: [x] + [1.0] * order),
+        builtin_map("scaled_norm_phase", speed=2.0, sign=1),
+        halfwave_phase(make_speed("constant", value=1.0), 0.3).map,
+        builtin_map("trig_polynomial", block="xi", terms=[(1.0, 2.0, 0.0)]),
+        builtin_map("constant", value=1.0 + 2.0j, layout=(1, 1, 1)),
+        builtin_map("gaussian_bump", block="xi", center=0.5),
+        builtin_map("scaled", inner=bracket, factor=1.0j),
+        builtin_map("sum", terms=[lin, lin], coefficients=[1.0, 0.5j]),
+        builtin_map("sum", terms=[lin, bracket]),
+        builtin_map("product", factors=[lin, bracket]),
+    ]
+    for m in undeclared:
+        assert m.xi_reflection is None, m.describe
+    with pytest.raises(ValueError):
+        replace(lin, xi_reflection="even")

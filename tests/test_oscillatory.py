@@ -1,6 +1,7 @@
 """Quadrature engine: applies, adjoints, pairings and tail convergence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,36 +115,44 @@ def test_engine_is_deterministic_across_worker_counts():
 
 
 def test_chunk_counts_cover_the_bands_at_every_worker_count(monkeypatch):
-    op = build_identity(config=QuadratureConfig(xi_radius=8.0, max_chunk_elements=4096))
-    chunk_sizes = []
+    # the mirrored run evaluates the xi > 0 half-line only, the two-sided both
+    mirrored = build_identity(config=QuadratureConfig(xi_radius=8.0, max_chunk_elements=4096))
+    two_sided = replace(mirrored, phase=PhaseFunction(
+        replace(mirrored.phase.map, xi_reflection=None)))
     evaluate = oscillatory._regularized_tables
+    for op, sides in ((mirrored, 1), (two_sided, 2)):
+        chunk_sizes = []
 
-    def counted(phase, amp, psi, chi, kappa, coords, out_order):
-        chunk_sizes.append(coords.xi[0].size)
-        return evaluate(phase, amp, psi, chi, kappa, coords, out_order)
+        def counted(phase, amp, psi, chi, kappa, coords, out_order):
+            chunk_sizes.append(coords.xi[0].size)
+            return evaluate(phase, amp, psi, chi, kappa, coords, out_order)
 
-    monkeypatch.setattr(oscillatory, "_regularized_tables", counted)
-    one = op.apply(gaussian(), XS, workers=1)
-    monkeypatch.undo()
-    meta = one.meta
-    assert meta["chunk_nodes"] == 4096 // XS.size
-    assert len(meta["band_chunks"]) == len(meta["bands"])
-    assert sum(meta["band_chunks"]) == len(chunk_sizes)
-    assert max(chunk_sizes) == meta["chunk_nodes"]
-    start = 0
-    for (_lo, _hi, n_xi, n_y), count in zip(meta["bands"], meta["band_chunks"]):
-        assert sum(chunk_sizes[start:start + count]) == 2 * n_xi * n_y
-        start += count
-    two = op.apply(gaussian(), XS, workers=2)
-    for key in ("chunk_nodes", "band_chunks", "bands", "nodes"):
-        assert two.meta[key] == meta[key]
+        monkeypatch.setattr(oscillatory, "_regularized_tables", counted)
+        one = op.apply(gaussian(), XS, workers=1)
+        monkeypatch.undo()
+        meta = one.meta
+        assert meta["xi_reflected"] == (sides == 1)
+        assert meta["chunk_nodes"] == 4096 // XS.size
+        assert len(meta["band_chunks"]) == len(meta["bands"])
+        assert sum(meta["band_chunks"]) == len(chunk_sizes)
+        assert max(chunk_sizes) == meta["chunk_nodes"]
+        assert meta["nodes"] == sum(chunk_sizes)
+        start = 0
+        for (_lo, _hi, n_xi, n_y), count in zip(meta["bands"], meta["band_chunks"]):
+            assert sum(chunk_sizes[start:start + count]) == sides * n_xi * n_y
+            start += count
+        two = op.apply(gaussian(), XS, workers=2)
+        for key in ("chunk_nodes", "band_chunks", "bands", "nodes", "xi_reflected",
+                    "band_contributions"):
+            assert two.meta[key] == meta[key]
 
 
 def test_apply_does_not_depend_on_the_chunk_size():
     fields = [build_identity(config=QuadratureConfig(
         xi_radius=8.0, max_chunk_elements=elements)).apply(gaussian(), XS, out_order=2)
         for elements in (4096, 16384, 262144)]
-    assert [sum(f.meta["band_chunks"]) for f in fields] == [68, 18, 8]
+    # the identity operator is mirrored: one half-line, half the chunks of two
+    assert [sum(f.meta["band_chunks"]) for f in fields] == [34, 9, 4]
     for other in fields[1:]:
         for key, ref in fields[0].values.items():
             assert np.max(np.abs(other.values[key] - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -337,3 +346,124 @@ def test_convergence_study_respects_guaranteed_envelope():
     assert report.bound_respected(slack=2.0)
     assert report.guaranteed_rate < 0
     assert report.fitted_rate < 0
+
+
+# ---------------------------------------------------------------------------
+# mirrored half-line: a run that evaluates xi > 0 alone equals a two-sided run
+
+MIRROR_CONFIG = QuadratureConfig(xi_radius=16.0)
+
+
+def _two_sided(m):
+    return replace(m, xi_reflection=None)
+
+
+def _two_sided_op(op):
+    return replace(op, phase=PhaseFunction(_two_sided(op.phase.map)))
+
+
+def _assert_same_field(mirrored, full, nodes_ratio=2):
+    assert mirrored.meta["xi_reflected"] and not full.meta["xi_reflected"]
+    assert nodes_ratio * mirrored.meta["nodes"] == full.meta["nodes"]
+    assert mirrored.values.keys() == full.values.keys()
+    for key, ref in full.values.items():
+        assert np.max(np.abs(mirrored.values[key] - ref)) <= 1e-13 * np.max(np.abs(ref)), key
+
+
+@pytest.mark.parametrize("extra_decay", [0, 2])  # kappa 2 and 4
+@pytest.mark.parametrize("phase_kind", ["linear", "transport"])
+def test_mirrored_apply_equals_two_sided_apply(phase_kind, extra_decay):
+    from stochfio.applications import make_speed, transport_phase
+
+    phase = translation_phase() if phase_kind == "linear" else \
+        transport_phase(make_speed("affine", offset=1.0, slope=0.5), 0.3)
+    op = FioOperator.build(phase, unit_amplitude(), alpha=None, extra_decay=extra_decay,
+                           config=MIRROR_CONFIG)
+    assert op.plan.kappa == 2 + extra_decay
+    u = gaussian(center=0.1, width=0.6)
+    _assert_same_field(op.apply(u, XS, out_order=2),
+                       _two_sided_op(op).apply(u, XS, out_order=2))
+
+
+def test_mirrored_adjoint_and_pairing_equal_two_sided_runs():
+    amp = Amplitude(builtin_map("trig_polynomial", block="x", terms=[(0.5, 1.0, 0.2)],
+                                offset=1.0))
+    op = FioOperator.build(translation_phase(), amp, alpha=None, config=MIRROR_CONFIG)
+    full = _two_sided_op(op)
+    v = gaussian(width=0.8)
+    _assert_same_field(op.apply_adjoint(v, XS, out_order=1),
+                       full.apply_adjoint(v, XS, out_order=1))
+    dist = PointDistribution(points=(0.1, -0.4), weights=(1.0, 0.5), orders=(0, 1))
+    got, ref = pair_distribution(op, dist, v), pair_distribution(full, dist, v)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def test_mirrored_oscillatory_integral_equals_two_sided_run():
+    # -y xi is odd; a product of the y and xi coordinates is not declared,
+    # so the odd map is a hand-built declaration
+    minus_y_xi = builtin_map("scaled", factor=-1.0, inner=builtin_map("product", factors=[
+        builtin_map("coordinate", block="y"), builtin_map("coordinate", block="xi")]))
+    assert minus_y_xi.xi_reflection is None
+    odd = PhaseFunction(replace(minus_y_xi, xi_reflection="odd"))
+    got = oscillatory_integral(odd, Amplitude(gaussian()))
+    ref = oscillatory_integral(PhaseFunction(minus_y_xi), Amplitude(gaussian()))
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+    assert got.imag == 0.0
+
+
+def test_mirrored_wave_branches_equal_two_sided_runs():
+    from stochfio.applications import make_speed, wave_solve
+    from stochfio.regularizer import CutoffChi, select_kappa
+
+    speed = make_speed("affine", offset=1.5, slope=0.2)
+    cols = (XS, np.full(XS.size, 0.4))
+    phases = [PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, sign=s))
+              for s in (1, -1)]
+    amp = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(2, 1, 1)))
+    op = FioOperator(phases[0], amp, CutoffChi(), select_kappa(0.0, 1.0, 0.0, 1),
+                     MIRROR_CONFIG)
+    pair = oscillatory._apply_mirror_pair(op, phases[1], gaussian(), cols)
+    assert pair[0].meta["bands"] == pair[1].meta["bands"]
+    for phase, field in zip(phases, pair):
+        _assert_same_field(field, replace(op, phase=phase).apply(gaussian(), cols))
+
+    mirrored = wave_solve(speed, gaussian(), 0.4, XS, config=MIRROR_CONFIG)
+    full = wave_solve(speed, _two_sided(gaussian()), 0.4, XS, config=MIRROR_CONFIG)
+    assert [mirrored.meta[f"branch_{s}"]["xi_reflected"] for s in "+-"] == [True, True]
+    _assert_same_field(mirrored, full)
+
+
+def test_mirrored_expected_wave_field_equals_two_sided_run():
+    from stochfio.stochastic import TruncatedSpeedModel, expected_wave_field
+
+    model = TruncatedSpeedModel(2.0, 0.2)
+    _assert_same_field(
+        expected_wave_field(model, gaussian(), 0.3, XS, config=MIRROR_CONFIG),
+        expected_wave_field(model, _two_sided(gaussian()), 0.3, XS, config=MIRROR_CONFIG))
+
+
+def test_complex_amplitude_and_halfwave_evaluate_both_half_lines():
+    from stochfio.applications import halfwave_solve, make_speed
+
+    real = FioOperator.build(translation_phase(), unit_amplitude(), alpha=None,
+                             config=MIRROR_CONFIG).apply(gaussian(), XS)
+    amp = Amplitude(builtin_map("constant", value=1.0 + 0.5j, layout=VarLayout(1, 1, 1)))
+    cplx = FioOperator.build(translation_phase(), amp, alpha=None,
+                             config=MIRROR_CONFIG).apply(gaussian(), XS)
+    assert real.meta["xi_reflected"] and not cplx.meta["xi_reflected"]
+    assert cplx.meta["nodes"] == 2 * real.meta["nodes"]
+    assert np.max(np.abs(cplx.value - (1.0 + 0.5j) * real.value)) < 1e-12
+    half = halfwave_solve(make_speed("constant", value=1.0), gaussian(), 0.3, XS,
+                          config=MIRROR_CONFIG)
+    assert not half.meta["xi_reflected"]
+    assert half.meta["nodes"] == sum(2 * n_xi * n_y for _lo, _hi, n_xi, n_y
+                                     in half.meta["bands"])
+
+
+def test_band_contributions_sum_to_the_field():
+    field = build_identity(config=MIRROR_CONFIG).apply(gaussian(), XS)
+    contributions = field.meta["band_contributions"]
+    assert len(contributions) == len(field.meta["bands"])
+    assert np.max(np.abs(field.value)) <= sum(contributions) * (1 + 1e-12)
+    # the tail decays: each doubling band beyond the cutoff adds less
+    assert contributions[-1] < contributions[-2] < contributions[-3]
