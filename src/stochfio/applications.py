@@ -169,6 +169,30 @@ class FlowResult:
     in_regime: bool
 
 
+def _flow_rhs(speed: SmoothMap, order: int, s, min_g: list):
+    """Right-hand side dF/dt = s c(F), dG/dt = -s c'(F) G on the state
+    [F jets..., G jets...] up to x order ``order``.
+
+    ``s`` is the sign of G, a number or an array over the points; every
+    call lowers ``min_g[0]`` to the smallest |G| of the stage it sees.
+    """
+    m = order + 1
+    iset = IndexSet(VarLayout(1, 0, 0), order, 0)
+
+    def rhs(st):
+        Fj, Gj = st[:m], st[m:]
+        min_g[0] = min(min_g[0], float(np.min(np.abs(Gj[0]))))
+        ones = np.ones_like(Fj[0])
+        c_of_F = _compose_speed(speed, Fj, order)
+        cp_of_F = _compose_speed(speed, Fj, order, shift=1)
+        dF = [s * np.asarray(c_of_F[(j,)]) * ones for j in range(m)]
+        prod = t_mul(cp_of_F, {(j,): Gj[j] for j in range(m)}, iset)
+        dG = [-s * np.asarray(prod[(j,)]) * ones for j in range(m)]
+        return dF + dG
+
+    return rhs
+
+
 def solve_flows(speed: SmoothMap, x, t: float, sigma: int, order: int = 0,
                 tol: float = 1e-10, n_steps: int | None = None,
                 regime_threshold: float = 0.5) -> FlowResult:
@@ -187,24 +211,9 @@ def solve_flows(speed: SmoothMap, x, t: float, sigma: int, order: int = 0,
     F = [x.copy()] + [np.ones_like(x) if j == 1 else np.zeros_like(x)
                       for j in range(1, m)]
     G = [np.full_like(x, float(sigma))] + [np.zeros_like(x) for _ in range(1, m)]
-    state = F + G
     n = n_steps if n_steps is not None else rk4_step_count(t, tol)
-    s = float(sigma)
     min_g = [abs(float(sigma))]
-
-    def rhs(st):
-        Fj, Gj = st[:m], st[m:]
-        min_g[0] = min(min_g[0], float(np.min(np.abs(Gj[0]))))
-        c_of_F = _compose_speed(speed, Fj, order)
-        cp_of_F = _compose_speed(speed, Fj, order, shift=1)
-        dF = [s * np.asarray(c_of_F[(j,)]) * np.ones_like(x) for j in range(m)]
-        gt = {(j,): Gj[j] for j in range(m)}
-        iset = IndexSet(VarLayout(1, 0, 0), order, 0)
-        prod = t_mul(cp_of_F, gt, iset)
-        dG = [-s * np.asarray(prod[(j,)]) * np.ones_like(x) for j in range(m)]
-        return dF + dG
-
-    out = _rk4(state, rhs, t, n)
+    out = _rk4(F + G, _flow_rhs(speed, order, float(sigma), min_g), t, n)
     Fj, Gj = tuple(out[:m]), tuple(out[m:])
     c_end = np.asarray(_compose_speed(speed, [Fj[0]], 0)[(0,)])
     c_start = np.asarray(_compose_speed(speed, [x], 0)[(0,)])
@@ -246,35 +255,51 @@ def regime_horizon(speed: SmoothMap, x, t_max: float, dt: float = 0.05,
                    threshold: float = 0.6, tol: float = 1e-8) -> dict:
     """First time the flow margin min |G| drops to ``threshold``.
 
-    Scans both signs of sigma on the given x grid; returns the observed
-    horizon (t_max if the margin never drops) and the margin trajectory.
+    A scan is one flow: both signs of sigma ride in one state over the x
+    grid, integrated once from 0 and continued from each scan time to the
+    next.  The step is never longer than the one ``rk4_step_count(t_max,
+    tol)`` gives for the whole span, and each scan interval takes a whole
+    number of steps.  The margin at a scan time is the smallest |G| over
+    every RK4 stage so far (``FlowResult.min_abs_G`` of a flow to that
+    time).  Returns the observed horizon (t_max if the margin never drops)
+    and the margin trajectory.
     """
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
+    x = np.ravel(np.asarray(x, dtype=float))
     steps = max(1, math.ceil(t_max / dt))
     times = [i * t_max / steps for i in range(1, steps + 1)]
+    steps_per_scan = -(-rk4_step_count(t_max, tol) // steps)
+    sigma = np.repeat([1.0, -1.0], x.size)
+    state = [np.tile(x, 2), sigma]
+    min_g = [1.0]
+    rhs = _flow_rhs(speed, 0, sigma, min_g)
     margins = []
     horizon = t_max
     for t in times:
-        m = min(solve_flows(speed, x, t, +1, tol=tol).min_abs_G,
-                solve_flows(speed, x, t, -1, tol=tol).min_abs_G)
-        margins.append(m)
-        if m <= threshold:
+        state = _rk4(state, rhs, t_max / steps, steps_per_scan)
+        margins.append(min(min_g[0], float(np.min(np.abs(state[1])))))
+        if margins[-1] <= threshold:
             horizon = t
             break
     return {"T_obs": horizon, "times": tuple(times[:len(margins)]),
             "margins": tuple(margins),
-            "hit_threshold": margins[-1] <= threshold if margins else False}
+            "hit_threshold": margins[-1] <= threshold}
 
 
 def halfwave_phase(speed: SmoothMap, t: float, tol: float = 1e-10,
-                   regime_threshold: float = 0.5) -> PhaseFunction:
+                   regime_threshold: float = 0.5,
+                   margins: list | None = None) -> PhaseFunction:
     """Phase xi (g(x, sign xi) - y) with g the eikonal flow endpoint.
 
     phi(x, t, xi) = |xi| sigma F(t; x, sigma) = xi F(t; x, sigma) for
     sigma = sign(xi), so the half-wave phase is a tabulated transport-type
-    phase whose g depends on the sign of xi.
+    phase whose g depends on the sign of xi.  ``margins``, when given,
+    receives the ``min_abs_G`` of every flow the phase integrates.
     """
     cache = {}  # flow jets keyed by the x array, the order and sigma
 
@@ -283,6 +308,8 @@ def halfwave_phase(speed: SmoothMap, t: float, tol: float = 1e-10,
         if key not in cache:
             flow = solve_flows(speed, x.ravel(), t, sigma, order=order, tol=tol,
                                regime_threshold=regime_threshold)
+            if margins is not None:
+                margins.append(flow.min_abs_G)
             if not flow.in_regime:
                 raise RegimeError(
                     f"half-wave flow left the |G| > 1/2 regime before t = {t} "
@@ -316,9 +343,21 @@ def halfwave_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
     the result approximates the true half-wave solution to first order in
     t; for constant speed it is exact up to the low-frequency part where
     P differs from |xi|.
+
+    The field meta's ``min_abs_G`` is the smallest |G| over both sigma and
+    every x whose flow the run integrated.  The flows of the grid itself
+    are integrated here first, in this process, so the margin does not
+    depend on the worker count.
     """
-    return apply(_order_zero_op(halfwave_phase(speed, t), _UNIT_AMPLITUDE, config),
-                 u0, x_points, workers=workers)
+    margins = []
+    phase = halfwave_phase(speed, t, margins=margins)
+    xs = np.ravel(np.asarray(x_points, dtype=float))
+    for sign in (1.0, -1.0):
+        phase.table(Coords((xs,), (np.zeros_like(xs),), (np.full_like(xs, sign),)),
+                    IndexSet(phase.layout, 0, 0))
+    field = apply(_order_zero_op(phase, _UNIT_AMPLITUDE, config), u0, x_points,
+                  workers=workers)
+    return GridField(field.points, field.values, {**field.meta, "min_abs_G": min(margins)})
 
 
 def _wave_branches(speed, amp: Amplitude, u0: SmoothMap, t: float, x_points,

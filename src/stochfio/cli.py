@@ -177,11 +177,11 @@ def _field_payload(command: str, cfg: dict, field) -> tuple:
     fdict = field_to_dict(field)
     timing = fdict.pop("timing", None)
     meta = fdict.get("meta", {})
-    manifest = make_manifest(command, cfg, extra={
-        "kappa": meta.get("kappa"),
-        "nodes": meta.get("nodes"),
-        "xi_radius": meta.get("xi_radius"),
-    })
+    extra = {"kappa": meta.get("kappa"), "nodes": meta.get("nodes"),
+             "xi_radius": meta.get("xi_radius")}
+    if "min_abs_G" in meta:
+        extra["min_abs_G"] = meta["min_abs_G"]
+    manifest = make_manifest(command, cfg, extra=extra)
     if timing:
         manifest["timing"] = timing
     return {"manifest": manifest, "field": fdict}, manifest

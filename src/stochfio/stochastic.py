@@ -8,9 +8,11 @@ A random field speed c(x) = c0 + sum sigma_j tanh(Z_j) cos(k_j x + th_j)
 stays uniformly positive because |tanh| < 1, giving hyperbolicity for
 every draw.
 
-Monte Carlo accumulates complex moments in one streaming pass (Welford
-updates, Chan merging), with per-replicate seeds spawned deterministically
-from one base seed so results are reproducible and mergeable.
+Monte Carlo accumulates complex moments in one streaming pass: each
+replicate, or each block of replicates, enters through the pairwise merge
+of Chan, Golub & LeVeque (1979).  Per-replicate seeds are spawned
+deterministically from one base seed, so results are reproducible and
+mergeable.
 """
 
 from __future__ import annotations
@@ -132,21 +134,29 @@ class TruncatedSpeedModel:
         return float(2.0 * ndtr(-self.bound))
 
 
+def _speeds_of_uniforms(model: TruncatedSpeedModel, u: np.ndarray) -> np.ndarray:
+    """The truncated speeds at the uniforms ``u``, by the inverse CDF."""
+    b = model.bound
+    lo, hi = ndtr(-b), ndtr(b)
+    w = ndtri(lo + u * (hi - lo))
+    return model.c0 + model.s * w
+
+
 def sample_speeds(model: TruncatedSpeedModel, rng: np.random.Generator,
                   n: int) -> np.ndarray:
     """Inverse-CDF draws of the truncated speed, c in [alpha, 2 c0 - alpha]."""
-    b = model.bound
-    lo, hi = ndtr(-b), ndtr(b)
-    u = rng.random(n)
-    w = ndtri(lo + u * (hi - lo))
-    return model.c0 + model.s * w
+    return _speeds_of_uniforms(model, rng.random(n))
 
 
 @dataclass
 class MCStats:
     """Streaming complex moments: count, mean, sum of |delta|^2 and, for the
     selected flat-index ``pairs`` (p, q), the co-moment
-    sum of conj(x_p - mean_p) (x_q - mean_q)."""
+    sum of conj(x_p - mean_p) (x_q - mean_q).
+
+    Every update is the pairwise merge of Chan, Golub & LeVeque (1979):
+    ``push`` forms a block's own moments in two passes and merges them in.
+    """
 
     n: int
     mean: np.ndarray
@@ -167,14 +177,24 @@ class MCStats:
         return idx[:, 0], idx[:, 1]
 
     def push(self, value: np.ndarray) -> None:
-        self.n += 1
-        delta = value - self.mean
-        self.mean = self.mean + delta / self.n
-        self.m2 = self.m2 + np.real(np.conj(delta) * (value - self.mean))
+        """Add one replicate (shaped like ``mean``) or a block of them
+        stacked along a new first axis, through one merge."""
+        rows = np.asarray(value, dtype=complex)
+        if rows.ndim == self.mean.ndim:
+            rows = rows[None]
+        k = rows.shape[0]
+        # shifted by the first row, so a block of equal rows has zero spread
+        mean = rows[0] + (rows - rows[0]).mean(axis=0)
+        d = rows - mean
+        m2 = np.sum(d.real ** 2 + d.imag ** 2, axis=0)
+        co = None
         if self.pairs:
             p, q = self._pair_indices()
-            resid = np.ravel(value - self.mean)
-            self.comoment = self.comoment + np.conj(np.ravel(delta)[p]) * resid[q]
+            flat = d.reshape(k, -1)
+            co = np.sum(np.conj(flat[:, p]) * flat[:, q], axis=0)
+        merged = MCStats.merge(self, MCStats(k, mean, m2, (), self.pairs, co))
+        self.n, self.mean, self.m2, self.comoment = (merged.n, merged.mean, merged.m2,
+                                                     merged.comoment)
 
     @property
     def variance(self) -> np.ndarray:
@@ -217,27 +237,57 @@ class MCStats:
         return MCStats(n, mean, m2, failures, a.pairs, co)
 
 
+def _draw(sampler, base_seed: int, indices) -> tuple:
+    """Value blocks of the replicates ``indices`` and their failures.
+
+    A block that raises runs again one replicate at a time, so each failed
+    replicate keeps its own index and message.
+    """
+    try:
+        return [sampler(_rng(base_seed, i) for i in indices)], []
+    except Exception as e:  # noqa: BLE001 - replicate isolation is the point
+        if len(indices) == 1:
+            return [], [(indices[0], f"{type(e).__name__}: {e}")]
+    blocks, failures = [], []
+    for i in indices:
+        got, failed = _draw(sampler, base_seed, [i])
+        blocks += got
+        failures += failed
+    return blocks, failures
+
+
 def mc_estimate(sampler, n_samples: int, base_seed: int, shape=None,
-                pairs=()) -> MCStats:
+                pairs=(), block: int | None = None) -> MCStats:
     """Stream ``sampler(rng) -> complex array`` over spawned replicate seeds.
 
     Replicate i draws from SeedSequence(base_seed, spawn_key=(i,)), so any
     subset of replicates is reproducible independently of the others.
     Failed replicates are recorded (index and message) and skipped.
     ``pairs`` are flat-index pairs to track autocovariance for.
+
+    With ``block`` set, ``sampler(rngs)`` takes an iterator over the
+    generators of up to ``block`` consecutive replicates and returns their
+    values stacked along a new first axis; each block enters the moments
+    through one merge.
     """
+    if block is None:
+        block = 1
+
+        def draw(rngs):
+            return np.asarray(sampler(next(rngs)), dtype=complex)[None]
+    else:
+        draw = sampler
     stats = None
     failures = []
-    for i in range(n_samples):
-        rng = _rng(base_seed, i)
-        try:
-            v = np.asarray(sampler(rng), dtype=complex)
-        except Exception as e:  # noqa: BLE001 - replicate isolation is the point
-            failures.append((i, f"{type(e).__name__}: {e}"))
-            continue
-        if stats is None:
-            stats = MCStats.empty(v.shape, pairs)
-        stats.push(v)
+    for start in range(0, n_samples, block):
+        blocks, failed = _draw(draw, base_seed,
+                               range(start, min(start + block, n_samples)))
+        failures += failed
+        if blocks:
+            rows = np.concatenate([np.asarray(b, dtype=complex) for b in blocks])
+            if stats is None:
+                stats = MCStats.empty(rows.shape[1:], pairs)
+            stats.push(rows)
     if stats is None:
         stats = MCStats.empty(shape if shape is not None else (), pairs)
     stats.failures = tuple(failures)
@@ -294,6 +344,11 @@ def expected_wave_analytic(model: TruncatedSpeedModel, t: float, x_points,
     return out
 
 
+# Field values per block of translation draws: a block's arrays take
+# 16 bytes per value, and the handful alive at once stay under 1 MB.
+_BLOCK_ELEMENTS = 8192
+
+
 @dataclass(frozen=True)
 class MCWaveResult:
     stats: MCStats
@@ -320,25 +375,33 @@ def mc_wave_estimate(model: TruncatedSpeedModel, u0: SmoothMap, t: float,
 
     ``engine="translation"`` evaluates each replicate by the exact
     d'Alembert translation u = (u0(x - ct) + u0(x + ct)) / 2, the same
-    identity the quadrature engine reproduces for constant speeds;
-    ``engine="fio"`` runs every replicate through the full operator
-    quadrature (slow, used to cross-check the fast path).
-    ``autocov_pairs`` are grid-index pairs (p, q) whose sample
-    autocovariance is tracked alongside the pointwise moments.
+    identity the quadrature engine reproduces for constant speeds.  Its
+    draws go by the block: one ``map_values`` call per branch evaluates a
+    block of replicates on a (replicates, points) grid, and the block
+    enters the moments through one merge.  ``engine="fio"`` runs every
+    replicate through the full operator quadrature (slow, used to
+    cross-check the fast path).  ``autocov_pairs`` are grid-index pairs
+    (p, q) whose sample autocovariance is tracked alongside the pointwise
+    moments.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
 
     if engine == "translation":
-        def sampler(rng):
-            c = float(sample_speeds(model, rng, 1)[0])
-            return 0.5 * (map_values(u0, xs - c * t) + map_values(u0, xs + c * t))
+        def sampler(rngs):
+            c = _speeds_of_uniforms(model, np.fromiter((r.random() for r in rngs), float))
+            ct = (c * t).reshape((-1,) + (1,) * xs.ndim)
+            return 0.5 * (map_values(u0, xs - ct) + map_values(u0, xs + ct))
+        block = max(1, _BLOCK_ELEMENTS // xs.size)
     elif engine == "fio":
         def sampler(rng):
             c = float(sample_speeds(model, rng, 1)[0])
             return wave_solve(c, u0, t, xs, config=config).value
+        block = None
     else:
         raise ValueError("engine must be 'translation' or 'fio'")
 
     stats = mc_estimate(sampler, n_samples, base_seed, shape=xs.shape,
-                        pairs=autocov_pairs)
+                        pairs=autocov_pairs, block=block)
     return MCWaveResult(stats, model, t, xs, engine)

@@ -5,16 +5,23 @@ Fourier-side references use dense Gauss-Legendre panels on analytically
 known transforms, characteristic curves come from scipy's adaptive
 Runge-Kutta integrator at tight tolerance, and the L ladder is checked
 against its plain complex recurrence and eagerly built coefficient fields.
+The horizon scan and the Monte Carlo moments are checked against their
+plain forms: a flow restarted from 0 for every scan time, and a Welford
+update per replicate.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 
+from stochfio.applications import solve_flows
 from stochfio.jets import _xi_norm_sq_table, t_add, t_div, t_mul, t_scale, t_shift
 from stochfio.regularizer import CutoffChi
+from stochfio.stochastic import _rng, map_values, sample_speeds
 
 
 def gauss_panels(a: float, b: float, panel_width: float, nodes: int = 16):
@@ -172,3 +179,51 @@ def eager_coefficient_fields(phase_table: dict, coords, chi, iset) -> tuple:
                                  np.asarray(r[iset.zero]))
     s = t_div(omc, r_safe, iset)
     return t_mul(s, t_mul(nsq, dphi_xi, iset), iset), t_mul(s, dphi_y, iset)
+
+
+def restarted_horizon(speed, x, t_max: float, dt: float = 0.05,
+                      threshold: float = 0.6, tol: float = 1e-8) -> dict:
+    """Horizon scan that integrates both sigma flows from 0 for every scan
+    time, each with its own ``rk4_step_count(t, tol)`` steps."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    steps = max(1, math.ceil(t_max / dt))
+    times = [i * t_max / steps for i in range(1, steps + 1)]
+    margins = []
+    horizon = t_max
+    for t in times:
+        m = min(solve_flows(speed, x, t, +1, tol=tol).min_abs_G,
+                solve_flows(speed, x, t, -1, tol=tol).min_abs_G)
+        margins.append(m)
+        if m <= threshold:
+            horizon = t
+            break
+    return {"T_obs": horizon, "times": tuple(times[:len(margins)]),
+            "margins": tuple(margins), "hit_threshold": margins[-1] <= threshold}
+
+
+def welford_moments(rows, pairs=()) -> tuple:
+    """(n, mean, m2, comoment) by one Welford update per row."""
+    rows = [np.asarray(r, dtype=complex) for r in rows]
+    p = np.asarray([i for i, _ in pairs], dtype=int)
+    q = np.asarray([j for _, j in pairs], dtype=int)
+    mean = np.zeros(rows[0].shape, dtype=complex)
+    m2 = np.zeros(rows[0].shape)
+    co = np.zeros(len(pairs), dtype=complex)
+    for n, value in enumerate(rows, start=1):
+        delta = value - mean
+        mean = mean + delta / n
+        m2 = m2 + np.real(np.conj(delta) * (value - mean))
+        co = co + np.conj(np.ravel(delta)[p]) * np.ravel(value - mean)[q]
+    return len(rows), mean, m2, co
+
+
+def translation_mc_moments(model, u0, t: float, xs, n_samples: int,
+                           base_seed: int, pairs=()) -> tuple:
+    """Per-replicate translation Monte Carlo: replicate i draws one speed
+    from SeedSequence(base_seed, spawn_key=(i,)) and evaluates
+    (u0(x - ct) + u0(x + ct)) / 2 on its own."""
+    rows = []
+    for i in range(n_samples):
+        c = float(sample_speeds(model, _rng(base_seed, i), 1)[0])
+        rows.append(0.5 * (map_values(u0, xs - c * t) + map_values(u0, xs + c * t)))
+    return welford_moments(rows, pairs)

@@ -11,6 +11,7 @@ from _references import (
     forward_flow_rk45,
     halfwave_gaussian_reference,
     pseudospectral_halfwave,
+    restarted_horizon,
 )
 from stochfio.applications import (
     RegimeError,
@@ -157,6 +158,45 @@ def test_regime_horizon_monotone_margins():
     assert res2["T_obs"] < 2.0
 
 
+# the affine speeds' margin exp(-|slope| t) sits half a scan step above the
+# threshold at scan step 50, far above the RK4 error, so both scans must stop
+# there
+HIT_DT = 0.016
+HIT_THRESHOLD = math.exp(-0.9 * (50 - 0.5) * HIT_DT)
+
+
+@pytest.mark.parametrize("speed,x,threshold", [
+    (make_speed("affine", offset=1.1, slope=0.9), 0.2, HIT_THRESHOLD),
+    (make_speed("affine", offset=1.1, slope=-0.9), -0.3, HIT_THRESHOLD),
+    (trig_speed(), np.array([-0.4, 0.3, 1.0]), 0.8),
+])
+def test_one_pass_horizon_stops_at_the_restarted_scan_step(speed, x, threshold):
+    got = regime_horizon(speed, x, 1.0, dt=HIT_DT, threshold=threshold)
+    ref = restarted_horizon(speed, x, 1.0, dt=HIT_DT, threshold=threshold)
+    assert ref["hit_threshold"] and got["hit_threshold"]
+    assert got["times"] == ref["times"]
+    assert got["T_obs"] == ref["T_obs"]
+    assert np.max(np.abs(np.subtract(got["margins"], ref["margins"]))) < 2e-6
+
+
+@pytest.mark.parametrize("slope", [0.9, -0.9])
+def test_one_pass_horizon_margins_match_closed_form(slope):
+    speed = make_speed("affine", offset=1.1, slope=slope)
+    got = regime_horizon(speed, 0.2, 1.0, dt=HIT_DT, threshold=HIT_THRESHOLD)
+    assert len(got["times"]) == 50
+    exact = np.exp(-abs(slope) * np.asarray(got["times"]))
+    assert np.max(np.abs(np.asarray(got["margins"]) - exact)) < 5e-7
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t_max": 0.0}, {"t_max": -1.0}, {"t_max": math.nan}, {"t_max": math.inf},
+    {"t_max": 1.0, "threshold": math.nan}, {"t_max": 1.0, "threshold": -math.inf},
+])
+def test_regime_horizon_rejects_nonsense_spans(kwargs):
+    with pytest.raises(ValueError):
+        regime_horizon(trig_speed(), 0.0, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # transport solver
 
@@ -185,6 +225,22 @@ def test_halfwave_constant_speed_matches_fourier_group():
                            config=FAST)
     ref = halfwave_gaussian_reference(1.0, 0.3, xs, symbol="abs")
     assert np.max(np.abs(field.value - ref)) < 1e-6
+
+
+def test_halfwave_meta_reports_the_flow_margin():
+    xs = np.linspace(-1.0, 1.0, 5)
+    config = QuadratureConfig(xi_radius=8.0)
+    fields = [halfwave_solve(trig_speed(), GAUSS, 0.2, xs, config=config, workers=w)
+              for w in (1, 2)]
+    grid_margin = min(solve_flows(trig_speed(), xs, 0.2, s, tol=1e-10).min_abs_G
+                      for s in (1, -1))
+    # the grid's flows are among those the run integrated
+    assert fields[0].meta["min_abs_G"] <= grid_margin
+    assert fields[0].meta["min_abs_G"] == pytest.approx(grid_margin, abs=1e-2)
+    assert fields[0].meta["min_abs_G"] == fields[1].meta["min_abs_G"]
+    constant = halfwave_solve(make_speed("constant", value=1.0), GAUSS, 0.2, xs,
+                              config=config)
+    assert constant.meta["min_abs_G"] == 1.0
 
 
 def test_halfwave_phase_rejects_out_of_regime_flows():

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from stochfio.io import read_field_csv, strip_timing
 
 XI30 = {"xi_radius": 30.0}
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 
 def write_config(tmp_path, name, cfg):
@@ -93,6 +97,23 @@ def test_nonsense_horizon_step_exits_2(tmp_path, capsys, dt):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "dt" in captured.err
+
+
+@pytest.mark.parametrize("options,name", [
+    ({"t_max": -1}, "t_max"),
+    ({"t_max": 0}, "t_max"),
+    ({"t_max": "inf"}, "t_max"),
+    ({"t_max": 0.5, "threshold": "nan"}, "threshold"),
+])
+def test_nonsense_horizon_span_exits_2(tmp_path, capsys, options, name):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "speed": {"kind": "affine", "offset": 1.0, "slope": 0.9},
+        "horizon": options,
+    })
+    assert main(["horizon", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err
 
 
 def test_unknown_quadrature_option(tmp_path):
@@ -239,6 +260,16 @@ def test_wave_manifest_reports_what_the_run_did(capsys):
     assert all(b["kappa"] == 2 and b["xi_radius"] == 20.0 for b in branches)
 
 
+def test_halfwave_manifest_reports_the_flow_margin(capsys):
+    rc, payload = run_json(capsys, ["halfwave", "--config",
+                                    str(CONFIG_DIR / "halfwave.json")])
+    assert rc == 0
+    # constant speed: G stays at sigma, so the margin is exactly 1
+    assert payload["manifest"]["min_abs_G"] == 1.0
+    assert payload["field"]["meta"]["min_abs_G"] == 1.0
+    assert "min_abs_G" not in payload["manifest"].get("timing", {})
+
+
 def test_halfwave_out_of_regime_exits_3(tmp_path, capsys):
     # e^{-sigma t dc/dx} reaches 0.407 < 1/2 for slope 0.9 at t = 1
     cfg = write_config(tmp_path, "cfg.json", {
@@ -312,6 +343,15 @@ def test_mc_rejects_bad_autocov_pairs(tmp_path, capsys):
         assert rc == 2
 
 
+@pytest.mark.parametrize("n_samples", [0, -5])
+def test_mc_fewer_than_one_sample_exits_2(tmp_path, capsys, n_samples):
+    cfg = write_config(tmp_path, "cfg.json", mc_config(mc={"n_samples": n_samples}))
+    assert main(["mc", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_samples" in captured.err
+
+
 def test_mc_seed_override_changes_the_draws(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", mc_config())
     _, p1 = run_json(capsys, ["mc", "--config", cfg, "--seed", "1"])
@@ -334,6 +374,17 @@ def test_shipped_example_configs_run_clean(name, capsys):
     rc, payload = run_json(capsys, [name, "--config", str(path)])
     assert rc == 0
     assert payload is not None and "manifest" in payload
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "horizon.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "stochfio", "horizon", "--config",
+                           str(CONFIG_DIR / "horizon.json"), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["horizon"]["T_obs"] == pytest.approx(0.6)
 
 
 def test_converge_command_reports_decaying_errors(tmp_path, capsys):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from _references import translation_mc_moments, welford_moments
 from stochfio.jets import builtin_map
 from stochfio.oscillatory import QuadratureConfig
 from stochfio.stochastic import (
+    _BLOCK_ELEMENTS,
     MCStats,
     RandomFieldModel,
     TruncatedSpeedModel,
@@ -134,6 +136,36 @@ def test_autocovariance_merge_matches_single_stream():
         MCStats.merge(whole, MCStats.empty((4,), pairs=((0, 1),)))
 
 
+def test_push_row_by_row_agrees_with_one_block_merge():
+    rng = np.random.default_rng(8)
+    rows = rng.normal(size=(37, 5)) + 1j * rng.normal(size=(37, 5))
+    pairs = ((0, 0), (1, 3), (4, 2))
+    by_row = MCStats.empty((5,), pairs=pairs)
+    for row in rows:
+        by_row.push(row)
+    by_block = MCStats.empty((5,), pairs=pairs)
+    by_block.push(rows[:20])
+    by_block.push(rows[20:])
+    assert by_block.n == by_row.n == 37
+    for a, b in ((by_row.mean, by_block.mean), (by_row.m2, by_block.m2),
+                 (by_row.comoment, by_block.comoment)):
+        assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_push_matches_per_row_welford():
+    rng = np.random.default_rng(9)
+    rows = rng.normal(size=(25, 4)) + 1j * rng.normal(size=(25, 4))
+    pairs = ((0, 3), (2, 2))
+    stats = MCStats.empty((4,), pairs=pairs)
+    for row in rows:
+        stats.push(row)
+    n, mean, m2, co = welford_moments(rows, pairs)
+    assert stats.n == n
+    assert np.max(np.abs(stats.mean - mean)) < 1e-14
+    assert np.max(np.abs(stats.m2 - m2)) < 1e-12
+    assert np.max(np.abs(stats.comoment - co)) < 1e-12
+
+
 def test_autocovariance_needs_two_samples():
     stats = MCStats.empty((3,), pairs=((0, 1),))
     stats.push(np.array([1.0, 2.0, 3.0], dtype=complex))
@@ -178,6 +210,26 @@ def test_replicate_seeds_are_independent_of_population():
     again = mc_estimate(sampler, 10, base_seed=77)
     assert np.array_equal(small.mean, again.mean)
     assert large.n == 20
+
+
+def test_failed_replicates_in_a_block_keep_their_index():
+    def sampler(rngs):
+        rows = []
+        for rng in rngs:
+            v = rng.random()
+            if v < 0.3:
+                raise ValueError(f"unstable draw {v:.3f}")
+            rows.append([v])
+        return np.asarray(rows, dtype=complex)
+
+    def one(rng):
+        return sampler(iter([rng]))[0]
+
+    blocked = mc_estimate(sampler, 40, base_seed=3, shape=(1,), block=16)
+    single = mc_estimate(one, 40, base_seed=3, shape=(1,))
+    assert blocked.failures == single.failures
+    assert len(blocked.failures) > 0 and blocked.n == single.n
+    assert np.max(np.abs(blocked.mean - single.mean)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +287,32 @@ def test_mc_deterministic_limit_variance_vanishes():
     det = TruncatedSpeedModel(2.0, 0.0)
     result = mc_wave_estimate(det, GAUSS, 0.3, XS, 16, base_seed=4)
     assert float(np.max(result.stats.variance)) < 1e-14
+
+
+TRANSLATION_BLOCK = _BLOCK_ELEMENTS // XS.size
+
+
+@pytest.mark.parametrize("n", [1, TRANSLATION_BLOCK - 1, TRANSLATION_BLOCK + 1, 2500])
+def test_translation_blocks_match_per_replicate_welford(n):
+    pairs = ((8, 8), (4, 12), (3, 6))
+    got = mc_wave_estimate(MODEL, GAUSS, 0.3, XS, n, base_seed=31,
+                           autocov_pairs=pairs).stats
+    ref_n, mean, m2, co = translation_mc_moments(MODEL, GAUSS, 0.3, XS, n, 31, pairs)
+    assert got.n == ref_n == n and not got.failures
+    assert np.max(np.abs(got.mean - mean)) < 1e-13
+    assert np.max(np.abs(got.m2 - m2)) < 1e-13
+    if n == 1:
+        # one draw: the same speed and the same field, bit for bit
+        assert np.array_equal(got.mean, mean)
+        assert np.isnan(got.autocovariance).all()
+    else:
+        assert np.max(np.abs(got.autocovariance - co / (n - 1))) < 1e-13
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_mc_rejects_fewer_than_one_sample(n):
+    with pytest.raises(ValueError, match="n_samples"):
+        mc_wave_estimate(MODEL, GAUSS, 0.3, XS, n, base_seed=1)
 
 
 def test_mc_fio_engine_agrees_with_translation_engine():
