@@ -3,9 +3,17 @@
 The engine evaluates A[u](x) = (2 pi)^(-1) int int exp(i Phi) a u dy dxi by
 replacing the integrand with exp(i Phi) L^kappa(a u), whose xi decay makes
 the truncated integral converge.  Nodes are composite Gauss-Legendre: the
-xi axis is split per sign (|xi| is smooth one-sided) into bands whose panel
-widths resolve both the cutoff transition and the xi oscillation rate, and
-the y axis into panels sized against the fastest oscillation in the band.
+xi axis is split per sign (|xi| is smooth one-sided) into the inner plateau
+[0, r0], the cutoff transition [r0, r1] and doubling bands up to the radius,
+and the y axis into panels sized against the fastest oscillation in the band.
+
+Each L differentiates the cutoff once more, so L^kappa(a u) carries the
+kappa-th derivatives of chi, which pile up at the plateau edges r0 and r1.
+The transition band therefore gets kappa + 2 panels with cosine-spaced
+edges, narrowest at both ends, and 2 kappa more nodes per panel than the
+other bands.  Outside it chi is constant and the integrand varies on the
+scale of exp(i Phi), so the oscillation budget alone sizes those xi-panels;
+a fixed width cap would only add nodes that the phase does not ask for.
 All node tensors are evaluated jointly over (x grid) x (nodes) chunks, so
 the jet kernels see broadcast arrays instead of Python loops.
 
@@ -84,9 +92,14 @@ class QuadratureConfig:
 
     ``osc_nodes_budget * nodes_per_panel`` bounds the phase change (radians)
     allowed across one panel; 1.25 * 12 = 15 radians keeps five nodes per
-    oscillation cycle, enough for ~1e-8 panel accuracy.  The transition band
-    of the cutoff gets panels no wider than ``transition_panel_width``
-    regardless of oscillation rate.
+    oscillation cycle, enough for ~1e-8 panel accuracy.  That budget alone
+    sizes the xi-panels outside the cutoff transition: there chi is constant,
+    L^kappa(a u) is as smooth as the amplitude, and exp(i Phi) sets the
+    scale, so no fixed width caps them.  The transition band is split into
+    kappa + 2 cosine-graded panels of ``nodes_per_panel + 2 kappa`` nodes,
+    whatever the phase: the kappa-th derivatives of chi that L^kappa
+    brings in concentrate at the plateau edges, where the graded panels are
+    narrowest.  The y-panels are at most ``y_panel_max_width`` wide.
 
     ``max_chunk_elements`` bounds the (x points) x (nodes) size of one
     table entry.  Each jet product row makes temporaries of that size, so
@@ -99,9 +112,7 @@ class QuadratureConfig:
 
     xi_radius: float = 40.0
     nodes_per_panel: int = 12
-    xi_panel_max_width: float = 2.0
     y_panel_max_width: float = 0.75
-    transition_panel_width: float = 0.25
     osc_nodes_budget: float = 1.25
     abs_tol: float = 1e-6
     max_refinements: int = 5
@@ -113,8 +124,7 @@ class QuadratureConfig:
             raise ValueError("xi_radius must be positive")
         if self.nodes_per_panel < 1:
             raise ValueError("nodes_per_panel must be at least 1")
-        for name in ("xi_panel_max_width", "y_panel_max_width",
-                     "transition_panel_width", "osc_nodes_budget"):
+        for name in ("y_panel_max_width", "osc_nodes_budget"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_chunk_elements < 1:
@@ -125,12 +135,11 @@ class QuadratureConfig:
             raise ValueError("workers must be at least 1")
 
     def refined(self, level: int) -> "QuadratureConfig":
-        """Refinement doubles the tail radius and halves panel widths."""
+        """Refinement doubles the tail radius and halves the y-panel width
+        and the oscillation budget, so the outer xi-panels halve too."""
         f = 2.0 ** level
         return replace(self, xi_radius=self.xi_radius * f,
-                       xi_panel_max_width=self.xi_panel_max_width / f,
                        y_panel_max_width=self.y_panel_max_width / f,
-                       transition_panel_width=self.transition_panel_width / f,
                        osc_nodes_budget=self.osc_nodes_budget / f)
 
 
@@ -255,12 +264,14 @@ def _panels(lo: float, hi: float, max_width: float):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _panel_nodes(lo: float, hi: float, max_width: float, p: int):
-    xs, ws = [], []
-    for a, b in _panels(lo, hi, max_width):
-        x, w = _gl_nodes(a, b, p)
-        xs.append(x)
-        ws.append(w)
+def _graded_panels(lo: float, hi: float, n: int):
+    """``n`` panels with cosine-spaced edges, narrowest at both ends."""
+    edges = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _nodes_on(panels, p: int):
+    xs, ws = zip(*(_gl_nodes(a, b, p) for a, b in panels))
     return np.concatenate(xs), np.concatenate(ws)
 
 
@@ -322,24 +333,25 @@ def _support_window(maps, block: str, default=None):
 def _plan_nodes(phase, chi, config, x_arrays, y_window, kappa):
     """Per-band xi and y node arrays; returns list of band node groups.
 
-    Transition panels shrink with kappa: each L application differentiates
+    The transition band gets kappa + 2 cosine-graded panels of
+    ``nodes_per_panel + 2 kappa`` nodes: each L application differentiates
     the cutoff once more, and the high-order profile derivatives concentrate
-    on ever finer scales near the plateau edges.
+    on ever finer scales near the plateau edges.  Every other band's
+    xi-panels are sized by the oscillation budget alone.
     """
     d_xi, d_y = _probe_rates(phase, x_arrays, y_window)
-    budget = config.osc_nodes_budget * config.nodes_per_panel
+    p = config.nodes_per_panel
+    budget = config.osc_nodes_budget * p
     xi_w = budget / d_xi if d_xi > 0 else math.inf
-    trans_w = min(config.transition_panel_width,
-                  0.75 * (chi.outer_radius - chi.inner_radius) / max(kappa, 1) ** 2)
     bands = []
     for lo, hi in _xi_bands(chi, config.xi_radius):
-        w = min(config.xi_panel_max_width, xi_w)
         if lo < chi.outer_radius and hi <= chi.outer_radius + 1e-12 and lo >= chi.inner_radius - 1e-12:
-            w = min(w, trans_w)
-        xn, xw = _panel_nodes(lo, hi, w, config.nodes_per_panel)
+            xn, xw = _nodes_on(_graded_panels(lo, hi, kappa + 2), p + 2 * kappa)
+        else:
+            xn, xw = _nodes_on(_panels(lo, hi, xi_w), p)
         y_rate = max(d_y * hi, 1e-12)
         wy = min(config.y_panel_max_width, budget / y_rate)
-        yn, yw = _panel_nodes(y_window[0], y_window[1], wy, config.nodes_per_panel)
+        yn, yw = _nodes_on(_panels(y_window[0], y_window[1], wy), p)
         bands.append((lo, hi, xn, xw, yn, yw))
     return bands, {"d_xi": d_xi, "d_y": d_y}
 
@@ -632,8 +644,9 @@ def oscillatory_integral(phase, amplitude, chi: CutoffChi | None = None,
 
     The phase has no x block and the measure is plain Lebesgue dxi (no
     2 pi normalisation).  The quadrature plan is refined (tail radius
-    doubled, panels halved) until two consecutive values agree within
-    ``abs_tol``; failure raises ToleranceError with the achieved difference.
+    doubled, y-panels and outer xi-panels halved; the graded transition
+    band stays) until two consecutive values agree within ``abs_tol``;
+    failure raises ToleranceError with the achieved difference.
     """
     phase, amplitude = _as_symbols(phase, amplitude)
     layout = phase.layout

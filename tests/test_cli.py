@@ -296,6 +296,18 @@ def test_horizon_command_reports_threshold_crossing(tmp_path, capsys):
     assert crossing <= horizon["T_obs"] <= crossing + 0.05 + 1e-12
 
 
+def test_shipped_horizon_margins_match_closed_form(capsys):
+    # affine speed 1 + 0.9 x from x = 0: |G(t)| = exp(-0.9 t) on both branches;
+    # the margins are taken at RK4 step endpoints, so they carry the O(h^4)
+    # error of the scheme and not the O(h^3) undershoot of its stages
+    rc, payload = run_json(capsys, ["horizon", "--config", str(CONFIG_DIR / "horizon.json")])
+    assert rc == 0
+    horizon = payload["horizon"]
+    exact = np.exp(-0.9 * np.asarray(horizon["times"]))
+    assert np.max(np.abs(np.asarray(horizon["margins"]) - exact)) < 1e-8
+    assert horizon["T_obs"] == pytest.approx(0.6)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 

@@ -1,5 +1,6 @@
 """Quadrature engine: applies, adjoints, pairings and tail convergence."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 
 from _references import fourier_pair_value
 from stochfio import oscillatory
+from stochfio.cli import main
 from stochfio.jets import VarLayout, builtin_map
 from stochfio.oscillatory import (
     FioOperator,
@@ -20,6 +22,7 @@ from stochfio.oscillatory import (
     _worker_slices,
     pair_distribution,
 )
+from stochfio.regularizer import CutoffChi
 from stochfio.symbol_spaces import Amplitude, PhaseFunction
 
 XS = np.array([-0.8, -0.3, 0.0, 0.4, 0.9])
@@ -152,7 +155,7 @@ def test_apply_does_not_depend_on_the_chunk_size():
         xi_radius=8.0, max_chunk_elements=elements)).apply(gaussian(), XS, out_order=2)
         for elements in (4096, 16384, 262144)]
     # the identity operator is mirrored: one half-line, half the chunks of two
-    assert [sum(f.meta["band_chunks"]) for f in fields] == [34, 9, 4]
+    assert [sum(f.meta["band_chunks"]) for f in fields] == [32, 9, 4]
     for other in fields[1:]:
         for key, ref in fields[0].values.items():
             assert np.max(np.abs(other.values[key] - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -171,14 +174,30 @@ def test_worker_slices_cap_processes_at_cpus_and_points():
 
 @pytest.mark.parametrize("option", [
     {"xi_radius": 0.0}, {"xi_radius": -4.0}, {"nodes_per_panel": 0},
-    {"xi_panel_max_width": 0.0}, {"y_panel_max_width": -0.5},
-    {"transition_panel_width": 0.0}, {"osc_nodes_budget": 0.0},
+    {"y_panel_max_width": 0.0}, {"y_panel_max_width": -0.5},
+    {"osc_nodes_budget": math.nan}, {"osc_nodes_budget": 0.0},
     {"max_chunk_elements": 0}, {"max_refinements": -1}, {"workers": 0},
     {"xi_radius": math.nan},
 ])
 def test_quadrature_config_rejects_nonsense(option):
     with pytest.raises(ValueError):
         QuadratureConfig(**option)
+
+
+@pytest.mark.parametrize("name", ["xi_panel_max_width", "transition_panel_width"])
+def test_retired_panel_widths_are_unknown_options(name, tmp_path, capsys):
+    # the graded transition and the oscillation budget replaced both widths
+    with pytest.raises(TypeError):
+        QuadratureConfig(**{name: 0.5})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "phase": {"family": "linear_phase"},
+        "amplitude": {"family": "constant", "value": 1.0, "layout": [1, 1, 1]},
+        "test_function": {"family": "gaussian_bump", "block": "y", "center": 0.0,
+                          "width": 1.0},
+        "grid": {"lo": -1.0, "hi": 1.0, "n": 3}, "quadrature": {name: 0.5}}))
+    assert main(["apply", "--config", str(cfg)]) == 2
+    assert "unknown quadrature options" in capsys.readouterr().err
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():
@@ -327,10 +346,11 @@ def test_build_rejects_degenerate_phase():
 
 
 def test_refined_config_scales_radius_and_panels():
-    config = QuadratureConfig(xi_radius=10.0, xi_panel_max_width=2.0)
+    config = QuadratureConfig(xi_radius=10.0, y_panel_max_width=0.8, osc_nodes_budget=1.2)
     fine = config.refined(2)
     assert fine.xi_radius == pytest.approx(40.0)
-    assert fine.xi_panel_max_width == pytest.approx(0.5)
+    assert fine.y_panel_max_width == pytest.approx(0.2)
+    assert fine.osc_nodes_budget == pytest.approx(0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -467,3 +487,80 @@ def test_band_contributions_sum_to_the_field():
     assert np.max(np.abs(field.value)) <= sum(contributions) * (1 + 1e-12)
     # the tail decays: each doubling band beyond the cutoff adds less
     assert contributions[-1] < contributions[-2] < contributions[-3]
+
+
+# ---------------------------------------------------------------------------
+# node plan: cosine-graded transition panels, outer xi-panels by the phase alone
+
+
+@pytest.mark.parametrize("nodes_per_panel", [12, 8])
+@pytest.mark.parametrize("kappa", [2, 3, 4, 5])
+def test_transition_band_has_kappa_plus_two_graded_panels(kappa, nodes_per_panel):
+    config = QuadratureConfig(xi_radius=8.0, nodes_per_panel=nodes_per_panel)
+    bands, _rates = oscillatory._plan_nodes(translation_phase(), CutoffChi(), config,
+                                            (XS,), (-3.0, 3.0), kappa)
+    lo, hi, xn, xw, _yn, _yw = bands[1]
+    assert (lo, hi) == (1.0, 2.0)
+    assert xn.size == (kappa + 2) * (nodes_per_panel + 2 * kappa)
+    assert np.all((lo < xn) & (xn < hi)) and np.all(np.diff(xn) > 0)
+    assert xw.sum() == pytest.approx(hi - lo, abs=1e-14)
+    # symmetric, narrowest at both plateau edges
+    widths = [b - a for a, b in oscillatory._graded_panels(lo, hi, kappa + 2)]
+    assert widths == pytest.approx(widths[::-1], abs=1e-15)
+    assert widths[0] < widths[(kappa + 2) // 2]
+
+
+@pytest.mark.parametrize("extra_decay,parent_nodes", [(0, 22464), (2, 36288)])  # kappa 2, 4
+def test_linear_phase_plan_uses_fewer_nodes_than_the_uniform_rule(extra_decay, parent_nodes):
+    # the uniform transition rule with 2.0-wide outer xi-panels took
+    # 22,464 (kappa = 2) and 36,288 (kappa = 4) nodes on this case
+    op = FioOperator.build(translation_phase(), unit_amplitude(), extra_decay=extra_decay,
+                           config=QuadratureConfig(xi_radius=32.0))
+    xs = np.linspace(-0.5, 0.5, 3)
+    field = op.apply(gaussian(width=0.3), xs)
+    assert field.meta["nodes"] <= parent_nodes
+    if op.plan.kappa == 4:
+        assert parent_nodes / field.meta["nodes"] >= 1.4
+    assert np.max(np.abs(field.value - np.exp(-(xs / 0.3) ** 2))) < 1e-7
+
+
+@pytest.mark.parametrize("extra_decay", [0, 1, 2, 3])  # kappa 2 to 5
+def test_graded_transition_matches_a_128_panel_reference(extra_decay, monkeypatch):
+    # only the transition band differs between the two runs; the uniform
+    # rule of width min(0.25, 0.75 / kappa^2) with 12 nodes per panel missed
+    # this reference by 2.7e-10, 3.0e-10, 3.6e-12 and 8.5e-13
+    op = FioOperator.build(translation_phase(), unit_amplitude(), extra_decay=extra_decay,
+                           config=QuadratureConfig(xi_radius=4.0))
+    u = gaussian(width=0.3)
+    default = op.apply(u, XS)
+    graded = oscillatory._graded_panels
+    monkeypatch.setattr(oscillatory, "_graded_panels", lambda lo, hi, n: graded(lo, hi, 128))
+    reference = op.apply(u, XS)
+    assert reference.meta["bands"][1][2] == 128 * (12 + 2 * op.plan.kappa)
+    assert np.max(np.abs(default.value - reference.value)) < 1e-11
+
+
+def test_rough_amplitude_outer_panels_split_in_four_agree(monkeypatch):
+    # cos(8 <xi>^(1/2)) oscillates in xi on its own; the phase budget still
+    # resolves it on the outer bands
+    amp = Amplitude(builtin_map("sqrt_cos_symbol", omega=8.0), d=0.0, rho=0.5)
+    op = FioOperator.build(translation_phase(), amp, config=QuadratureConfig(xi_radius=64.0))
+    u = gaussian(width=0.15)
+    default = op.apply(u, XS)
+    window = default.meta["y_window"]
+    panels = oscillatory._panels
+
+    def split_xi_panels(lo, hi, max_width):
+        cut = panels(lo, hi, max_width)
+        if (lo, hi) == tuple(window):
+            return cut
+        return [(a + (b - a) * i / 4, a + (b - a) * (i + 1) / 4) for a, b in cut
+                for i in range(4)]
+
+    monkeypatch.setattr(oscillatory, "_panels", split_xi_panels)
+    fine = op.apply(u, XS)
+    for (lo, hi, n_xi, n_y), (_lo, _hi, fine_xi, fine_y) in zip(default.meta["bands"],
+                                                               fine.meta["bands"]):
+        assert fine_y == n_y
+        assert fine_xi == (n_xi if (lo, hi) == (1.0, 2.0) else 4 * n_xi)
+    assert np.max(np.abs(default.value - fine.value)) < 1e-12
