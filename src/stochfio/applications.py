@@ -26,7 +26,13 @@ from .jets import (
     t_compose,
     t_mul,
 )
-from .oscillatory import FioOperator, GridField, QuadratureConfig, _apply_mirror_pair, apply
+from .oscillatory import (
+    FioOperator,
+    GridField,
+    QuadratureConfig,
+    _y_first_apply,
+    _y_first_pair,
+)
 from .regularizer import CutoffChi, select_kappa
 from .symbol_spaces import Amplitude, PhaseFunction
 
@@ -148,15 +154,18 @@ def _order_zero_op(phase: PhaseFunction, amp: Amplitude,
                        config or QuadratureConfig())
 
 
-_UNIT_AMPLITUDE = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(1, 1, 1)))
+_UNIT_AMPLITUDE = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(1, 0, 1)))
 
 
 def transport_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
-                    config: QuadratureConfig | None = None,
-                    workers: int | None = None) -> GridField:
-    """u(x, t) = u0(gamma(x, t)) evaluated through the operator quadrature."""
-    return apply(_order_zero_op(transport_phase(speed, t), _UNIT_AMPLITUDE, config),
-                 u0, x_points, workers=workers)
+                    config: QuadratureConfig | None = None) -> GridField:
+    """u(x, t) = u0(gamma(x, t)) evaluated through the operator quadrature.
+
+    The phase xi (gamma(x, t) - y) is in standard form, so the integral is
+    summed y first (``oscillatory._y_first_apply``), serially.
+    """
+    return _y_first_apply(_order_zero_op(transport_phase(speed, t), _UNIT_AMPLITUDE,
+                                         config), u0, x_points)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +353,7 @@ def halfwave_phase(speed: SmoothMap, t: float, tol: float = 1e-10,
 
 
 def halfwave_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
-                   config: QuadratureConfig | None = None,
-                   workers: int | None = None) -> GridField:
+                   config: QuadratureConfig | None = None) -> GridField:
     """Parametrix evolution exp(i t c(x) P(D)) u0 with unit amplitude.
 
     The amplitude is the leading (order zero) one, so for variable speed
@@ -353,64 +361,62 @@ def halfwave_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
     t; for constant speed it is exact up to the low-frequency part where
     P differs from |xi|.
 
-    The field meta's ``min_abs_G`` is the smallest |G| over both sigma and
-    every x whose flow the run integrated.  The flows of the grid itself
-    are integrated here first, in this process, so the margin does not
-    depend on the worker count.
+    The phase is in standard form, so the integral is summed y first and
+    serially, like ``transport_solve``.  The field meta's ``min_abs_G`` is
+    the smallest |G| over both sigma and every x whose flow the run
+    integrated: the grid's own flows, which the y-first sum tables in this
+    process, and the node planner's probe.
     """
     margins = []
     phase = halfwave_phase(speed, t, margins=margins)
-    xs = np.ravel(np.asarray(x_points, dtype=float))
-    for sign in (1.0, -1.0):
-        phase.table(Coords((xs,), (np.zeros_like(xs),), (np.full_like(xs, sign),)),
-                    IndexSet(phase.layout, 0, 0))
-    field = apply(_order_zero_op(phase, _UNIT_AMPLITUDE, config), u0, x_points,
-                  workers=workers)
+    field = _y_first_apply(_order_zero_op(phase, _UNIT_AMPLITUDE, config), u0, x_points)
     return GridField(field.points, field.values, {**field.meta, "min_abs_G": min(margins)})
 
 
 def _wave_branches(speed, amp: Amplitude, u0: SmoothMap, t: float, x_points,
-                   config: QuadratureConfig | None,
-                   workers: int | None) -> GridField:
+                   config: QuadratureConfig | None) -> GridField:
     """Sum of the branches exp(-+ i c t |xi|), each with amplitude ``amp``.
 
-    The branch phases Phi_s = (x - y) xi + s c t |xi| mirror each other,
-    Phi_s(-xi) = -Phi_{-s}(xi), so with a hermitian amplitude and u0 each
-    branch evaluates its xi > 0 half only (see ``_apply_mirror_pair``).
+    The branch phases Phi_s = (x - y) xi + s c t |xi| are in standard form
+    and mirror each other, Phi_s(-xi) = -Phi_{-s}(xi), so both are summed
+    y first on one u_hat table per band, and with a hermitian amplitude and
+    a real u0 branch s is P_s + conj(P_{-s}) from the xi > 0 halves (see
+    ``oscillatory._y_first_pair``).  Runs serially.
 
-    Each branch's meta goes under ``branch_+`` / ``branch_-`` without its
-    wall time.  The top level has the summed ``wall_time`` and ``nodes``
-    and the ``kappa``, ``xi_radius`` and ``xi_reflected`` the branches share.
+    Each branch's meta goes under ``branch_+`` / ``branch_-`` without the
+    wall time and evaluation count they share.  The top level has those,
+    the summed ``nodes`` and the ``evaluation_path``, ``kappa``,
+    ``xi_radius`` and ``xi_reflected`` the branches share.
     """
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
     cols = (xs, np.full(xs.size, float(t)))
     phases = [PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, sign=sign))
               for sign in (+1, -1)]
-    op = _order_zero_op(phases[0], amp, config)
-    total = None
-    meta = {"wall_time": 0.0, "nodes": 0}
-    for sign, out in zip((+1, -1), _apply_mirror_pair(op, phases[1], u0, cols, workers)):
-        total = out.value if total is None else total + out.value
-        branch_meta = dict(out.meta)
-        meta["wall_time"] += branch_meta.pop("wall_time")
+    fields = _y_first_pair(_order_zero_op(phases[0], amp, config), phases[1], u0, cols)
+    shared = fields[0].meta
+    meta = {"wall_time": shared["wall_time"], "evaluations": shared["evaluations"],
+            "nodes": 0}
+    for sign, out in zip("+-", fields):
+        branch_meta = {k: v for k, v in out.meta.items()
+                       if k not in ("wall_time", "evaluations")}
         meta["nodes"] += branch_meta["nodes"]
-        meta.update(kappa=branch_meta["kappa"], xi_radius=branch_meta["xi_radius"],
-                    xi_reflected=branch_meta["xi_reflected"])
-        meta[f"branch_{'+' if sign > 0 else '-'}"] = branch_meta
-    return GridField((xs,), {(0,): total}, meta)
+        meta[f"branch_{sign}"] = branch_meta
+    meta.update({k: shared[k] for k in ("evaluation_path", "kappa", "xi_radius",
+                                        "xi_reflected")})
+    return GridField((xs,), {(0,): fields[0].value + fields[1].value}, meta)
 
 
 def wave_solve(speed, u0: SmoothMap, t: float, x_points,
                amplitude_value: float = 0.5,
-               config: QuadratureConfig | None = None,
-               workers: int | None = None) -> GridField:
+               config: QuadratureConfig | None = None) -> GridField:
     """Sum of the two wave branches exp(-+ i c t |xi|) with equal amplitudes.
 
     For constant speed this is the exact d'Alembert evolution of cos-type
     initial data (u0, zero velocity): each branch carries amplitude 1/2.
     ``speed`` is a number or a map of x; time rides along as the last x
-    coordinate of the phase layout, so ``x_points`` are spatial only.
+    coordinate of the phase layout, so ``x_points`` are spatial only.  The
+    branches are summed y first and serially.
     """
     amp = Amplitude(builtin_map("constant", value=float(amplitude_value),
-                                layout=VarLayout(2, 1, 1)))
-    return _wave_branches(speed, amp, u0, t, x_points, config, workers)
+                                layout=VarLayout(2, 0, 1)))
+    return _wave_branches(speed, amp, u0, t, x_points, config)

@@ -177,8 +177,8 @@ def _field_payload(command: str, cfg: dict, field) -> tuple:
     fdict = field_to_dict(field)
     timing = fdict.pop("timing", None)
     meta = fdict.get("meta", {})
-    extra = {"kappa": meta.get("kappa"), "nodes": meta.get("nodes"),
-             "xi_radius": meta.get("xi_radius")}
+    extra = {key: meta.get(key) for key in ("evaluation_path", "evaluations",
+                                            "kappa", "nodes", "xi_radius")}
     if "min_abs_G" in meta:
         extra["min_abs_G"] = meta["min_abs_G"]
     manifest = make_manifest(command, cfg, extra=extra)
@@ -266,8 +266,7 @@ def _solver_command(name: str, solver):
         u0 = build_test_function(cfg, name)
         t = build_time(cfg, name)
         xs = build_grid(cfg, name)
-        qc = build_quadrature(cfg, args.workers)
-        field = solver(speed, u0, t, xs, config=qc, workers=args.workers)
+        field = solver(speed, u0, t, xs, config=build_quadrature(cfg))
         payload, _ = _field_payload(name, cfg, field)
         _emit(args, payload, field)
         return 0
@@ -324,7 +323,7 @@ def cmd_mc(cfg: dict, args) -> int:
         pairs = tuple((int(p), int(q)) for p, q in raw_pairs)
     if any(not 0 <= p < xs.size or not 0 <= q < xs.size for p, q in pairs):
         raise ConfigError("autocov_pairs indices must lie inside the grid")
-    qc = build_quadrature(cfg, args.workers) if engine == "fio" else None
+    qc = build_quadrature(cfg) if engine == "fio" else None
     try:
         result = mc_wave_estimate(model, u0, t, xs, n_samples, base_seed,
                                   engine=engine, config=qc,
@@ -424,7 +423,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override the Monte Carlo base seed")
         sp.add_argument("--workers", type=int, default=None,
-                        help="quadrature worker processes")
+                        help="worker processes for the L^kappa ladder of apply "
+                             "and converge; transport, halfwave, wave and mc "
+                             "run serially and ignore it")
     return parser
 
 

@@ -465,9 +465,13 @@ class SmoothMap:
       real map that is even in xi or does not depend on xi;
     * ``None``: nothing is declared.
 
-    The built-in builders derive the declaration from their parameters.  A
-    hand-built map opts in only by declaring it, and the quadrature engine
-    trusts the declaration without checking it.
+    ``standard_form`` declares that the map is a phase in Hormander's
+    standard form Phi(x, y, xi) = phi(x, xi) - y xi: it depends on y only
+    through the term -y xi.  The solvers' y-first evaluation needs it.
+
+    The built-in builders derive both declarations from their parameters.
+    A hand-built map opts in only by declaring them, and the quadrature
+    engine trusts the declarations without checking them.
     """
 
     layout: VarLayout
@@ -476,6 +480,7 @@ class SmoothMap:
     describe: str = ""
     support: dict = field(default_factory=dict)
     xi_reflection: str | None = None
+    standard_form: bool = False
 
     def __post_init__(self):
         if self.xi_reflection not in XI_REFLECTIONS:
@@ -692,7 +697,7 @@ def _linear_phase(*, n=1) -> SmoothMap:
         return t
 
     return SmoothMap(VarLayout(1, 1, 1), provider, DEFAULT_MAX_ORDER, "<x-y, xi> on R^1",
-                     xi_reflection="odd")
+                     xi_reflection="odd", standard_form=True)
 
 
 def _scaled_norm_phase(*, speed, sign=1, n=1) -> SmoothMap:
@@ -724,7 +729,8 @@ def _scaled_norm_phase(*, speed, sign=1, n=1) -> SmoothMap:
         return t_add(lin_t, prod, iset)
 
     return SmoothMap(VarLayout(2, 1, 1), provider, DEFAULT_MAX_ORDER,
-                     f"<x-y, xi> {'+' if sign > 0 else '-'} c(x) t ||xi||")
+                     f"<x-y, xi> {'+' if sign > 0 else '-'} c(x) t ||xi||",
+                     standard_form=True)
 
 
 def _tabulated_phase(*, g_provider, describe: str = "xi (g(x) - y)") -> SmoothMap:
@@ -756,7 +762,8 @@ def _tabulated_phase(*, g_provider, describe: str = "xi (g(x) - y)") -> SmoothMa
             t[(0, 1, 1)] = -1.0
         return t
 
-    return SmoothMap(VarLayout(1, 1, 1), provider, DEFAULT_MAX_ORDER, describe)
+    return SmoothMap(VarLayout(1, 1, 1), provider, DEFAULT_MAX_ORDER, describe,
+                     standard_form=True)
 
 
 def _coordinate(*, block, index=0) -> SmoothMap:
@@ -912,7 +919,10 @@ def builtin_map(family: str, **params) -> SmoothMap:
     ``sum`` and ``scaled`` keep a shared declaration under real
     coefficients and ``product`` combines its factors'.  ``tabulated_phase``,
     ``scaled_norm_phase``, trig polynomials in xi and complex constants
-    declare nothing.
+    declare nothing.  ``linear_phase``, ``scaled_norm_phase`` and
+    ``tabulated_phase`` declare ``standard_form``; no other family does:
+    a sum, product or multiple of a standard-form phase may change its
+    y-dependence.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")

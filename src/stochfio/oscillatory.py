@@ -30,10 +30,29 @@ conjugate of its value at xi.  exp(i Phi) is conjugated, and L^kappa(a u)
 stays hermitian because L = chi + i D with a real D that flips sign under
 the reflection.  The xi-nodes of the two half-lines are exact mirrors, so
 ``apply`` evaluates xi > 0 alone and takes 2 Re of each band sum: an exact
-identity, not an approximation.  Two phases with
-Phi_a(-xi) = -Phi_b(xi), such as the wave branches, pair up the same way
-(``_apply_mirror_pair``).  Declarations come from ``SmoothMap.xi_reflection``
-and are trusted; any other input runs both half-lines.
+identity, not an approximation.  Declarations come from
+``SmoothMap.xi_reflection`` and are trusted; any other input runs both
+half-lines.
+
+y-first evaluation: every phase the solvers build has Hormander's
+standard form Phi = phi(x, xi) - y xi (``SmoothMap.standard_form``).  For
+it, integrating by parts in y is exact at each xi, so with an amplitude
+free of y the regularized integral is
+(2 pi)^-1 sum_xi w_xi exp(i phi(x, xi)) a(x, xi) u_hat(xi) with
+u_hat(xi) = sum_y w_y exp(-i y xi) u(y).  ``_y_first_apply`` forms u_hat on
+each band's xi > 0 nodes once (N_y N_xi work; for a real u the xi < 0 half
+is its conjugate) and then sums against it with the x-jets ``out_order``
+asks for (N_x N_xi work, in blocks), on the same band plan taken
+at kappa = 0: no ladder, and the truncation error is the tail of |u_hat|
+rather than the ladder's O(R^-m).  It runs serially and keeps the (band,
+sign) accumulators.  Two standard-form phases with phi_a(x, -xi) =
+-phi_b(x, xi), the wave branches, share one u_hat table per band
+(``_y_first_pair``): u_hat is hermitian for a real u, so branch a is
+P_a + conj(P_b) from the xi > 0 halves.  The transport, half-wave and wave
+solvers, and through them the expected wave field and the quadrature
+Monte Carlo engine, take this path; ``apply``, ``apply_adjoint``,
+``pair_distribution``, ``oscillatory_integral`` and ``convergence_study``
+stay on the L^kappa ladder, whose truncation they study.
 """
 
 from __future__ import annotations
@@ -52,6 +71,8 @@ from .jets import (
     SmoothMap,
     VarLayout,
     builtin_map,
+    embed_table,
+    project_coords,
     t_exp,
     t_mul,
     t_scale,
@@ -107,7 +128,10 @@ class QuadratureConfig:
     per core, one row term (a b c + acc) took 1.3 ns per element at 16384
     elements (128 kB per real entry) and 3.3 ns at 262144 (2 MB).  The
     chunk size depends only on this value and the total point count, never
-    on the worker count.
+    on the worker count.  The y-first solver path builds its exp(-i y xi)
+    tables and its x tables in blocks of at most this many entries (or one
+    xi-node's worth, if that is more) and runs serially, so ``workers``
+    only splits the L^kappa ladder.
     """
 
     xi_radius: float = 40.0
@@ -330,16 +354,17 @@ def _support_window(maps, block: str, default=None):
     return lo, hi
 
 
-def _plan_nodes(phase, chi, config, x_arrays, y_window, kappa):
+def _plan_nodes(phase, chi, config, x_arrays, y_window, kappa, rates=None):
     """Per-band xi and y node arrays; returns list of band node groups.
 
     The transition band gets kappa + 2 cosine-graded panels of
     ``nodes_per_panel + 2 kappa`` nodes: each L application differentiates
     the cutoff once more, and the high-order profile derivatives concentrate
     on ever finer scales near the plateau edges.  Every other band's
-    xi-panels are sized by the oscillation budget alone.
+    xi-panels are sized by the oscillation budget alone.  ``rates``, when
+    given, replaces the probe of ``phase``: the (d_xi, d_y) to size for.
     """
-    d_xi, d_y = _probe_rates(phase, x_arrays, y_window)
+    d_xi, d_y = rates or _probe_rates(phase, x_arrays, y_window)
     p = config.nodes_per_panel
     budget = config.osc_nodes_budget * p
     xi_w = budget / d_xi if d_xi > 0 else math.inf
@@ -389,13 +414,17 @@ def _chunk_nodes(config, npts: int) -> int:
     return max(config.nodes_per_panel, config.max_chunk_elements // max(npts, 1))
 
 
-def _band_meta(bands, rates, chunk_nodes: int, signs) -> dict:
+def _band_meta(bands, rates, chunk_nodes: int, signs, npts: int) -> dict:
     """Band edges and node counts; ``nodes`` and ``band_chunks`` count the
-    evaluated half-lines ``signs`` only."""
+    evaluated half-lines ``signs`` only, and ``evaluations`` the integrand
+    values, one per node and x point."""
     sides = len(signs)
-    return {"bands": [(lo, hi, int(xn.size), int(yn.size))
+    nodes = sum(sides * xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands)
+    return {"evaluation_path": "l_kappa",
+            "bands": [(lo, hi, int(xn.size), int(yn.size))
                       for lo, hi, xn, _xw, yn, _yw in bands],
-            "nodes": sum(sides * xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands),
+            "nodes": nodes,
+            "evaluations": npts * nodes,
             "chunk_nodes": chunk_nodes,
             "band_chunks": [sides * math.ceil(xn.size * yn.size / chunk_nodes)
                             for _lo, _hi, xn, _xw, yn, _yw in bands],
@@ -474,7 +503,7 @@ def _run_engine(phase, amp, u, chi, kappa, x_arrays, out_order, config,
                  for b, per_sign in enumerate(pieces[0])]
     else:
         parts = _engine(*job)
-    return parts, _band_meta(bands, rates, _chunk_nodes(config, npts), signs)
+    return parts, _band_meta(bands, rates, _chunk_nodes(config, npts), signs, npts)
 
 
 # The half-lines the engine evaluates: both, or xi > 0 alone when the xi < 0
@@ -505,25 +534,13 @@ def _band_totals(parts, mirrored: bool) -> list:
     return [{k: neg[k] + v for k, v in pos.items()} for neg, pos in parts]
 
 
-def _half_line_sums(op: FioOperator, u: SmoothMap, x_points, out_order: int,
-                    workers, y_window, signs):
-    """Validate an apply, then return its x columns, its (band, sign)
-    accumulators over ``signs`` and its meta."""
-    layout = op.phase.layout
+def _check_layouts(layout: VarLayout, u: SmoothMap) -> None:
+    """The engine's one y and one xi dimension, and a test function of y."""
     if layout.n_y != 1 or layout.n_xi != 1:
         raise NotImplementedError("quadrature engine handles one y and one xi "
                                   "dimension")
     if u.layout.n_x or u.layout.n_xi or u.layout.n_y != 1:
         raise ValueError("test function must be a map of y alone")
-    cols = _normalize_x_points(layout, x_points)
-    window = _support_window([u, op.amplitude.map], "y", y_window)
-    t0 = time.perf_counter()
-    parts, meta = _run_engine(op.phase, op.amplitude, u, op.chi, op.plan.kappa,
-                              cols, out_order, op.config, window, signs, workers)
-    meta.update({"kappa": op.plan.kappa, "y_window": tuple(window),
-                 "wall_time": time.perf_counter() - t0,
-                 "xi_radius": op.config.xi_radius})
-    return cols, parts, meta
 
 
 def _band_field(layout: VarLayout, cols, band_totals, meta: dict,
@@ -567,42 +584,171 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
     When the phase is declared odd and the amplitude and u hermitian in xi,
     only the xi > 0 half-line is evaluated and each band gives 2 Re of it.
     """
+    layout = op.phase.layout
+    _check_layouts(layout, u)
+    mirrored = _xi_mirrored(op.phase, op.amplitude, u)
+    cols = _normalize_x_points(layout, x_points)
+    window = _support_window([u, op.amplitude.map], "y", y_window)
+    t0 = time.perf_counter()
+    parts, meta = _run_engine(op.phase, op.amplitude, u, op.chi, op.plan.kappa,
+                              cols, out_order, op.config, window,
+                              _POSITIVE_SIGN if mirrored else _BOTH_SIGNS, workers)
+    meta.update({"kappa": op.plan.kappa, "y_window": tuple(window),
+                 "wall_time": time.perf_counter() - t0,
+                 "xi_radius": op.config.xi_radius})
+    return _band_field(layout, cols, _band_totals(parts, mirrored), meta, mirrored)
+
+
+# ---------------------------------------------------------------------------
+# y-first evaluation of standard-form phases
+
+
+def _u_hat(u_weighted, yn, xi, max_elements: int) -> np.ndarray:
+    """sum_y exp(-i y xi) (w_y u(y)) on the nodes ``xi``, in blocks of at
+    most ``max_elements`` exponentials.
+
+    exp(-i t) is taken as cos t - i sin t: on band-sized tables the two real
+    transcendentals took 10 to 30 % less time than numpy's complex exp.
+    """
+    rows = max(1, max_elements // yn.size)
+    out = np.empty(xi.size, dtype=complex)
+    for s in range(0, xi.size, rows):
+        t = np.outer(xi[s:s + rows], yn)
+        out[s:s + rows] = np.cos(t) @ u_weighted - 1j * (np.sin(t) @ u_weighted)
+    return out
+
+
+def _x_tables(op: FioOperator, cols, xi, out_order: int) -> dict:
+    """x-jets of exp(i Phi(x, 0, xi)) a(x, xi) on the (x points) x (xi) grid."""
+    iset = IndexSet(op.phase.layout, out_order, 0)
+    xi = xi[None, :]
+    coords = Coords(tuple(c[:, None] for c in cols), (np.zeros_like(xi),), (xi,))
+    amp = op.amplitude.map
+    amp_t = embed_table(amp.table(project_coords(coords, amp.layout),
+                                  IndexSet(amp.layout, out_order, 0)), amp.layout, iset)
+    return t_mul(t_exp(t_scale(op.phase.table(coords, iset), 1.0j), iset), amp_t, iset)
+
+
+def _y_first_parts(ops, u: SmoothMap, x_points, out_order: int, signs) -> tuple:
+    """(band, sign) sums of the standard-form operators ``ops`` on one node
+    plan, integrating y first; returns the x columns, one accumulator list
+    per operator and the meta they share.
+
+    Each band forms u_hat(xi) = sum_y w_y exp(-i y xi) u(y) on its xi > 0
+    nodes once (N_y N_xi exponentials); a hermitian u (a real function of
+    y) gets u_hat(-xi) = conj u_hat(xi) from it, any other u a second
+    table.  Each operator sums w_xi exp(i phi(x, xi)) a(x, xi) u_hat(xi)
+    against it (N_x N_xi evaluations), its x tables built in xi-blocks of at
+    most max(1, max_chunk_elements // N_x) nodes; ``evaluations`` counts the
+    u_hat and the x work.  The plan is sized for the fastest of the phases
+    and taken at kappa = 0: no L is applied, so no cutoff derivatives enter.
+    """
+    for op in ops:
+        if not op.phase.map.standard_form:
+            raise ValueError("y-first evaluation needs a phase declared in the "
+                             "standard form phi(x, xi) - y xi")
+        if op.amplitude.layout.n_y:
+            raise ValueError("y-first evaluation needs an amplitude free of y")
+    op = ops[0]
+    layout, config = op.phase.layout, op.config
+    _check_layouts(layout, u)
+    cols = _normalize_x_points(layout, x_points)
+    window = _support_window([u], "y")
+    t0 = time.perf_counter()
+    d_xi, d_y = zip(*(_probe_rates(o.phase, cols, window) for o in ops))
+    bands, rates = _plan_nodes(op.phase, op.chi, config, cols, window, 0,
+                               rates=(max(d_xi), max(d_y)))
+    u_weighted = [yw * u.table(Coords((), (yn,), ()), IndexSet(u.layout, 0, 0))[(0,)]
+                  for _lo, _hi, _xn, _xw, yn, yw in bands]
+    xi = np.concatenate([xn for _lo, _hi, xn, _xw, _yn, _yw in bands])
+    edges = np.cumsum([0] + [xn.size for _lo, _hi, xn, _xw, _yn, _yw in bands])
+    npts = cols[0].size
+    keys = IndexSet(layout, out_order, 0).keys()
+
+    def hat_on(sign):
+        return np.concatenate([xw * _u_hat(u_weighted[b], yn, sign * xn,
+                                           config.max_chunk_elements)
+                               for b, (_lo, _hi, xn, xw, yn, _yw) in enumerate(bands)])
+
+    hats = {1.0: hat_on(1.0)}
+    hat_tables = 1
+    if -1.0 in signs:
+        if u.xi_reflection == "hermitian":
+            hats[-1.0] = np.conj(hats[1.0])
+        else:
+            hats[-1.0] = hat_on(-1.0)
+            hat_tables = 2
+    block = max(1, config.max_chunk_elements // npts)
+    parts = [[[] for _ in bands] for _ in ops]
+    for sign in signs:
+        sums = [[{} for _ in bands] for _ in ops]
+        for s in range(0, xi.size, block):
+            e = min(s + block, xi.size)
+            tables = [_x_tables(o, cols, sign * xi[s:e], out_order) for o in ops]
+            for b in range(len(bands)):
+                lo, hi = max(edges[b], s), min(edges[b + 1], e)
+                if lo >= hi:
+                    continue
+                for acc, tab in zip(sums, tables):
+                    for k in keys:
+                        term = (np.broadcast_to(tab[k], (npts, e - s))[:, lo - s:hi - s]
+                                @ hats[sign][lo:hi])
+                        acc[b][k] = acc[b].get(k, 0.0) + term
+        for part, acc in zip(parts, sums):
+            for b, band_sum in enumerate(acc):
+                part[b].append(band_sum)
+    sides = len(signs)
+    n_xi_n_y = sum(xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands)
+    meta = {"evaluation_path": "y_first",
+            "bands": [(lo, hi, int(xn.size), int(yn.size))
+                      for lo, hi, xn, _xw, yn, _yw in bands],
+            "nodes": sides * n_xi_n_y,
+            "evaluations": hat_tables * n_xi_n_y + len(ops) * npts * sides * xi.size,
+            "rates": rates, "kappa": 0, "y_window": tuple(window),
+            "wall_time": time.perf_counter() - t0, "xi_radius": config.xi_radius}
+    return cols, parts, meta
+
+
+def _y_first_apply(op: FioOperator, u: SmoothMap, x_points,
+                   out_order: int = 0) -> GridField:
+    """``apply`` for a standard-form phase and a y-free amplitude, y first.
+
+    For Phi = phi(x, xi) - y xi, integrating by parts in y is exact at each
+    xi, so the regularized integral is (2 pi)^-1 sum_xi w_xi exp(i phi) a
+    u_hat(xi): no L^kappa ladder, and the truncation error is the tail of
+    |u_hat| beyond the radius.  Runs serially, in this process.
+    """
     mirrored = _xi_mirrored(op.phase, op.amplitude, u)
     signs = _POSITIVE_SIGN if mirrored else _BOTH_SIGNS
-    cols, parts, meta = _half_line_sums(op, u, x_points, out_order, workers,
-                                        y_window, signs)
+    cols, (parts,), meta = _y_first_parts((op,), u, x_points, out_order, signs)
     return _band_field(op.phase.layout, cols, _band_totals(parts, mirrored), meta,
                        mirrored)
 
 
-def _apply_mirror_pair(op: FioOperator, mirror_phase: PhaseFunction, u: SmoothMap,
-                       x_points, workers: int | None = None) -> tuple:
-    """``apply`` of ``op`` and of ``op`` with ``mirror_phase``, where the two
-    phases satisfy Phi(x, y, -xi) = -Phi_mirror(x, y, xi).
+def _y_first_pair(op: FioOperator, mirror_phase: PhaseFunction, u: SmoothMap,
+                  x_points) -> tuple:
+    """``_y_first_apply`` of ``op`` and of ``op`` with ``mirror_phase``, where
+    phi(x, -xi) = -phi_mirror(x, xi), on shared u_hat tables.
 
-    With a hermitian amplitude and u, the xi < 0 half of each integrand is
-    the conjugate of the other's xi > 0 half.  So only the xi > 0 halves P
-    and P_mirror are evaluated, and the fields are P + conj(P_mirror) and
-    P_mirror + conj(P), band by band.  Both phases probe the same rates
-    (the probe takes the max over both signs of xi), so their node plans
-    coincide; the check below guards that.
+    With a hermitian amplitude and a real u, u_hat(-xi) = conj u_hat(xi),
+    so the xi < 0 half of each integrand is the conjugate of the other's
+    xi > 0 half: only the xi > 0 halves P and P_mirror are summed, and the
+    fields are P + conj(P_mirror) and P_mirror + conj(P), band by band.
+    Both fields' meta carry the pair's shared ``wall_time`` and
+    ``evaluations``.
     """
     ops = (op, replace(op, phase=mirror_phase))
-    if not (op.amplitude.map.xi_reflection == "hermitian"
-            and u.xi_reflection == "hermitian"):
-        return tuple(apply(o, u, x_points, workers=workers) for o in ops)
-    halves = [_half_line_sums(o, u, x_points, 0, workers, None, _POSITIVE_SIGN)
-              for o in ops]
-    (cols, parts, meta), (_cols, mirror_parts, mirror_meta) = halves
-    if (meta["bands"], meta["rates"]) != (mirror_meta["bands"], mirror_meta["rates"]):
-        raise RuntimeError("mirrored phases got different node plans")
-    fields = []
-    for own, other, own_meta in ((parts, mirror_parts, meta),
-                                 (mirror_parts, parts, mirror_meta)):
-        totals = [{k: v + np.conj(q[k]) for k, v in p.items()}
-                  for (p,), (q,) in zip(own, other)]
-        fields.append(_band_field(op.phase.layout, cols, totals, own_meta, True))
-    return tuple(fields)
+    hermitian = (op.amplitude.map.xi_reflection == "hermitian"
+                 and u.xi_reflection == "hermitian")
+    signs = _POSITIVE_SIGN if hermitian else _BOTH_SIGNS
+    cols, parts, meta = _y_first_parts(ops, u, x_points, 0, signs)
+    if hermitian:
+        totals = [[{k: v + np.conj(q[k]) for k, v in p.items()}
+                   for (p,), (q,) in zip(own, other)]
+                  for own, other in ((parts[0], parts[1]), (parts[1], parts[0]))]
+    else:
+        totals = [_band_totals(p, False) for p in parts]
+    return tuple(_band_field(op.phase.layout, cols, t, meta, hermitian) for t in totals)
 
 
 def apply_adjoint(op: FioOperator, v: SmoothMap, y_points, out_order: int = 0,

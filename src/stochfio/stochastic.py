@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .applications import _wave_branches, wave_solve
 from .jets import SmoothMap, VarLayout, builtin_map, make_speed
@@ -131,11 +130,13 @@ class TruncatedSpeedModel:
         """Probability mass removed by the truncation (the sampling bias scale)."""
         if self.s == 0:
             return 0.0
+        from scipy.special import ndtr  # deferred: scipy costs ~0.3 s to import
         return float(2.0 * ndtr(-self.bound))
 
 
 def _speeds_of_uniforms(model: TruncatedSpeedModel, u: np.ndarray) -> np.ndarray:
     """The truncated speeds at the uniforms ``u``, by the inverse CDF."""
+    from scipy.special import ndtr, ndtri  # deferred: scipy costs ~0.3 s to import
     b = model.bound
     lo, hi = ndtr(-b), ndtr(b)
     w = ndtri(lo + u * (hi - lo))
@@ -302,15 +303,14 @@ def _damping_amplitude(s: float, t: float, value: float = 0.5) -> Amplitude:
     """Amplitude value * exp(-s^2 t^2 xi^2 / 2) for the expected operator."""
     st = abs(s * t)
     if st == 0:
-        return Amplitude(builtin_map("constant", value=value, layout=VarLayout(2, 1, 1)))
+        return Amplitude(builtin_map("constant", value=value, layout=VarLayout(2, 0, 1)))
     width = math.sqrt(2.0) / st
     gauss = builtin_map("gaussian_bump", block="xi", center=0.0, width=width)
     return Amplitude(builtin_map("scaled", inner=gauss, factor=value))
 
 
 def expected_wave_field(model: TruncatedSpeedModel, u0: SmoothMap, t: float,
-                        x_points, config: QuadratureConfig | None = None,
-                        workers: int | None = None) -> GridField:
+                        x_points, config: QuadratureConfig | None = None) -> GridField:
     """E[u_omega(x, t)] as a single deterministic operator application.
 
     For gaussian W the phase average E exp(+- i s W t |xi|) equals
@@ -320,7 +320,7 @@ def expected_wave_field(model: TruncatedSpeedModel, u0: SmoothMap, t: float,
     relative mass, reported in the metadata.
     """
     field_ = _wave_branches(model.c0, _damping_amplitude(model.s, t), u0, t,
-                            x_points, config, workers)
+                            x_points, config)
     return GridField(field_.points, field_.values,
                      {**field_.meta, "truncation_mass": model.truncation_mass,
                       "t": t, "c0": model.c0, "s": model.s})
@@ -379,10 +379,12 @@ def mc_wave_estimate(model: TruncatedSpeedModel, u0: SmoothMap, t: float,
     draws go by the block: one ``map_values`` call per branch evaluates a
     block of replicates on a (replicates, points) grid, and the block
     enters the moments through one merge.  ``engine="fio"`` runs every
-    replicate through the full operator quadrature (slow, used to
-    cross-check the fast path).  ``autocov_pairs`` are grid-index pairs
-    (p, q) whose sample autocovariance is tracked alongside the pointwise
-    moments.
+    replicate through the wave operator, ``wave_solve``, which sums each
+    draw's branches y first on one u_hat table per band (no L^kappa
+    ladder) and shares no tables across draws: an independent check of the
+    translation path that costs milliseconds per draw at desk scale.
+    ``autocov_pairs`` are grid-index pairs (p, q) whose sample
+    autocovariance is tracked alongside the pointwise moments.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")

@@ -254,10 +254,16 @@ def test_wave_manifest_reports_what_the_run_did(capsys):
     assert rc == 0
     manifest, meta = payload["manifest"], payload["field"]["meta"]
     branches = (meta["branch_+"], meta["branch_-"])
-    assert manifest["kappa"] == 2
+    # the branches are summed y first: no L is applied, so kappa is 0
+    assert manifest["evaluation_path"] == "y_first"
+    assert manifest["kappa"] == 0
     assert manifest["xi_radius"] == 20.0
     assert manifest["nodes"] == sum(b["nodes"] for b in branches) > 0
-    assert all(b["kappa"] == 2 and b["xi_radius"] == 20.0 for b in branches)
+    assert all(b["kappa"] == 0 and b["xi_radius"] == 20.0 for b in branches)
+    # one u_hat table per band serves both branches' xi > 0 halves
+    n_xi = sum(n for _lo, _hi, n, _n_y in branches[0]["bands"])
+    assert manifest["evaluations"] == branches[0]["nodes"] + 2 * 17 * n_xi
+    assert "evaluations" not in manifest.get("timing", {})
 
 
 def test_halfwave_manifest_reports_the_flow_margin(capsys):
