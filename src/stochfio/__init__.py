@@ -42,13 +42,9 @@ Layout
 from .jets import (
     Coords,
     IndexSet,
-    Jet,
-    MultiIndex,
     SmoothMap,
     VarLayout,
-    as_coords,
     builtin_map,
-    fd_jet,
     make_speed,
 )
 from .symbol_spaces import (
@@ -66,10 +62,7 @@ from .symbol_spaces import (
 from .regularizer import (
     CutoffChi,
     KappaPlan,
-    apply_L_power,
     check_coefficient_symbol_bounds,
-    compute_coeffs,
-    compute_r,
     select_kappa,
 )
 from .oscillatory import (
@@ -116,15 +109,14 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # jets
-    "Coords", "IndexSet", "Jet", "MultiIndex", "SmoothMap", "VarLayout",
-    "as_coords", "builtin_map", "fd_jet", "make_speed",
+    "Coords", "IndexSet", "SmoothMap", "VarLayout", "builtin_map",
+    "make_speed",
     # symbol spaces
     "Amplitude", "CompactBox", "PhaseFunction", "check_alpha_membership",
     "check_derivative_bound", "check_homogeneity", "compact_box",
     "seminorm_p", "seminorm_pi", "seminorm_q",
     # regularizer
-    "CutoffChi", "KappaPlan", "apply_L_power",
-    "check_coefficient_symbol_bounds", "compute_coeffs", "compute_r",
+    "CutoffChi", "KappaPlan", "check_coefficient_symbol_bounds",
     "select_kappa",
     # oscillatory
     "ConvergenceReport", "FioOperator", "GridField", "PointDistribution",

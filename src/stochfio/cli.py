@@ -20,6 +20,7 @@ the manifest's ``timing`` entry is dropped.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import fields as dataclass_fields
@@ -149,8 +150,8 @@ def build_quadrature(cfg: dict, workers=None) -> QuadratureConfig:
 
 def build_time(cfg: dict, command: str) -> float:
     t = _require(cfg, "time", command)
-    if not isinstance(t, (int, float)):
-        raise ConfigError("time must be a number")
+    if not isinstance(t, (int, float)) or not math.isfinite(t):
+        raise ConfigError(f"bad {command} option 'time': {t!r} is not a finite number")
     return float(t)
 
 
@@ -194,17 +195,25 @@ def _field_payload(command: str, cfg: dict, field) -> tuple:
 def cmd_verify(cfg: dict, args) -> int:
     phase = build_phase(cfg, "verify")
     options = cfg.get("verify", {})
-    with _config_errors("verify options"):
-        alpha = float(options.get("alpha", 0.25))
     checks: dict = {}
+    # the checks that read an option run first, so a bad option fails early
+    with _config_errors("verify option 'alpha'"):
+        alpha = float(options.get("alpha", 0.25))
+        mem = check_alpha_membership(phase, alpha)
+    checks["membership"] = {"passed": mem.passed, "alpha": alpha,
+                            "min_x_side": mem.min_x_side,
+                            "min_y_side": mem.min_y_side}
+    if "amplitude" in cfg:
+        amp = build_amplitude(cfg, "verify")
+        with _config_errors("verify option 'm'"):
+            report = seminorm_q(amp, int(options.get("m", 2)))
+        checks["amplitude_class"] = {"passed": not report.flagged,
+                                     "seminorm": report.value,
+                                     "note": report.note}
 
     hom = check_homogeneity(phase)
     checks["homogeneity"] = {"passed": hom.passed,
                              "max_residual": hom.max_residual}
-    mem = check_alpha_membership(phase, alpha)
-    checks["membership"] = {"passed": mem.passed, "alpha": alpha,
-                            "min_x_side": mem.min_x_side,
-                            "min_y_side": mem.min_y_side}
     if hom.passed and mem.passed:
         coeff = check_coefficient_symbol_bounds(phase, CutoffChi())
         checks["coefficient_bounds"] = {"passed": coeff.passed,
@@ -215,15 +224,6 @@ def cmd_verify(cfg: dict, args) -> int:
             "passed": False,
             "note": "skipped: phase failed homogeneity or nondegeneracy",
         }
-
-    if "amplitude" in cfg:
-        amp = build_amplitude(cfg, "verify")
-        with _config_errors("verify option 'm'"):
-            m = int(options.get("m", 2))
-        report = seminorm_q(amp, m)
-        checks["amplitude_class"] = {"passed": not report.flagged,
-                                     "seminorm": report.value,
-                                     "note": report.note}
 
     passed = all(c["passed"] for c in checks.values())
     payload = {
@@ -254,7 +254,8 @@ def cmd_apply(cfg: dict, args) -> int:
                                config=qc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    field = op.apply(u, xs, workers=args.workers)
+    with _config_errors("apply option 'test_function'"):
+        field = op.apply(u, xs, workers=args.workers)
     payload, _ = _field_payload("apply", cfg, field)
     _emit(args, payload, field)
     return 0
@@ -370,8 +371,10 @@ def cmd_converge(cfg: dict, args) -> int:
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("converge radii must be at least three increasing values")
     qc = build_quadrature(cfg, args.workers)
-    report = convergence_study(phase, amplitude, u, xs, m_tilde=m_tilde,
-                               radii=radii, config=qc)
+    # the study rejects bad radii, m_tilde or test function before any work
+    with _config_errors("converge options"):
+        report = convergence_study(phase, amplitude, u, xs, m_tilde=m_tilde,
+                                   radii=radii, config=qc)
     respected = bool(report.bound_respected(slack=slack))
     payload = {
         "manifest": make_manifest("converge", cfg),

@@ -8,11 +8,11 @@ variables y, frequency variables xi); block sizes are fixed per map by a
 :class:`VarLayout`.
 
 Tables are plain dicts keyed by flat multi-index tuples.  Values may be
-scalars or numpy arrays of mutually broadcastable shapes, so the same
-kernels serve the per-point public API (:class:`Jet`) and the vectorised
-quadrature engine.  Exact zeros are stored as the scalar ``0.0`` and skipped
-by the kernels; for sparse tables (polynomial phases) this is the main
-source of speed.
+scalars or numpy arrays of mutually broadcastable shapes: every caller
+evaluates a map on a :class:`Coords` batch of points through
+:meth:`SmoothMap.table`.  Exact zeros are stored as the scalar ``0.0`` and
+skipped by the kernels; for sparse tables (polynomial phases) this is the
+main source of speed.
 
 Index sets may be anisotropic: the order cap on the x block can differ from
 the cap on the (y, xi) blocks.  The regularising operator downstream only
@@ -33,13 +33,10 @@ import numpy as np
 __all__ = [
     "VarLayout",
     "IndexSet",
-    "MultiIndex",
     "Coords",
-    "Jet",
     "SmoothMap",
     "builtin_map",
     "make_speed",
-    "fd_jet",
 ]
 
 DEFAULT_MAX_ORDER = 8
@@ -67,17 +64,6 @@ class Coords(NamedTuple):
 
     def flat(self) -> tuple:
         return tuple(self.x) + tuple(self.y) + tuple(self.xi)
-
-
-def as_coords(layout: VarLayout, point) -> Coords:
-    """Normalise a point given as (x_tuple, y_tuple, xi_tuple) of floats."""
-    x, y, xi = point
-    x, y, xi = (tuple(np.atleast_1d(np.asarray(b, dtype=float))) for b in (x, y, xi))
-    if (len(x), len(y), len(xi)) != tuple(layout):
-        raise ValueError(f"point blocks {(len(x), len(y), len(xi))} do not match layout {tuple(layout)}")
-    return Coords(tuple(np.asarray(float(v)) for v in x),
-                  tuple(np.asarray(float(v)) for v in y),
-                  tuple(np.asarray(float(v)) for v in xi))
 
 
 # ---------------------------------------------------------------------------
@@ -389,69 +375,12 @@ def _uni_iset(cap: int) -> IndexSet:
 
 
 # ---------------------------------------------------------------------------
-# public jet objects
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """Derivative orders per variable group."""
-
-    x: tuple = ()
-    y: tuple = ()
-    xi: tuple = ()
-
-    def flat(self) -> tuple:
-        return tuple(self.x) + tuple(self.y) + tuple(self.xi)
-
-    @classmethod
-    def from_flat(cls, layout: VarLayout, key: tuple) -> "MultiIndex":
-        return cls(tuple(key[:layout.n_x]),
-                   tuple(key[layout.n_x:layout.n_x + layout.n_y]),
-                   tuple(key[layout.n_x + layout.n_y:]))
-
-
-@dataclass(frozen=True)
-class Jet:
-    """All partial derivatives of a map at one point, up to ``order``.
-
-    The table is dense: every multi-index of total order <= order is a key.
-    """
-
-    layout: VarLayout
-    point: tuple
-    order: int
-    table: dict = field(repr=False)
-
-    @property
-    def value(self) -> complex:
-        return self.table[(0,) * self.layout.nvars]
-
-    def __getitem__(self, idx) -> complex:
-        if isinstance(idx, MultiIndex):
-            key = idx.flat()
-        else:
-            key = tuple(idx)
-            if key and isinstance(key[0], tuple):
-                key = tuple(i for block in key for i in block)
-        if sum(key) > self.order:
-            raise KeyError(f"multi-index {key} exceeds jet order {self.order}")
-        return self.table[key]
-
-    def multi_indices(self):
-        return [MultiIndex.from_flat(self.layout, k) for k in sorted(self.table, key=lambda k: (sum(k), k))]
-
-
-def _scalarize(table: dict, iset: IndexSet) -> dict:
-    out = {}
-    for k in iset.keys():
-        v = table[k]
-        out[k] = complex(np.asarray(v).reshape(()))
-    return out
+# smooth maps
 
 
 @dataclass(frozen=True)
 class SmoothMap:
-    """A smooth function of (x, y, xi) exposing exact jets.
+    """A smooth function of (x, y, xi) exposing exact derivative tables.
 
     ``provider(coords, iset)`` returns the dense derivative table on the
     requested index set; coordinate entries of ``coords`` are scalars or
@@ -491,20 +420,6 @@ class SmoothMap:
         if iset.max_total() > self.max_order:
             raise ValueError(f"requested order {iset.max_total()} exceeds max_order {self.max_order}")
         return self.provider(coords, iset)
-
-    def jet(self, point, order: int) -> Jet:
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        coords = as_coords(self.layout, point)
-        iset = IndexSet(self.layout, order, order, order)
-        table = self.table(coords, iset)
-        pt = (tuple(float(v) for v in coords.x),
-              tuple(float(v) for v in coords.y),
-              tuple(float(v) for v in coords.xi))
-        return Jet(self.layout, pt, order, _scalarize(table, iset))
-
-    def value(self, point) -> complex:
-        return self.jet(point, 0).value
 
 
 # ---------------------------------------------------------------------------
@@ -993,52 +908,3 @@ def _resolve_speed(spec) -> SmoothMap:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("a speed is a number or an object with a 'kind' key")
     return make_speed(**spec)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-_FD_STENCILS = {
-    0: ((0, 1.0),),
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-}
-
-
-def fd_jet(f: SmoothMap, point, order: int, step: float = 1e-3) -> Jet:
-    """Central finite-difference jet, O(step^2) accurate.  Validation only.
-
-    The xi block of the point must stay clear of the origin so that no
-    stencil point crosses it.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if order > 4:
-        raise ValueError("finite differences are limited to order 4")
-    coords = as_coords(f.layout, point)
-    vals = [float(v) for v in coords.flat()]
-    nxi = f.layout.n_xi
-    if nxi:
-        xinorm = math.sqrt(sum(float(v) ** 2 for v in coords.xi))
-        if xinorm <= 2.0 * step * max(order, 1):
-            raise ValueError("stencil would reach across xi = 0; decrease step or move the point")
-    iset = IndexSet(f.layout, order, order, order)
-    table = {}
-    for key in iset.keys():
-        acc = 0.0
-        for combo in _iproduct(*(_FD_STENCILS[k] for k in key)):
-            shift = [vals[i] + combo[i][0] * step for i in range(len(vals))]
-            w = 1.0
-            for off, c in combo:
-                w *= c
-            pt = (tuple(shift[:f.layout.n_x]),
-                  tuple(shift[f.layout.n_x:f.layout.n_x + f.layout.n_y]),
-                  tuple(shift[f.layout.n_x + f.layout.n_y:]))
-            acc = acc + w * f.value(pt)
-        table[key] = acc / step ** sum(key)
-    pt = (tuple(vals[:f.layout.n_x]),
-          tuple(vals[f.layout.n_x:f.layout.n_x + f.layout.n_y]),
-          tuple(vals[f.layout.n_x + f.layout.n_y:]))
-    return Jet(f.layout, pt, order, table)

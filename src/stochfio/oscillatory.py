@@ -860,6 +860,10 @@ def convergence_study(phase, amplitude, u: SmoothMap, x_points, m_tilde: int = 2
     """
     phase, amplitude = _as_symbols(phase, amplitude)
     radii = tuple(sorted(radii))
+    if m_tilde < 0:
+        raise ValueError("m_tilde must be nonnegative")
+    if radii[0] <= 0:
+        raise ValueError("radii must be positive")
     chi = chi or CutoffChi()
     base = config or QuadratureConfig()
     plan = select_kappa(amplitude.d, amplitude.rho, amplitude.delta,

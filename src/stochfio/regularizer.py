@@ -42,12 +42,10 @@ from .jets import (
     Coords,
     IndexSet,
     SmoothMap,
-    VarLayout,
     _is_zero,
     _uni_iset,
     _xi_norm_sq_table,
     _xi_norm_table,
-    as_coords,
     embed_table,
     project_coords,
     t_add,
@@ -65,14 +63,10 @@ from .jets import (
 __all__ = [
     "CutoffChi",
     "KappaPlan",
-    "RegularizerCoeffs",
     "RegCoeffTables",
     "select_kappa",
-    "compute_r",
-    "compute_coeffs",
     "coefficient_tables",
     "apply_l_ladder",
-    "apply_L_power",
     "check_coefficient_symbol_bounds",
 ]
 
@@ -189,9 +183,9 @@ class RegCoeffTables:
     D g = sum_l d_xi_l(xi_fields[l] h) + sum_k d_y_k(y_fields[k] h) with
     h = s_prime g, where ``s_prime`` is (1 - chi) / r, ``xi_fields`` holds
     ||xi||^2 d_xi_l Phi and ``y_fields`` holds d_y_k Phi.  The real fields
-    alpha' = s' xi_fields and beta' = s' y_fields of L = gamma + i D, and
-    the complex coefficients alpha = -i alpha', beta = -i beta' of M, are
-    formed when read.
+    alpha' = s' xi_fields and beta' = s' y_fields of L = gamma + i D are
+    formed when read.  The complex coefficients alpha = -i alpha' and
+    beta = -i beta' of M are not formed at all: L needs only the real ones.
     """
 
     s_prime: dict
@@ -208,14 +202,6 @@ class RegCoeffTables:
     @property
     def beta_prime(self) -> tuple:
         return tuple(t_mul(self.s_prime, t, self.iset) for t in self.y_fields)
-
-    @property
-    def alpha(self) -> tuple:
-        return tuple(t_scale(t, -1.0j) for t in self.alpha_prime)
-
-    @property
-    def beta(self) -> tuple:
-        return tuple(t_scale(t, -1.0j) for t in self.beta_prime)
 
 
 def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
@@ -245,61 +231,9 @@ def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
     return RegCoeffTables(s, (t_mul(nsq, dphi_xi, iset),), dphi_y, gamma, r, iset)
 
 
-@dataclass(frozen=True)
-class RegularizerCoeffs:
-    """Point values of the coefficients together with the exactness residual."""
-
-    alpha: tuple
-    beta: tuple
-    gamma: float
-    r: float
-    identity_residual: complex
-    point: tuple
-
-
-def compute_r(phase, point) -> float:
-    """r = ||xi||^2 |grad_xi Phi|^2 + |grad_y Phi|^2 at one point."""
-    return compute_coeffs(phase, CutoffChi(), point).r
-
-
 def _as_map(obj) -> SmoothMap:
     """The map of a phase or amplitude; a bare map is returned as it is."""
     return obj.map if hasattr(obj, "map") else obj
-
-
-def _unit(layout: VarLayout, i: int) -> tuple:
-    return tuple(1 if j == i else 0 for j in range(layout.nvars))
-
-
-def compute_coeffs(phase, chi: CutoffChi, point) -> RegularizerCoeffs:
-    """Regularizer coefficients at one point, with the exactness residual.
-
-    The residual i sum alpha d_xi Phi + i sum beta d_y Phi + gamma - 1 is
-    algebraically zero; anything beyond roundoff indicates a broken phase
-    provider.
-    """
-    m = _as_map(phase)
-    layout = m.layout
-    coords = as_coords(layout, point)
-    iset = IndexSet(layout, 0, 0)
-    phase_t = m.table(coords, IndexSet(layout, 0, 1))
-    ct = coefficient_tables(phase_t, coords, chi, iset)
-    z = iset.zero
-    base = layout.n_x + layout.n_y
-
-    def sc(v):
-        return complex(np.asarray(v).reshape(()))
-
-    alpha = tuple(sc(a[z]) for a in ct.alpha)
-    beta = tuple(sc(b[z]) for b in ct.beta)
-    gamma = float(np.real(np.asarray(ct.gamma[z])))
-    r = float(np.real(np.asarray(ct.r[z])))
-    resid = gamma - 1.0 + 0.0j
-    for l, a in enumerate(alpha):
-        resid += 1.0j * a * sc(phase_t[_unit(layout, base + l)])
-    for k, b in enumerate(beta):
-        resid += 1.0j * b * sc(phase_t[_unit(layout, layout.n_x + k)])
-    return RegularizerCoeffs(alpha, beta, gamma, r, resid, point)
 
 
 _I_POWERS = (1.0, 1.0j, -1.0, -1.0j)
@@ -365,16 +299,6 @@ def _regularized_tables(phase, amp: SmoothMap, psi: SmoothMap, chi: CutoffChi,
                            kappa, iset_f)
     keys = iset_x.keys()
     return {k: f[k] for k in keys}, {k: phase_t[k] for k in keys}, iset_x
-
-
-def apply_L_power(phase, amplitude, testfn: SmoothMap, chi: CutoffChi,
-                  kappa: int, point) -> complex:
-    """Value of L^kappa (a * psi) at one point of (x, y, xi) space."""
-    pm = _as_map(phase)
-    am = _as_map(amplitude)
-    coords = as_coords(pm.layout, point)
-    g, _phase_x, iset_x = _regularized_tables(pm, am, testfn, chi, kappa, coords, 0)
-    return complex(np.asarray(g[iset_x.zero]).reshape(()))
 
 
 @dataclass(frozen=True)

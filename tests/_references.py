@@ -7,19 +7,30 @@ Runge-Kutta integrator at tight tolerance, and the L ladder is checked
 against its plain complex recurrence and eagerly built coefficient fields.
 The horizon scan and the Monte Carlo moments are checked against their
 plain forms: a flow restarted from 0 for every scan time, and a Welford
-update per replicate.
+update per replicate.  Exact derivative tables are checked against central
+finite differences of the map's values.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 
 from stochfio.applications import solve_flows
-from stochfio.jets import _xi_norm_sq_table, t_add, t_div, t_mul, t_scale, t_shift
+from stochfio.jets import (
+    Coords,
+    IndexSet,
+    _xi_norm_sq_table,
+    t_add,
+    t_div,
+    t_mul,
+    t_scale,
+    t_shift,
+)
 from stochfio.regularizer import CutoffChi
 from stochfio.stochastic import _rng, map_values, sample_speeds
 
@@ -139,6 +150,50 @@ def pseudospectral_halfwave(c_fn, t: float, n_grid: int = 2048,
     return xg, u
 
 
+def point_table(m, point, order: int) -> dict:
+    """Exact derivative table of ``m`` up to total order ``order`` at one
+    point ``(x_tuple, y_tuple, xi_tuple)``, evaluated on 0-d coordinates."""
+    coords = Coords(*(tuple(np.asarray(float(v)) for v in block) for block in point))
+    return m.table(coords, IndexSet(m.layout, order, order, order))
+
+
+_FD_STENCILS = {
+    0: ((0, 1.0),),
+    1: ((-1, -0.5), (1, 0.5)),
+    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
+    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
+    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
+}
+
+
+def fd_table(m, point, order: int, step: float = 1e-3) -> dict:
+    """Central finite-difference derivative table of ``m`` at one point.
+
+    O(step^2) accurate, keyed like ``m.table`` on the isotropic index set of
+    ``order``.  The xi block of the point must stay clear of the origin so
+    that no stencil point crosses it.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if order > 4:
+        raise ValueError("finite differences are limited to order 4")
+    layout = m.layout
+    if layout.n_xi and math.hypot(*point[2]) <= 2.0 * step * max(order, 1):
+        raise ValueError("stencil would reach across xi = 0; decrease step or move the point")
+    flat = [float(v) for block in point for v in block]
+    ends = (layout.n_x, layout.n_x + layout.n_y)
+    zero = (0,) * layout.nvars
+    table = {}
+    for key in IndexSet(layout, order, order, order).keys():
+        acc = 0.0
+        for combo in product(*(_FD_STENCILS[k] for k in key)):
+            shifted = [v + off * step for v, (off, _) in zip(flat, combo)]
+            at = (shifted[:ends[0]], shifted[ends[0]:ends[1]], shifted[ends[1]:])
+            acc += math.prod(c for _, c in combo) * complex(point_table(m, at, 0)[zero])
+        table[key] = acc / step ** sum(key)
+    return table
+
+
 def complex_l_ladder(f: dict, coeffs, kappa: int, iset) -> dict:
     """L^kappa f by the complex recurrence g <- gamma g - d_xi(alpha g) - d_y(beta g).
 
@@ -147,8 +202,8 @@ def complex_l_ladder(f: dict, coeffs, kappa: int, iset) -> dict:
     """
     layout = iset.layout
     base = layout.n_x + layout.n_y
-    fields = ([(a, base + l) for l, a in enumerate(coeffs.alpha)]
-              + [(b, layout.n_x + k) for k, b in enumerate(coeffs.beta)])
+    fields = ([(t_scale(a, -1.0j), base + l) for l, a in enumerate(coeffs.alpha_prime)]
+              + [(t_scale(b, -1.0j), layout.n_x + k) for k, b in enumerate(coeffs.beta_prime)])
     g, cur = f, iset
     for _ in range(kappa):
         nxt = cur.shrink_int(1)
@@ -157,6 +212,27 @@ def complex_l_ladder(f: dict, coeffs, kappa: int, iset) -> dict:
             acc = t_add(acc, t_scale(t_shift(t_mul(c, g, cur), var, nxt), -1.0), nxt)
         g, cur = acc, nxt
     return g
+
+
+def identity_residual(phase_table: dict, coeffs):
+    """gamma + i sum alpha d_xi Phi + i sum beta d_y Phi - 1 at the zero key.
+
+    M's complex coefficients alpha = -i alpha', beta = -i beta' are formed
+    here from the real fields; the identity makes the residual vanish.
+    """
+    layout = coeffs.iset.layout
+    nx, ny = layout.n_x, layout.n_y
+
+    def unit(i):
+        return tuple(1 if j == i else 0 for j in range(layout.nvars))
+
+    z = coeffs.iset.zero
+    total = coeffs.gamma[z] + 0j
+    for l, a in enumerate(coeffs.alpha_prime):
+        total = total + 1j * (-1j * a[z]) * phase_table[unit(nx + ny + l)]
+    for k, b in enumerate(coeffs.beta_prime):
+        total = total + 1j * (-1j * b[z]) * phase_table[unit(nx + k)]
+    return total - 1.0
 
 
 def eager_coefficient_fields(phase_table: dict, coords, chi, iset) -> tuple:

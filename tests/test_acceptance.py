@@ -15,7 +15,12 @@ import math
 import numpy as np
 
 import _acceptance
-from _references import characteristics_rk45, halfwave_gaussian_reference
+from _references import (
+    characteristics_rk45,
+    halfwave_gaussian_reference,
+    identity_residual,
+    point_table,
+)
 from stochfio.applications import (
     eikonal_phi,
     halfwave_solve,
@@ -30,7 +35,7 @@ from stochfio.jets import Coords, IndexSet, builtin_map
 from stochfio.oscillatory import FioOperator, GridField, QuadratureConfig
 from stochfio.regularizer import (
     CutoffChi,
-    apply_L_power,
+    _regularized_tables,
     check_coefficient_symbol_bounds,
     coefficient_tables,
     select_kappa,
@@ -98,8 +103,7 @@ def test_criterion_01_regularizer_identity_at_random_points():
         worst = 0.0
         for name, m in phase_families().items():
             layout = m.layout
-            nx, ny, nxi = layout.n_x, layout.n_y, layout.n_xi
-            nv = nx + ny + nxi
+            nx, ny = layout.n_x, layout.n_y
             xs = [rng.uniform(-2.0, 2.0, n_pts) for _ in range(nx)]
             if nx == 2:  # the norm phase carries time as its last x coordinate
                 xs[1] = rng.uniform(0.05, 0.5, n_pts)
@@ -110,17 +114,8 @@ def test_criterion_01_regularizer_identity_at_random_points():
             iset = IndexSet(layout, 0, 0)
             phase_t = m.table(coords, IndexSet(layout, 0, 1))
             ct = coefficient_tables(phase_t, coords, CHI, iset)
-
-            def unit(i):
-                return tuple(1 if j == i else 0 for j in range(nv))
-
-            z = iset.zero
-            total = ct.gamma[z] + 0j
-            for l in range(nxi):
-                total = total + 1j * ct.alpha[l][z] * phase_t[unit(nx + ny + l)]
-            for k in range(ny):
-                total = total + 1j * ct.beta[k][z] * phase_t[unit(nx + k)]
-            residual = float(np.max(np.abs(np.broadcast_to(total, (n_pts,)) - 1.0)))
+            resid = np.broadcast_to(identity_residual(phase_t, ct), (n_pts,))
+            residual = float(np.max(np.abs(resid)))
             worst = max(worst, residual)
         return worst < 1e-12, f"max residual {worst:.2e} over 4 families x 10^4 points"
 
@@ -201,21 +196,19 @@ def test_criterion_04_regularized_integrand_decay_exponents():
              0.0, 0.5, 0.0),
         ]
         radii = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
-        probes = [(0.2, -0.7), (0.2, -0.3), (0.2, 0.4)]
+        # three (x, y) probes on both xi half-lines, one batch per radius
+        x = np.full(6, 0.2)
+        y = np.array([-0.7, -0.3, 0.4] * 2)
+        sign = np.repeat([1.0, -1.0], 3)
         details = []
         ok = True
         for label, amap, d, rho, delta in classes:
             plan = select_kappa(d, rho, delta, 1)
-            amp = Amplitude(amap, d=d, rho=rho, delta=delta)
             vals = []
             for radius in radii:
-                best = 0.0
-                for x, y in probes:
-                    for s in (1.0, -1.0):
-                        v = apply_L_power(phase, amp, GAUSS, CHI, plan.kappa,
-                                          ((x,), (y,), (s * radius,)))
-                        best = max(best, abs(v))
-                vals.append(best)
+                g, _, iset_x = _regularized_tables(phase, amap, GAUSS, CHI, plan.kappa,
+                                                   Coords((x,), (y,), (sign * radius,)), 0)
+                vals.append(float(np.max(np.abs(g[iset_x.zero]))))
             slope = float(np.polyfit(np.log(radii), np.log(vals), 1)[0])
             bound = d - plan.kappa * min(rho, 1.0 - delta) + 0.1
             ok = ok and slope <= bound
@@ -371,10 +364,10 @@ def test_criterion_10_phase_jet_scaling_and_coefficient_exponents():
             layout = m.layout
             point = (((0.4, 0.3) if layout.n_x == 2 else (0.4,)),
                      (-0.7,), (1.0,))
-            jets = [m.jet((point[0], point[1],
-                           tuple(s * v for v in point[2])), 3)
+            jets = [point_table(m, (point[0], point[1],
+                                    tuple(s * v for v in point[2])), 3)
                     for s in scales]
-            for key in jets[0].table:
+            for key in jets[0]:
                 l_order = sum(key[layout.n_x + layout.n_y:])
                 ratios = [abs(j[key]) / s ** (1 - l_order)
                           for j, s in zip(jets, scales)]

@@ -10,6 +10,7 @@ from _references import (
     dalembert_gaussian,
     forward_flow_rk45,
     halfwave_gaussian_reference,
+    point_table,
     pseudospectral_halfwave,
     restarted_horizon,
 )
@@ -36,6 +37,7 @@ from stochfio.stochastic import (
     _damping_amplitude,
     expected_wave_analytic,
     expected_wave_field,
+    map_values,
 )
 from stochfio.symbol_spaces import Amplitude, PhaseFunction
 
@@ -58,10 +60,10 @@ def trig_c(x):
 
 
 def test_make_speed_families_and_validation():
-    assert make_speed("constant", value=2.0).value(((0.3,), (), ())) == 2.0
+    assert map_values(make_speed("constant", value=2.0), 0.3, block="x") == 2.0
     aff = make_speed("affine", offset=1.0, slope=0.5)
-    assert aff.value(((2.0,), (), ())) == pytest.approx(2.0)
-    assert trig_speed().value(((math.pi / 2.0,), (), ())) == pytest.approx(1.5)
+    assert map_values(aff, 2.0, block="x") == pytest.approx(2.0)
+    assert map_values(trig_speed(), math.pi / 2.0, block="x") == pytest.approx(1.5)
     with pytest.raises(ValueError):
         make_speed("parabolic", value=1.0)
 
@@ -255,7 +257,7 @@ def test_halfwave_phase_rejects_out_of_regime_flows():
     steep = make_speed("affine", offset=1.0, slope=0.9)
     phase = halfwave_phase(steep, 1.0)
     with pytest.raises(RegimeError):
-        phase.map.jet(((0.0,), (0.0,), (1.0,)), 1)
+        point_table(phase.map, ((0.0,), (0.0,), (1.0,)), 1)
 
 
 def test_halfwave_variable_speed_against_pseudospectral_solve():

@@ -13,6 +13,7 @@ from stochfio.cli import main
 from stochfio.io import read_field_csv, strip_timing
 
 XI30 = {"xi_radius": 30.0}
+UNBOUNDED_Y = {"family": "trig_polynomial", "block": "y", "terms": [[1.0, 1.0, 0.0]]}
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = CONFIG_DIR.parent / "src"
 
@@ -427,6 +428,17 @@ def test_converge_command_reports_decaying_errors(tmp_path, capsys):
     ("verify", apply_config(verify={"alpha": "abc"}), "verify"),
     ("verify", apply_config(verify={"m": "two"}), "verify"),
     ("apply", apply_config(operator={"alpha": "abc"}), "operator"),
+    ("wave", apply_config(speed=2.0, time=float("nan")), "wave"),
+    ("transport", apply_config(speed=1.0, time=float("inf")), "transport"),
+    ("halfwave", apply_config(speed=1.0, time=float("inf")), "halfwave"),
+    ("mc", mc_config(time=float("nan")), "mc"),
+    ("converge", apply_config(converge={"radii": [0.0, 8.0, 16.0]}), "converge"),
+    ("converge", apply_config(converge={"m_tilde": -1}), "converge"),
+    ("verify", apply_config(verify={"alpha": 0.0}), "verify"),
+    ("verify", apply_config(verify={"m": 0}), "verify"),
+    ("apply", apply_config(test_function={"family": "gaussian_bump", "block": "x"}), "apply"),
+    ("apply", apply_config(test_function=UNBOUNDED_Y), "apply"),
+    ("converge", apply_config(test_function=UNBOUNDED_Y), "converge"),
 ])
 def test_nonsense_command_option_exits_2(tmp_path, capsys, command, cfg, name):
     path = write_config(tmp_path, "cfg.json", cfg)

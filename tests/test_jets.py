@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from _references import fd_table, point_table
 from stochfio.jets import (
+    Coords,
     IndexSet,
-    MultiIndex,
     VarLayout,
     builtin_map,
-    fd_jet,
     make_speed,
     t_add,
     t_blank,
@@ -29,8 +29,8 @@ LAYOUT_111 = VarLayout(1, 1, 1)
 
 def test_linear_phase_jet_entries():
     phase = builtin_map("linear_phase", n=1)
-    j = phase.jet(((0.7,), (-0.2,), (1.3,)), 3)
-    assert j.value == pytest.approx(0.9 * 1.3)
+    j = point_table(phase, ((0.7,), (-0.2,), (1.3,)), 3)
+    assert j[(0, 0, 0)] == pytest.approx(0.9 * 1.3)
     assert j[(1, 0, 0)] == pytest.approx(1.3)       # d/dx
     assert j[(0, 1, 0)] == pytest.approx(-1.3)      # d/dy
     assert j[(0, 0, 1)] == pytest.approx(0.9)       # d/dxi
@@ -40,23 +40,13 @@ def test_linear_phase_jet_entries():
     assert j[(1, 1, 1)] == 0.0
 
 
-def test_jet_getitem_accepts_blocks_and_multi_index():
-    phase = builtin_map("linear_phase", n=1)
-    j = phase.jet(((0.5,), (0.1,), (2.0,)), 2)
-    flat = j[(1, 0, 1)]
-    assert j[((1,), (0,), (1,))] == flat
-    assert j[MultiIndex((1,), (0,), (1,))] == flat
-    with pytest.raises(KeyError):
-        j[(3, 0, 0)]
-
-
 def test_gaussian_bump_closed_form_derivatives():
     g = builtin_map("gaussian_bump", block="y", center=0.3, width=1.5)
     y = 0.9
-    j = g.jet(((), (y,), ()), 2)
+    j = point_table(g, ((), (y,), ()), 2)
     u = (y - 0.3) / 1.5
     val = math.exp(-(u ** 2))
-    assert j.value == pytest.approx(val, rel=1e-14)
+    assert j[(0,)] == pytest.approx(val, rel=1e-14)
     assert j[(1,)] == pytest.approx(-2 * u / 1.5 * val, rel=1e-13)
     assert j[(2,)] == pytest.approx((4 * u ** 2 - 2) / 1.5 ** 2 * val, rel=1e-12)
 
@@ -67,9 +57,9 @@ def test_scaled_norm_phase_both_signs():
     phase = builtin_map("scaled_norm_phase", speed=c, sign=1, n=1)
     assert phase.layout == VarLayout(2, 1, 1)
     for xi in (1.3, -1.3):
-        j = phase.jet(((0.4, 0.25), (-0.1,), (xi,)), 2)
+        j = point_table(phase, ((0.4, 0.25), (-0.1,), (xi,)), 2)
         sgn = 1.0 if xi > 0 else -1.0
-        assert j.value == pytest.approx(0.5 * xi + c * 0.25 * abs(xi), rel=1e-14)
+        assert j[(0, 0, 0, 0)] == pytest.approx(0.5 * xi + c * 0.25 * abs(xi), rel=1e-14)
         assert j[(0, 1, 0, 0)] == pytest.approx(c * abs(xi), rel=1e-14)
         assert j[(0, 0, 0, 1)] == pytest.approx(0.5 + c * 0.25 * sgn, rel=1e-14)
         assert j[(0, 1, 0, 1)] == pytest.approx(c * sgn, rel=1e-14)
@@ -79,7 +69,7 @@ def test_scaled_norm_phase_both_signs():
     from_spec = builtin_map("scaled_norm_phase", speed={"kind": "affine", **affine}, sign=-1)
     from_map = builtin_map("scaled_norm_phase", speed=make_speed("affine", **affine), sign=-1)
     point = ((0.4, 0.25), (-0.1,), (-1.3,))
-    assert from_spec.jet(point, 3).table == from_map.jet(point, 3).table
+    assert point_table(from_spec, point, 3) == point_table(from_map, point, 3)
 
 
 @pytest.mark.parametrize("family,params,point", [
@@ -96,27 +86,27 @@ def test_scaled_norm_phase_both_signs():
 def test_builtin_jets_match_finite_differences(family, params, point):
     f = builtin_map(family, **params)
     step = 1e-3
-    exact = f.jet(point, 3)
-    approx = fd_jet(f, point, 3, step=step)
-    for mi in exact.multi_indices():
-        a, b = exact[mi], approx[mi]
+    # the exact table on a batch of three points, the FD point in the middle,
+    # as the engine evaluates it
+    batch = Coords(*(tuple(np.array([0.5 * v, v, 1.5 * v]) for v in block)
+                     for block in point))
+    exact = f.table(batch, IndexSet(f.layout, 3, 3, 3))
+    approx = fd_table(f, point, 3, step=step)
+    assert set(approx) == set(exact)
+    for key, b in approx.items():
+        a = np.broadcast_to(exact[key], (3,))[1]
         # central differences are O(step^2); scale by the entry size
-        assert abs(a - b) <= 200 * step ** 2 * max(1.0, abs(a)), mi
+        assert abs(a - b) <= 200 * step ** 2 * max(1.0, abs(a)), key
 
 
 def test_fd_jet_guards():
     f = builtin_map("bracket_power", exponent=1.0)
     with pytest.raises(ValueError):
-        fd_jet(f, ((), (), (1e-5,)), 2)       # stencil would cross xi = 0
+        fd_table(f, ((), (), (1e-5,)), 2)       # stencil would cross xi = 0
     with pytest.raises(ValueError):
-        fd_jet(f, ((), (), (2.0,)), 5)        # order cap
+        fd_table(f, ((), (), (2.0,)), 5)        # order cap
     with pytest.raises(ValueError):
-        fd_jet(f, ((), (), (2.0,)), 2, step=0.0)
-
-
-def _full_iset(jet):
-    """The isotropic index set a jet's table is dense on."""
-    return IndexSet(jet.layout, jet.order, jet.order, jet.order)
+        fd_table(f, ((), (), (2.0,)), 2, step=0.0)
 
 
 def test_product_and_sum_jets_agree_with_jet_algebra():
@@ -124,23 +114,23 @@ def test_product_and_sum_jets_agree_with_jet_algebra():
     s = builtin_map("trig_polynomial", block="y", terms=[(1.0, 1.5, 0.2)])
     prod = builtin_map("product", factors=[g, s])
     point = ((), (0.45,), ())
-    jg, js = g.jet(point, 3), s.jet(point, 3)
-    iset = _full_iset(jg)
-    jp = prod.jet(point, 3)
-    jm = t_mul(jg.table, js.table, iset)
+    jg, js = point_table(g, point, 3), point_table(s, point, 3)
+    iset = IndexSet(g.layout, 3, 3, 3)
+    jp = point_table(prod, point, 3)
+    jm = t_mul(jg, js, iset)
     for k in iset.keys():
         assert jp[k] == pytest.approx(jm[k], rel=1e-12, abs=1e-12)
 
     tot = builtin_map("sum", terms=[g, s])
-    jt = tot.jet(point, 3)
-    jl = t_add(jg.table, js.table, iset)
+    jt = point_table(tot, point, 3)
+    jl = t_add(jg, js, iset)
     for k in iset.keys():
         assert jt[k] == pytest.approx(jl[k], rel=1e-12, abs=1e-12)
 
     # a factor given as a nested spec builds the same product
     s_spec = {"family": "trig_polynomial", "block": "y", "terms": [[1.0, 1.5, 0.2]]}
     nested = builtin_map("product", factors=[g, s_spec])
-    assert nested.jet(point, 3).table == jp.table
+    assert point_table(nested, point, 3) == jp
 
 
 @pytest.mark.parametrize("build,params,error", [
@@ -203,10 +193,13 @@ def test_index_set_caps_and_shrink():
 def test_smooth_map_order_guard():
     g = builtin_map("gaussian_bump", block="y", center=0.0, width=1.0)
     with pytest.raises(ValueError):
-        g.jet(((), (0.0,), ()), g.max_order + 1)
+        point_table(g, ((), (0.0,), ()), g.max_order + 1)
 
 
-def _sample_jets(x, y, xi, order=3):
+ISET_013 = IndexSet(VarLayout(0, 1, 1), 3, 3, 3)  # the sample tables' index set
+
+
+def _sample_jets(x, y, xi):
     a = builtin_map("product", factors=[
         builtin_map("gaussian_bump", block="y", center=0.1, width=1.2),
         builtin_map("bracket_power", exponent=-1.0),
@@ -215,9 +208,8 @@ def _sample_jets(x, y, xi, order=3):
         builtin_map("trig_polynomial", block="y", terms=[(0.4, 1.1, 0.0)], offset=1.5),
         builtin_map("sqrt_cos_symbol", omega=1.0),
     ])
-    pa = a.jet(((), (y,), (xi,)), order)
-    pb = b.jet(((), (y,), (xi,)), order)
-    return pa, pb
+    point = ((), (y,), (xi,))
+    return point_table(a, point, 3), point_table(b, point, 3)
 
 
 coord = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
@@ -228,8 +220,8 @@ xi_coord = st.floats(min_value=0.5, max_value=6.0, allow_nan=False)
 @given(y=coord, xi=xi_coord)
 def test_jet_multiplication_commutes(y, xi):
     pa, pb = _sample_jets(0.0, y, xi)
-    iset = _full_iset(pa)
-    ab, ba = t_mul(pa.table, pb.table, iset), t_mul(pb.table, pa.table, iset)
+    iset = ISET_013
+    ab, ba = t_mul(pa, pb, iset), t_mul(pb, pa, iset)
     for k in iset.keys():
         assert ab[k] == pytest.approx(ba[k], rel=1e-11, abs=1e-13)
 
@@ -254,13 +246,13 @@ def test_jet_division_inverts_multiplication(y, xi):
     # of b the entries of b^-1 grow like |b'|^k / |b0|^(k+1): that is how
     # the divisor's conditioning enters.
     pa, pb = _sample_jets(0.0, y, xi)
-    assume(pb.value != 0)
-    iset = _full_iset(pa)
-    back = t_div(t_mul(pa.table, pb.table, iset), pb.table, iset)
+    iset = ISET_013
+    assume(pb[iset.zero] != 0)
+    back = t_div(t_mul(pa, pb, iset), pb, iset)
     unit = t_blank(iset)
     unit[iset.zero] = 1.0
-    inverse = t_div(unit, pb.table, iset)
-    bound = _abs_product(inverse, _abs_product(pa.table, pb.table, iset), iset)
+    inverse = t_div(unit, pb, iset)
+    bound = _abs_product(inverse, _abs_product(pa, pb, iset), iset)
     for k in iset.keys():
         assert abs(back[k] - pa[k]) <= 32 * UNIT_ROUNDOFF * bound[k], k
 
@@ -269,8 +261,8 @@ def test_jet_division_inverts_multiplication(y, xi):
 @given(y=coord, xi=xi_coord, c1=coord, c2=coord)
 def test_jet_linear_combination(y, xi, c1, c2):
     pa, pb = _sample_jets(0.0, y, xi)
-    iset = _full_iset(pa)
-    lin = t_add(t_scale(pa.table, c1), t_scale(pb.table, c2), iset)
+    iset = ISET_013
+    lin = t_add(t_scale(pa, c1), t_scale(pb, c2), iset)
     for k in iset.keys():
         assert lin[k] == pytest.approx(c1 * pa[k] + c2 * pb[k],
                                        rel=1e-12, abs=1e-13)
@@ -329,10 +321,10 @@ def _point(layout, x, y, xi):
 def test_declared_xi_reflections_hold(x, y, xi):
     for name, m, kind in _declared_maps():
         assert m.xi_reflection == kind, name
-        at = m.jet(_point(m.layout, x, y, xi), 3)
-        mirrored = m.jet(_point(m.layout, x, y, -xi), 3)
+        at = point_table(m, _point(m.layout, x, y, xi), 3)
+        mirrored = point_table(m, _point(m.layout, x, y, -xi), 3)
         n_xi = m.layout.n_xi
-        for key in at.table:
+        for key in at:
             sign = (-1) ** sum(key[len(key) - n_xi:])
             if kind == "odd":
                 assert at[key].imag == 0, (name, key)
@@ -388,14 +380,14 @@ def _standard_form_phases():
 def test_declared_standard_forms_hold(x, y, xi, sign):
     for name, m in _standard_form_phases():
         assert m.standard_form, name
-        at = m.jet(_point(m.layout, x, y, sign * xi), 3)
-        at_zero = m.jet(_point(m.layout, x, 0.0, sign * xi), 3)
+        at = point_table(m, _point(m.layout, x, y, sign * xi), 3)
+        at_zero = point_table(m, _point(m.layout, x, 0.0, sign * xi), 3)
         n_x = m.layout.n_x
         z = (0,) * n_x
         # Phi = phi(x, xi) - y xi with phi(x, xi) = Phi(x, 0, xi)
         minus_y_xi = {z + (0, 0): -y * sign * xi, z + (1, 0): -sign * xi,
                       z + (0, 1): -y, z + (1, 1): -1.0}
-        for key in at.table:
+        for key in at:
             phi = at_zero[key] if key[n_x] == 0 else 0.0
             assert at[key] == pytest.approx(phi + minus_y_xi.get(key, 0.0), abs=1e-12), \
                 (name, key)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _references import complex_l_ladder, eager_coefficient_fields
+from _references import complex_l_ladder, eager_coefficient_fields, identity_residual
 from stochfio.jets import (
     Coords,
     IndexSet,
@@ -18,19 +18,23 @@ from stochfio.jets import (
 )
 from stochfio.regularizer import (
     CutoffChi,
-    apply_L_power,
+    _regularized_tables,
     apply_l_ladder,
     check_coefficient_symbol_bounds,
     coefficient_tables,
-    compute_coeffs,
-    compute_r,
     select_kappa,
 )
-from stochfio.symbol_spaces import Amplitude, PhaseFunction
+from stochfio.symbol_spaces import PhaseFunction
 
 
 def translation_phase():
     return PhaseFunction(builtin_map("linear_phase", n=1))
+
+
+def point_coords(points) -> Coords:
+    """Coords of a batch of (x, y, xi) points."""
+    x, y, xi = (np.array(c, dtype=float) for c in zip(*points))
+    return Coords((x,), (y,), (xi,))
 
 
 # ---------------------------------------------------------------------------
@@ -139,27 +143,34 @@ def test_kappa_selection_is_minimal_and_sufficient(d, rho, delta, n_xi, extra):
 # r and the coefficients
 
 
+def coefficients_at(phase, points):
+    """Coefficient tables of order 0 and the phase table at a batch of points."""
+    coords = point_coords(points)
+    phase_t = phase.table(coords, IndexSet(phase.layout, 0, 1))
+    return coefficient_tables(phase_t, coords, CutoffChi(), IndexSet(phase.layout, 0, 0)), phase_t
+
+
 def test_r_values_translation_phase():
-    phase = translation_phase()
-    assert compute_r(phase, ((0.0,), (0.0,), (2.0,))) == pytest.approx(4.0)
-    assert compute_r(phase, ((1.0,), (0.0,), (2.0,))) == pytest.approx(8.0)
-    assert compute_r(phase, ((1.0,), (0.0,), (3.0,))) == pytest.approx(18.0)
+    coeffs, _ = coefficients_at(translation_phase(),
+                                [(0.0, 0.0, 2.0), (1.0, 0.0, 2.0), (1.0, 0.0, 3.0)])
+    assert coeffs.r[coeffs.iset.zero] == pytest.approx([4.0, 8.0, 18.0])
 
 
 def test_coefficients_closed_form_outside_cutoff():
     # at (1, 0, 3): r = 18, grad_xi Phi = 1, grad_y Phi = -3, chi = 0
-    coeffs = compute_coeffs(translation_phase(), CutoffChi(), ((1.0,), (0.0,), (3.0,)))
-    assert coeffs.alpha[0] == pytest.approx(-0.5j)
-    assert coeffs.beta[0] == pytest.approx(1j / 6.0)
-    assert coeffs.gamma == pytest.approx(0.0)
-    assert coeffs.r == pytest.approx(18.0)
-    assert abs(coeffs.identity_residual) < 1e-15
+    coeffs, phase_t = coefficients_at(translation_phase(), [(1.0, 0.0, 3.0)])
+    z = coeffs.iset.zero
+    assert -1j * coeffs.alpha_prime[0][z] == pytest.approx([-0.5j])
+    assert -1j * coeffs.beta_prime[0][z] == pytest.approx([1j / 6.0])
+    assert coeffs.gamma[z] == pytest.approx(0.0)
+    assert coeffs.r[z] == pytest.approx([18.0])
+    assert np.abs(identity_residual(phase_t, coeffs)) < 1e-15
 
 
 @pytest.mark.parametrize("xi", [0.3, 0.9, 1.2, 1.5, 1.8, 3.0, 40.0])
 def test_identity_exact_in_every_cutoff_regime(xi):
-    coeffs = compute_coeffs(translation_phase(), CutoffChi(), ((0.4,), (-0.2,), (xi,)))
-    assert abs(coeffs.identity_residual) < 1e-14
+    coeffs, phase_t = coefficients_at(translation_phase(), [(0.4, -0.2, xi)])
+    assert np.abs(identity_residual(phase_t, coeffs)) < 1e-14
 
 
 @settings(max_examples=150, deadline=None)
@@ -174,15 +185,16 @@ def test_identity_holds_at_arbitrary_points(x, y, xi, perturbed):
             "product", factors=[trig, builtin_map("linear_phase", n=1)]))
     else:
         phase = translation_phase()
-    coeffs = compute_coeffs(phase, CutoffChi(), ((x,), (y,), (xi,)))
-    assert abs(coeffs.identity_residual) < 1e-12
+    coeffs, phase_t = coefficients_at(phase, [(x, y, xi)])
+    assert np.abs(identity_residual(phase_t, coeffs)) < 1e-12
 
 
 def test_inside_cutoff_coefficients_vanish_exactly():
-    coeffs = compute_coeffs(translation_phase(), CutoffChi(), ((0.4,), (-0.2,), (0.5,)))
-    assert coeffs.alpha[0] == 0.0
-    assert coeffs.beta[0] == 0.0
-    assert coeffs.gamma == 1.0
+    coeffs, _ = coefficients_at(translation_phase(), [(0.4, -0.2, 0.5)])
+    z = coeffs.iset.zero
+    assert coeffs.alpha_prime[0][z] == 0.0
+    assert coeffs.beta_prime[0][z] == 0.0
+    assert coeffs.gamma[z] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +202,24 @@ def test_inside_cutoff_coefficients_vanish_exactly():
 
 
 def unit_amplitude():
-    return Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(1, 1, 1)))
+    return builtin_map("constant", value=1.0, layout=VarLayout(1, 1, 1))
 
 
 def gaussian_test_function():
     return builtin_map("gaussian_bump", block="y", center=0.0, width=1.0)
 
 
+def l_power(phase, amp, psi, chi, kappa, points) -> np.ndarray:
+    """L^kappa(a psi) at a batch of (x, y, xi) points, as the engine forms it."""
+    g, _, iset_x = _regularized_tables(phase, amp, psi, chi, kappa,
+                                       point_coords(points), 0)
+    return np.broadcast_to(g[iset_x.zero], (len(points),))
+
+
 def test_L_power_zero_is_the_product():
-    val = apply_L_power(translation_phase(), unit_amplitude(),
-                        gaussian_test_function(), CutoffChi(), 0,
-                        ((0.0,), (0.3,), (5.0,)))
-    assert val == pytest.approx(math.exp(-0.09))
+    val = l_power(translation_phase(), unit_amplitude(),
+                  gaussian_test_function(), CutoffChi(), 0, [(0.0, 0.3, 5.0)])
+    assert val == pytest.approx([math.exp(-0.09)])
 
 
 def test_L_power_one_closed_form():
@@ -218,27 +236,23 @@ def test_L_power_one_closed_form():
     d_beta_y = 1j * xi * (2 * xi ** 2 * q) / r ** 2  # -d/dy r = +2 xi^2 q
     beta = 1j * xi / r
     expected = -(d_alpha_xi * psi) - (d_beta_y * psi + beta * dpsi)
-    val = apply_L_power(translation_phase(), unit_amplitude(),
-                        gaussian_test_function(), CutoffChi(), 1,
-                        ((x,), (y,), (xi,)))
-    assert val == pytest.approx(expected, rel=1e-12)
-    assert val == pytest.approx(0.19292478854138878j, rel=1e-12)
+    val = l_power(translation_phase(), unit_amplitude(),
+                  gaussian_test_function(), CutoffChi(), 1, [(x, y, xi)])
+    assert val == pytest.approx([expected], rel=1e-12)
+    assert val == pytest.approx([0.19292478854138878j], rel=1e-12)
 
 
 def test_L_power_is_identity_inside_the_cutoff():
-    psi_val = apply_L_power(translation_phase(), unit_amplitude(),
-                            gaussian_test_function(), CutoffChi(), 3,
-                            ((0.2,), (0.4,), (0.6,)))
-    assert psi_val == pytest.approx(math.exp(-0.16), rel=1e-14)
+    psi_val = l_power(translation_phase(), unit_amplitude(),
+                      gaussian_test_function(), CutoffChi(), 3, [(0.2, 0.4, 0.6)])
+    assert psi_val == pytest.approx([math.exp(-0.16)], rel=1e-14)
 
 
 @pytest.mark.parametrize("kappa", [1, 2, 3])
 def test_L_ladder_gains_one_decay_order_per_step(kappa):
     phase, amp, psi, chi = (translation_phase(), unit_amplitude(),
                             gaussian_test_function(), CutoffChi())
-    point = lambda xi: ((0.0,), (0.3,), (xi,))
-    lo = abs(apply_L_power(phase, amp, psi, chi, kappa, point(8.0)))
-    hi = abs(apply_L_power(phase, amp, psi, chi, kappa, point(32.0)))
+    lo, hi = np.abs(l_power(phase, amp, psi, chi, kappa, [(0.0, 0.3, 8.0), (0.0, 0.3, 32.0)]))
     observed = math.log(lo / hi) / math.log(4.0)
     assert observed == pytest.approx(kappa, abs=0.35)
 
@@ -318,13 +332,11 @@ def test_derived_fields_match_the_eager_formula(xi_lo, xi_hi):
     coords, phase_t, iset = ladder_points(xi_lo, xi_hi, 3, seed=7, n=n)
     coeffs = coefficient_tables(phase_t, coords, CutoffChi(), iset)
     alpha_ref, beta_ref = eager_coefficient_fields(phase_t, coords, CutoffChi(), iset)
-    assert len(coeffs.alpha) == len(coeffs.beta) == 1
-    for prime, cplx, ref in ((coeffs.alpha_prime[0], coeffs.alpha[0], alpha_ref),
-                             (coeffs.beta_prime[0], coeffs.beta[0], beta_ref)):
-        assert set(prime) == set(cplx) == set(iset.keys())
+    assert len(coeffs.alpha_prime) == len(coeffs.beta_prime) == 1
+    for prime, ref in ((coeffs.alpha_prime[0], alpha_ref),
+                       (coeffs.beta_prime[0], beta_ref)):
+        assert set(prime) == set(iset.keys())
         for key in iset.keys():
-            r = np.broadcast_to(ref[key], (n,))
-            np.testing.assert_allclose(np.broadcast_to(prime[key], (n,)), r,
-                                       rtol=1e-14, atol=0)
-            np.testing.assert_allclose(np.broadcast_to(cplx[key], (n,)), -1j * r,
+            np.testing.assert_allclose(np.broadcast_to(prime[key], (n,)),
+                                       np.broadcast_to(ref[key], (n,)),
                                        rtol=1e-14, atol=0)

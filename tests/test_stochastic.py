@@ -14,6 +14,7 @@ from stochfio.stochastic import (
     TruncatedSpeedModel,
     expected_wave_analytic,
     expected_wave_field,
+    map_values,
     mc_estimate,
     mc_wave_estimate,
     sample_field,
@@ -342,7 +343,7 @@ def test_sampled_fields_respect_the_floor_and_mean():
     values = []
     for seed in range(60):
         speed = sample_field(model, seed)
-        vals = np.array([float(np.real(speed.value(((x,), (), ())))) for x in xs[::10]])
+        vals = np.real(map_values(speed, xs[::10], block="x"))
         assert vals.min() >= 2.0 - 0.25 - 1e-12
         assert vals.max() <= 2.0 + 0.25 + 1e-12
         values.append(vals)
@@ -355,5 +356,4 @@ def test_sample_field_reproducible():
                              phases=(0.0,), alpha_floor=0.25)
     s1 = sample_field(model, 42)
     s2 = sample_field(model, 42)
-    pt = ((0.37,), (), ())
-    assert s1.value(pt) == s2.value(pt)
+    assert map_values(s1, 0.37, block="x") == map_values(s2, 0.37, block="x")

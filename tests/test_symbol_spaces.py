@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _references import point_table
 from stochfio.jets import VarLayout, builtin_map
 from stochfio.symbol_spaces import (
     Amplitude,
@@ -213,8 +214,8 @@ def test_swapped_phase_exchanges_blocks():
     sw = phase.swapped()
     pt_fwd = ((0.4,), (-0.3,), (1.5,))
     pt_rev = ((-0.3,), (0.4,), (1.5,))
-    j, js = phase.map.jet(pt_fwd, 2), sw.map.jet(pt_rev, 2)
-    assert js.value == pytest.approx(j.value, rel=1e-12)
+    j, js = point_table(phase.map, pt_fwd, 2), point_table(sw.map, pt_rev, 2)
+    assert js[(0, 0, 0)] == pytest.approx(j[(0, 0, 0)], rel=1e-12)
     assert js[(1, 0, 0)] == pytest.approx(j[(0, 1, 0)], rel=1e-12)
     assert js[(0, 1, 0)] == pytest.approx(j[(1, 0, 0)], rel=1e-12)
     assert js[(1, 0, 1)] == pytest.approx(j[(0, 1, 1)], rel=1e-12)
