@@ -12,6 +12,7 @@ refuse to build a phase outside it.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,8 +31,10 @@ from .oscillatory import (
     FioOperator,
     GridField,
     QuadratureConfig,
+    _pair_signs,
     _y_first_apply,
     _y_first_pair,
+    _y_first_plan,
 )
 from .regularizer import CutoffChi, select_kappa
 from .symbol_spaces import Amplitude, PhaseFunction
@@ -373,37 +376,67 @@ def halfwave_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
     return GridField(field.points, field.values, {**field.meta, "min_abs_G": min(margins)})
 
 
-def _wave_branches(speed, amp: Amplitude, u0: SmoothMap, t: float, x_points,
-                   config: QuadratureConfig | None) -> GridField:
-    """Sum of the branches exp(-+ i c t |xi|), each with amplitude ``amp``.
+def _wave_ops(speed, amp: Amplitude, config: QuadratureConfig | None) -> tuple:
+    """The operators of the branches exp(+- i c t |xi|) at ``speed``."""
+    op = _order_zero_op(PhaseFunction(builtin_map("scaled_norm_phase", speed=speed,
+                                                  sign=+1)), amp, config)
+    return op, replace(op, phase=PhaseFunction(builtin_map("scaled_norm_phase",
+                                                           speed=speed, sign=-1)))
 
-    The branch phases Phi_s = (x - y) xi + s c t |xi| are in standard form
-    and mirror each other, Phi_s(-xi) = -Phi_{-s}(xi), so both are summed
-    y first on one u_hat table per band, and with a hermitian amplitude and
-    a real u0 branch s is P_s + conj(P_{-s}) from the xi > 0 halves (see
+
+def _wave_plan(speeds, amp: Amplitude, u0: SmoothMap, t: float, x_points,
+               config: QuadratureConfig | None):
+    """Stage one of ``_wave_branches``: one node plan and one u_hat table
+    per band, sized for the branches of every speed in ``speeds``.
+
+    A branch's xi-rate |x - y| + |c| t grows with the speed, so a plan sized
+    for a constant speed serves every slower one, never with coarser panels.
+    """
+    xs = np.atleast_1d(np.asarray(x_points, dtype=float))
+    ops = [op for c in speeds for op in _wave_ops(c, amp, config)]
+    return _y_first_plan(ops, u0, (xs, np.full(xs.size, float(t))),
+                         _pair_signs(ops[0], u0))
+
+
+def _wave_branches(speeds, amp: Amplitude, u0: SmoothMap, t: float, x_points,
+                   config: QuadratureConfig | None, plan=None) -> list:
+    """Sums of the branches exp(-+ i c t |xi|), each with amplitude ``amp``:
+    one field per speed c in ``speeds``, all summed on one node plan.
+
+    The plan is ``plan`` when given (stage one, ``_wave_plan``), else one
+    sized for these speeds; u_hat depends on u0 and the plan alone, so each
+    speed adds only its branches' x sums.  The branch phases
+    Phi_s = (x - y) xi + s c t |xi| are in standard form and mirror each
+    other, Phi_s(-xi) = -Phi_{-s}(xi), so with a hermitian amplitude and a
+    real u0 branch s is P_s + conj(P_{-s}) from the xi > 0 halves (see
     ``oscillatory._y_first_pair``).  Runs serially.
 
     Each branch's meta goes under ``branch_+`` / ``branch_-`` without the
-    wall time and evaluation count they share.  The top level has those,
-    the summed ``nodes`` and the ``evaluation_path``, ``kappa``,
-    ``xi_radius`` and ``xi_reflected`` the branches share.
+    wall time and evaluation count they share.  The top level has the wall
+    time of the call, the evaluations one field costs on the plan (its u_hat
+    tables and both branches' x sums), the summed ``nodes`` and the
+    ``evaluation_path``, ``kappa``, ``xi_radius`` and ``xi_reflected`` the
+    branches share.
     """
-    xs = np.atleast_1d(np.asarray(x_points, dtype=float))
-    cols = (xs, np.full(xs.size, float(t)))
-    phases = [PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, sign=sign))
-              for sign in (+1, -1)]
-    fields = _y_first_pair(_order_zero_op(phases[0], amp, config), phases[1], u0, cols)
-    shared = fields[0].meta
-    meta = {"wall_time": shared["wall_time"], "evaluations": shared["evaluations"],
-            "nodes": 0}
-    for sign, out in zip("+-", fields):
-        branch_meta = {k: v for k, v in out.meta.items()
-                       if k not in ("wall_time", "evaluations")}
-        meta["nodes"] += branch_meta["nodes"]
-        meta[f"branch_{sign}"] = branch_meta
-    meta.update({k: shared[k] for k in ("evaluation_path", "kappa", "xi_radius",
-                                        "xi_reflected")})
-    return GridField((xs,), {(0,): fields[0].value + fields[1].value}, meta)
+    t0 = time.perf_counter()
+    if plan is None:
+        plan = _wave_plan(speeds, amp, u0, t, x_points, config)
+    pairs = [_y_first_pair(plan, *_wave_ops(c, amp, config)) for c in speeds]
+    top = {"wall_time": time.perf_counter() - t0,
+           "evaluations": plan.meta["evaluations"] + 2 * plan.sum_evaluations}
+    out = []
+    for fields in pairs:
+        meta = {**top, "nodes": 0}
+        for sign, branch in zip("+-", fields):
+            branch_meta = {k: v for k, v in branch.meta.items()
+                           if k not in ("wall_time", "evaluations")}
+            meta["nodes"] += branch_meta["nodes"]
+            meta[f"branch_{sign}"] = branch_meta
+        meta.update({k: fields[0].meta[k] for k in ("evaluation_path", "kappa",
+                                                    "xi_radius", "xi_reflected")})
+        out.append(GridField(plan.cols[:1], {(0,): fields[0].value + fields[1].value},
+                             meta))
+    return out
 
 
 def wave_solve(speed, u0: SmoothMap, t: float, x_points,
@@ -419,4 +452,4 @@ def wave_solve(speed, u0: SmoothMap, t: float, x_points,
     """
     amp = Amplitude(builtin_map("constant", value=float(amplitude_value),
                                 layout=VarLayout(2, 0, 1)))
-    return _wave_branches(speed, amp, u0, t, x_points, config)
+    return _wave_branches((speed,), amp, u0, t, x_points, config)[0]

@@ -20,6 +20,7 @@ the manifest's ``timing`` entry is dropped.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -148,9 +149,16 @@ def build_quadrature(cfg: dict, workers=None) -> QuadratureConfig:
         return QuadratureConfig(**spec)
 
 
+def _integer(value, what: str) -> int:
+    """``int(value)``, refusing a JSON boolean, which int() reads as 0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_time(cfg: dict, command: str) -> float:
     t = _require(cfg, "time", command)
-    if not isinstance(t, (int, float)) or not math.isfinite(t):
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
         raise ConfigError(f"bad {command} option 'time': {t!r} is not a finite number")
     return float(t)
 
@@ -312,16 +320,16 @@ def cmd_mc(cfg: dict, args) -> int:
     xs = build_grid(cfg, "mc")
     mc_opts = cfg.get("mc", {})
     with _config_errors("mc options"):
-        n_samples = int(mc_opts.get("n_samples", 256))
-        base_seed = int(args.seed if args.seed is not None
-                        else mc_opts.get("base_seed", 0))
+        n_samples = _integer(mc_opts.get("n_samples", 256), "n_samples")
+        base_seed = _integer(args.seed if args.seed is not None
+                             else mc_opts.get("base_seed", 0), "base_seed")
     engine = mc_opts.get("engine", "translation")
     raw_pairs = mc_opts.get("autocov_pairs", [])
     if (not isinstance(raw_pairs, list)
             or any(not isinstance(p, list) or len(p) != 2 for p in raw_pairs)):
         raise ConfigError("mc.autocov_pairs must be a list of [p, q] index pairs")
     with _config_errors("autocov_pairs entry"):
-        pairs = tuple((int(p), int(q)) for p, q in raw_pairs)
+        pairs = tuple((_integer(p, "index"), _integer(q, "index")) for p, q in raw_pairs)
     if any(not 0 <= p < xs.size or not 0 <= q < xs.size for p, q in pairs):
         raise ConfigError("autocov_pairs indices must lie inside the grid")
     qc = build_quadrature(cfg) if engine == "fio" else None
@@ -353,7 +361,12 @@ def cmd_mc(cfg: dict, args) -> int:
             "max_deviation": float(deviation.max()),
             "max_std_error": float(np.max(result.std_error)),
         }
-    payload = {"manifest": make_manifest("mc", cfg), "mc": body}
+    meta = dict(result.meta)
+    wall_time = meta.pop("wall_time", None)
+    manifest = make_manifest("mc", cfg, extra=meta)
+    if wall_time is not None:
+        manifest["timing"] = {"wall_time": wall_time}
+    payload = {"manifest": manifest, "mc": body}
     _emit(args, payload)
     return 0
 
@@ -409,7 +422,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change
+    it, and building it costs twenty times a parse."""
     parser = argparse.ArgumentParser(
         prog="stochfio",
         description="Oscillatory-integral operators with regularized "

@@ -39,18 +39,21 @@ standard form Phi = phi(x, xi) - y xi (``SmoothMap.standard_form``).  For
 it, integrating by parts in y is exact at each xi, so with an amplitude
 free of y the regularized integral is
 (2 pi)^-1 sum_xi w_xi exp(i phi(x, xi)) a(x, xi) u_hat(xi) with
-u_hat(xi) = sum_y w_y exp(-i y xi) u(y).  ``_y_first_apply`` forms u_hat on
-each band's xi > 0 nodes once (N_y N_xi work; for a real u the xi < 0 half
-is its conjugate) and then sums against it with the x-jets ``out_order``
-asks for (N_x N_xi work, in blocks), on the same band plan taken
-at kappa = 0: no ladder, and the truncation error is the tail of |u_hat|
-rather than the ladder's O(R^-m).  It runs serially and keeps the (band,
-sign) accumulators.  Two standard-form phases with phi_a(x, -xi) =
--phi_b(x, xi), the wave branches, share one u_hat table per band
-(``_y_first_pair``): u_hat is hermitian for a real u, so branch a is
-P_a + conj(P_b) from the xi > 0 halves.  The transport, half-wave and wave
-solvers, and through them the expected wave field and the quadrature
-Monte Carlo engine, take this path; ``apply``, ``apply_adjoint``,
+u_hat(xi) = sum_y w_y exp(-i y xi) u(y).  The sum runs in two stages.
+``_y_first_plan`` probes the rates, plans the bands at kappa = 0 and forms
+u_hat on each band's xi > 0 nodes once (N_y N_xi work; for a real u the
+xi < 0 half is its conjugate).  ``_y_first_sums`` then sums any number of
+operators against it with the x-jets ``out_order`` asks for (N_x N_xi work
+each, in blocks): no ladder, and the truncation error is the tail of
+|u_hat| rather than the ladder's O(R^-m).  It runs serially and keeps the
+(band, sign) accumulators.  u_hat depends on u and the plan alone, so one
+plan serves every operator whose phase changes no faster than the ones it
+was sized for.  Two standard-form phases with phi_a(x, -xi) =
+-phi_b(x, xi), the wave branches, share it (``_y_first_pair``): u_hat is
+hermitian for a real u, so branch a is P_a + conj(P_b) from the xi > 0
+halves.  The transport, half-wave and wave solvers, and through them the
+expected wave field and the quadrature Monte Carlo engine, which sums
+every draw on one plan, take this path; ``apply``, ``apply_adjoint``,
 ``pair_distribution``, ``oscillatory_integral`` and ``convergence_study``
 stay on the L^kappa ladder, whose truncation they study.
 """
@@ -347,7 +350,8 @@ def _support_window(maps, block: str, default=None):
         if default is None:
             raise ValueError(
                 "integrand has no finite effective y support; give the test "
-                "function a support window or pass y_window explicitly")
+                "function a support window: a gaussian_bump or mollifier_bump "
+                "of y, or a product with one")
         return default
     if lo >= hi:
         raise ValueError("effective y support is empty")
@@ -629,41 +633,63 @@ def _x_tables(op: FioOperator, cols, xi, out_order: int) -> dict:
     return t_mul(t_exp(t_scale(op.phase.table(coords, iset), 1.0j), iset), amp_t, iset)
 
 
-def _y_first_parts(ops, u: SmoothMap, x_points, out_order: int, signs) -> tuple:
-    """(band, sign) sums of the standard-form operators ``ops`` on one node
-    plan, integrating y first; returns the x columns, one accumulator list
-    per operator and the meta they share.
-
-    Each band forms u_hat(xi) = sum_y w_y exp(-i y xi) u(y) on its xi > 0
-    nodes once (N_y N_xi exponentials); a hermitian u (a real function of
-    y) gets u_hat(-xi) = conj u_hat(xi) from it, any other u a second
-    table.  Each operator sums w_xi exp(i phi(x, xi)) a(x, xi) u_hat(xi)
-    against it (N_x N_xi evaluations), its x tables built in xi-blocks of at
-    most max(1, max_chunk_elements // N_x) nodes; ``evaluations`` counts the
-    u_hat and the x work.  The plan is sized for the fastest of the phases
-    and taken at kappa = 0: no L is applied, so no cutoff derivatives enter.
-    """
+def _check_y_first(ops) -> None:
+    """The y-first sum needs standard-form phases and y-free amplitudes."""
     for op in ops:
         if not op.phase.map.standard_form:
             raise ValueError("y-first evaluation needs a phase declared in the "
                              "standard form phi(x, xi) - y xi")
         if op.amplitude.layout.n_y:
             raise ValueError("y-first evaluation needs an amplitude free of y")
+
+
+@dataclass(frozen=True)
+class _YFirstPlan:
+    """Stage one of the y-first sum: the x columns, the node plan and the
+    weighted u_hat tables that every operator summed on it shares.
+
+    ``hats[sign]`` holds w_xi u_hat(sign xi) on the xi > 0 nodes ``xi`` of
+    all bands, band b at ``xi[edges[b]:edges[b + 1]]``.  ``meta`` describes
+    the plan; its ``evaluations`` count the u_hat tables alone, and each
+    operator summed on the plan adds ``sum_evaluations``.
+    """
+
+    cols: tuple
+    signs: tuple
+    xi: np.ndarray
+    edges: np.ndarray
+    hats: dict
+    block: int
+    meta: dict
+
+    @property
+    def sum_evaluations(self) -> int:
+        """N_x N_xi per evaluated half-line: one operator's x sums."""
+        return self.cols[0].size * len(self.signs) * self.xi.size
+
+
+def _y_first_plan(ops, u: SmoothMap, x_points, signs) -> _YFirstPlan:
+    """Stage one of the y-first sum of the standard-form operators ``ops``
+    on the half-lines ``signs``: probe the rates, plan the bands, form u_hat.
+
+    Each band forms u_hat(xi) = sum_y w_y exp(-i y xi) u(y) on its xi > 0
+    nodes once (N_y N_xi exponentials); a hermitian u (a real function of
+    y) gets u_hat(-xi) = conj u_hat(xi) from it, any other u a second
+    table.  The plan is sized for the fastest of the phases and taken at
+    kappa = 0: no L is applied, so no cutoff derivatives enter.  It serves
+    any standard-form operator whose phase changes no faster.
+    """
+    _check_y_first(ops)
     op = ops[0]
     layout, config = op.phase.layout, op.config
     _check_layouts(layout, u)
     cols = _normalize_x_points(layout, x_points)
     window = _support_window([u], "y")
-    t0 = time.perf_counter()
     d_xi, d_y = zip(*(_probe_rates(o.phase, cols, window) for o in ops))
     bands, rates = _plan_nodes(op.phase, op.chi, config, cols, window, 0,
                                rates=(max(d_xi), max(d_y)))
     u_weighted = [yw * u.table(Coords((), (yn,), ()), IndexSet(u.layout, 0, 0))[(0,)]
                   for _lo, _hi, _xn, _xw, yn, yw in bands]
-    xi = np.concatenate([xn for _lo, _hi, xn, _xw, _yn, _yw in bands])
-    edges = np.cumsum([0] + [xn.size for _lo, _hi, xn, _xw, _yn, _yw in bands])
-    npts = cols[0].size
-    keys = IndexSet(layout, out_order, 0).keys()
 
     def hat_on(sign):
         return np.concatenate([xw * _u_hat(u_weighted[b], yn, sign * xn,
@@ -678,35 +704,54 @@ def _y_first_parts(ops, u: SmoothMap, x_points, out_order: int, signs) -> tuple:
         else:
             hats[-1.0] = hat_on(-1.0)
             hat_tables = 2
-    block = max(1, config.max_chunk_elements // npts)
-    parts = [[[] for _ in bands] for _ in ops]
-    for sign in signs:
-        sums = [[{} for _ in bands] for _ in ops]
-        for s in range(0, xi.size, block):
-            e = min(s + block, xi.size)
-            tables = [_x_tables(o, cols, sign * xi[s:e], out_order) for o in ops]
-            for b in range(len(bands)):
-                lo, hi = max(edges[b], s), min(edges[b + 1], e)
-                if lo >= hi:
-                    continue
-                for acc, tab in zip(sums, tables):
-                    for k in keys:
-                        term = (np.broadcast_to(tab[k], (npts, e - s))[:, lo - s:hi - s]
-                                @ hats[sign][lo:hi])
-                        acc[b][k] = acc[b].get(k, 0.0) + term
-        for part, acc in zip(parts, sums):
-            for b, band_sum in enumerate(acc):
-                part[b].append(band_sum)
-    sides = len(signs)
     n_xi_n_y = sum(xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands)
     meta = {"evaluation_path": "y_first",
             "bands": [(lo, hi, int(xn.size), int(yn.size))
                       for lo, hi, xn, _xw, yn, _yw in bands],
-            "nodes": sides * n_xi_n_y,
-            "evaluations": hat_tables * n_xi_n_y + len(ops) * npts * sides * xi.size,
+            "nodes": len(signs) * n_xi_n_y,
+            "evaluations": hat_tables * n_xi_n_y,
             "rates": rates, "kappa": 0, "y_window": tuple(window),
-            "wall_time": time.perf_counter() - t0, "xi_radius": config.xi_radius}
-    return cols, parts, meta
+            "xi_radius": config.xi_radius}
+    return _YFirstPlan(cols, tuple(signs),
+                       np.concatenate([xn for _lo, _hi, xn, _xw, _yn, _yw in bands]),
+                       np.cumsum([0] + [xn.size for _lo, _hi, xn, _xw, _yn, _yw in bands]),
+                       hats, max(1, config.max_chunk_elements // cols[0].size), meta)
+
+
+def _y_first_sums(plan: _YFirstPlan, ops, out_order: int = 0) -> list:
+    """Stage two: the (band, sign) sums of w_xi exp(i phi(x, xi)) a(x, xi)
+    u_hat(xi) of each operator in ``ops`` on ``plan``, with the x-jets
+    ``out_order`` asks for; returns one accumulator list per operator.
+
+    An operator's x tables are built in xi-blocks of ``plan.block`` nodes,
+    max(1, max_chunk_elements // N_x), each used up before the next is
+    built, so the memory held stays within one block whatever the number
+    of operators, and each operator's sums are those it gets alone.
+    """
+    _check_y_first(ops)
+    npts, xi, edges = plan.cols[0].size, plan.xi, plan.edges
+    nbands = edges.size - 1
+    keys = IndexSet(ops[0].phase.layout, out_order, 0).keys()
+    out = []
+    for op in ops:
+        parts = [[] for _ in range(nbands)]
+        for sign in plan.signs:
+            sums = [{} for _ in range(nbands)]
+            for s in range(0, xi.size, plan.block):
+                e = min(s + plan.block, xi.size)
+                tab = _x_tables(op, plan.cols, sign * xi[s:e], out_order)
+                for b in range(nbands):
+                    lo, hi = max(edges[b], s), min(edges[b + 1], e)
+                    if lo >= hi:
+                        continue
+                    for k in keys:
+                        term = (np.broadcast_to(tab[k], (npts, e - s))[:, lo - s:hi - s]
+                                @ plan.hats[sign][lo:hi])
+                        sums[b][k] = sums[b].get(k, 0.0) + term
+            for part, band_sum in zip(parts, sums):
+                part.append(band_sum)
+        out.append(parts)
+    return out
 
 
 def _y_first_apply(op: FioOperator, u: SmoothMap, x_points,
@@ -718,37 +763,48 @@ def _y_first_apply(op: FioOperator, u: SmoothMap, x_points,
     u_hat(xi): no L^kappa ladder, and the truncation error is the tail of
     |u_hat| beyond the radius.  Runs serially, in this process.
     """
+    t0 = time.perf_counter()
     mirrored = _xi_mirrored(op.phase, op.amplitude, u)
-    signs = _POSITIVE_SIGN if mirrored else _BOTH_SIGNS
-    cols, (parts,), meta = _y_first_parts((op,), u, x_points, out_order, signs)
-    return _band_field(op.phase.layout, cols, _band_totals(parts, mirrored), meta,
+    plan = _y_first_plan((op,), u, x_points, _POSITIVE_SIGN if mirrored else _BOTH_SIGNS)
+    (parts,) = _y_first_sums(plan, (op,), out_order)
+    meta = {**plan.meta, "evaluations": plan.meta["evaluations"] + plan.sum_evaluations,
+            "wall_time": time.perf_counter() - t0}
+    return _band_field(op.phase.layout, plan.cols, _band_totals(parts, mirrored), meta,
                        mirrored)
 
 
-def _y_first_pair(op: FioOperator, mirror_phase: PhaseFunction, u: SmoothMap,
-                  x_points) -> tuple:
-    """``_y_first_apply`` of ``op`` and of ``op`` with ``mirror_phase``, where
-    phi(x, -xi) = -phi_mirror(x, xi), on shared u_hat tables.
+def _pair_signs(op: FioOperator, u: SmoothMap) -> tuple:
+    """Half-lines a mirrored pair sums (``_y_first_pair``): xi > 0 alone
+    when the amplitude and u are hermitian."""
+    hermitian = (op.amplitude.map.xi_reflection == "hermitian"
+                 and u.xi_reflection == "hermitian")
+    return _POSITIVE_SIGN if hermitian else _BOTH_SIGNS
+
+
+def _y_first_pair(plan: _YFirstPlan, op: FioOperator, mirror: FioOperator) -> tuple:
+    """The fields of ``op`` and ``mirror``, whose phases satisfy
+    phi(x, -xi) = -phi_mirror(x, xi), summed y first on ``plan``.
 
     With a hermitian amplitude and a real u, u_hat(-xi) = conj u_hat(xi),
     so the xi < 0 half of each integrand is the conjugate of the other's
-    xi > 0 half: only the xi > 0 halves P and P_mirror are summed, and the
-    fields are P + conj(P_mirror) and P_mirror + conj(P), band by band.
-    Both fields' meta carry the pair's shared ``wall_time`` and
-    ``evaluations``.
+    xi > 0 half: on a plan of the xi > 0 half-line (``_pair_signs``) only
+    the halves P and P_mirror are summed, and the fields are
+    P + conj(P_mirror) and P_mirror + conj(P), band by band.  Both fields
+    carry the plan's meta.
     """
-    ops = (op, replace(op, phase=mirror_phase))
-    hermitian = (op.amplitude.map.xi_reflection == "hermitian"
-                 and u.xi_reflection == "hermitian")
-    signs = _POSITIVE_SIGN if hermitian else _BOTH_SIGNS
-    cols, parts, meta = _y_first_parts(ops, u, x_points, 0, signs)
+    hermitian = plan.signs == _POSITIVE_SIGN
+    if hermitian and any(o.amplitude.map.xi_reflection != "hermitian"
+                         for o in (op, mirror)):
+        raise ValueError("a plan of the xi > 0 half-line needs hermitian amplitudes")
+    parts = _y_first_sums(plan, (op, mirror))
     if hermitian:
         totals = [[{k: v + np.conj(q[k]) for k, v in p.items()}
                    for (p,), (q,) in zip(own, other)]
                   for own, other in ((parts[0], parts[1]), (parts[1], parts[0]))]
     else:
         totals = [_band_totals(p, False) for p in parts]
-    return tuple(_band_field(op.phase.layout, cols, t, meta, hermitian) for t in totals)
+    return tuple(_band_field(op.phase.layout, plan.cols, t, plan.meta, hermitian)
+                 for t in totals)
 
 
 def apply_adjoint(op: FioOperator, v: SmoothMap, y_points, out_order: int = 0,

@@ -18,11 +18,12 @@ mergeable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .applications import _wave_branches, wave_solve
+from .applications import _wave_branches, _wave_plan
 from .jets import SmoothMap, VarLayout, builtin_map, make_speed
 from .oscillatory import GridField, QuadratureConfig
 from .symbol_spaces import Amplitude
@@ -269,8 +270,11 @@ def mc_estimate(sampler, n_samples: int, base_seed: int, shape=None,
     With ``block`` set, ``sampler(rngs)`` takes an iterator over the
     generators of up to ``block`` consecutive replicates and returns their
     values stacked along a new first axis; each block enters the moments
-    through one merge.
+    through one merge.  A negative or boolean ``base_seed`` raises
+    ValueError before any draw.
     """
+    if isinstance(base_seed, (bool, np.bool_)) or base_seed < 0:
+        raise ValueError(f"base_seed must be a non-negative integer, got {base_seed!r}")
     if block is None:
         block = 1
 
@@ -319,8 +323,8 @@ def expected_wave_field(model: TruncatedSpeedModel, u0: SmoothMap, t: float,
     truncation of W changes this by at most ``model.truncation_mass``
     relative mass, reported in the metadata.
     """
-    field_ = _wave_branches(model.c0, _damping_amplitude(model.s, t), u0, t,
-                            x_points, config)
+    (field_,) = _wave_branches((model.c0,), _damping_amplitude(model.s, t), u0, t,
+                               x_points, config)
     return GridField(field_.points, field_.values,
                      {**field_.meta, "truncation_mass": model.truncation_mass,
                       "t": t, "c0": model.c0, "s": model.s})
@@ -344,8 +348,8 @@ def expected_wave_analytic(model: TruncatedSpeedModel, t: float, x_points,
     return out
 
 
-# Field values per block of translation draws: a block's arrays take
-# 16 bytes per value, and the handful alive at once stay under 1 MB.
+# Field values per block of draws: a block's arrays take 16 bytes per
+# value, and the handful alive at once stay under 1 MB.
 _BLOCK_ELEMENTS = 8192
 
 
@@ -356,6 +360,7 @@ class MCWaveResult:
     t: float
     points: np.ndarray
     engine: str
+    meta: dict = field(default_factory=dict)
 
     @property
     def mean(self) -> np.ndarray:
@@ -375,14 +380,21 @@ def mc_wave_estimate(model: TruncatedSpeedModel, u0: SmoothMap, t: float,
 
     ``engine="translation"`` evaluates each replicate by the exact
     d'Alembert translation u = (u0(x - ct) + u0(x + ct)) / 2, the same
-    identity the quadrature engine reproduces for constant speeds.  Its
-    draws go by the block: one ``map_values`` call per branch evaluates a
-    block of replicates on a (replicates, points) grid, and the block
-    enters the moments through one merge.  ``engine="fio"`` runs every
-    replicate through the wave operator, ``wave_solve``, which sums each
-    draw's branches y first on one u_hat table per band (no L^kappa
-    ladder) and shares no tables across draws: an independent check of the
-    translation path that costs milliseconds per draw at desk scale.
+    identity the quadrature engine reproduces for constant speeds.
+    ``engine="fio"`` runs every replicate through the wave operator of
+    ``wave_solve``, summed y first: an independent check of the translation
+    path.  Its node plan and its u_hat table per band depend on u0 and the
+    plan alone, so they are built once per call, before any draw, for the
+    branches at the top speed c0 + s bound = 2 c0 - alpha; every draw lies
+    in [alpha, 2 c0 - alpha] and a branch's xi-rate |x - y| + c t grows
+    with c, so no draw gets coarser panels than its own plan would have.
+    Each draw then adds only its branches' x sums (2 N_x N_xi), and
+    ``meta`` gives the shared ``evaluation_path`` and ``bands``, the run's
+    ``evaluations`` (u_hat once, N_y N_xi, plus the x sums of every draw
+    in the estimate) and its ``wall_time``.  Both engines draw by the
+    block: one call evaluates a block of replicates on a (replicates,
+    points) grid, and the block enters the moments through one merge; a
+    replicate's value does not depend on the block it lands in.
     ``autocov_pairs`` are grid-index pairs (p, q) whose sample
     autocovariance is tracked alongside the pointwise moments.
     """
@@ -390,20 +402,31 @@ def mc_wave_estimate(model: TruncatedSpeedModel, u0: SmoothMap, t: float,
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     xs = np.atleast_1d(np.asarray(x_points, dtype=float))
 
+    def speeds(rngs):
+        return _speeds_of_uniforms(model, np.fromiter((r.random() for r in rngs), float))
+
     if engine == "translation":
         def sampler(rngs):
-            c = _speeds_of_uniforms(model, np.fromiter((r.random() for r in rngs), float))
-            ct = (c * t).reshape((-1,) + (1,) * xs.ndim)
+            ct = (speeds(rngs) * t).reshape((-1,) + (1,) * xs.ndim)
             return 0.5 * (map_values(u0, xs - ct) + map_values(u0, xs + ct))
-        block = max(1, _BLOCK_ELEMENTS // xs.size)
     elif engine == "fio":
-        def sampler(rng):
-            c = float(sample_speeds(model, rng, 1)[0])
-            return wave_solve(c, u0, t, xs, config=config).value
-        block = None
+        t0 = time.perf_counter()
+        amp = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(2, 0, 1)))
+        plan = _wave_plan((model.c0 + model.s * model.bound,), amp, u0, t, xs, config)
+
+        def sampler(rngs):
+            return np.stack([f.value for f in _wave_branches(
+                speeds(rngs).tolist(), amp, u0, t, xs, config, plan)])
     else:
         raise ValueError("engine must be 'translation' or 'fio'")
 
     stats = mc_estimate(sampler, n_samples, base_seed, shape=xs.shape,
-                        pairs=autocov_pairs, block=block)
-    return MCWaveResult(stats, model, t, xs, engine)
+                        pairs=autocov_pairs, block=max(1, _BLOCK_ELEMENTS // xs.size))
+    meta = {}
+    if engine == "fio":
+        meta = {"evaluation_path": plan.meta["evaluation_path"],
+                "bands": plan.meta["bands"],
+                "evaluations": (plan.meta["evaluations"]
+                                + stats.n * 2 * plan.sum_evaluations),
+                "wall_time": time.perf_counter() - t0}
+    return MCWaveResult(stats, model, t, xs, engine, meta)

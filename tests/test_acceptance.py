@@ -424,28 +424,34 @@ def test_criterion_11_byte_identical_runs(tmp_path):
         manifest_ok = (json_payloads["w1a"] == json_payloads["w1b"]
                        == json_payloads["w4"])
 
-        mc_cfg = {
-            "schema_version": 1,
-            "model": {"c0": 2.0, "s": 0.2, "alpha": 0.25},
-            "test_function": {"family": "gaussian_bump", "block": "y"},
-            "time": 0.3,
-            "grid": {"lo": -1.0, "hi": 1.0, "n": 9},
-            "mc": {"n_samples": 64},
-        }
-        mc_path = tmp_path / "mc.json"
-        mc_path.write_text(json.dumps(mc_cfg))
-        mc_bytes = []
-        for tag in ("a", "b"):
-            out = tmp_path / f"mc_{tag}.json"
-            rc = cli_main(["mc", "--config", str(mc_path), "--seed", "7",
-                           "--out", str(out)])
-            assert rc == 0
-            mc_bytes.append(out.read_bytes())
-        mc_ok = mc_bytes[0] == mc_bytes[1]
+        mc_same = {}
+        for engine in ("translation", "fio"):
+            mc_cfg = {
+                "schema_version": 1,
+                "model": {"c0": 2.0, "s": 0.2, "alpha": 0.25},
+                "test_function": {"family": "gaussian_bump", "block": "y"},
+                "time": 0.3,
+                "grid": {"lo": -1.0, "hi": 1.0, "n": 9},
+                "mc": {"n_samples": 64, "engine": engine},
+            }
+            mc_path = tmp_path / f"mc_{engine}.json"
+            mc_path.write_text(json.dumps(mc_cfg))
+            mc_bytes = []
+            for tag in ("a", "b"):
+                out = tmp_path / f"mc_{engine}_{tag}.json"
+                rc = cli_main(["mc", "--config", str(mc_path), "--seed", "7",
+                               "--out", str(out)])
+                assert rc == 0
+                payload = json.loads(out.read_bytes())
+                payload["manifest"] = strip_timing(payload["manifest"])
+                mc_bytes.append(json.dumps(payload, sort_keys=True))
+            mc_same[engine] = mc_bytes[0] == mc_bytes[1]
+        mc_ok = all(mc_same.values())
 
         ok = csv_ok and manifest_ok and mc_ok
         return ok, (f"csv identical across reruns and workers 1/4: {csv_ok}; "
                     f"manifests (timing stripped): {manifest_ok}; "
-                    f"mc reruns byte-identical: {mc_ok}")
+                    f"mc reruns identical (timing stripped): "
+                    f"translation {mc_same['translation']}, fio {mc_same['fio']}")
 
     _run(11, "byte-identical reruns and worker counts", body)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochfio.cli import main
+from stochfio.cli import _build_parser, main
 from stochfio.io import read_field_csv, strip_timing
 
 XI30 = {"xi_radius": 30.0}
@@ -371,6 +371,31 @@ def test_mc_fewer_than_one_sample_exits_2(tmp_path, capsys, n_samples):
     assert "n_samples" in captured.err
 
 
+def test_mc_negative_seed_exits_2(capsys):
+    assert main(["mc", "--config", str(CONFIG_DIR / "mc.json"), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "base_seed" in captured.err
+
+
+def test_mc_fio_manifest_reports_the_shared_plan(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", mc_config(
+        mc={"n_samples": 3, "base_seed": 5, "engine": "fio"}, quadrature=XI30))
+    rc, payload = run_json(capsys, ["mc", "--config", cfg])
+    assert rc == 0
+    manifest = payload["manifest"]
+    assert manifest["evaluation_path"] == "y_first"
+    n_xi = sum(n for _lo, _hi, n, _n_y in manifest["bands"])
+    n_xi_n_y = sum(n * n_y for _lo, _hi, n, n_y in manifest["bands"])
+    assert manifest["evaluations"] == n_xi_n_y + 3 * 2 * 9 * n_xi
+    assert manifest["timing"]["wall_time"] > 0
+    # the translation engine has no plan to report, and no timing
+    cfg = write_config(tmp_path, "translation.json", mc_config())
+    rc, payload = run_json(capsys, ["mc", "--config", cfg])
+    assert rc == 0
+    assert not {"evaluation_path", "bands", "evaluations", "timing"} & set(payload["manifest"])
+
+
 def test_mc_seed_override_changes_the_draws(tmp_path, capsys):
     cfg = write_config(tmp_path, "cfg.json", mc_config())
     _, p1 = run_json(capsys, ["mc", "--config", cfg, "--seed", "1"])
@@ -439,6 +464,10 @@ def test_converge_command_reports_decaying_errors(tmp_path, capsys):
     ("apply", apply_config(test_function={"family": "gaussian_bump", "block": "x"}), "apply"),
     ("apply", apply_config(test_function=UNBOUNDED_Y), "apply"),
     ("converge", apply_config(test_function=UNBOUNDED_Y), "converge"),
+    ("wave", apply_config(speed=2.0, time=True), "wave"),
+    ("mc", mc_config(time=True), "mc"),
+    ("mc", mc_config(mc={"n_samples": True}), "mc"),
+    ("mc", mc_config(mc={"base_seed": False}), "mc"),
 ])
 def test_nonsense_command_option_exits_2(tmp_path, capsys, command, cfg, name):
     path = write_config(tmp_path, "cfg.json", cfg)
@@ -446,6 +475,29 @@ def test_nonsense_command_option_exits_2(tmp_path, capsys, command, cfg, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"bad {name} option" in captured.err
+
+
+@pytest.mark.parametrize("command", ["apply", "converge"])
+def test_unbounded_test_function_error_names_a_config_remedy(tmp_path, capsys, command):
+    path = write_config(tmp_path, "cfg.json", apply_config(test_function=UNBOUNDED_Y))
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "give the test function a support window" in err
+    assert "gaussian_bump or mollifier_bump of y, or a product with one" in err
+    assert "y_window" not in err
+
+
+def test_parser_is_built_once_and_parses_each_call_afresh(tmp_path, capsys):
+    assert _build_parser() is _build_parser()
+    cfg = write_config(tmp_path, "cfg.json", mc_config())
+    out = tmp_path / "seeded.json"
+    assert main(["mc", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mc"]["base_seed"] == 3
+    # the second call sets neither --seed nor --out: the config's seed, stdout
+    rc, payload = run_json(capsys, ["mc", "--config", cfg])
+    assert rc == 0 and payload["mc"]["base_seed"] == 5
+    rc, payload = run_json(capsys, ["horizon", "--config", str(CONFIG_DIR / "horizon.json")])
+    assert rc == 0 and payload["manifest"]["command"] == "horizon"
 
 
 # ---------------------------------------------------------------------------

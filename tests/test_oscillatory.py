@@ -443,7 +443,10 @@ def test_mirrored_wave_branches_equal_two_sided_runs():
     amp = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(2, 0, 1)))
     op = FioOperator(phases[0], amp, CutoffChi(), select_kappa(0.0, 1.0, 0.0, 1),
                      MIRROR_CONFIG)
-    pair = oscillatory._y_first_pair(op, phases[1], gaussian(), cols)
+    ops = (op, replace(op, phase=phases[1]))
+    plan = oscillatory._y_first_plan(ops, gaussian(), cols,
+                                     oscillatory._pair_signs(op, gaussian()))
+    pair = oscillatory._y_first_pair(plan, *ops)
     assert pair[0].meta["bands"] == pair[1].meta["bands"]
     for phase, field in zip(phases, pair):
         _assert_same_field(field, oscillatory._y_first_apply(replace(op, phase=phase),

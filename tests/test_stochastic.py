@@ -5,6 +5,8 @@ import pytest
 from scipy.special import ndtr
 
 from _references import translation_mc_moments, welford_moments
+from stochfio import stochastic
+from stochfio.applications import wave_solve
 from stochfio.jets import builtin_map
 from stochfio.oscillatory import QuadratureConfig
 from stochfio.stochastic import (
@@ -213,6 +215,19 @@ def test_replicate_seeds_are_independent_of_population():
     assert large.n == 20
 
 
+@pytest.mark.parametrize("seed", [-1, True, np.True_])
+def test_negative_or_boolean_base_seed_is_rejected_before_any_draw(seed):
+    calls = []
+
+    def sampler(rng):
+        calls.append(rng)
+        return np.zeros(1, dtype=complex)
+
+    with pytest.raises(ValueError, match="base_seed"):
+        mc_estimate(sampler, 4, base_seed=seed, shape=(1,))
+    assert calls == []
+
+
 def test_failed_replicates_in_a_block_keep_their_index():
     def sampler(rngs):
         rows = []
@@ -323,6 +338,68 @@ def test_mc_fio_engine_agrees_with_translation_engine():
     b = mc_wave_estimate(MODEL, GAUSS, 0.25, xs, 4, base_seed=3,
                          engine="fio", config=QuadratureConfig(xi_radius=30.0))
     assert np.max(np.abs(a.mean - b.mean)) < 1e-6
+
+
+FIO_XS = np.linspace(-1.0, 1.0, 5)
+FIO_CONFIG = QuadratureConfig(xi_radius=24.0)
+
+
+def test_mc_fio_meta_counts_u_hat_once():
+    result = mc_wave_estimate(MODEL, GAUSS, 0.25, FIO_XS, 4, base_seed=3,
+                              engine="fio", config=FIO_CONFIG)
+    meta = result.meta
+    # the shared plan is the wave plan of the top speed c0 + s bound
+    top = wave_solve(MODEL.c0 + MODEL.s * MODEL.bound, GAUSS, 0.25, FIO_XS,
+                     config=FIO_CONFIG)
+    assert meta["evaluation_path"] == "y_first"
+    assert meta["bands"] == top.meta["branch_+"]["bands"]
+    n_xi = sum(n for _lo, _hi, n, _n_y in meta["bands"])
+    n_xi_n_y = sum(n * n_y for _lo, _hi, n, n_y in meta["bands"])
+    assert meta["evaluations"] == n_xi_n_y + 4 * 2 * FIO_XS.size * n_xi
+    assert meta["wall_time"] > 0
+    assert mc_wave_estimate(MODEL, GAUSS, 0.25, FIO_XS, 4, base_seed=3).meta == {}
+
+
+def test_mc_fio_replicate_values_do_not_depend_on_their_block(monkeypatch):
+    """A block that raises reruns one draw at a time on the same plan; the
+    other draws keep their values bit for bit, and each matches wave_solve
+    at its own speed."""
+    plans, values, unstable = [], {}, []
+    wave_plan, wave_branches = stochastic._wave_plan, stochastic._wave_branches
+
+    def counting_plan(*args):
+        plans.append(wave_plan(*args))
+        return plans[-1]
+
+    def recording_branches(speeds, *args):
+        if any(c in unstable for c in speeds):
+            raise RuntimeError("unstable draw")
+        fields = wave_branches(speeds, *args)
+        for c, f in zip(speeds, fields):
+            values[c] = f.value
+        return fields
+
+    monkeypatch.setattr(stochastic, "_wave_plan", counting_plan)
+    monkeypatch.setattr(stochastic, "_wave_branches", recording_branches)
+
+    def run():
+        return mc_wave_estimate(MODEL, GAUSS, 0.25, FIO_XS, 6, base_seed=3,
+                                engine="fio", config=FIO_CONFIG)
+
+    blocked = run()
+    assert blocked.stats.n == 6 and len(plans) == 1
+    speeds = list(values)  # replicate order: the one block of six
+    blocked_values = dict(values)
+    values.clear()
+    unstable.append(speeds[2])
+    failing = run()
+    assert len(plans) == 2  # one plan per run, none per rerun draw
+    assert failing.stats.failures == ((2, "RuntimeError: unstable draw"),)
+    assert failing.stats.n == 5 and set(values) == set(speeds) - {speeds[2]}
+    for c, v in values.items():
+        assert np.array_equal(v, blocked_values[c])
+        alone = wave_solve(c, GAUSS, 0.25, FIO_XS, config=FIO_CONFIG).value
+        assert np.max(np.abs(v - alone)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
