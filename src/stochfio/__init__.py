@@ -32,8 +32,9 @@ Layout
     Transport, half-wave and full wave solvers whose phases come from
     bicharacteristic flows integrated with RK4 and variational jets.
 ``stochastic``
-    Random sound-speed models, truncated-Gaussian sampling, expected
-    operators, and deterministic-seed Monte Carlo with streaming moments.
+    The truncated-Gaussian random speed and its sampling, the expected
+    wave operator, and deterministic-seed Monte Carlo with streaming
+    moments.
 ``io`` / ``cli``
     Serialization (CSV / JSON with manifests) and the ``stochfio``
     command-line entry point.
@@ -94,13 +95,11 @@ from .applications import (
 from .stochastic import (
     MCStats,
     MCWaveResult,
-    RandomFieldModel,
     TruncatedSpeedModel,
     expected_wave_analytic,
     expected_wave_field,
     mc_estimate,
     mc_wave_estimate,
-    sample_field,
     sample_speeds,
 )
 
@@ -128,7 +127,7 @@ __all__ = [
     "solve_characteristics", "solve_flows", "transport_phase",
     "transport_solve", "wave_solve",
     # stochastic
-    "MCStats", "MCWaveResult", "RandomFieldModel", "TruncatedSpeedModel",
+    "MCStats", "MCWaveResult", "TruncatedSpeedModel",
     "expected_wave_analytic", "expected_wave_field", "mc_estimate",
-    "mc_wave_estimate", "sample_field", "sample_speeds",
+    "mc_wave_estimate", "sample_speeds",
 ]

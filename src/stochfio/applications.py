@@ -1,12 +1,14 @@
 """Transport, half-wave and wave solvers built on the quadrature engine.
 
-The variable-speed solvers construct their phases from bicharacteristic
-flows integrated with fixed-step RK4, carrying x-derivative jets through
-the variational equations so the phase exposes exact derivatives to the
-regularizer.  For the half-wave Hamiltonian c(x) P(xi) with P(xi) =
-|xi| (1 - chi(4 xi)), the flows stay in the region where P(G) = |G| as
-long as |G| keeps away from 1/2; the solvers monitor that margin and
-refuse to build a phase outside it.
+Each solver's phase is an FIO phase indexed by the time t: t is a
+parameter of the phase, never a coordinate, so every phase has one x, one
+y and one xi variable.  The variable-speed solvers construct their phases
+from bicharacteristic flows integrated with fixed-step RK4, carrying
+x-derivative jets through the variational equations so the phase exposes
+exact derivatives to the regularizer.  For the half-wave Hamiltonian
+c(x) P(xi) with P(xi) = |xi| (1 - chi(4 xi)), the flows stay in the region
+where P(G) = |G| as long as |G| keeps away from 1/2; the solvers monitor
+that margin and refuse to build a phase outside it.
 """
 
 from __future__ import annotations
@@ -376,12 +378,12 @@ def halfwave_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
     return GridField(field.points, field.values, {**field.meta, "min_abs_G": min(margins)})
 
 
-def _wave_ops(speed, amp: Amplitude, config: QuadratureConfig | None) -> tuple:
+def _wave_ops(speed, amp: Amplitude, t: float, config: QuadratureConfig | None) -> tuple:
     """The operators of the branches exp(+- i c t |xi|) at ``speed``."""
     op = _order_zero_op(PhaseFunction(builtin_map("scaled_norm_phase", speed=speed,
-                                                  sign=+1)), amp, config)
+                                                  t=t, sign=+1)), amp, config)
     return op, replace(op, phase=PhaseFunction(builtin_map("scaled_norm_phase",
-                                                           speed=speed, sign=-1)))
+                                                           speed=speed, t=t, sign=-1)))
 
 
 def _wave_plan(speeds, amp: Amplitude, u0: SmoothMap, t: float, x_points,
@@ -392,9 +394,8 @@ def _wave_plan(speeds, amp: Amplitude, u0: SmoothMap, t: float, x_points,
     A branch's xi-rate |x - y| + |c| t grows with the speed, so a plan sized
     for a constant speed serves every slower one, never with coarser panels.
     """
-    xs = np.atleast_1d(np.asarray(x_points, dtype=float))
-    ops = [op for c in speeds for op in _wave_ops(c, amp, config)]
-    return _y_first_plan(ops, u0, (xs, np.full(xs.size, float(t))),
+    ops = [op for c in speeds for op in _wave_ops(c, amp, t, config)]
+    return _y_first_plan(ops, u0, np.atleast_1d(np.asarray(x_points, dtype=float)),
                          _pair_signs(ops[0], u0))
 
 
@@ -421,7 +422,7 @@ def _wave_branches(speeds, amp: Amplitude, u0: SmoothMap, t: float, x_points,
     t0 = time.perf_counter()
     if plan is None:
         plan = _wave_plan(speeds, amp, u0, t, x_points, config)
-    pairs = [_y_first_pair(plan, *_wave_ops(c, amp, config)) for c in speeds]
+    pairs = [_y_first_pair(plan, *_wave_ops(c, amp, t, config)) for c in speeds]
     top = {"wall_time": time.perf_counter() - t0,
            "evaluations": plan.meta["evaluations"] + 2 * plan.sum_evaluations}
     out = []
@@ -434,8 +435,7 @@ def _wave_branches(speeds, amp: Amplitude, u0: SmoothMap, t: float, x_points,
             meta[f"branch_{sign}"] = branch_meta
         meta.update({k: fields[0].meta[k] for k in ("evaluation_path", "kappa",
                                                     "xi_radius", "xi_reflected")})
-        out.append(GridField(plan.cols[:1], {(0,): fields[0].value + fields[1].value},
-                             meta))
+        out.append(GridField(plan.cols, {(0,): fields[0].value + fields[1].value}, meta))
     return out
 
 
@@ -446,10 +446,10 @@ def wave_solve(speed, u0: SmoothMap, t: float, x_points,
 
     For constant speed this is the exact d'Alembert evolution of cos-type
     initial data (u0, zero velocity): each branch carries amplitude 1/2.
-    ``speed`` is a number or a map of x; time rides along as the last x
-    coordinate of the phase layout, so ``x_points`` are spatial only.  The
-    branches are summed y first and serially.
+    ``speed`` is a number or a map of x; the branch phases take ``t`` as a
+    parameter, as ``transport_phase`` does.  The branches are summed y first
+    and serially.
     """
     amp = Amplitude(builtin_map("constant", value=float(amplitude_value),
-                                layout=VarLayout(2, 0, 1)))
+                                layout=VarLayout(1, 0, 1)))
     return _wave_branches((speed,), amp, u0, t, x_points, config)[0]

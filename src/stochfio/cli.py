@@ -129,7 +129,7 @@ def build_grid(cfg: dict, command: str) -> np.ndarray:
     if not isinstance(spec, dict):
         raise ConfigError("grid must be an object with lo / hi / n")
     try:
-        lo, hi, n = float(spec["lo"]), float(spec["hi"]), int(spec["n"])
+        lo, hi, n = float(spec["lo"]), float(spec["hi"]), _integer(spec["n"], "n")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"grid needs numeric lo / hi and integer n: {exc}") from exc
     if n < 1 or not hi > lo:
@@ -150,8 +150,9 @@ def build_quadrature(cfg: dict, workers=None) -> QuadratureConfig:
 
 
 def _integer(value, what: str) -> int:
-    """``int(value)``, refusing a JSON boolean, which int() reads as 0 or 1."""
-    if isinstance(value, bool):
+    """``int(value)``, refusing a JSON boolean, which int() reads as 0 or 1,
+    and a non-integral number, which int() truncates."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
@@ -169,8 +170,8 @@ def build_time(cfg: dict, command: str) -> float:
 
 def _emit(args, payload: dict, field=None) -> None:
     if args.format == "csv":
-        if field is None:
-            raise ConfigError(f"command {args.command!r} has no grid field; "
+        if field is None or not field.points:
+            raise ConfigError(f"command {args.command!r} has no x grid field; "
                               "use --format json")
         if not args.out:
             raise ConfigError("--out is required with --format csv")
@@ -214,7 +215,7 @@ def cmd_verify(cfg: dict, args) -> int:
     if "amplitude" in cfg:
         amp = build_amplitude(cfg, "verify")
         with _config_errors("verify option 'm'"):
-            report = seminorm_q(amp, int(options.get("m", 2)))
+            report = seminorm_q(amp, _integer(options.get("m", 2), "m"))
         checks["amplitude_class"] = {"passed": not report.flagged,
                                      "seminorm": report.value,
                                      "note": report.note}
@@ -256,9 +257,9 @@ def cmd_apply(cfg: dict, args) -> int:
     alpha = operator_opts.get("alpha", 0.25)
     with _config_errors("operator options"):
         alpha = None if alpha is None else float(alpha)
+        extra_decay = _integer(operator_opts.get("extra_decay", 0), "extra_decay")
     try:
-        op = FioOperator.build(phase, amplitude, alpha=alpha,
-                               extra_decay=int(operator_opts.get("extra_decay", 0)),
+        op = FioOperator.build(phase, amplitude, alpha=alpha, extra_decay=extra_decay,
                                config=qc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -379,7 +380,7 @@ def cmd_converge(cfg: dict, args) -> int:
     options = cfg.get("converge", {})
     with _config_errors("converge options"):
         radii = tuple(float(r) for r in options.get("radii", (5.0, 10.0, 20.0, 40.0, 80.0)))
-        m_tilde = int(options.get("m_tilde", 2))
+        m_tilde = _integer(options.get("m_tilde", 2), "m_tilde")
         slack = float(options.get("slack", 2.0))
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("converge radii must be at least three increasing values")

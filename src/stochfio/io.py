@@ -173,31 +173,28 @@ def stats_to_dict(stats) -> dict:
 def write_field_csv(field, path: str) -> None:
     """Write a grid field as CSV.
 
-    One row per grid point.  Coordinate columns come first (``x`` for a
-    one-dimensional grid, ``x0``, ``x1``, ... otherwise), then ``re`` /
-    ``im`` columns for the value and ``re_d<k>`` / ``im_d<k>`` for any
-    derivative entries.  Floats are written with ``repr`` so they parse
-    back to the identical binary64 values.
+    One row per grid point: the ``x`` column first, then ``re`` / ``im``
+    columns for the value and ``re_d<k>`` / ``im_d<k>`` for any derivative
+    entries.  Floats are written with ``repr`` so they parse back to the
+    identical binary64 values.
     """
-    points = [np.asarray(p, dtype=float) for p in field.points]
-    n_x = len(points)
-    shape = tuple(len(p) for p in points)
-    coord_names = ["x"] if n_x == 1 else [f"x{i}" for i in range(n_x)]
+    (xs,) = field.points
+    xs = np.asarray(xs, dtype=float)
     keys = sorted(field.values)
-    header = list(coord_names)
-    arrays = []
+    header = ["x"]
+    columns = []
     for key in keys:
         suffix = _derivative_suffix(key)
         header += [f"re{suffix}", f"im{suffix}"]
-        arrays.append(np.broadcast_to(
-            np.asarray(field.values[key], dtype=complex), shape))
+        columns.append(np.broadcast_to(np.asarray(field.values[key], dtype=complex),
+                                       xs.shape))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for idx in np.ndindex(shape):
-            row = [repr(float(points[ax][idx[ax]])) for ax in range(n_x)]
-            for arr in arrays:
-                val = complex(arr[idx])
+        for i, x in enumerate(xs):
+            row = [repr(float(x))]
+            for col in columns:
+                val = complex(col[i])
                 row += [repr(val.real), repr(val.imag)]
             writer.writerow(row)
 

@@ -5,7 +5,10 @@ pipeline through one interface: a *jet*, the dense table of partial
 derivatives of a map up to a requested order at a point.  Points live in a
 space with three coordinate blocks (output variables x, integration
 variables y, frequency variables xi); block sizes are fixed per map by a
-:class:`VarLayout`.
+:class:`VarLayout`.  The quadrature engine runs x blocks of size 0 or 1
+and one y and one xi variable; time is a parameter of the phases that
+depend on it (``scaled_norm_phase(t=...)``, the flow phases of
+``applications``), never a coordinate.
 
 Tables are plain dicts keyed by flat multi-index tuples.  Values may be
 scalars or numpy arrays of mutually broadcastable shapes: every caller
@@ -591,16 +594,7 @@ def _xi_norm_sq_table(coords: Coords, iset: IndexSet) -> dict:
     return _xi_table(coords, iset, lambda v: (v * v, 2.0 * v, 2.0))
 
 
-def _one_dimension(n) -> None:
-    """Phases have one y and one xi dimension, so ``n`` may only be 1."""
-    if n != 1:
-        raise ValueError(f"n = {n!r} is not supported: the engine runs one y "
-                         "and one xi dimension")
-
-
-def _linear_phase(*, n=1) -> SmoothMap:
-    _one_dimension(n)
-
+def _linear_phase() -> SmoothMap:
     def provider(coords: Coords, iset: IndexSet) -> dict:
         x, y, xi = (np.asarray(coords.x[0]), np.asarray(coords.y[0]), np.asarray(coords.xi[0]))
         t = t_blank(iset)
@@ -615,36 +609,25 @@ def _linear_phase(*, n=1) -> SmoothMap:
                      xi_reflection="odd", standard_form=True)
 
 
-def _scaled_norm_phase(*, speed, sign=1, n=1) -> SmoothMap:
-    """(x - y) xi + sign * c(x) * t * |xi| with time as the second x coordinate."""
-    _one_dimension(n)
+def _scaled_norm_phase(*, speed, t, sign=1) -> SmoothMap:
+    """(x - y) xi + sign * c(x) * t * |xi|, the wave branch at time ``t``."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    t = float(t)
     speed = _resolve_speed(speed)
     if speed.layout != VarLayout(1, 0, 0):
         raise ValueError("speed must be a map of the spatial x variable only")
     lin = _linear_phase()
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
-        # embedding maps spatial x to the leading x coordinate; time is the second
-        lin_t = embed_table(lin.provider(Coords(coords.x[:1], coords.y, coords.xi),
-                                         IndexSet(lin.layout, iset.cap_x, iset.cap_int, iset.cap_total)),
-                            lin.layout, iset)
-        c_t = embed_table(speed.provider(Coords(coords.x[:1], (), ()),
+        c_t = embed_table(speed.provider(Coords(coords.x, (), ()),
                                          IndexSet(speed.layout, iset.cap_x, 0, iset.cap_x)),
                           speed.layout, iset)
-        tt = t_blank(iset)
-        tt[iset.zero] = np.asarray(coords.x[1])
-        if (0, 1, 0, 0) in tt:
-            tt[(0, 1, 0, 0)] = 1.0
-        nrm = _xi_norm_table(coords, iset)
-        prod = t_mul(t_mul(c_t, tt, iset), nrm, iset)
-        if sign < 0:
-            prod = t_scale(prod, -1.0)
-        return t_add(lin_t, prod, iset)
+        prod = t_mul(t_scale(c_t, sign * t), _xi_norm_table(coords, iset), iset)
+        return t_add(lin.provider(coords, iset), prod, iset)
 
-    return SmoothMap(VarLayout(2, 1, 1), provider, DEFAULT_MAX_ORDER,
-                     f"<x-y, xi> {'+' if sign > 0 else '-'} c(x) t ||xi||",
+    return SmoothMap(VarLayout(1, 1, 1), provider, DEFAULT_MAX_ORDER,
+                     f"<x-y, xi> {'+' if sign > 0 else '-'} c(x) {t} ||xi||",
                      standard_form=True)
 
 
@@ -826,7 +809,8 @@ def builtin_map(family: str, **params) -> SmoothMap:
     ``ValueError``.  Specs nest: ``product`` factors, ``sum`` terms and the
     ``scaled`` inner map may each be a map or a ``{"family": ...}`` dict,
     and the ``scaled_norm_phase`` speed a map, a number or a
-    ``{"kind": ...}`` dict (see :func:`make_speed`).
+    ``{"kind": ...}`` dict (see :func:`make_speed`); its time ``t`` is a
+    number.
 
     Each builder derives the map's ``xi_reflection``: ``linear_phase`` and
     the xi ``coordinate`` are odd; real constants, maps of x or y, xi bumps
@@ -890,9 +874,9 @@ def make_speed(kind: str, **params) -> SmoothMap:
 
     Kinds: ``constant`` (value), ``affine`` (offset + slope * x) and
     ``trig_field`` (offset plus a cosine sum given as (amp, freq, phase)
-    terms), the shape used for random sound-speed fields.  ``params`` bind
-    as keywords to the kind's builder, so a missing or unexpected parameter
-    raises ``TypeError`` and an unknown kind ``ValueError``.
+    terms).  ``params`` bind as keywords to the kind's builder, so a
+    missing or unexpected parameter raises ``TypeError`` and an unknown
+    kind ``ValueError``.
     """
     if kind not in _SPEED_KINDS:
         raise ValueError(f"unknown speed kind {kind!r}")

@@ -539,10 +539,11 @@ def _band_totals(parts, mirrored: bool) -> list:
 
 
 def _check_layouts(layout: VarLayout, u: SmoothMap) -> None:
-    """The engine's one y and one xi dimension, and a test function of y."""
-    if layout.n_y != 1 or layout.n_xi != 1:
-        raise NotImplementedError("quadrature engine handles one y and one xi "
-                                  "dimension")
+    """The engine's at most one x, one y and one xi dimension, and a test
+    function of y."""
+    if layout.n_x > 1 or layout.n_y != 1 or layout.n_xi != 1:
+        raise NotImplementedError("quadrature engine handles at most one x and "
+                                  "exactly one y and one xi dimension")
     if u.layout.n_x or u.layout.n_xi or u.layout.n_y != 1:
         raise ValueError("test function must be a map of y alone")
 
@@ -565,20 +566,14 @@ def _band_field(layout: VarLayout, cols, band_totals, meta: dict,
     return GridField(cols, {k[:layout.n_x]: f * v for k, v in total.items()}, meta)
 
 
-def _normalize_x_points(layout: VarLayout, x_points):
+def _normalize_x_points(layout: VarLayout, x_points) -> tuple:
+    """The x columns: none for a phase without x, else the 1-d point array."""
     if layout.n_x == 0:
         return ()
     arr = np.asarray(x_points, dtype=float)
-    if arr.ndim == 1 and layout.n_x == 1:
-        return (arr,)
-    if arr.ndim == 2 and arr.shape[1] == layout.n_x:
-        return tuple(np.ascontiguousarray(arr[:, i]) for i in range(layout.n_x))
-    if isinstance(x_points, (tuple, list)) and len(x_points) == layout.n_x:
-        cols = tuple(np.asarray(c, dtype=float) for c in x_points)
-        if len({c.size for c in cols}) == 1:
-            return cols
-    raise ValueError("x points must be a 1-d array (n_x = 1), an (N, n_x) "
-                     "array, or a tuple of coordinate arrays")
+    if arr.ndim != 1:
+        raise ValueError(f"x points must be a 1-d array, got shape {arr.shape}")
+    return (arr,)
 
 
 def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
@@ -829,9 +824,10 @@ def pair_distribution(op: FioOperator, u: PointDistribution, v: SmoothMap,
     sum_i w_i (-1)^(|r_i|) d^(r_i) (A^t v)(y_i), and the adjoint values come
     from the quadrature engine with output-derivative jets.
     """
-    pts = np.asarray([p for p in u.points], dtype=float)
-    field_ = apply_adjoint(op, v, pts, out_order=u.max_order, workers=workers,
-                           x_window=x_window)
+    if any(len(p) != 1 for p in u.points):
+        raise ValueError("point masses must sit on the real line")
+    field_ = apply_adjoint(op, v, np.ravel(u.points), out_order=u.max_order,
+                           workers=workers, x_window=x_window)
     out = 0.0 + 0.0j
     for i, (w, r) in enumerate(zip(u.weights, u.orders)):
         out += w * (-1.0) ** sum(r) * field_.values[tuple(r)][i]

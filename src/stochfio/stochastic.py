@@ -1,12 +1,10 @@
 """Random speed models, expected operators and streaming Monte Carlo.
 
-Two randomness models are supported.  A scalar gaussian speed c = c0 + s W
-keeps the phase gaussian, so the expected operator is again a Fourier
-integral operator: E exp(i Phi) = exp(i Phi_mean - var(Phi)/2) folds the
-randomness into a deterministic amplitude damping exp(-s^2 t^2 xi^2 / 2).
-A random field speed c(x) = c0 + sum sigma_j tanh(Z_j) cos(k_j x + th_j)
-stays uniformly positive because |tanh| < 1, giving hyperbolicity for
-every draw.
+The random speed is a scalar gaussian c = c0 + s W, truncated so that
+c >= alpha keeps every draw hyperbolic.  It keeps the phase gaussian, so
+the expected operator is again a Fourier integral operator:
+E exp(i Phi) = exp(i Phi_mean - var(Phi)/2) folds the randomness into a
+deterministic amplitude damping exp(-s^2 t^2 xi^2 / 2).
 
 Monte Carlo accumulates complex moments in one streaming pass: each
 replicate, or each block of replicates, enters through the pairwise merge
@@ -24,13 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .applications import _wave_branches, _wave_plan
-from .jets import SmoothMap, VarLayout, builtin_map, make_speed
+from .jets import SmoothMap, VarLayout, builtin_map
 from .oscillatory import GridField, QuadratureConfig
 from .symbol_spaces import Amplitude
 
 __all__ = [
-    "RandomFieldModel",
-    "sample_field",
     "TruncatedSpeedModel",
     "sample_speeds",
     "MCStats",
@@ -54,55 +50,12 @@ def map_values(m: SmoothMap, arr, block: str = "y") -> np.ndarray:
     return np.broadcast_to(np.asarray(m.provider(coords, iset)[iset.zero]), arr.shape)
 
 
-@dataclass(frozen=True)
-class RandomFieldModel:
-    """Speed field c0 + sum sigma_j tanh(Z_j) cos(k_j x + theta_j).
-
-    The amplitude budget sum sigma_j must leave a floor: c0 - sum sigma_j
-    >= alpha_floor > 0, so every realization is a uniformly positive speed.
-    """
-
-    c0: float
-    amplitudes: tuple
-    wavenumbers: tuple
-    phases: tuple
-    alpha_floor: float = 0.25
-
-    def __post_init__(self):
-        amps = tuple(float(a) for a in self.amplitudes)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "wavenumbers", tuple(float(k) for k in self.wavenumbers))
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
-        if not (len(amps) == len(self.wavenumbers) == len(self.phases)):
-            raise ValueError("amplitudes, wavenumbers and phases must align")
-        if any(a < 0 for a in amps):
-            raise ValueError("amplitudes must be nonnegative")
-        if self.c0 - sum(amps) < self.alpha_floor:
-            raise ValueError(
-                f"amplitude budget {sum(amps)} exceeds c0 - alpha_floor = "
-                f"{self.c0 - self.alpha_floor}; field would lose hyperbolicity")
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.amplitudes)
-
-
 def _rng(base_seed: int, index: int | None = None) -> np.random.Generator:
     if index is None:
         ss = np.random.SeedSequence(entropy=base_seed)
     else:
         ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def sample_field(model: RandomFieldModel, seed_or_rng) -> SmoothMap:
-    """One realization of the field as a smooth speed map."""
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) \
-        else _rng(int(seed_or_rng))
-    z = rng.standard_normal(model.n_modes)
-    terms = [(a * math.tanh(zj), k, th) for a, k, th, zj
-             in zip(model.amplitudes, model.wavenumbers, model.phases, z)]
-    return make_speed("trig_field", offset=model.c0, terms=terms)
 
 
 @dataclass(frozen=True)
@@ -307,7 +260,7 @@ def _damping_amplitude(s: float, t: float, value: float = 0.5) -> Amplitude:
     """Amplitude value * exp(-s^2 t^2 xi^2 / 2) for the expected operator."""
     st = abs(s * t)
     if st == 0:
-        return Amplitude(builtin_map("constant", value=value, layout=VarLayout(2, 0, 1)))
+        return Amplitude(builtin_map("constant", value=value, layout=VarLayout(1, 0, 1)))
     width = math.sqrt(2.0) / st
     gauss = builtin_map("gaussian_bump", block="xi", center=0.0, width=width)
     return Amplitude(builtin_map("scaled", inner=gauss, factor=value))
@@ -411,7 +364,7 @@ def mc_wave_estimate(model: TruncatedSpeedModel, u0: SmoothMap, t: float,
             return 0.5 * (map_values(u0, xs - ct) + map_values(u0, xs + ct))
     elif engine == "fio":
         t0 = time.perf_counter()
-        amp = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(2, 0, 1)))
+        amp = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(1, 0, 1)))
         plan = _wave_plan((model.c0 + model.s * model.bound,), amp, u0, t, xs, config)
 
         def sampler(rngs):

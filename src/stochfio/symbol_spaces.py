@@ -302,8 +302,8 @@ def seminorm_pi(v, m: int, x_box: CompactBox | None = None,
     """Sup of |d^j v| over a compact x box, |j| <= m.
 
     ``v`` is either a SmoothMap over the x block alone, or a field produced
-    by the quadrature engine (an object with ``points`` and a ``values``
-    dict of pure-x derivative arrays).
+    by the quadrature engine (an object whose ``points`` hold the one x
+    array and whose ``values`` map x orders to arrays over it).
     """
     if isinstance(v, SmoothMap):
         layout = v.layout
@@ -318,20 +318,16 @@ def seminorm_pi(v, m: int, x_box: CompactBox | None = None,
         per_key = {k: np.abs(np.asarray(val)) for k, val in table.items()}
         per_key["__shape__"] = np.broadcast_shapes(*(v2.shape for v2 in per_key.values()))
         return _report_from_scan("pi", m, per_key, coords, shape)
-    # grid field: axis arrays in ``points`` + values keyed by pure-x
-    # multi-indices
+    # grid field: the x array in ``points`` + values keyed by x orders
     vals = {k: np.abs(np.asarray(a)) for k, a in v.values.items() if sum(k) <= m}
     if not vals:
         raise ValueError("field carries no derivative orders <= m")
-    axes = [np.atleast_1d(np.asarray(p, dtype=float)) for p in v.points]
-    shape = tuple(a.size for a in axes)
-    stack = np.stack([np.broadcast_to(a, shape) for a in vals.values()])
-    point_max = stack.max(axis=0)
-    idx = int(np.argmax(point_max.ravel()))
-    unraveled = tuple(int(i) for i in np.unravel_index(idx, shape))
-    witness = tuple(float(axes[d][unraveled[d]]) for d in range(len(axes)))
-    return SeminormReport("pi", m, float(point_max.ravel()[idx]), witness,
-                          unraveled, shape)
+    (xs,) = v.points
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    point_max = np.max([np.broadcast_to(a, xs.shape) for a in vals.values()], axis=0)
+    idx = int(np.argmax(point_max))
+    return SeminormReport("pi", m, float(point_max[idx]), (float(xs[idx]),), (idx,),
+                          xs.shape)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ def phase_families():
     return {
         "linear": builtin_map("linear_phase"),
         "scaled_norm": builtin_map("scaled_norm_phase", speed=make_speed(
-            "trig_field", offset=1.0, terms=[(0.3, 1.0, 0.0)])),
+            "trig_field", offset=1.0, terms=[(0.3, 1.0, 0.0)]), t=0.3),
         "transport": transport_phase(trig_speed(), 0.3).map,
         "product": perturbed_translation_phase(),
     }
@@ -105,8 +105,6 @@ def test_criterion_01_regularizer_identity_at_random_points():
             layout = m.layout
             nx, ny = layout.n_x, layout.n_y
             xs = [rng.uniform(-2.0, 2.0, n_pts) for _ in range(nx)]
-            if nx == 2:  # the norm phase carries time as its last x coordinate
-                xs[1] = rng.uniform(0.05, 0.5, n_pts)
             ys = [rng.uniform(-2.0, 2.0, n_pts) for _ in range(ny)]
             mag = np.exp(rng.uniform(np.log(0.05), np.log(64.0), n_pts))
             sign = np.where(rng.random(n_pts) < 0.5, -1.0, 1.0)
@@ -362,8 +360,7 @@ def test_criterion_10_phase_jet_scaling_and_coefficient_exponents():
         checked = 0
         for name, m in phase_families().items():
             layout = m.layout
-            point = (((0.4, 0.3) if layout.n_x == 2 else (0.4,)),
-                     (-0.7,), (1.0,))
+            point = ((0.4,), (-0.7,), (1.0,))
             jets = [point_table(m, (point[0], point[1],
                                     tuple(s * v for v in point[2])), 3)
                     for s in scales]

@@ -354,13 +354,12 @@ def _l_kappa_counterparts():
         return apply(_order_zero_op(phase, amp, config), GAUSS_OFF, cols).value
 
     def branches(speed, amp, t):
-        cols = (xs, np.full(xs.size, t))
         return sum(l_kappa(PhaseFunction(builtin_map("scaled_norm_phase", speed=speed,
-                                                     sign=s)), amp, cols)
+                                                     t=t, sign=s)), amp, xs)
                    for s in (1, -1))
 
     affine = make_speed("affine", offset=1.5, slope=0.2)
-    half = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(2, 0, 1)))
+    half = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(1, 0, 1)))
     model = TruncatedSpeedModel(2.0, 0.2)
     return {
         "transport": (

@@ -71,7 +71,7 @@ def test_phase_dimension_other_than_one_exits_2(tmp_path, capsys):
     assert main(["apply", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "n = 2" in captured.err
+    assert "unexpected keyword argument 'n'" in captured.err
 
 
 @pytest.mark.parametrize("speed,parameter", [
@@ -152,6 +152,19 @@ def test_csv_for_fieldless_command_is_rejected(tmp_path):
                  "--format", "csv", "--out", str(out)]) == 2
 
 
+def test_csv_for_a_field_without_x_is_rejected(tmp_path, capsys):
+    # the phase -y xi has no x block, so apply gives one value and no x grid
+    minus_y_xi = {"family": "scaled", "factor": -1.0, "inner": {
+        "family": "product", "factors": [{"family": "coordinate", "block": "y"},
+                                         {"family": "coordinate", "block": "xi"}]}}
+    cfg = write_config(tmp_path, "cfg.json", apply_config(
+        phase=minus_y_xi,
+        amplitude={"family": "constant", "value": 1.0, "layout": [0, 1, 1]}))
+    out = tmp_path / "field.csv"
+    assert main(["apply", "--config", cfg, "--format", "csv", "--out", str(out)]) == 2
+    assert "no x grid field" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -166,6 +179,24 @@ def test_verify_accepts_translation_phase(tmp_path, capsys):
     assert payload["checks"]["homogeneity"]["passed"] is True
     assert payload["checks"]["membership"]["passed"] is True
     assert payload["checks"]["coefficient_bounds"]["passed"] is True
+
+
+def test_verify_accepts_the_wave_phase_at_a_time(tmp_path, capsys):
+    phase = {"family": "scaled_norm_phase", "speed": 2.0, "t": 0.2}
+    cfg = write_config(tmp_path, "cfg.json", {"phase": phase})
+    rc, payload = run_json(capsys, ["verify", "--config", cfg])
+    assert rc == 0 and payload["passed"] is True
+
+
+@pytest.mark.parametrize("phase", [
+    {"family": "scaled_norm_phase", "speed": 2.0},
+    {"family": "scaled_norm_phase", "speed": 2.0, "t": 0.2, "n": 1},
+])
+def test_verify_wave_phase_without_time_or_with_n_exits_2(tmp_path, capsys, phase):
+    cfg = write_config(tmp_path, "cfg.json", {"phase": phase})
+    assert main(["verify", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad phase spec" in captured.err
 
 
 def test_verify_rejects_nonhomogeneous_phase(tmp_path, capsys):
@@ -213,6 +244,24 @@ def test_apply_csv_with_manifest_sidecar(tmp_path):
     assert np.max(np.abs(data["columns"]["re"] - np.exp(-xs ** 2))) < 1e-6
     sidecar = json.loads((tmp_path / "field.csv.manifest.json").read_text())
     assert sidecar["manifest"]["command"] == "apply"
+
+
+def test_wave_csv_has_one_row_per_grid_point(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "speed": 2.0,
+        "test_function": {"family": "gaussian_bump", "block": "y"},
+        "time": 0.2,
+        "grid": {"lo": -1.0, "hi": 1.0, "n": 5},
+        "quadrature": XI30,
+    })
+    out = tmp_path / "wave.csv"
+    assert main(["wave", "--config", cfg, "--format", "csv", "--out", str(out)]) == 0
+    data = read_field_csv(str(out))
+    assert data["header"] == ["x", "re", "im"]
+    xs = data["columns"]["x"]
+    assert np.array_equal(xs, np.linspace(-1.0, 1.0, 5))
+    exact = 0.5 * (np.exp(-(xs - 0.4) ** 2) + np.exp(-(xs + 0.4) ** 2))
+    assert np.max(np.abs(data["columns"]["re"] - exact)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +524,25 @@ def test_nonsense_command_option_exits_2(tmp_path, capsys, command, cfg, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"bad {name} option" in captured.err
+
+
+@pytest.mark.parametrize("command,cfg,option", [
+    ("converge", apply_config(converge={"m_tilde": True}), "m_tilde"),
+    ("converge", apply_config(converge={"m_tilde": 1.9}), "m_tilde"),
+    ("apply", apply_config(operator={"extra_decay": 1.5}), "extra_decay"),
+    ("apply", apply_config(operator={"extra_decay": True}), "extra_decay"),
+    ("verify", apply_config(verify={"m": 1.5}), "m"),
+    ("verify", apply_config(verify={"m": True}), "m"),
+    ("apply", apply_config(grid={"lo": -1.0, "hi": 1.0, "n": 8.5}), "n"),
+    ("apply", apply_config(grid={"lo": -1.0, "hi": 1.0, "n": True}), "n"),
+])
+def test_integer_option_refuses_booleans_and_fractions(tmp_path, capsys, command, cfg,
+                                                        option):
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{option} must be an integer" in captured.err
 
 
 @pytest.mark.parametrize("command", ["apply", "converge"])

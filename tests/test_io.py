@@ -154,6 +154,13 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back["columns"]["im_d1"], field.values[(1,)].imag)
 
 
+def test_csv_refuses_a_field_with_two_x_columns(tmp_path):
+    field = _sample_field()
+    two_columns = GridField((field.points[0], field.points[0]), field.values)
+    with pytest.raises(ValueError):
+        write_field_csv(two_columns, str(tmp_path / "field.csv"))
+
+
 def test_csv_is_deterministic(tmp_path):
     field = _sample_field()
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

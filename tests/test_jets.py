@@ -28,7 +28,7 @@ LAYOUT_111 = VarLayout(1, 1, 1)
 
 
 def test_linear_phase_jet_entries():
-    phase = builtin_map("linear_phase", n=1)
+    phase = builtin_map("linear_phase")
     j = point_table(phase, ((0.7,), (-0.2,), (1.3,)), 3)
     assert j[(0, 0, 0)] == pytest.approx(0.9 * 1.3)
     assert j[(1, 0, 0)] == pytest.approx(1.3)       # d/dx
@@ -52,24 +52,34 @@ def test_gaussian_bump_closed_form_derivatives():
 
 
 def test_scaled_norm_phase_both_signs():
-    # Phi(x, t, y, xi) = (x - y) xi + sign * c * t * |xi|, t the last x slot
-    c = 2.0
-    phase = builtin_map("scaled_norm_phase", speed=c, sign=1, n=1)
-    assert phase.layout == VarLayout(2, 1, 1)
-    for xi in (1.3, -1.3):
-        j = point_table(phase, ((0.4, 0.25), (-0.1,), (xi,)), 2)
-        sgn = 1.0 if xi > 0 else -1.0
-        assert j[(0, 0, 0, 0)] == pytest.approx(0.5 * xi + c * 0.25 * abs(xi), rel=1e-14)
-        assert j[(0, 1, 0, 0)] == pytest.approx(c * abs(xi), rel=1e-14)
-        assert j[(0, 0, 0, 1)] == pytest.approx(0.5 + c * 0.25 * sgn, rel=1e-14)
-        assert j[(0, 1, 0, 1)] == pytest.approx(c * sgn, rel=1e-14)
+    # Phi(x, y, xi) = (x - y) xi + s c(x) t |xi| with c(x) = 1 + 0.5 x
+    t, x = 0.25, 0.4
+    c, dc = 1.0 + 0.5 * x, 0.5
+    for s in (1, -1):
+        phase = builtin_map("scaled_norm_phase", speed={"kind": "affine", "offset": 1.0,
+                                                        "slope": 0.5}, t=t, sign=s)
+        assert phase.layout == VarLayout(1, 1, 1)
+        for xi in (1.3, -1.3):
+            j = point_table(phase, ((x,), (-0.1,), (xi,)), 2)
+            sgn = 1.0 if xi > 0 else -1.0
+            assert j[(0, 0, 0)] == pytest.approx(0.5 * xi + s * c * t * abs(xi), rel=1e-14)
+            assert j[(1, 0, 0)] == pytest.approx(xi + s * dc * t * abs(xi), rel=1e-14)
+            assert j[(0, 0, 1)] == pytest.approx(0.5 + s * c * t * sgn, rel=1e-14)
+            assert j[(1, 0, 1)] == pytest.approx(1.0 + s * dc * t * sgn, rel=1e-14)
 
     # a speed spec resolves to the same map as the speed it names
     affine = {"offset": 1.0, "slope": 0.5}
-    from_spec = builtin_map("scaled_norm_phase", speed={"kind": "affine", **affine}, sign=-1)
-    from_map = builtin_map("scaled_norm_phase", speed=make_speed("affine", **affine), sign=-1)
-    point = ((0.4, 0.25), (-0.1,), (-1.3,))
+    from_spec = builtin_map("scaled_norm_phase", speed={"kind": "affine", **affine},
+                            t=t, sign=-1)
+    from_map = builtin_map("scaled_norm_phase", speed=make_speed("affine", **affine),
+                           t=t, sign=-1)
+    point = ((x,), (-0.1,), (-1.3,))
     assert point_table(from_spec, point, 3) == point_table(from_map, point, 3)
+    # the time is a required parameter, and the map has no dimension knob
+    with pytest.raises(TypeError):
+        builtin_map("scaled_norm_phase", speed=2.0, sign=1)
+    with pytest.raises(TypeError):
+        builtin_map("scaled_norm_phase", speed=2.0, t=t, n=1)
 
 
 @pytest.mark.parametrize("family,params,point", [
@@ -81,7 +91,7 @@ def test_scaled_norm_phase_both_signs():
      ((0.6,), (), ())),
     ("bracket_power", {"exponent": 1.0}, ((), (), (1.7,))),
     ("sqrt_cos_symbol", {"omega": 2.0}, ((), (), (2.4,))),
-    ("linear_phase", {"n": 1}, ((0.3,), (-0.5,), (1.9,))),
+    ("linear_phase", {}, ((0.3,), (-0.5,), (1.9,))),
 ])
 def test_builtin_jets_match_finite_differences(family, params, point):
     f = builtin_map(family, **params)
@@ -313,7 +323,7 @@ def _declared_maps():
 
 
 def _point(layout, x, y, xi):
-    return ((x, 0.3)[:layout.n_x], (y,) * layout.n_y, (xi,) * layout.n_xi)
+    return ((x,) * layout.n_x, (y,) * layout.n_y, (xi,) * layout.n_xi)
 
 
 @settings(max_examples=20, deadline=None)
@@ -341,7 +351,7 @@ def test_undeclared_families_stay_undeclared():
     bracket = builtin_map("bracket_power", exponent=1.0)
     undeclared = [
         builtin_map("tabulated_phase", g_provider=lambda x, sgn, order: [x] + [1.0] * order),
-        builtin_map("scaled_norm_phase", speed=2.0, sign=1),
+        builtin_map("scaled_norm_phase", speed=2.0, t=0.3, sign=1),
         halfwave_phase(make_speed("constant", value=1.0), 0.3).map,
         builtin_map("trig_polynomial", block="xi", terms=[(1.0, 2.0, 0.0)]),
         builtin_map("constant", value=1.0 + 2.0j, layout=(1, 1, 1)),
@@ -367,8 +377,8 @@ def _standard_form_phases():
     affine = make_speed("affine", offset=1.0, slope=0.4)
     return [
         ("linear_phase", builtin_map("linear_phase")),
-        ("scaled_norm_phase +", builtin_map("scaled_norm_phase", speed=affine, sign=1)),
-        ("scaled_norm_phase -", builtin_map("scaled_norm_phase", speed=2.0, sign=-1)),
+        ("scaled_norm_phase +", builtin_map("scaled_norm_phase", speed=affine, t=0.3, sign=1)),
+        ("scaled_norm_phase -", builtin_map("scaled_norm_phase", speed=2.0, t=0.3, sign=-1)),
         ("transport_phase", transport_phase(affine, 0.3).map),
         ("halfwave_phase", halfwave_phase(make_speed("constant", value=1.0), 0.3).map),
     ]

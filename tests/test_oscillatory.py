@@ -29,7 +29,7 @@ XS = np.array([-0.8, -0.3, 0.0, 0.4, 0.9])
 
 
 def translation_phase():
-    return PhaseFunction(builtin_map("linear_phase", n=1))
+    return PhaseFunction(builtin_map("linear_phase"))
 
 
 def unit_amplitude():
@@ -315,6 +315,10 @@ def test_pair_distribution_closed_form():
     gv, dgv = g(0.3) * vv(0.3), dg(-0.4) * vv(-0.4) + g(-0.4) * dv(-0.4)
     expected = 2.0 * gv - dgv
     assert val == pytest.approx(expected, rel=1e-5)
+    # the engine's x and y are one-dimensional, so are the point masses
+    planar = PointDistribution(points=((0.3, 0.1),), weights=(1.0,), orders=((0, 0),))
+    with pytest.raises(ValueError, match="real line"):
+        pair_distribution(op, planar, v)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +326,7 @@ def test_pair_distribution_closed_form():
 
 
 def test_engine_rejects_multidimensional_y():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         builtin_map("linear_phase", n=2)
     phase = PhaseFunction(builtin_map("constant", value=0.0, layout=VarLayout(2, 2, 2)))
     amp = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(2, 2, 2)))
@@ -330,6 +334,17 @@ def test_engine_rejects_multidimensional_y():
     with pytest.raises(NotImplementedError):
         op.apply(builtin_map("gaussian_bump", block="y", center=0.0, width=1.0),
                  np.zeros((1, 2)))
+
+
+def test_engine_takes_one_x_coordinate():
+    two_x = PhaseFunction(builtin_map("constant", value=0.0, layout=VarLayout(2, 1, 1)))
+    op = FioOperator.build(two_x, unit_amplitude(), alpha=None)
+    with pytest.raises(NotImplementedError):
+        op.apply(gaussian(), XS)
+    op = FioOperator.build(translation_phase(), unit_amplitude(), alpha=None)
+    for points in (XS[:, None], (XS,), np.stack([XS, XS], axis=1)):
+        with pytest.raises(ValueError, match="1-d array"):
+            op.apply(gaussian(), points)
 
 
 def test_build_rejects_degenerate_phase():
@@ -436,21 +451,20 @@ def test_mirrored_wave_branches_equal_two_sided_runs():
     from stochfio.regularizer import CutoffChi, select_kappa
 
     speed = make_speed("affine", offset=1.5, slope=0.2)
-    cols = (XS, np.full(XS.size, 0.4))
-    phases = [PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, sign=s))
+    phases = [PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, t=0.4, sign=s))
               for s in (1, -1)]
     # the y-first path takes amplitudes free of y
-    amp = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(2, 0, 1)))
+    amp = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(1, 0, 1)))
     op = FioOperator(phases[0], amp, CutoffChi(), select_kappa(0.0, 1.0, 0.0, 1),
                      MIRROR_CONFIG)
     ops = (op, replace(op, phase=phases[1]))
-    plan = oscillatory._y_first_plan(ops, gaussian(), cols,
+    plan = oscillatory._y_first_plan(ops, gaussian(), XS,
                                      oscillatory._pair_signs(op, gaussian()))
     pair = oscillatory._y_first_pair(plan, *ops)
     assert pair[0].meta["bands"] == pair[1].meta["bands"]
     for phase, field in zip(phases, pair):
         _assert_same_field(field, oscillatory._y_first_apply(replace(op, phase=phase),
-                                                             gaussian(), cols))
+                                                             gaussian(), XS))
 
     mirrored = wave_solve(speed, gaussian(), 0.4, XS, config=MIRROR_CONFIG)
     full = wave_solve(speed, _two_sided(gaussian()), 0.4, XS, config=MIRROR_CONFIG)
@@ -578,8 +592,8 @@ def test_rough_amplitude_outer_panels_split_in_four_agree(monkeypatch):
 # y-first evaluation of standard-form phases
 
 
-def _y_free_amplitude(n_x=1):
-    return Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(n_x, 0, 1)))
+def _y_free_amplitude():
+    return Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(1, 0, 1)))
 
 
 def test_y_first_refuses_what_it_cannot_sum():

@@ -28,7 +28,7 @@ from stochfio.symbol_spaces import PhaseFunction
 
 
 def translation_phase():
-    return PhaseFunction(builtin_map("linear_phase", n=1))
+    return PhaseFunction(builtin_map("linear_phase"))
 
 
 def point_coords(points) -> Coords:
@@ -182,7 +182,7 @@ def test_identity_holds_at_arbitrary_points(x, y, xi, perturbed):
         trig = builtin_map("trig_polynomial", block="x", offset=1.0,
                            terms=[(0.2, 1.0, 0.0)])
         phase = PhaseFunction(builtin_map(
-            "product", factors=[trig, builtin_map("linear_phase", n=1)]))
+            "product", factors=[trig, builtin_map("linear_phase")]))
     else:
         phase = translation_phase()
     coeffs, phase_t = coefficients_at(phase, [(x, y, xi)])
@@ -269,7 +269,7 @@ def perturbed_phase():
     trig = builtin_map("trig_polynomial", block="x", offset=1.0,
                        terms=[(0.2, 1.0, 0.0)])
     return PhaseFunction(builtin_map(
-        "product", factors=[trig, builtin_map("linear_phase", n=1)]))
+        "product", factors=[trig, builtin_map("linear_phase")]))
 
 
 def real_amplitude():

@@ -1,4 +1,4 @@
-"""Random speed models, seeded sampling, streaming moments, expected fields."""
+"""Truncated speed model, seeded sampling, streaming moments, expected fields."""
 
 import numpy as np
 import pytest
@@ -12,14 +12,11 @@ from stochfio.oscillatory import QuadratureConfig
 from stochfio.stochastic import (
     _BLOCK_ELEMENTS,
     MCStats,
-    RandomFieldModel,
     TruncatedSpeedModel,
     expected_wave_analytic,
     expected_wave_field,
-    map_values,
     mc_estimate,
     mc_wave_estimate,
-    sample_field,
     sample_speeds,
 )
 
@@ -400,37 +397,3 @@ def test_mc_fio_replicate_values_do_not_depend_on_their_block(monkeypatch):
         assert np.array_equal(v, blocked_values[c])
         alone = wave_solve(c, GAUSS, 0.25, FIO_XS, config=FIO_CONFIG).value
         assert np.max(np.abs(v - alone)) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# random trigonometric speed fields
-
-
-def test_field_model_budget_validation():
-    with pytest.raises(ValueError):
-        RandomFieldModel(1.0, amplitudes=(0.6, 0.4), wavenumbers=(1.0, 2.0),
-                         phases=(0.0, 1.0), alpha_floor=0.25)
-
-
-def test_sampled_fields_respect_the_floor_and_mean():
-    model = RandomFieldModel(2.0, amplitudes=(0.15, 0.1),
-                             wavenumbers=(1.3, 2.1), phases=(0.4, -1.0),
-                             alpha_floor=0.25)
-    xs = np.linspace(-3.0, 3.0, 101)
-    values = []
-    for seed in range(60):
-        speed = sample_field(model, seed)
-        vals = np.real(map_values(speed, xs[::10], block="x"))
-        assert vals.min() >= 2.0 - 0.25 - 1e-12
-        assert vals.max() <= 2.0 + 0.25 + 1e-12
-        values.append(vals)
-    mean = np.mean(values)
-    assert abs(mean - 2.0) < 0.05  # zero-mean perturbations around c0
-
-
-def test_sample_field_reproducible():
-    model = RandomFieldModel(1.5, amplitudes=(0.2,), wavenumbers=(1.0,),
-                             phases=(0.0,), alpha_floor=0.25)
-    s1 = sample_field(model, 42)
-    s2 = sample_field(model, 42)
-    assert map_values(s1, 0.37, block="x") == map_values(s2, 0.37, block="x")

@@ -5,6 +5,7 @@ import pytest
 
 from _references import point_table
 from stochfio.jets import VarLayout, builtin_map
+from stochfio.oscillatory import GridField
 from stochfio.symbol_spaces import (
     Amplitude,
     PhaseFunction,
@@ -19,7 +20,7 @@ from stochfio.symbol_spaces import (
 
 
 def translation_phase():
-    return PhaseFunction(builtin_map("linear_phase", n=1))
+    return PhaseFunction(builtin_map("linear_phase"))
 
 
 def degenerate_phase():
@@ -109,6 +110,13 @@ def test_output_seminorm_on_map_and_grid_field():
     assert rep.value == pytest.approx(2.0, rel=1e-6)  # |g''(0)| = 2
     assert rep.witness[0] == pytest.approx(0.0, abs=1e-12)
 
+    # a field's witness is the grid point where its largest entry sits
+    xs = np.linspace(-1.0, 1.0, 5)
+    field = GridField((xs,), {(0,): np.exp(-xs ** 2), (1,): -2.0 * xs * np.exp(-xs ** 2)})
+    rep = seminorm_pi(field, 1)
+    assert (rep.value, rep.witness, rep.witness_index, rep.grid_shape) == \
+        (1.0, (0.0,), (2,), (5,))
+
 
 def test_amplitude_class_parameters_validated():
     m = builtin_map("constant", value=1.0, layout=VarLayout(1, 1, 1))
@@ -121,7 +129,7 @@ def test_amplitude_class_parameters_validated():
 
 
 def test_multidimensional_frequency_scan_unsupported():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         builtin_map("linear_phase", n=2)
     phase = PhaseFunction(builtin_map("constant", value=0.0, layout=VarLayout(2, 2, 2)))
     with pytest.raises(NotImplementedError):
@@ -134,7 +142,7 @@ def test_multidimensional_frequency_scan_unsupported():
 
 def test_homogeneity_of_translation_and_wave_phases():
     assert check_homogeneity(translation_phase()).passed
-    wave = PhaseFunction(builtin_map("scaled_norm_phase", speed=2.0, sign=1, n=1))
+    wave = PhaseFunction(builtin_map("scaled_norm_phase", speed=2.0, t=0.3, sign=1))
     rep = check_homogeneity(wave)
     assert rep.passed and rep.max_residual < 1e-12
 
