@@ -24,18 +24,20 @@ from .jets import (
     IndexSet,
     SmoothMap,
     VarLayout,
+    _resolve_speed,
     builtin_map,
     make_speed,
     t_compose,
     t_mul,
 )
 from .oscillatory import (
+    _BOTH_SIGNS,
+    _POSITIVE_SIGN,
     FioOperator,
     GridField,
     QuadratureConfig,
-    _pair_signs,
+    _probe_points,
     _y_first_apply,
-    _y_first_pair,
     _y_first_plan,
 )
 from .regularizer import CutoffChi, select_kappa
@@ -378,65 +380,104 @@ def halfwave_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
     return GridField(field.points, field.values, {**field.meta, "min_abs_G": min(margins)})
 
 
-def _wave_ops(speed, amp: Amplitude, t: float, config: QuadratureConfig | None) -> tuple:
-    """The operators of the branches exp(+- i c t |xi|) at ``speed``."""
-    op = _order_zero_op(PhaseFunction(builtin_map("scaled_norm_phase", speed=speed,
-                                                  t=t, sign=+1)), amp, config)
-    return op, replace(op, phase=PhaseFunction(builtin_map("scaled_norm_phase",
-                                                           speed=speed, t=t, sign=-1)))
+def _speed_values(speed, xs: np.ndarray) -> np.ndarray:
+    """c(x) on the points ``xs`` of a speed given as a number or a map of x."""
+    c = _c_derivs(_resolve_speed(speed), xs, 0)[0]
+    return np.broadcast_to(np.asarray(c, dtype=float), xs.shape)
 
 
 def _wave_plan(speeds, amp: Amplitude, u0: SmoothMap, t: float, x_points,
                config: QuadratureConfig | None):
-    """Stage one of ``_wave_branches``: one node plan and one u_hat table
-    per band, sized for the branches of every speed in ``speeds``.
+    """One node plan for both branches of every speed in ``speeds``; its
+    ``hats[sign]`` hold a(sign xi) w_xi u_hat(sign xi) on the xi > 0 nodes.
 
-    A branch's xi-rate |x - y| + |c| t grows with the speed, so a plan sized
-    for a constant speed serves every slower one, never with coarser panels.
+    Phi_s = (x - y) xi + s t c(x) |xi| has the rates the probe samples in
+    closed form, so no operator is built: d_xi is the largest
+    |x - y| + |c(x) t| over the probe's x samples and the ends of u0's y
+    window, and d_y = 1.  A plan sized for a constant speed serves every
+    slower one.  The amplitude is a map of xi alone, tabled once per plan;
+    with it hermitian and u0 real the plan holds the xi > 0 half-line.
     """
-    ops = [op for c in speeds for op in _wave_ops(c, amp, t, config)]
-    return _y_first_plan(ops, u0, np.atleast_1d(np.asarray(x_points, dtype=float)),
-                         _pair_signs(ops[0], u0))
+    if amp.layout.n_x or amp.layout.n_y:
+        raise ValueError("the wave branches take an amplitude of xi alone")
+    hermitian = amp.map.xi_reflection == u0.xi_reflection == "hermitian"
+
+    def rates(cols, window):
+        xs = _probe_points(cols[0])
+        gaps = np.abs(xs[:, None] - np.asarray(window, dtype=float))
+        return max(float(np.max(gaps + np.abs(_speed_values(c, xs) * t)[:, None]))
+                   for c in speeds), 1.0
+
+    plan = _y_first_plan(VarLayout(1, 1, 1), u0,
+                         np.atleast_1d(np.asarray(x_points, dtype=float)),
+                         _POSITIVE_SIGN if hermitian else _BOTH_SIGNS,
+                         config or QuadratureConfig(), CutoffChi(), rates)
+    iset = IndexSet(amp.layout, 0, 0)
+    return replace(plan, hats={
+        sign: amp.map.table(Coords((), (), (sign * plan.xi,)), iset)[iset.zero] * hat
+        for sign, hat in plan.hats.items()})
+
+
+def _wave_values(plan, c, t: float) -> tuple:
+    """The wave fields (2 pi)^-1 (branch + plus branch -) on ``plan``
+    (``_wave_plan``) at the speed values ``c``, (speeds, N_x or 1), and the
+    band sums of each branch, (branches, speeds, N_x, bands).
+
+    For xi > 0, Phi_s(x, 0, +-xi) = +-z_{+-s} xi with z_s = x + s t c(x),
+    so branch s is P_+(z_s) + P_-(z_{-s}), where P_+-(z) sums
+    exp(+-i z xi) a w_xi u_hat(+-xi) over the xi > 0 nodes; P_- = conj P_+
+    on a plan of the xi > 0 half-line.  One cos / sin table of the z of
+    every branch and speed serves all the sums, in blocks of at most
+    ``plan.max_elements`` entries.  Each row is summed band by band on its
+    own, so a speed's values do not depend on the speeds summed with it.
+    """
+    x, starts = plan.cols[0], plan.edges[:-1]
+    tc = t * np.asarray(c, dtype=float)
+    z = np.stack(np.broadcast_arrays(x + tc, x - tc))
+    flat = z.ravel()
+    pos = np.empty((flat.size, starts.size), dtype=complex)
+    neg = np.empty_like(pos) if -1.0 in plan.signs else None
+    rows = max(1, plan.max_elements // plan.xi.size)
+    for s in range(0, flat.size, rows):
+        theta = np.outer(flat[s:s + rows], plan.xi)
+        e = np.cos(theta) + 1j * np.sin(theta)
+        pos[s:s + rows] = np.add.reduceat(e * plan.hats[1.0], starts, axis=1)
+        if neg is not None:
+            neg[s:s + rows] = np.add.reduceat(np.conj(e) * plan.hats[-1.0], starts, axis=1)
+    pos = pos.reshape(z.shape + starts.shape)
+    sums = pos + (np.conj(pos) if neg is None else neg.reshape(pos.shape))[::-1]
+    branches = (2.0 * math.pi) ** -1 * sum(sums[..., b] for b in range(starts.size))
+    return branches[0] + branches[1], sums
 
 
 def _wave_branches(speeds, amp: Amplitude, u0: SmoothMap, t: float, x_points,
-                   config: QuadratureConfig | None, plan=None) -> list:
-    """Sums of the branches exp(-+ i c t |xi|), each with amplitude ``amp``:
-    one field per speed c in ``speeds``, all summed on one node plan.
+                   config: QuadratureConfig | None) -> list:
+    """Sums of the branches exp(-+ i c t |xi|) with amplitude ``amp``, one
+    field per speed c in ``speeds`` (numbers or maps of x), all in one
+    ``_wave_values`` table on one ``_wave_plan``.  Runs serially.
 
-    The plan is ``plan`` when given (stage one, ``_wave_plan``), else one
-    sized for these speeds; u_hat depends on u0 and the plan alone, so each
-    speed adds only its branches' x sums.  The branch phases
-    Phi_s = (x - y) xi + s c t |xi| are in standard form and mirror each
-    other, Phi_s(-xi) = -Phi_{-s}(xi), so with a hermitian amplitude and a
-    real u0 branch s is P_s + conj(P_{-s}) from the xi > 0 halves (see
-    ``oscillatory._y_first_pair``).  Runs serially.
-
-    Each branch's meta goes under ``branch_+`` / ``branch_-`` without the
-    wall time and evaluation count they share.  The top level has the wall
-    time of the call, the evaluations one field costs on the plan (its u_hat
-    tables and both branches' x sums), the summed ``nodes`` and the
-    ``evaluation_path``, ``kappa``, ``xi_radius`` and ``xi_reflected`` the
-    branches share.
+    ``branch_+`` / ``branch_-`` hold the plan's meta without its evaluation
+    count, with ``xi_reflected`` and the branch's ``band_contributions``.
+    The top level has the call's wall time, the evaluations of one field
+    (u_hat and 2 N_x N_xi per half-line), the summed ``nodes`` and the
+    shared ``evaluation_path``, ``kappa``, ``xi_radius``, ``xi_reflected``.
     """
     t0 = time.perf_counter()
-    if plan is None:
-        plan = _wave_plan(speeds, amp, u0, t, x_points, config)
-    pairs = [_y_first_pair(plan, *_wave_ops(c, amp, t, config)) for c in speeds]
+    plan = _wave_plan(speeds, amp, u0, t, x_points, config)
+    values, sums = _wave_values(
+        plan, np.stack([_speed_values(c, plan.cols[0]) for c in speeds]), t)
+    contributions = (2.0 * math.pi) ** -1 * np.max(np.abs(sums), axis=2)
+    branch = {**{k: v for k, v in plan.meta.items() if k != "evaluations"},
+              "xi_reflected": plan.signs == _POSITIVE_SIGN}
     top = {"wall_time": time.perf_counter() - t0,
-           "evaluations": plan.meta["evaluations"] + 2 * plan.sum_evaluations}
-    out = []
-    for fields in pairs:
-        meta = {**top, "nodes": 0}
-        for sign, branch in zip("+-", fields):
-            branch_meta = {k: v for k, v in branch.meta.items()
-                           if k not in ("wall_time", "evaluations")}
-            meta["nodes"] += branch_meta["nodes"]
-            meta[f"branch_{sign}"] = branch_meta
-        meta.update({k: fields[0].meta[k] for k in ("evaluation_path", "kappa",
-                                                    "xi_radius", "xi_reflected")})
-        out.append(GridField(plan.cols, {(0,): fields[0].value + fields[1].value}, meta))
-    return out
+           "evaluations": plan.meta["evaluations"] + 2 * plan.sum_evaluations,
+           "nodes": 2 * plan.meta["nodes"],
+           **{k: branch[k] for k in ("evaluation_path", "kappa", "xi_radius",
+                                     "xi_reflected")}}
+    return [GridField(plan.cols, {(0,): value}, {
+        **top, **{f"branch_{sign}": {**branch, "band_contributions": [float(v) for v in bands]}
+                  for sign, bands in zip("+-", contributions[:, i])}})
+        for i, value in enumerate(values)]
 
 
 def wave_solve(speed, u0: SmoothMap, t: float, x_points,
@@ -451,5 +492,5 @@ def wave_solve(speed, u0: SmoothMap, t: float, x_points,
     and serially.
     """
     amp = Amplitude(builtin_map("constant", value=float(amplitude_value),
-                                layout=VarLayout(1, 0, 1)))
+                                layout=VarLayout(0, 0, 1)))
     return _wave_branches((speed,), amp, u0, t, x_points, config)[0]

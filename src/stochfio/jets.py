@@ -430,6 +430,13 @@ class SmoothMap:
 # family's parameters
 
 
+def _number(value, name: str):
+    """``value``, refusing a boolean: JSON ``true`` would read as 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def _univariate_map(block: str, derivs_fn, describe: str, support=None,
                     even: bool = False) -> SmoothMap:
     """Real map depending on a single coordinate of one block.
@@ -460,7 +467,7 @@ _GAUSS_SUPPORT_DECADES = 6.5  # exp(-6.5^2) ~ 4.4e-19, below quadrature resoluti
 
 
 def _gaussian_bump(*, block="y", center=0.0, width=1.0) -> SmoothMap:
-    center, width = float(center), float(width)
+    center, width = float(_number(center, "center")), float(_number(width, "width"))
     if width <= 0:
         raise ValueError("width must be positive")
 
@@ -478,7 +485,7 @@ def _gaussian_bump(*, block="y", center=0.0, width=1.0) -> SmoothMap:
 
 
 def _mollifier_bump(*, block="y", center=0.0, radius=1.0) -> SmoothMap:
-    center, radius = float(center), float(radius)
+    center, radius = float(_number(center, "center")), float(_number(radius, "radius"))
     if radius <= 0:
         raise ValueError("radius must be positive")
     # flat outside |u| < 1 - eps: values there are below 1e-18 and are
@@ -506,8 +513,8 @@ def _mollifier_bump(*, block="y", center=0.0, radius=1.0) -> SmoothMap:
 
 def _trig_polynomial(*, terms, block="x", offset=0.0) -> SmoothMap:
     """offset + sum of amp * cos(freq * v + phase) over (amp, freq, phase) terms."""
-    terms = [tuple(map(float, t)) for t in terms]
-    offset = float(offset)
+    terms = [tuple(float(_number(v, "a term entry")) for v in t) for t in terms]
+    offset = float(_number(offset, "offset"))
 
     def derivs(v, cap):
         v = np.asarray(v)
@@ -533,7 +540,7 @@ def _bracket_u(v, cap: int) -> dict:
 
 
 def _bracket_power(*, exponent) -> SmoothMap:
-    d = float(exponent)
+    d = float(_number(exponent, "exponent"))
 
     def derivs(v, cap):
         h = t_pow(_bracket_u(np.asarray(v), cap), d / 2.0, _uni_iset(cap))
@@ -543,7 +550,7 @@ def _bracket_power(*, exponent) -> SmoothMap:
 
 
 def _sqrt_cos_symbol(*, omega=2.0) -> SmoothMap:
-    omega = float(omega)
+    omega = float(_number(omega, "omega"))
 
     def derivs(v, cap):
         iset = _uni_iset(cap)
@@ -556,6 +563,7 @@ def _sqrt_cos_symbol(*, omega=2.0) -> SmoothMap:
 
 
 def _constant(*, value, layout=(0, 0, 0)) -> SmoothMap:
+    value = _number(value, "value")
     layout = VarLayout(*(int(n) for n in layout))
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
@@ -611,9 +619,9 @@ def _linear_phase() -> SmoothMap:
 
 def _scaled_norm_phase(*, speed, t, sign=1) -> SmoothMap:
     """(x - y) xi + sign * c(x) * t * |xi|, the wave branch at time ``t``."""
-    if sign not in (1, -1):
+    if isinstance(sign, bool) or sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    t = float(t)
+    t = float(_number(t, "t"))
     speed = _resolve_speed(speed)
     if speed.layout != VarLayout(1, 0, 0):
         raise ValueError("speed must be a map of the spatial x variable only")
@@ -749,7 +757,8 @@ def _sum(*, terms, coefficients=None) -> SmoothMap:
     terms = [_resolve_map(f) for f in terms]
     if not terms:
         raise ValueError("sum needs at least one term")
-    coeffs = [1.0] * len(terms) if coefficients is None else list(coefficients)
+    coeffs = ([1.0] * len(terms) if coefficients is None
+              else [_number(c, "a coefficient") for c in coefficients])
     if len(coeffs) != len(terms):
         raise ValueError("coefficients must match terms")
     layout = _merge_layout(terms)
@@ -771,6 +780,7 @@ def _sum(*, terms, coefficients=None) -> SmoothMap:
 
 def _scaled(*, inner, factor) -> SmoothMap:
     inner = _resolve_map(inner)
+    factor = _number(factor, "factor")
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
         return t_scale(inner.provider(coords, iset), factor)
@@ -842,11 +852,11 @@ def _resolve_map(spec) -> SmoothMap:
 
 
 def _constant_speed(*, value) -> SmoothMap:
-    return _constant(value=float(value), layout=(1, 0, 0))
+    return _constant(value=float(_number(value, "value")), layout=(1, 0, 0))
 
 
 def _affine_speed(*, offset=0.0, slope=1.0) -> SmoothMap:
-    offset, slope = float(offset), float(slope)
+    offset, slope = float(_number(offset, "offset")), float(_number(slope, "slope"))
     terms = [_coordinate(block="x")]
     coeffs = [slope]
     if offset:
@@ -887,7 +897,7 @@ def _resolve_speed(spec) -> SmoothMap:
     """A speed given as a map of x, a number or a ``{"kind": ...}`` spec."""
     if isinstance(spec, SmoothMap):
         return spec
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return make_speed("constant", value=spec)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("a speed is a number or an object with a 'kind' key")

@@ -40,22 +40,20 @@ it, integrating by parts in y is exact at each xi, so with an amplitude
 free of y the regularized integral is
 (2 pi)^-1 sum_xi w_xi exp(i phi(x, xi)) a(x, xi) u_hat(xi) with
 u_hat(xi) = sum_y w_y exp(-i y xi) u(y).  The sum runs in two stages.
-``_y_first_plan`` probes the rates, plans the bands at kappa = 0 and forms
-u_hat on each band's xi > 0 nodes once (N_y N_xi work; for a real u the
-xi < 0 half is its conjugate).  ``_y_first_sums`` then sums any number of
-operators against it with the x-jets ``out_order`` asks for (N_x N_xi work
-each, in blocks): no ladder, and the truncation error is the tail of
+``_y_first_plan`` plans the bands at kappa = 0 for the rates it is given
+and forms u_hat on each band's xi > 0 nodes once (N_y N_xi work; for a
+real u the xi < 0 half is its conjugate).  ``_y_first_apply`` then sums
+an operator against it with the x-jets ``out_order`` asks for (N_x N_xi
+work, in blocks): no ladder, and the truncation error is the tail of
 |u_hat| rather than the ladder's O(R^-m).  It runs serially and keeps the
-(band, sign) accumulators.  u_hat depends on u and the plan alone, so one
-plan serves every operator whose phase changes no faster than the ones it
-was sized for.  Two standard-form phases with phi_a(x, -xi) =
--phi_b(x, xi), the wave branches, share it (``_y_first_pair``): u_hat is
-hermitian for a real u, so branch a is P_a + conj(P_b) from the xi > 0
-halves.  The transport, half-wave and wave solvers, and through them the
-expected wave field and the quadrature Monte Carlo engine, which sums
-every draw on one plan, take this path; ``apply``, ``apply_adjoint``,
-``pair_distribution``, ``oscillatory_integral`` and ``convergence_study``
-stay on the L^kappa ladder, whose truncation they study.
+(band, sign) accumulators.  The transport and half-wave solvers take this
+path.  The wave branches (``applications._wave_values``), and through them
+the wave solver, the expected wave field and the quadrature Monte Carlo
+engine, share the plan and replace stage two by one table of shifted
+points: exp(i Phi_s) at xi > 0 is exp(i z_s xi) with z_s = x + s t c(x).
+``apply``, ``apply_adjoint``, ``pair_distribution``,
+``oscillatory_integral`` and ``convergence_study`` stay on the L^kappa
+ladder, whose truncation they study.
 """
 
 from __future__ import annotations
@@ -132,9 +130,9 @@ class QuadratureConfig:
     elements (128 kB per real entry) and 3.3 ns at 262144 (2 MB).  The
     chunk size depends only on this value and the total point count, never
     on the worker count.  The y-first solver path builds its exp(-i y xi)
-    tables and its x tables in blocks of at most this many entries (or one
-    xi-node's worth, if that is more) and runs serially, so ``workers``
-    only splits the L^kappa ladder.
+    tables, its x tables and the wave branches' exp(i z xi) tables in
+    blocks of at most this many entries (or one row's worth, if that is
+    more) and runs serially, so ``workers`` only splits the L^kappa ladder.
     """
 
     xi_radius: float = 40.0
@@ -234,7 +232,9 @@ class FioOperator:
         """Validate membership, pick kappa and freeze the evaluation plan.
 
         ``alpha = None`` skips the nondegeneracy scan (used when the caller
-        has already certified the phase family analytically).
+        has already certified the phase family analytically); with it set,
+        a phase layout the engine cannot apply is refused first
+        (NotImplementedError), before the scan, the costliest check.
         """
         phase, amplitude = _as_symbols(phase, amplitude)
         layout = phase.layout
@@ -243,6 +243,7 @@ class FioOperator:
             raise ValueError("amplitude layout does not fit the phase layout")
         membership = None
         if alpha is not None:
+            _check_layouts(layout)
             membership = check_alpha_membership(phase, alpha, x_box=x_box, y_box=y_box)
             if not membership.passed:
                 raise ValueError(
@@ -302,14 +303,16 @@ def _nodes_on(panels, p: int):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def _probe_points(a, n_samples: int = 5) -> np.ndarray:
+    """The rate probe's x samples: evenly spaced across the points, or the one."""
+    a = np.asarray(a, dtype=float)
+    return np.linspace(a.min(), a.max(), n_samples) if a.size > 1 else a[:1]
+
+
 def _probe_rates(phase: PhaseFunction, x_arrays, y_window, n_samples: int = 5):
     """Max first derivatives of the phase at unit xi over a coarse sample."""
     layout = phase.layout
-    axes = []
-    for a in x_arrays:
-        a = np.asarray(a, dtype=float)
-        axes.append(np.linspace(a.min(), a.max(), n_samples) if a.size > 1
-                    else np.asarray([float(a[0])]))
+    axes = [_probe_points(a, n_samples) for a in x_arrays]
     axes.append(np.linspace(y_window[0], y_window[1], n_samples))
     grids = np.meshgrid(*axes, indexing="ij")
     cols = [g.ravel() for g in grids]
@@ -538,13 +541,13 @@ def _band_totals(parts, mirrored: bool) -> list:
     return [{k: neg[k] + v for k, v in pos.items()} for neg, pos in parts]
 
 
-def _check_layouts(layout: VarLayout, u: SmoothMap) -> None:
+def _check_layouts(layout: VarLayout, u: SmoothMap | None = None) -> None:
     """The engine's at most one x, one y and one xi dimension, and a test
-    function of y."""
+    function ``u``, when given, of y."""
     if layout.n_x > 1 or layout.n_y != 1 or layout.n_xi != 1:
         raise NotImplementedError("quadrature engine handles at most one x and "
                                   "exactly one y and one xi dimension")
-    if u.layout.n_x or u.layout.n_xi or u.layout.n_y != 1:
+    if u is not None and (u.layout.n_x or u.layout.n_xi or u.layout.n_y != 1):
         raise ValueError("test function must be a map of y alone")
 
 
@@ -628,25 +631,15 @@ def _x_tables(op: FioOperator, cols, xi, out_order: int) -> dict:
     return t_mul(t_exp(t_scale(op.phase.table(coords, iset), 1.0j), iset), amp_t, iset)
 
 
-def _check_y_first(ops) -> None:
-    """The y-first sum needs standard-form phases and y-free amplitudes."""
-    for op in ops:
-        if not op.phase.map.standard_form:
-            raise ValueError("y-first evaluation needs a phase declared in the "
-                             "standard form phi(x, xi) - y xi")
-        if op.amplitude.layout.n_y:
-            raise ValueError("y-first evaluation needs an amplitude free of y")
-
-
 @dataclass(frozen=True)
 class _YFirstPlan:
     """Stage one of the y-first sum: the x columns, the node plan and the
-    weighted u_hat tables that every operator summed on it shares.
+    weighted u_hat tables that every sum on it shares.
 
     ``hats[sign]`` holds w_xi u_hat(sign xi) on the xi > 0 nodes ``xi`` of
-    all bands, band b at ``xi[edges[b]:edges[b + 1]]``.  ``meta`` describes
-    the plan; its ``evaluations`` count the u_hat tables alone, and each
-    operator summed on the plan adds ``sum_evaluations``.
+    all bands, band b at ``xi[edges[b]:edges[b + 1]]``; ``max_elements``
+    bounds one table built on it.  ``meta``'s ``evaluations`` count the
+    u_hat tables alone; each operator summed adds ``sum_evaluations``.
     """
 
     cols: tuple
@@ -654,7 +647,7 @@ class _YFirstPlan:
     xi: np.ndarray
     edges: np.ndarray
     hats: dict
-    block: int
+    max_elements: int
     meta: dict
 
     @property
@@ -663,26 +656,23 @@ class _YFirstPlan:
         return self.cols[0].size * len(self.signs) * self.xi.size
 
 
-def _y_first_plan(ops, u: SmoothMap, x_points, signs) -> _YFirstPlan:
-    """Stage one of the y-first sum of the standard-form operators ``ops``
-    on the half-lines ``signs``: probe the rates, plan the bands, form u_hat.
+def _y_first_plan(layout: VarLayout, u: SmoothMap, x_points, signs,
+                  config: QuadratureConfig, chi: CutoffChi, rates) -> _YFirstPlan:
+    """Stage one of the y-first sum of phases of ``layout`` on the half-lines
+    ``signs``: plan the bands, form u_hat.
 
-    Each band forms u_hat(xi) = sum_y w_y exp(-i y xi) u(y) on its xi > 0
-    nodes once (N_y N_xi exponentials); a hermitian u (a real function of
-    y) gets u_hat(-xi) = conj u_hat(xi) from it, any other u a second
-    table.  The plan is sized for the fastest of the phases and taken at
-    kappa = 0: no L is applied, so no cutoff derivatives enter.  It serves
-    any standard-form operator whose phase changes no faster.
+    ``rates(cols, window)`` gives the (d_xi, d_y) of the fastest phase the
+    plan is to serve.  Each band forms u_hat(xi) = sum_y w_y exp(-i y xi)
+    u(y) on its xi > 0 nodes once (N_y N_xi exponentials); a hermitian u
+    (a real function of y) gets u_hat(-xi) = conj u_hat(xi) from it, any
+    other u a second table.  The plan is taken at kappa = 0: no L is
+    applied, so no cutoff derivatives enter.
     """
-    _check_y_first(ops)
-    op = ops[0]
-    layout, config = op.phase.layout, op.config
     _check_layouts(layout, u)
     cols = _normalize_x_points(layout, x_points)
     window = _support_window([u], "y")
-    d_xi, d_y = zip(*(_probe_rates(o.phase, cols, window) for o in ops))
-    bands, rates = _plan_nodes(op.phase, op.chi, config, cols, window, 0,
-                               rates=(max(d_xi), max(d_y)))
+    bands, rates = _plan_nodes(None, chi, config, cols, window, 0,
+                               rates=rates(cols, window))
     u_weighted = [yw * u.table(Coords((), (yn,), ()), IndexSet(u.layout, 0, 0))[(0,)]
                   for _lo, _hi, _xn, _xw, yn, yw in bands]
 
@@ -710,43 +700,7 @@ def _y_first_plan(ops, u: SmoothMap, x_points, signs) -> _YFirstPlan:
     return _YFirstPlan(cols, tuple(signs),
                        np.concatenate([xn for _lo, _hi, xn, _xw, _yn, _yw in bands]),
                        np.cumsum([0] + [xn.size for _lo, _hi, xn, _xw, _yn, _yw in bands]),
-                       hats, max(1, config.max_chunk_elements // cols[0].size), meta)
-
-
-def _y_first_sums(plan: _YFirstPlan, ops, out_order: int = 0) -> list:
-    """Stage two: the (band, sign) sums of w_xi exp(i phi(x, xi)) a(x, xi)
-    u_hat(xi) of each operator in ``ops`` on ``plan``, with the x-jets
-    ``out_order`` asks for; returns one accumulator list per operator.
-
-    An operator's x tables are built in xi-blocks of ``plan.block`` nodes,
-    max(1, max_chunk_elements // N_x), each used up before the next is
-    built, so the memory held stays within one block whatever the number
-    of operators, and each operator's sums are those it gets alone.
-    """
-    _check_y_first(ops)
-    npts, xi, edges = plan.cols[0].size, plan.xi, plan.edges
-    nbands = edges.size - 1
-    keys = IndexSet(ops[0].phase.layout, out_order, 0).keys()
-    out = []
-    for op in ops:
-        parts = [[] for _ in range(nbands)]
-        for sign in plan.signs:
-            sums = [{} for _ in range(nbands)]
-            for s in range(0, xi.size, plan.block):
-                e = min(s + plan.block, xi.size)
-                tab = _x_tables(op, plan.cols, sign * xi[s:e], out_order)
-                for b in range(nbands):
-                    lo, hi = max(edges[b], s), min(edges[b + 1], e)
-                    if lo >= hi:
-                        continue
-                    for k in keys:
-                        term = (np.broadcast_to(tab[k], (npts, e - s))[:, lo - s:hi - s]
-                                @ plan.hats[sign][lo:hi])
-                        sums[b][k] = sums[b].get(k, 0.0) + term
-            for part, band_sum in zip(parts, sums):
-                part.append(band_sum)
-        out.append(parts)
-    return out
+                       hats, config.max_chunk_elements, meta)
 
 
 def _y_first_apply(op: FioOperator, u: SmoothMap, x_points,
@@ -756,50 +710,42 @@ def _y_first_apply(op: FioOperator, u: SmoothMap, x_points,
     For Phi = phi(x, xi) - y xi, integrating by parts in y is exact at each
     xi, so the regularized integral is (2 pi)^-1 sum_xi w_xi exp(i phi) a
     u_hat(xi): no L^kappa ladder, and the truncation error is the tail of
-    |u_hat| beyond the radius.  Runs serially, in this process.
+    |u_hat| beyond the radius.  Stage two sums the (band, sign) parts with
+    the x-jets ``out_order`` asks for, building the x tables in xi-blocks
+    of max(1, max_elements // N_x) nodes, each used up before the next.
+    Runs serially, in this process.
     """
     t0 = time.perf_counter()
+    if not op.phase.map.standard_form:
+        raise ValueError("y-first evaluation needs a phase declared in the "
+                         "standard form phi(x, xi) - y xi")
+    if op.amplitude.layout.n_y:
+        raise ValueError("y-first evaluation needs an amplitude free of y")
     mirrored = _xi_mirrored(op.phase, op.amplitude, u)
-    plan = _y_first_plan((op,), u, x_points, _POSITIVE_SIGN if mirrored else _BOTH_SIGNS)
-    (parts,) = _y_first_sums(plan, (op,), out_order)
+    plan = _y_first_plan(op.phase.layout, u, x_points,
+                         _POSITIVE_SIGN if mirrored else _BOTH_SIGNS, op.config, op.chi,
+                         lambda cols, window: _probe_rates(op.phase, cols, window))
+    npts, xi, edges = plan.cols[0].size, plan.xi, plan.edges
+    nbands = edges.size - 1
+    block = max(1, plan.max_elements // npts)
+    keys = IndexSet(op.phase.layout, out_order, 0).keys()
+    parts = [[{} for _ in plan.signs] for _ in range(nbands)]  # (band, sign) sums
+    for j, sign in enumerate(plan.signs):
+        for s in range(0, xi.size, block):
+            e = min(s + block, xi.size)
+            tab = _x_tables(op, plan.cols, sign * xi[s:e], out_order)
+            for b in range(nbands):
+                lo, hi = max(edges[b], s), min(edges[b + 1], e)
+                if lo >= hi:
+                    continue
+                for k in keys:
+                    term = (np.broadcast_to(tab[k], (npts, e - s))[:, lo - s:hi - s]
+                            @ plan.hats[sign][lo:hi])
+                    parts[b][j][k] = parts[b][j].get(k, 0.0) + term
     meta = {**plan.meta, "evaluations": plan.meta["evaluations"] + plan.sum_evaluations,
             "wall_time": time.perf_counter() - t0}
     return _band_field(op.phase.layout, plan.cols, _band_totals(parts, mirrored), meta,
                        mirrored)
-
-
-def _pair_signs(op: FioOperator, u: SmoothMap) -> tuple:
-    """Half-lines a mirrored pair sums (``_y_first_pair``): xi > 0 alone
-    when the amplitude and u are hermitian."""
-    hermitian = (op.amplitude.map.xi_reflection == "hermitian"
-                 and u.xi_reflection == "hermitian")
-    return _POSITIVE_SIGN if hermitian else _BOTH_SIGNS
-
-
-def _y_first_pair(plan: _YFirstPlan, op: FioOperator, mirror: FioOperator) -> tuple:
-    """The fields of ``op`` and ``mirror``, whose phases satisfy
-    phi(x, -xi) = -phi_mirror(x, xi), summed y first on ``plan``.
-
-    With a hermitian amplitude and a real u, u_hat(-xi) = conj u_hat(xi),
-    so the xi < 0 half of each integrand is the conjugate of the other's
-    xi > 0 half: on a plan of the xi > 0 half-line (``_pair_signs``) only
-    the halves P and P_mirror are summed, and the fields are
-    P + conj(P_mirror) and P_mirror + conj(P), band by band.  Both fields
-    carry the plan's meta.
-    """
-    hermitian = plan.signs == _POSITIVE_SIGN
-    if hermitian and any(o.amplitude.map.xi_reflection != "hermitian"
-                         for o in (op, mirror)):
-        raise ValueError("a plan of the xi > 0 half-line needs hermitian amplitudes")
-    parts = _y_first_sums(plan, (op, mirror))
-    if hermitian:
-        totals = [[{k: v + np.conj(q[k]) for k, v in p.items()}
-                   for (p,), (q,) in zip(own, other)]
-                  for own, other in ((parts[0], parts[1]), (parts[1], parts[0]))]
-    else:
-        totals = [_band_totals(p, False) for p in parts]
-    return tuple(_band_field(op.phase.layout, plan.cols, t, plan.meta, hermitian)
-                 for t in totals)
 
 
 def apply_adjoint(op: FioOperator, v: SmoothMap, y_points, out_order: int = 0,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .applications import _wave_branches, _wave_plan
+from .applications import _wave_branches, _wave_plan, _wave_values
 from .jets import SmoothMap, VarLayout, builtin_map
 from .oscillatory import GridField, QuadratureConfig
 from .symbol_spaces import Amplitude
@@ -260,7 +260,7 @@ def _damping_amplitude(s: float, t: float, value: float = 0.5) -> Amplitude:
     """Amplitude value * exp(-s^2 t^2 xi^2 / 2) for the expected operator."""
     st = abs(s * t)
     if st == 0:
-        return Amplitude(builtin_map("constant", value=value, layout=VarLayout(1, 0, 1)))
+        return Amplitude(builtin_map("constant", value=value, layout=VarLayout(0, 0, 1)))
     width = math.sqrt(2.0) / st
     gauss = builtin_map("gaussian_bump", block="xi", center=0.0, width=width)
     return Amplitude(builtin_map("scaled", inner=gauss, factor=value))
@@ -341,13 +341,15 @@ def mc_wave_estimate(model: TruncatedSpeedModel, u0: SmoothMap, t: float,
     branches at the top speed c0 + s bound = 2 c0 - alpha; every draw lies
     in [alpha, 2 c0 - alpha] and a branch's xi-rate |x - y| + c t grows
     with c, so no draw gets coarser panels than its own plan would have.
-    Each draw then adds only its branches' x sums (2 N_x N_xi), and
+    A block of draws takes its values from one table of the shifted
+    points x -+ c t of all its draws (``applications._wave_values``,
+    2 N_x N_xi per draw), with no operator, field or meta per draw.
     ``meta`` gives the shared ``evaluation_path`` and ``bands``, the run's
-    ``evaluations`` (u_hat once, N_y N_xi, plus the x sums of every draw
-    in the estimate) and its ``wall_time``.  Both engines draw by the
-    block: one call evaluates a block of replicates on a (replicates,
-    points) grid, and the block enters the moments through one merge; a
-    replicate's value does not depend on the block it lands in.
+    ``evaluations`` (u_hat once, N_y N_xi, plus the x sums of every draw)
+    and its ``wall_time``.  Both engines draw by the block: one call
+    evaluates a block of replicates on a (replicates, points) grid, which
+    enters the moments through one merge; a replicate's value does not
+    depend on the block it lands in.
     ``autocov_pairs`` are grid-index pairs (p, q) whose sample
     autocovariance is tracked alongside the pointwise moments.
     """
@@ -364,12 +366,11 @@ def mc_wave_estimate(model: TruncatedSpeedModel, u0: SmoothMap, t: float,
             return 0.5 * (map_values(u0, xs - ct) + map_values(u0, xs + ct))
     elif engine == "fio":
         t0 = time.perf_counter()
-        amp = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(1, 0, 1)))
+        amp = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(0, 0, 1)))
         plan = _wave_plan((model.c0 + model.s * model.bound,), amp, u0, t, xs, config)
 
         def sampler(rngs):
-            return np.stack([f.value for f in _wave_branches(
-                speeds(rngs).tolist(), amp, u0, t, xs, config, plan)])
+            return _wave_values(plan, speeds(rngs)[:, None], t)[0]
     else:
         raise ValueError("engine must be 'translation' or 'fio'")
 

@@ -1,6 +1,8 @@
 """Flows, transport, eikonal phases and the wave solvers."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,3 +385,49 @@ def test_y_first_solvers_match_the_l_kappa_engine_at_radius_40(case):
     # 1.6e-11
     solve, l_kappa = _l_kappa_counterparts()[case]
     assert np.max(np.abs(solve().value - l_kappa())) < 1e-10
+
+
+def _wave_rate_cases():
+    """(speed, u0, t, x points, config) of ``configs/wave.json``, the
+    expected-wave-field tests, a bench-style fio Monte Carlo plan at the top
+    speed 2 c0 - alpha, and an affine speed."""
+    with open(Path(__file__).resolve().parents[1] / "configs" / "wave.json",
+              encoding="utf-8") as fh:
+        wave = json.load(fh)
+    grid = wave["grid"]
+    fio = TruncatedSpeedModel(2.013, 0.1987)
+    return {
+        "wave.json": (wave["speed"], builtin_map(**wave["test_function"]), wave["time"],
+                      np.linspace(grid["lo"], grid["hi"], grid["n"]),
+                      QuadratureConfig(**wave["quadrature"])),
+        "expected_wave": (2.0, GAUSS, 0.3, np.linspace(-2.0, 2.0, 17),
+                          QuadratureConfig(xi_radius=30.0)),
+        "bench_fio": (fio.c0 + fio.s * fio.bound,
+                      builtin_map("gaussian_bump", block="y", center=0.013, width=0.4004),
+                      0.3021, np.linspace(-1.0, 1.0, 5), QuadratureConfig(xi_radius=24.0)),
+        "affine": (make_speed("affine", offset=1.5, slope=0.2), GAUSS, 0.4,
+                   np.array([-0.8, -0.3, 0.0, 0.4, 0.9]), QuadratureConfig(xi_radius=16.0)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_wave_rate_cases()))
+def test_closed_form_wave_rates_equal_the_probe(case):
+    from stochfio.applications import _wave_plan
+    from stochfio.oscillatory import _plan_nodes, _probe_rates
+    from stochfio.regularizer import CutoffChi
+
+    speed, u0, t, xs, config = _wave_rate_cases()[case]
+    amp = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(0, 0, 1)))
+    plan = _wave_plan((speed,), amp, u0, t, xs, config)
+    window = plan.meta["y_window"]
+    d_xi, d_y = map(max, zip(*(
+        _probe_rates(PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, t=t,
+                                               sign=s)), (xs,), window)
+        for s in (1, -1))))
+    rates = plan.meta["rates"]
+    assert abs(rates["d_xi"] - d_xi) <= np.spacing(d_xi)
+    assert rates["d_y"] == d_y == 1.0
+    bands, _ = _plan_nodes(None, CutoffChi(), config, (xs,), window, 0, rates=(d_xi, d_y))
+    assert plan.meta["bands"] == [(lo, hi, xn.size, yn.size)
+                                  for lo, hi, xn, _xw, yn, _yw in bands]
+    assert np.array_equal(plan.xi, np.concatenate([xn for _lo, _hi, xn, *_ in bands]))

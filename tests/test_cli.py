@@ -545,6 +545,28 @@ def test_integer_option_refuses_booleans_and_fractions(tmp_path, capsys, command
     assert f"{option} must be an integer" in captured.err
 
 
+WAVE_PHASE = {"family": "scaled_norm_phase", "speed": 2.0, "t": 0.2}
+
+
+@pytest.mark.parametrize("command,cfg,what", [
+    ("apply", apply_config(test_function={"family": "gaussian_bump", "block": "y",
+                                          "center": 0.0, "width": True}), "test_function"),
+    ("verify", apply_config(amplitude={"family": "gaussian_bump", "block": "xi",
+                                       "center": 0.0, "width": True}), "amplitude"),
+    ("verify", apply_config(phase={**WAVE_PHASE, "t": True}), "phase"),
+    ("verify", apply_config(phase={**WAVE_PHASE, "speed": True}), "phase"),
+    ("verify", apply_config(phase={**WAVE_PHASE, "sign": True}), "phase"),
+    ("apply", apply_config(amplitude={"family": "scaled", "factor": True,
+                                      "inner": {"family": "constant", "value": 1.0,
+                                                "layout": [1, 1, 1]}}), "amplitude"),
+])
+def test_map_parameters_refuse_booleans(tmp_path, capsys, command, cfg, what):
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"bad {what} spec" in captured.err
+
+
 @pytest.mark.parametrize("command", ["apply", "converge"])
 def test_unbounded_test_function_error_names_a_config_remedy(tmp_path, capsys, command):
     path = write_config(tmp_path, "cfg.json", apply_config(test_function=UNBOUNDED_Y))

@@ -347,6 +347,19 @@ def test_engine_takes_one_x_coordinate():
             op.apply(gaussian(), points)
 
 
+def test_build_refuses_two_x_coordinates_before_the_membership_scan(monkeypatch):
+    def scan(*args, **kwargs):
+        raise AssertionError("membership scan ran on a layout apply refuses")
+
+    monkeypatch.setattr(oscillatory, "check_alpha_membership", scan)
+    two_x = builtin_map("sum", terms=[
+        builtin_map("linear_phase"),
+        builtin_map("constant", value=0.0, layout=VarLayout(2, 1, 1))])
+    assert two_x.layout == VarLayout(2, 1, 1)
+    with pytest.raises(NotImplementedError, match="at most one x"):
+        FioOperator.build(two_x, unit_amplitude(), alpha=0.25)
+
+
 def test_build_rejects_degenerate_phase():
     bad = PhaseFunction(builtin_map("product", factors=[
         builtin_map("sum", terms=[
@@ -446,30 +459,88 @@ def test_mirrored_oscillatory_integral_equals_two_sided_run():
     assert got.imag == 0.0
 
 
+def _branch_ops(speed, t, amp):
+    from stochfio.regularizer import select_kappa
+
+    return [FioOperator(PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, t=t,
+                                                  sign=s)),
+                        amp, CutoffChi(), select_kappa(0.0, 1.0, 0.0, 1), MIRROR_CONFIG)
+            for s in (1, -1)]
+
+
+def _assert_branches_equal_each_alone(speed, amp, u, t=0.4):
+    """Both branch sums of one speed, and its field, against ``_y_first_apply``
+    of each branch operator alone."""
+    from stochfio.applications import _speed_values, _wave_branches, _wave_plan, _wave_values
+
+    plan = _wave_plan((speed,), amp, u, t, XS, MIRROR_CONFIG)
+    _values, sums = _wave_values(plan, _speed_values(speed, XS)[None], t)
+    alone = [oscillatory._y_first_apply(op, u, XS) for op in _branch_ops(speed, t, amp)]
+    field = _wave_branches((speed,), amp, u, t, XS, MIRROR_CONFIG)[0]
+    scale = max(np.max(np.abs(ref.value)) for ref in alone)
+    for sign, branch, ref in zip("+-", sums[:, 0], alone):
+        assert plan.meta["bands"] == ref.meta["bands"]
+        assert plan.meta["rates"] == ref.meta["rates"]
+        got = branch.sum(axis=-1) / (2.0 * math.pi)
+        assert np.max(np.abs(got - ref.value)) <= 1e-13 * scale
+        np.testing.assert_allclose(field.meta[f"branch_{sign}"]["band_contributions"],
+                                   ref.meta["band_contributions"], rtol=1e-12, atol=1e-16)
+    assert np.max(np.abs(field.value - alone[0].value - alone[1].value)) <= 1e-13 * scale
+    return field
+
+
 def test_mirrored_wave_branches_equal_two_sided_runs():
     from stochfio.applications import make_speed, wave_solve
-    from stochfio.regularizer import CutoffChi, select_kappa
 
     speed = make_speed("affine", offset=1.5, slope=0.2)
-    phases = [PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, t=0.4, sign=s))
-              for s in (1, -1)]
-    # the y-first path takes amplitudes free of y
-    amp = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(1, 0, 1)))
-    op = FioOperator(phases[0], amp, CutoffChi(), select_kappa(0.0, 1.0, 0.0, 1),
-                     MIRROR_CONFIG)
-    ops = (op, replace(op, phase=phases[1]))
-    plan = oscillatory._y_first_plan(ops, gaussian(), XS,
-                                     oscillatory._pair_signs(op, gaussian()))
-    pair = oscillatory._y_first_pair(plan, *ops)
-    assert pair[0].meta["bands"] == pair[1].meta["bands"]
-    for phase, field in zip(phases, pair):
-        _assert_same_field(field, oscillatory._y_first_apply(replace(op, phase=phase),
-                                                             gaussian(), XS))
+    amp = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(0, 0, 1)))
+    field = _assert_branches_equal_each_alone(speed, amp, gaussian())
+    assert field.meta["xi_reflected"]
 
     mirrored = wave_solve(speed, gaussian(), 0.4, XS, config=MIRROR_CONFIG)
     full = wave_solve(speed, _two_sided(gaussian()), 0.4, XS, config=MIRROR_CONFIG)
     assert [mirrored.meta[f"branch_{s}"]["xi_reflected"] for s in "+-"] == [True, True]
     _assert_same_field(mirrored, full)
+
+
+def test_wave_branches_of_a_complex_u0_sum_both_half_lines():
+    # u0 and the amplitude are complex: P_- is its own sum, not conj P_+
+    amp = Amplitude(builtin_map("constant", value=0.5 + 0.2j, layout=VarLayout(0, 0, 1)))
+    u = builtin_map("product", factors=[
+        gaussian(center=0.2, width=0.7),
+        builtin_map("constant", value=1.0 - 0.3j, layout=VarLayout(0, 1, 0))])
+    field = _assert_branches_equal_each_alone(1.3, amp, u)
+    assert not field.meta["xi_reflected"]
+    assert field.meta["nodes"] == 2 * sum(2 * n_xi * n_y for _lo, _hi, n_xi, n_y
+                                          in field.meta["branch_+"]["bands"])
+
+
+def test_wave_branches_of_several_speeds_share_one_table():
+    from stochfio.applications import (
+        _speed_values,
+        _wave_branches,
+        _wave_plan,
+        _wave_values,
+        make_speed,
+        wave_solve,
+    )
+
+    speeds = (2.0, make_speed("affine", offset=1.5, slope=0.2), 0.7)
+    amp = Amplitude(builtin_map("constant", value=0.5, layout=VarLayout(0, 0, 1)))
+    fields = _wave_branches(speeds, amp, gaussian(), 0.4, XS, MIRROR_CONFIG)
+    plan = _wave_plan(speeds, amp, gaussian(), 0.4, XS, MIRROR_CONFIG)
+    # the fastest speed sizes the plan
+    assert plan.meta["bands"] == _wave_plan(speeds[:1], amp, gaussian(), 0.4, XS,
+                                            MIRROR_CONFIG).meta["bands"]
+    c = np.stack([_speed_values(s, XS) for s in speeds])
+    together, _sums = _wave_values(plan, c, 0.4)
+    for i, (speed, field) in enumerate(zip(speeds, fields)):
+        assert field.meta["branch_+"]["bands"] == plan.meta["bands"]
+        # a speed's values do not depend on the speeds summed with it
+        assert np.array_equal(_wave_values(plan, c[i:i + 1], 0.4)[0][0], together[i])
+        assert np.array_equal(field.value, together[i])
+        own = wave_solve(speed, gaussian(), 0.4, XS, config=MIRROR_CONFIG)
+        assert np.max(np.abs(field.value - own.value)) <= 1e-10
 
 
 def test_mirrored_expected_wave_field_equals_two_sided_run():

@@ -357,27 +357,43 @@ def test_mc_fio_meta_counts_u_hat_once():
     assert mc_wave_estimate(MODEL, GAUSS, 0.25, FIO_XS, 4, base_seed=3).meta == {}
 
 
+def test_mc_fio_builds_no_operator_or_field(monkeypatch):
+    """The fio engine sums every draw of a block in one table: no operator,
+    no grid field and no meta per draw, nor for its plan."""
+    from stochfio import oscillatory
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an operator or a field")
+
+    monkeypatch.setattr(oscillatory.FioOperator, "__init__", refuse)
+    monkeypatch.setattr(oscillatory.GridField, "__init__", refuse)
+    result = mc_wave_estimate(MODEL, GAUSS, 0.25, FIO_XS, 6, base_seed=3,
+                              engine="fio", config=FIO_CONFIG)
+    assert result.stats.n == 6 and not result.stats.failures
+
+
 def test_mc_fio_replicate_values_do_not_depend_on_their_block(monkeypatch):
     """A block that raises reruns one draw at a time on the same plan; the
     other draws keep their values bit for bit, and each matches wave_solve
     at its own speed."""
     plans, values, unstable = [], {}, []
-    wave_plan, wave_branches = stochastic._wave_plan, stochastic._wave_branches
+    wave_plan, wave_values = stochastic._wave_plan, stochastic._wave_values
 
     def counting_plan(*args):
         plans.append(wave_plan(*args))
         return plans[-1]
 
-    def recording_branches(speeds, *args):
-        if any(c in unstable for c in speeds):
+    def recording_values(plan, c, t):
+        speeds = c[:, 0].tolist()
+        if any(s in unstable for s in speeds):
             raise RuntimeError("unstable draw")
-        fields = wave_branches(speeds, *args)
-        for c, f in zip(speeds, fields):
-            values[c] = f.value
-        return fields
+        got = wave_values(plan, c, t)
+        for s, v in zip(speeds, got[0]):
+            values[s] = v
+        return got
 
     monkeypatch.setattr(stochastic, "_wave_plan", counting_plan)
-    monkeypatch.setattr(stochastic, "_wave_branches", recording_branches)
+    monkeypatch.setattr(stochastic, "_wave_values", recording_values)
 
     def run():
         return mc_wave_estimate(MODEL, GAUSS, 0.25, FIO_XS, 6, base_seed=3,
