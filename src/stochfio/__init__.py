@@ -2,11 +2,13 @@
 
 The package computes
 
-    A[u](x) = (2 pi)^(-n_xi) * integral of
+    A[u](x) = (2 pi)^(-1) * integral of
               exp(i Phi(x, y, xi)) a(x, y, xi) u(y)  dy dxi
 
-for phase functions that are positively homogeneous of degree one in the
-frequency variable and amplitudes in standard symbol classes.  The
+over one y and one frequency coordinate xi (every block of variables holds
+at most one coordinate; x, when present, is one coordinate too), for phase
+functions that are positively homogeneous of degree one in the frequency
+variable and amplitudes in standard symbol classes.  The
 integrals do not converge absolutely; the engine makes them computable by
 applying powers of a first-order operator L (built from the phase
 gradients) that fixes the oscillatory factor exactly while improving the
@@ -15,12 +17,13 @@ amplitude's decay in xi by one order per power.
 Layout
 ------
 ``jets``
-    Truncated Taylor tables (jets) over blocks of x / y / xi variables,
-    with exact arithmetic, composition and a library of built-in smooth
-    maps.
+    Truncated Taylor tables (jets) in the x / y / xi blocks, each of at
+    most one coordinate, with exact arithmetic, composition and a library
+    of built-in smooth maps.
 ``symbol_spaces``
-    Phase/amplitude containers, seminorm scans on compact boxes,
-    homogeneity and non-degeneracy (membership) checks.
+    Phase/amplitude containers, seminorm scans on compact boxes (an
+    interval per block), homogeneity and non-degeneracy (membership)
+    checks.
 ``regularizer``
     The smooth frequency cutoff chi, the order-selection rule for the
     number kappa of L powers, the first-order coefficient tables and the
@@ -50,7 +53,6 @@ from .jets import (
 )
 from .symbol_spaces import (
     Amplitude,
-    CompactBox,
     PhaseFunction,
     check_alpha_membership,
     check_derivative_bound,
@@ -111,7 +113,7 @@ __all__ = [
     "Coords", "IndexSet", "SmoothMap", "VarLayout", "builtin_map",
     "make_speed",
     # symbol spaces
-    "Amplitude", "CompactBox", "PhaseFunction", "check_alpha_membership",
+    "Amplitude", "PhaseFunction", "check_alpha_membership",
     "check_derivative_bound", "check_homogeneity", "compact_box",
     "seminorm_p", "seminorm_pi", "seminorm_q",
     # regularizer

@@ -78,7 +78,7 @@ def rk4_step_count(t: float, tol: float) -> int:
 
 def _c_derivs(speed: SmoothMap, z0: np.ndarray, order: int) -> list:
     iset = IndexSet(VarLayout(1, 0, 0), order, 0)
-    t = speed.provider(Coords((z0,), (), ()), iset)
+    t = speed.provider(Coords(z0, None, None), iset)
     return [np.asarray(t[(k,)]) if not np.isscalar(t[(k,)]) else t[(k,)]
             for k in range(order + 1)]
 
@@ -402,8 +402,8 @@ def _wave_plan(speeds, amp: Amplitude, u0: SmoothMap, t: float, x_points,
         raise ValueError("the wave branches take an amplitude of xi alone")
     hermitian = amp.map.xi_reflection == u0.xi_reflection == "hermitian"
 
-    def rates(cols, window):
-        xs = _probe_points(cols[0])
+    def rates(xs, window):
+        xs = _probe_points(xs)
         gaps = np.abs(xs[:, None] - np.asarray(window, dtype=float))
         return max(float(np.max(gaps + np.abs(_speed_values(c, xs) * t)[:, None]))
                    for c in speeds), 1.0
@@ -414,7 +414,7 @@ def _wave_plan(speeds, amp: Amplitude, u0: SmoothMap, t: float, x_points,
                          config or QuadratureConfig(), CutoffChi(), rates)
     iset = IndexSet(amp.layout, 0, 0)
     return replace(plan, hats={
-        sign: amp.map.table(Coords((), (), (sign * plan.xi,)), iset)[iset.zero] * hat
+        sign: amp.map.table(Coords(None, None, sign * plan.xi), iset)[iset.zero] * hat
         for sign, hat in plan.hats.items()})
 
 
@@ -431,7 +431,7 @@ def _wave_values(plan, c, t: float) -> tuple:
     ``plan.max_elements`` entries.  Each row is summed band by band on its
     own, so a speed's values do not depend on the speeds summed with it.
     """
-    x, starts = plan.cols[0], plan.edges[:-1]
+    x, starts = plan.xs, plan.edges[:-1]
     tc = t * np.asarray(c, dtype=float)
     z = np.stack(np.broadcast_arrays(x + tc, x - tc))
     flat = z.ravel()
@@ -465,7 +465,7 @@ def _wave_branches(speeds, amp: Amplitude, u0: SmoothMap, t: float, x_points,
     t0 = time.perf_counter()
     plan = _wave_plan(speeds, amp, u0, t, x_points, config)
     values, sums = _wave_values(
-        plan, np.stack([_speed_values(c, plan.cols[0]) for c in speeds]), t)
+        plan, np.stack([_speed_values(c, plan.xs) for c in speeds]), t)
     contributions = (2.0 * math.pi) ** -1 * np.max(np.abs(sums), axis=2)
     branch = {**{k: v for k, v in plan.meta.items() if k != "evaluations"},
               "xi_reflected": plan.signs == _POSITIVE_SIGN}
@@ -474,7 +474,7 @@ def _wave_branches(speeds, amp: Amplitude, u0: SmoothMap, t: float, x_points,
            "nodes": 2 * plan.meta["nodes"],
            **{k: branch[k] for k in ("evaluation_path", "kappa", "xi_radius",
                                      "xi_reflected")}}
-    return [GridField(plan.cols, {(0,): value}, {
+    return [GridField((plan.xs,), {(0,): value}, {
         **top, **{f"branch_{sign}": {**branch, "band_contributions": [float(v) for v in bands]}
                   for sign, bands in zip("+-", contributions[:, i])}})
         for i, value in enumerate(values)]

@@ -3,12 +3,14 @@
 Phases, amplitudes, cutoffs and test functions all enter the quadrature
 pipeline through one interface: a *jet*, the dense table of partial
 derivatives of a map up to a requested order at a point.  Points live in a
-space with three coordinate blocks (output variables x, integration
-variables y, frequency variables xi); block sizes are fixed per map by a
-:class:`VarLayout`.  The quadrature engine runs x blocks of size 0 or 1
-and one y and one xi variable; time is a parameter of the phases that
-depend on it (``scaled_norm_phase(t=...)``, the flow phases of
-``applications``), never a coordinate.
+space with three coordinate blocks (output variable x, integration
+variable y, frequency variable xi).  A block holds at most one
+coordinate: a map's :class:`VarLayout` says which blocks it has (each
+entry is 0 or 1), and a :class:`Coords` block is an array, or ``None``
+where the map has no such coordinate.  The quadrature engine runs maps
+with or without x and with one y and one xi; time is a parameter of the
+phases that depend on it (``scaled_norm_phase(t=...)``, the flow phases
+of ``applications``), never a coordinate.
 
 Tables are plain dicts keyed by flat multi-index tuples.  Values may be
 scalars or numpy arrays of mutually broadcastable shapes: every caller
@@ -47,7 +49,7 @@ XI_REFLECTIONS = (None, "odd", "hermitian")
 
 
 class VarLayout(NamedTuple):
-    """Block sizes (n_x, n_y, n_xi) of the variable groups."""
+    """Block sizes (n_x, n_y, n_xi) of the variable groups, each 0 or 1."""
 
     n_x: int
     n_y: int
@@ -59,14 +61,15 @@ class VarLayout(NamedTuple):
 
 
 class Coords(NamedTuple):
-    """Per-coordinate value arrays for a (batch of) evaluation point(s)."""
+    """Coordinate values of a (batch of) evaluation point(s): per block an
+    array or scalar, or ``None`` for a block the point does not have."""
 
-    x: tuple
-    y: tuple
-    xi: tuple
+    x: object
+    y: object
+    xi: object
 
     def flat(self) -> tuple:
-        return tuple(self.x) + tuple(self.y) + tuple(self.xi)
+        return tuple(c for c in self if c is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -345,32 +348,24 @@ def t_add(a: dict, b: dict, iset: IndexSet) -> dict:
 def embed_table(t: dict, src_layout: VarLayout, dst_iset: IndexSet) -> dict:
     """Lift a table over a sub-layout into a larger layout.
 
-    Source block coordinates are identified with the leading coordinates of
-    each destination block.  Entries carrying derivatives in coordinates the
-    source map does not depend on are exactly zero.
+    Entries carrying derivatives in a coordinate the source map does not
+    have are exactly zero.
     """
     dl = dst_iset.layout
-    if (src_layout.n_x > dl.n_x or src_layout.n_y > dl.n_y or src_layout.n_xi > dl.n_xi):
+    if any(s > d for s, d in zip(src_layout, dl)):
         raise ValueError("source layout does not fit inside destination layout")
+    kept = [bool(s) for s, d in zip(src_layout, dl) if d]  # per destination variable
     out = {}
     for k in dst_iset.keys():
-        kx = k[:dl.n_x]
-        ky = k[dl.n_x:dl.n_x + dl.n_y]
-        kxi = k[dl.n_x + dl.n_y:]
-        extra = (sum(kx[src_layout.n_x:]) + sum(ky[src_layout.n_y:])
-                 + sum(kxi[src_layout.n_xi:]))
-        if extra:
+        if any(o for o, keep in zip(k, kept) if not keep):
             out[k] = 0.0
-            continue
-        src_key = kx[:src_layout.n_x] + ky[:src_layout.n_y] + kxi[:src_layout.n_xi]
-        out[k] = t.get(src_key, 0.0)
+        else:
+            out[k] = t.get(tuple(o for o, keep in zip(k, kept) if keep), 0.0)
     return out
 
 
 def project_coords(coords: Coords, src_layout: VarLayout) -> Coords:
-    return Coords(tuple(coords.x[:src_layout.n_x]),
-                  tuple(coords.y[:src_layout.n_y]),
-                  tuple(coords.xi[:src_layout.n_xi]))
+    return Coords(*(c if n else None for c, n in zip(coords, src_layout)))
 
 
 def _uni_iset(cap: int) -> IndexSet:
@@ -415,6 +410,9 @@ class SmoothMap:
     standard_form: bool = False
 
     def __post_init__(self):
+        if any(n not in (0, 1) for n in self.layout):
+            raise ValueError(f"a block holds at most one coordinate: layout entries "
+                             f"must be 0 or 1, got {tuple(self.layout)}")
         if self.xi_reflection not in XI_REFLECTIONS:
             raise ValueError(f"xi_reflection must be one of {XI_REFLECTIONS}, "
                              f"got {self.xi_reflection!r}")
@@ -437,6 +435,9 @@ def _number(value, name: str):
     return value
 
 
+_BLOCK_LAYOUTS = {"x": VarLayout(1, 0, 0), "y": VarLayout(0, 1, 0), "xi": VarLayout(0, 0, 1)}
+
+
 def _univariate_map(block: str, derivs_fn, describe: str, support=None,
                     even: bool = False) -> SmoothMap:
     """Real map depending on a single coordinate of one block.
@@ -445,10 +446,10 @@ def _univariate_map(block: str, derivs_fn, describe: str, support=None,
     k = 0..cap at the array of coordinate values v.  A map of x or y is
     hermitian under xi -> -xi; a map of xi is when ``even`` holds.
     """
-    layout = {"x": VarLayout(1, 0, 0), "y": VarLayout(0, 1, 0), "xi": VarLayout(0, 0, 1)}[block]
+    layout = _BLOCK_LAYOUTS[block]
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
-        v = coords.flat()[0]
+        v = getattr(coords, block)
         cap = iset.cap_for_block(block)
         der = derivs_fn(np.asarray(v), cap)
         t = t_blank(iset)
@@ -585,7 +586,7 @@ def _xi_table(coords: Coords, iset: IndexSet, derivs) -> dict:
     if iset.layout.n_xi != 1:
         raise ValueError("xi tables need exactly one xi coordinate")
     t = t_blank(iset)
-    for k, val in enumerate(derivs(np.asarray(coords.xi[0]))):
+    for k, val in enumerate(derivs(np.asarray(coords.xi))):
         key = iset.zero[:-1] + (k,)
         if key in t:
             t[key] = val
@@ -604,7 +605,7 @@ def _xi_norm_sq_table(coords: Coords, iset: IndexSet) -> dict:
 
 def _linear_phase() -> SmoothMap:
     def provider(coords: Coords, iset: IndexSet) -> dict:
-        x, y, xi = (np.asarray(coords.x[0]), np.asarray(coords.y[0]), np.asarray(coords.xi[0]))
+        x, y, xi = np.asarray(coords.x), np.asarray(coords.y), np.asarray(coords.xi)
         t = t_blank(iset)
         for key, v in (((1, 0, 0), xi), ((0, 1, 0), -xi), ((0, 0, 1), x - y),
                        ((1, 0, 1), 1.0), ((0, 1, 1), -1.0)):
@@ -628,7 +629,7 @@ def _scaled_norm_phase(*, speed, t, sign=1) -> SmoothMap:
     lin = _linear_phase()
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
-        c_t = embed_table(speed.provider(Coords(coords.x, (), ()),
+        c_t = embed_table(speed.provider(Coords(coords.x, None, None),
                                          IndexSet(speed.layout, iset.cap_x, 0, iset.cap_x)),
                           speed.layout, iset)
         prod = t_mul(t_scale(c_t, sign * t), _xi_norm_table(coords, iset), iset)
@@ -649,9 +650,7 @@ def _tabulated_phase(*, g_provider, describe: str = "xi (g(x) - y)") -> SmoothMa
     """
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
-        x = np.asarray(coords.x[0])
-        y = np.asarray(coords.y[0])
-        xi = np.asarray(coords.xi[0])
+        x, y, xi = np.asarray(coords.x), np.asarray(coords.y), np.asarray(coords.xi)
         g = g_provider(x, np.sign(xi), iset.cap_x)
         t = t_blank(iset)
         for j in range(iset.cap_x + 1):
@@ -672,19 +671,15 @@ def _tabulated_phase(*, g_provider, describe: str = "xi (g(x) - y)") -> SmoothMa
                      standard_form=True)
 
 
-def _coordinate(*, block, index=0) -> SmoothMap:
-    sizes = {"x": (index + 1, 0, 0), "y": (0, index + 1, 0), "xi": (0, 0, index + 1)}
-    layout = VarLayout(*sizes[block])
-
+def _coordinate(*, block) -> SmoothMap:
     def provider(coords: Coords, iset: IndexSet) -> dict:
         t = t_blank(iset)
-        t[iset.zero] = np.asarray(coords.flat()[layout.nvars - 1])
-        e = (0,) * (layout.nvars - 1) + (1,)
-        if e in t:
-            t[e] = 1.0
+        t[(0,)] = np.asarray(getattr(coords, block))
+        if (1,) in t:
+            t[(1,)] = 1.0
         return t
 
-    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, f"coordinate {block}[{index}]",
+    return SmoothMap(_BLOCK_LAYOUTS[block], provider, DEFAULT_MAX_ORDER, f"coordinate {block}",
                      xi_reflection="odd" if block == "xi" else "hermitian")
 
 
@@ -816,11 +811,13 @@ def builtin_map(family: str, **params) -> SmoothMap:
 
     ``params`` bind as keywords to the family's builder, so a missing or
     unexpected parameter raises ``TypeError`` and an unknown family
-    ``ValueError``.  Specs nest: ``product`` factors, ``sum`` terms and the
-    ``scaled`` inner map may each be a map or a ``{"family": ...}`` dict,
-    and the ``scaled_norm_phase`` speed a map, a number or a
-    ``{"kind": ...}`` dict (see :func:`make_speed`); its time ``t`` is a
-    number.
+    ``ValueError``.  ``coordinate`` takes a ``block`` ("x", "y" or "xi")
+    and is the block's one coordinate; a ``constant``'s ``layout`` entries
+    are 0 or 1, as every map's are.  Specs nest: ``product`` factors,
+    ``sum`` terms and the ``scaled`` inner map may each be a map or a
+    ``{"family": ...}`` dict, and the ``scaled_norm_phase`` speed a map, a
+    number or a ``{"kind": ...}`` dict (see :func:`make_speed`); its time
+    ``t`` is a number.
 
     Each builder derives the map's ``xi_reflection``: ``linear_phase`` and
     the xi ``coordinate`` are odd; real constants, maps of x or y, xi bumps

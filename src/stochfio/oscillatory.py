@@ -188,24 +188,26 @@ class GridField:
 
 @dataclass(frozen=True)
 class PointDistribution:
-    """Finite combination of derivatives of point masses, sum w d^(r) delta."""
+    """Finite combination of derivatives of point masses on the real line,
+    sum w d^(r) delta_p: float points p and integer orders r."""
 
     points: tuple
     weights: tuple
     orders: tuple
 
     def __post_init__(self):
-        pts = tuple(tuple(float(c) for c in np.atleast_1d(p)) for p in self.points)
-        orders = tuple((o,) if isinstance(o, int) else tuple(o) for o in self.orders)
-        if not (len(pts) == len(self.weights) == len(orders)):
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 1:
+            raise ValueError("point masses must sit on the real line")
+        if not (pts.size == len(self.weights) == len(self.orders)):
             raise ValueError("points, weights and orders must have equal length")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", tuple(float(p) for p in pts))
         object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
-        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "orders", tuple(int(o) for o in self.orders))
 
     @property
     def max_order(self) -> int:
-        return max((sum(o) for o in self.orders), default=0)
+        return max(self.orders, default=0)
 
 
 def _as_symbols(phase, amplitude) -> tuple:
@@ -233,13 +235,12 @@ class FioOperator:
 
         ``alpha = None`` skips the nondegeneracy scan (used when the caller
         has already certified the phase family analytically); with it set,
-        a phase layout the engine cannot apply is refused first
-        (NotImplementedError), before the scan, the costliest check.
+        a phase the engine cannot apply (one without y or xi) is refused
+        first (ValueError), before the scan, the costliest check.
         """
         phase, amplitude = _as_symbols(phase, amplitude)
         layout = phase.layout
-        if amplitude.layout.n_x > layout.n_x or amplitude.layout.n_y > layout.n_y \
-                or amplitude.layout.n_xi > layout.n_xi:
+        if any(a > p for a, p in zip(amplitude.layout, layout)):
             raise ValueError("amplitude layout does not fit the phase layout")
         membership = None
         if alpha is not None:
@@ -309,24 +310,22 @@ def _probe_points(a, n_samples: int = 5) -> np.ndarray:
     return np.linspace(a.min(), a.max(), n_samples) if a.size > 1 else a[:1]
 
 
-def _probe_rates(phase: PhaseFunction, x_arrays, y_window, n_samples: int = 5):
-    """Max first derivatives of the phase at unit xi over a coarse sample."""
+def _probe_rates(phase: PhaseFunction, xs, y_window, n_samples: int = 5):
+    """Max first derivatives of the phase at unit xi over a coarse sample of
+    the x points ``xs`` (None for a phase without x) and the y window."""
     layout = phase.layout
-    axes = [_probe_points(a, n_samples) for a in x_arrays]
-    axes.append(np.linspace(y_window[0], y_window[1], n_samples))
-    grids = np.meshgrid(*axes, indexing="ij")
-    cols = [g.ravel() for g in grids]
-    n = cols[0].size
+    x, y = None, np.linspace(y_window[0], y_window[1], n_samples)
+    if xs is not None:
+        px = _probe_points(xs, n_samples)
+        x, y = np.repeat(px, y.size), np.tile(y, px.size)
     d_xi = 0.0
     d_y = 0.0
     iset = IndexSet(layout, 1, 1, 1)
+    x_orders = (0,) * layout.n_x
     for sgn in (-1.0, 1.0):
-        coords = Coords(tuple(cols[:layout.n_x]), (cols[layout.n_x],), (np.full(n, sgn),))
-        t = phase.table(coords, iset)
-        key = (0,) * (layout.nvars - 1) + (1,)  # the one xi coordinate is last
-        d_xi = max(d_xi, float(np.max(np.abs(np.asarray(t[key])))))
-        key = tuple(1 if j == layout.n_x else 0 for j in range(layout.nvars))
-        d_y = max(d_y, float(np.max(np.abs(np.asarray(t[key])))))
+        t = phase.table(Coords(x, y, np.full(y.size, sgn)), iset)
+        d_xi = max(d_xi, float(np.max(np.abs(np.asarray(t[x_orders + (0, 1)])))))
+        d_y = max(d_y, float(np.max(np.abs(np.asarray(t[x_orders + (1, 0)])))))
     return d_xi, d_y
 
 
@@ -361,7 +360,7 @@ def _support_window(maps, block: str, default=None):
     return lo, hi
 
 
-def _plan_nodes(phase, chi, config, x_arrays, y_window, kappa, rates=None):
+def _plan_nodes(phase, chi, config, xs, y_window, kappa, rates=None):
     """Per-band xi and y node arrays; returns list of band node groups.
 
     The transition band gets kappa + 2 cosine-graded panels of
@@ -371,7 +370,7 @@ def _plan_nodes(phase, chi, config, x_arrays, y_window, kappa, rates=None):
     xi-panels are sized by the oscillation budget alone.  ``rates``, when
     given, replaces the probe of ``phase``: the (d_xi, d_y) to size for.
     """
-    d_xi, d_y = rates or _probe_rates(phase, x_arrays, y_window)
+    d_xi, d_y = rates or _probe_rates(phase, xs, y_window)
     p = config.nodes_per_panel
     budget = config.osc_nodes_budget * p
     xi_w = budget / d_xi if d_xi > 0 else math.inf
@@ -392,7 +391,7 @@ def _plan_nodes(phase, chi, config, x_arrays, y_window, kappa, rates=None):
 # core evaluation
 
 
-def _eval_band(phase, amp, u, chi, kappa, x_cols, xn, xw, yn, yw, sign,
+def _eval_band(phase, amp, u, chi, kappa, xs, xn, xw, yn, yw, sign,
                out_order, chunk_nodes, out_acc):
     """Accumulate the weighted sum of d^j_x [exp(i Phi) L^kappa(a u)] over
     one band's ``sign`` half-line into ``out_acc`` (per x-key arrays)."""
@@ -400,10 +399,10 @@ def _eval_band(phase, amp, u, chi, kappa, x_cols, xn, xw, yn, yw, sign,
     xinodes = np.repeat(sign * xn, yn.size)
     wts = np.repeat(xw, yn.size) * np.tile(yw, xn.size)
     total = xinodes.size
-    nx_cols = tuple(np.asarray(c, dtype=float)[:, None] for c in x_cols)
+    x = None if xs is None else xs[:, None]
     for s in range(0, total, chunk_nodes):
         sl = slice(s, min(s + chunk_nodes, total))
-        coords = Coords(nx_cols, (ynodes[None, sl],), (xinodes[None, sl],))
+        coords = Coords(x, ynodes[None, sl], xinodes[None, sl])
         g, phase_x, iset_x = _regularized_tables(phase, amp.map, u, chi, kappa,
                                                  coords, out_order)
         tab = t_mul(t_exp(t_scale(phase_x, 1.0j), iset_x), g, iset_x)
@@ -411,7 +410,7 @@ def _eval_band(phase, amp, u, chi, kappa, x_cols, xn, xw, yn, yw, sign,
         for k in iset_x.keys():
             v = np.asarray(tab[k])
             if v.ndim < 2:
-                v = np.broadcast_to(v, (len(nx_cols[0]) if nx_cols else 1, w.size))
+                v = np.broadcast_to(v, (1 if xs is None else xs.size, w.size))
             out_acc[k] += (v * w).sum(axis=1)
     return out_acc
 
@@ -438,18 +437,19 @@ def _band_meta(bands, rates, chunk_nodes: int, signs, npts: int) -> dict:
             "rates": rates}
 
 
-def _engine(phase, amp, u, chi, kappa, x_arrays, out_order, config,
+def _engine(phase, amp, u, chi, kappa, xs, out_order, config,
             bands, signs, x_slice=None):
-    """Weighted sums over the planned ``bands`` for the x points in ``x_slice``.
+    """Weighted sums over the planned ``bands`` for the x points ``xs`` (None
+    for a phase without x), or those in ``x_slice``.
 
     Returns one accumulator per (band, sign): ``parts[b][j]`` maps each
     x-derivative key to the sum over band ``b`` on the half-line ``signs[j]``.
     """
     layout = phase.layout
-    x_arrays = tuple(np.asarray(a, dtype=float) for a in x_arrays)
-    npts = x_arrays[0].size if x_arrays else 1
-    cols = x_arrays if x_slice is None else tuple(a[x_slice] for a in x_arrays)
-    nloc = cols[0].size if cols else 1
+    npts = 1 if xs is None else xs.size
+    if x_slice is not None:
+        xs = xs[x_slice]
+    nloc = 1 if xs is None else xs.size
     chunk_nodes = _chunk_nodes(config, npts)
     keys = IndexSet(layout, out_order, 0).keys()
     parts = []
@@ -459,7 +459,7 @@ def _engine(phase, amp, u, chi, kappa, x_arrays, out_order, config,
         per_sign = []
         for sign in signs:
             acc = {k: np.zeros(nloc, dtype=complex) for k in keys}
-            per_sign.append(_eval_band(phase, amp, u, chi, band_kappa, cols, xn, xw,
+            per_sign.append(_eval_band(phase, amp, u, chi, band_kappa, xs, xn, xw,
                                        yn, yw, sign, out_order, chunk_nodes, acc))
         parts.append(per_sign)
     return parts
@@ -487,13 +487,13 @@ def _worker_slices(npts: int, workers: int, cpus: int | None) -> list:
     return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def _run_engine(phase, amp, u, chi, kappa, x_arrays, out_order, config,
+def _run_engine(phase, amp, u, chi, kappa, xs, out_order, config,
                 y_window, signs, workers):
     """Plan the nodes, then the (band, sign) sums on every x point."""
     workers = config.workers if workers is None else workers
-    npts = x_arrays[0].size if x_arrays else 1
-    bands, rates = _plan_nodes(phase, chi, config, x_arrays, y_window, kappa)
-    job = (phase, amp, u, chi, kappa, x_arrays, out_order, config, bands, signs)
+    npts = 1 if xs is None else xs.size
+    bands, rates = _plan_nodes(phase, chi, config, xs, y_window, kappa)
+    job = (phase, amp, u, chi, kappa, xs, out_order, config, bands, signs)
     slices = _worker_slices(npts, workers, os.cpu_count())
     if len(slices) > 1 and hasattr(os, "fork"):
         import multiprocessing as mp
@@ -542,22 +542,22 @@ def _band_totals(parts, mirrored: bool) -> list:
 
 
 def _check_layouts(layout: VarLayout, u: SmoothMap | None = None) -> None:
-    """The engine's at most one x, one y and one xi dimension, and a test
-    function ``u``, when given, of y."""
-    if layout.n_x > 1 or layout.n_y != 1 or layout.n_xi != 1:
-        raise NotImplementedError("quadrature engine handles at most one x and "
-                                  "exactly one y and one xi dimension")
-    if u is not None and (u.layout.n_x or u.layout.n_xi or u.layout.n_y != 1):
+    """The engine integrates over y and xi, and a test function ``u``, when
+    given, is a map of y alone."""
+    if not (layout.n_y and layout.n_xi):
+        raise ValueError("the quadrature engine needs a phase of y and xi")
+    if u is not None and u.layout != VarLayout(0, 1, 0):
         raise ValueError("test function must be a map of y alone")
 
 
-def _band_field(layout: VarLayout, cols, band_totals, meta: dict,
+def _band_field(layout: VarLayout, xs, band_totals, meta: dict,
                 mirrored: bool) -> GridField:
-    """Field of the (2 pi)^-1-normalised band totals, summed in band order.
+    """Field of the (2 pi)^-1-normalised band totals on the x points ``xs``
+    (None for a phase without x), summed in band order.
 
     ``band_contributions`` holds the sup over x of each band's value.
     """
-    f = (2.0 * math.pi) ** (-layout.n_xi)
+    f = (2.0 * math.pi) ** -1
     zero = (0,) * layout.nvars
     total = {k: np.zeros(np.shape(v), dtype=complex) for k, v in band_totals[0].items()}
     contributions = []
@@ -566,17 +566,18 @@ def _band_field(layout: VarLayout, cols, band_totals, meta: dict,
             total[k] += v
         contributions.append(f * float(np.max(np.abs(band[zero]))))
     meta = {**meta, "xi_reflected": mirrored, "band_contributions": contributions}
-    return GridField(cols, {k[:layout.n_x]: f * v for k, v in total.items()}, meta)
+    return GridField(() if xs is None else (xs,),
+                     {k[:layout.n_x]: f * v for k, v in total.items()}, meta)
 
 
-def _normalize_x_points(layout: VarLayout, x_points) -> tuple:
-    """The x columns: none for a phase without x, else the 1-d point array."""
+def _normalize_x_points(layout: VarLayout, x_points):
+    """The 1-d x point array, or None for a phase without x."""
     if layout.n_x == 0:
-        return ()
+        return None
     arr = np.asarray(x_points, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"x points must be a 1-d array, got shape {arr.shape}")
-    return (arr,)
+    return arr
 
 
 def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
@@ -589,16 +590,16 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
     layout = op.phase.layout
     _check_layouts(layout, u)
     mirrored = _xi_mirrored(op.phase, op.amplitude, u)
-    cols = _normalize_x_points(layout, x_points)
+    xs = _normalize_x_points(layout, x_points)
     window = _support_window([u, op.amplitude.map], "y", y_window)
     t0 = time.perf_counter()
     parts, meta = _run_engine(op.phase, op.amplitude, u, op.chi, op.plan.kappa,
-                              cols, out_order, op.config, window,
+                              xs, out_order, op.config, window,
                               _POSITIVE_SIGN if mirrored else _BOTH_SIGNS, workers)
     meta.update({"kappa": op.plan.kappa, "y_window": tuple(window),
                  "wall_time": time.perf_counter() - t0,
                  "xi_radius": op.config.xi_radius})
-    return _band_field(layout, cols, _band_totals(parts, mirrored), meta, mirrored)
+    return _band_field(layout, xs, _band_totals(parts, mirrored), meta, mirrored)
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +621,11 @@ def _u_hat(u_weighted, yn, xi, max_elements: int) -> np.ndarray:
     return out
 
 
-def _x_tables(op: FioOperator, cols, xi, out_order: int) -> dict:
+def _x_tables(op: FioOperator, xs, xi, out_order: int) -> dict:
     """x-jets of exp(i Phi(x, 0, xi)) a(x, xi) on the (x points) x (xi) grid."""
     iset = IndexSet(op.phase.layout, out_order, 0)
     xi = xi[None, :]
-    coords = Coords(tuple(c[:, None] for c in cols), (np.zeros_like(xi),), (xi,))
+    coords = Coords(xs[:, None], np.zeros_like(xi), xi)
     amp = op.amplitude.map
     amp_t = embed_table(amp.table(project_coords(coords, amp.layout),
                                   IndexSet(amp.layout, out_order, 0)), amp.layout, iset)
@@ -633,7 +634,7 @@ def _x_tables(op: FioOperator, cols, xi, out_order: int) -> dict:
 
 @dataclass(frozen=True)
 class _YFirstPlan:
-    """Stage one of the y-first sum: the x columns, the node plan and the
+    """Stage one of the y-first sum: the x points, the node plan and the
     weighted u_hat tables that every sum on it shares.
 
     ``hats[sign]`` holds w_xi u_hat(sign xi) on the xi > 0 nodes ``xi`` of
@@ -642,7 +643,7 @@ class _YFirstPlan:
     u_hat tables alone; each operator summed adds ``sum_evaluations``.
     """
 
-    cols: tuple
+    xs: np.ndarray
     signs: tuple
     xi: np.ndarray
     edges: np.ndarray
@@ -653,7 +654,7 @@ class _YFirstPlan:
     @property
     def sum_evaluations(self) -> int:
         """N_x N_xi per evaluated half-line: one operator's x sums."""
-        return self.cols[0].size * len(self.signs) * self.xi.size
+        return self.xs.size * len(self.signs) * self.xi.size
 
 
 def _y_first_plan(layout: VarLayout, u: SmoothMap, x_points, signs,
@@ -661,7 +662,7 @@ def _y_first_plan(layout: VarLayout, u: SmoothMap, x_points, signs,
     """Stage one of the y-first sum of phases of ``layout`` on the half-lines
     ``signs``: plan the bands, form u_hat.
 
-    ``rates(cols, window)`` gives the (d_xi, d_y) of the fastest phase the
+    ``rates(xs, window)`` gives the (d_xi, d_y) of the fastest phase the
     plan is to serve.  Each band forms u_hat(xi) = sum_y w_y exp(-i y xi)
     u(y) on its xi > 0 nodes once (N_y N_xi exponentials); a hermitian u
     (a real function of y) gets u_hat(-xi) = conj u_hat(xi) from it, any
@@ -669,11 +670,11 @@ def _y_first_plan(layout: VarLayout, u: SmoothMap, x_points, signs,
     applied, so no cutoff derivatives enter.
     """
     _check_layouts(layout, u)
-    cols = _normalize_x_points(layout, x_points)
+    xs = _normalize_x_points(layout, x_points)
     window = _support_window([u], "y")
-    bands, rates = _plan_nodes(None, chi, config, cols, window, 0,
-                               rates=rates(cols, window))
-    u_weighted = [yw * u.table(Coords((), (yn,), ()), IndexSet(u.layout, 0, 0))[(0,)]
+    bands, rates = _plan_nodes(None, chi, config, xs, window, 0,
+                               rates=rates(xs, window))
+    u_weighted = [yw * u.table(Coords(None, yn, None), IndexSet(u.layout, 0, 0))[(0,)]
                   for _lo, _hi, _xn, _xw, yn, yw in bands]
 
     def hat_on(sign):
@@ -697,7 +698,7 @@ def _y_first_plan(layout: VarLayout, u: SmoothMap, x_points, signs,
             "evaluations": hat_tables * n_xi_n_y,
             "rates": rates, "kappa": 0, "y_window": tuple(window),
             "xi_radius": config.xi_radius}
-    return _YFirstPlan(cols, tuple(signs),
+    return _YFirstPlan(xs, tuple(signs),
                        np.concatenate([xn for _lo, _hi, xn, _xw, _yn, _yw in bands]),
                        np.cumsum([0] + [xn.size for _lo, _hi, xn, _xw, _yn, _yw in bands]),
                        hats, config.max_chunk_elements, meta)
@@ -724,8 +725,8 @@ def _y_first_apply(op: FioOperator, u: SmoothMap, x_points,
     mirrored = _xi_mirrored(op.phase, op.amplitude, u)
     plan = _y_first_plan(op.phase.layout, u, x_points,
                          _POSITIVE_SIGN if mirrored else _BOTH_SIGNS, op.config, op.chi,
-                         lambda cols, window: _probe_rates(op.phase, cols, window))
-    npts, xi, edges = plan.cols[0].size, plan.xi, plan.edges
+                         lambda xs, window: _probe_rates(op.phase, xs, window))
+    npts, xi, edges = plan.xs.size, plan.xi, plan.edges
     nbands = edges.size - 1
     block = max(1, plan.max_elements // npts)
     keys = IndexSet(op.phase.layout, out_order, 0).keys()
@@ -733,7 +734,7 @@ def _y_first_apply(op: FioOperator, u: SmoothMap, x_points,
     for j, sign in enumerate(plan.signs):
         for s in range(0, xi.size, block):
             e = min(s + block, xi.size)
-            tab = _x_tables(op, plan.cols, sign * xi[s:e], out_order)
+            tab = _x_tables(op, plan.xs, sign * xi[s:e], out_order)
             for b in range(nbands):
                 lo, hi = max(edges[b], s), min(edges[b + 1], e)
                 if lo >= hi:
@@ -744,7 +745,7 @@ def _y_first_apply(op: FioOperator, u: SmoothMap, x_points,
                     parts[b][j][k] = parts[b][j].get(k, 0.0) + term
     meta = {**plan.meta, "evaluations": plan.meta["evaluations"] + plan.sum_evaluations,
             "wall_time": time.perf_counter() - t0}
-    return _band_field(op.phase.layout, plan.cols, _band_totals(parts, mirrored), meta,
+    return _band_field(op.phase.layout, plan.xs, _band_totals(parts, mirrored), meta,
                        mirrored)
 
 
@@ -752,12 +753,9 @@ def apply_adjoint(op: FioOperator, v: SmoothMap, y_points, out_order: int = 0,
                   workers: int | None = None, x_window=None) -> GridField:
     """Evaluate the transpose A^t[v](y) = int int exp(i Phi) a v(x) dx dxi.
 
-    Implemented as ``apply`` of the block-swapped operator, so it requires
-    equal x and y dimensions.
+    Implemented as ``apply`` of the block-swapped operator, so the phase
+    needs an x coordinate: it becomes the y the engine integrates over.
     """
-    layout = op.phase.layout
-    if layout.n_x != layout.n_y:
-        raise ValueError("adjoint needs matching x and y dimensions")
     return apply(op.swapped(), v, y_points, out_order=out_order,
                  workers=workers, y_window=x_window)
 
@@ -770,13 +768,11 @@ def pair_distribution(op: FioOperator, u: PointDistribution, v: SmoothMap,
     sum_i w_i (-1)^(|r_i|) d^(r_i) (A^t v)(y_i), and the adjoint values come
     from the quadrature engine with output-derivative jets.
     """
-    if any(len(p) != 1 for p in u.points):
-        raise ValueError("point masses must sit on the real line")
-    field_ = apply_adjoint(op, v, np.ravel(u.points), out_order=u.max_order,
+    field_ = apply_adjoint(op, v, np.asarray(u.points), out_order=u.max_order,
                            workers=workers, x_window=x_window)
     out = 0.0 + 0.0j
     for i, (w, r) in enumerate(zip(u.weights, u.orders)):
-        out += w * (-1.0) ** sum(r) * field_.values[tuple(r)][i]
+        out += w * (-1.0) ** r * field_.values[(r,)][i]
     return out
 
 
@@ -796,8 +792,7 @@ def oscillatory_integral(phase, amplitude, chi: CutoffChi | None = None,
     layout = phase.layout
     if layout.n_x != 0:
         raise ValueError("oscillatory_integral expects a phase without x block")
-    if layout.n_y != 1 or layout.n_xi != 1:
-        raise NotImplementedError("one y and one xi dimension are supported")
+    _check_layouts(layout)
     chi = chi or CutoffChi()
     config = config or QuadratureConfig()
     if kappa is None:
@@ -811,8 +806,8 @@ def oscillatory_integral(phase, amplitude, chi: CutoffChi | None = None,
     achieved = math.inf
     for level in range(config.max_refinements + 1):
         cfg = config.refined(level) if level else config
-        bands, _rates = _plan_nodes(phase, chi, cfg, (), window, kappa)
-        parts = _engine(phase, amplitude, ident, chi, kappa, (), 0, cfg, bands, signs)
+        bands, _rates = _plan_nodes(phase, chi, cfg, None, window, kappa)
+        parts = _engine(phase, amplitude, ident, chi, kappa, None, 0, cfg, bands, signs)
         val = complex(sum(band[(0,) * layout.nvars][0]
                           for band in _band_totals(parts, mirrored)))
         if prev is not None:

@@ -1,7 +1,7 @@
 """Oscillatory-integral regularizer: cutoff, coefficients and powers of L.
 
 The identity exp(i Phi) = M[exp(i Phi)] with
-M[f] = sum_l alpha_l d_xi_l f + sum_k beta_k d_y_k f + gamma f
+M[f] = alpha d_xi f + beta d_y f + gamma f (one y and one xi coordinate)
 turns the divergent integral of exp(i Phi) a psi into the absolutely
 convergent integral of exp(i Phi) L^kappa[a psi], where L is the transpose
 of M.  The coefficients divide by r = ||xi||^2 |grad_xi Phi|^2 +
@@ -14,7 +14,7 @@ alpha = -i alpha' and beta = -i beta' with the real fields
 alpha' = s' ||xi||^2 grad_xi Phi and beta' = s' grad_y Phi.  So
 L = gamma + i D with the real operator
 
-    D g = sum_l d_xi_l(||xi||^2 d_xi_l Phi h) + sum_k d_y_k(d_y_k Phi h),
+    D g = d_xi(||xi||^2 d_xi Phi h) + d_y(d_y Phi h),
     h = s' g,
 
 and the ladder runs in real arithmetic on real data.  Factoring s' out
@@ -180,28 +180,28 @@ def select_kappa(d: float, rho: float, delta: float, n_xi: int,
 class RegCoeffTables:
     """Derivative tables of the regularizer coefficients on one index set.
 
-    D g = sum_l d_xi_l(xi_fields[l] h) + sum_k d_y_k(y_fields[k] h) with
-    h = s_prime g, where ``s_prime`` is (1 - chi) / r, ``xi_fields`` holds
-    ||xi||^2 d_xi_l Phi and ``y_fields`` holds d_y_k Phi.  The real fields
-    alpha' = s' xi_fields and beta' = s' y_fields of L = gamma + i D are
-    formed when read.  The complex coefficients alpha = -i alpha' and
+    D g = d_xi(xi_field h) + d_y(y_field h) with h = s_prime g, where
+    ``s_prime`` is (1 - chi) / r, ``xi_field`` holds ||xi||^2 d_xi Phi and
+    ``y_field`` holds d_y Phi (exact zeros for a phase without y).  The real
+    fields alpha' = s' xi_field and beta' = s' y_field of L = gamma + i D
+    are formed when read.  The complex coefficients alpha = -i alpha' and
     beta = -i beta' of M are not formed at all: L needs only the real ones.
     """
 
     s_prime: dict
-    xi_fields: tuple
-    y_fields: tuple
+    xi_field: dict
+    y_field: dict
     gamma: dict
     r: dict
     iset: IndexSet
 
     @property
-    def alpha_prime(self) -> tuple:
-        return tuple(t_mul(self.s_prime, t, self.iset) for t in self.xi_fields)
+    def alpha_prime(self) -> dict:
+        return t_mul(self.s_prime, self.xi_field, self.iset)
 
     @property
-    def beta_prime(self) -> tuple:
-        return tuple(t_mul(self.s_prime, t, self.iset) for t in self.y_fields)
+    def beta_prime(self) -> dict:
+        return t_mul(self.s_prime, self.y_field, self.iset)
 
 
 def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
@@ -214,13 +214,12 @@ def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
     the factor (1 - chi) and all its derivatives vanish exactly there, so
     the finite quotient is multiplied away and s' = 0 exactly.
     """
-    nx, ny = iset.layout.n_x, iset.layout.n_y
-    nsq = _xi_norm_sq_table(coords, iset)  # one xi coordinate, the last variable
-    dphi_xi = t_shift(phase_table, nx + ny, iset)
-    dphi_y = tuple(t_shift(phase_table, nx + k, iset) for k in range(ny))
-    r = t_mul(nsq, t_mul(dphi_xi, dphi_xi, iset), iset)
-    for t in dphi_y:
-        r = t_add(r, t_mul(t, t, iset), iset)
+    layout = iset.layout
+    nsq = _xi_norm_sq_table(coords, iset)  # the xi coordinate is the last variable
+    dphi_xi = t_shift(phase_table, layout.nvars - 1, iset)
+    dphi_y = t_shift(phase_table, layout.n_x, iset) if layout.n_y else t_blank(iset)
+    r = t_add(t_mul(nsq, t_mul(dphi_xi, dphi_xi, iset), iset),
+              t_mul(dphi_y, dphi_y, iset), iset)
     gamma = chi.xi_table(coords, iset)
     omc = t_scale(gamma, -1.0)
     omc[iset.zero] = 1.0 - np.asarray(gamma[iset.zero])
@@ -228,7 +227,7 @@ def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
     r_safe = dict(r)
     r_safe[iset.zero] = np.where(inner, 1.0, np.asarray(r[iset.zero]))
     s = t_div(omc, r_safe, iset)
-    return RegCoeffTables(s, (t_mul(nsq, dphi_xi, iset),), dphi_y, gamma, r, iset)
+    return RegCoeffTables(s, t_mul(nsq, dphi_xi, iset), dphi_y, gamma, r, iset)
 
 
 def _as_map(obj) -> SmoothMap:
@@ -252,9 +251,7 @@ def apply_l_ladder(f: dict, coeffs: RegCoeffTables, kappa: int,
     g <- gamma g + i D g.
     """
     layout = iset.layout
-    base = layout.n_x + layout.n_y
-    fields = ([(p, base + l) for l, p in enumerate(coeffs.xi_fields)]
-              + [(q, layout.n_x + k) for k, q in enumerate(coeffs.y_fields)])
+    fields = ((coeffs.xi_field, layout.nvars - 1), (coeffs.y_field, layout.n_x))
     outer = all(_is_zero(v) for v in coeffs.gamma.values())
     g = f
     cur = iset
@@ -324,30 +321,25 @@ def check_coefficient_symbol_bounds(phase, chi: CutoffChi,
     alpha is asymptotically 0-homogeneous and beta (-1)-homogeneous in xi,
     so each xi derivative lowers the expected exponent by one; x and y
     derivatives leave it unchanged.  Series that vanish identically (for
-    instance every xi derivative of alpha when n_xi = 1, where a
+    instance every xi derivative of alpha: with one xi coordinate, a
     0-homogeneous function is constant on each ray) satisfy their bound
     trivially and are skipped rather than fitted.
     """
-    from .symbol_spaces import compact_box, _scan_points, _unit_sphere
+    from .symbol_spaces import _scan_points
 
     pm = _as_map(phase)
     layout = pm.layout
-    x_box = x_box if x_box is not None else compact_box(("whole", layout.n_x), 2)
-    y_box = y_box if y_box is not None else compact_box(("whole", layout.n_y), 2)
     if min(radii) <= chi.outer_radius:
         raise ValueError("radii must lie beyond the outer cutoff radius")
     iset = IndexSet(layout, m, m, m)
-    base = layout.n_x + layout.n_y
     series: dict = {}
     for s_val in radii:
-        xi_pts = [tuple(s_val * u for u in unit) for unit in _unit_sphere(layout.n_xi)]
-        scan = _scan_points(layout, x_box, y_box, xi_pts, points_per_axis)
-        coords, _shape = scan
+        coords, _shape = _scan_points(layout, x_box, y_box, (-s_val, s_val),
+                                      points_per_axis, 2)
         phase_t = pm.table(coords, IndexSet(layout, m, m + 1, m + m + 1))
         ct = coefficient_tables(phase_t, coords, chi, iset)
-        named = [(f"alpha_{l}", t) for l, t in enumerate(ct.alpha_prime)]
-        named += [(f"beta_{k}", t) for k, t in enumerate(ct.beta_prime)]
-        for name, table in named:
+        fields = (("alpha_0", ct.alpha_prime), ("beta_0", ct.beta_prime))
+        for name, table in fields[:1 + layout.n_y]:  # a phase without y has no beta
             for key in iset.keys():
                 mx = float(np.max(np.abs(np.asarray(table[key]))))
                 series.setdefault((name, key), []).append(mx)
@@ -358,13 +350,10 @@ def check_coefficient_symbol_bounds(phase, chi: CutoffChi,
     misfit = 0.0
     logs = np.log(np.asarray(radii, dtype=float))
     for (name, key), vals in series.items():
-        deg = 0.0 if name.startswith("alpha") else -1.0
-        l = sum(key[base:])
-        pred = deg - l
+        pred = (0.0 if name == "alpha_0" else -1.0) - key[-1]  # the xi order is last
         arr = np.asarray(vals)
-        cname = name
-        constants[cname] = max(constants.get(cname, 0.0),
-                               float(np.max(arr * np.asarray(radii) ** (-pred))))
+        constants[name] = max(constants.get(name, 0.0),
+                              float(np.max(arr * np.asarray(radii) ** (-pred))))
         if np.max(arr) <= negligible:
             skipped += 1
             continue

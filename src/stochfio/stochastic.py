@@ -42,10 +42,7 @@ def map_values(m: SmoothMap, arr, block: str = "y") -> np.ndarray:
     """Values of a single-block map on an array of coordinates."""
     from .jets import Coords, IndexSet
     arr = np.asarray(arr, dtype=float)
-    blocks = {"x": (arr,), "y": (arr,), "xi": (arr,)}
-    coords = Coords(blocks["x"] if block == "x" else (),
-                    blocks["y"] if block == "y" else (),
-                    blocks["xi"] if block == "xi" else ())
+    coords = Coords(*(arr if b == block else None for b in Coords._fields))
     iset = IndexSet(m.layout, 0, 0)
     return np.broadcast_to(np.asarray(m.provider(coords, iset)[iset.zero]), arr.shape)
 

@@ -5,7 +5,9 @@ growth (d, rho, delta) meaning every derivative with l xi-orders and j+k
 space-orders is bounded by a constant times <xi>^(d - rho*l + delta*(j+k)).
 All checks here are grid suprema on compact boxes with xi restricted to the
 unit sphere (or a list of dyadic radii); reports carry the grid used and the
-witness point so failures are reproducible.
+witness point so failures are reproducible.  Every block holds at most one
+coordinate, so a box is an interval (lo, hi) and the unit sphere is
+xi = -1, 1.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .jets import (
 )
 
 __all__ = [
-    "CompactBox",
     "PhaseFunction",
     "Amplitude",
     "SeminormReport",
@@ -38,53 +39,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CompactBox:
-    """Closed box {lo_i <= v_i <= hi_i}; the m-th member of an exhaustion."""
+def compact_box(domain, m: int) -> tuple:
+    """The m-th member of a compact exhaustion of an open subset of the line.
 
-    lo: tuple
-    hi: tuple
-    m: int
-
-    @property
-    def empty(self) -> bool:
-        return any(l > h for l, h in zip(self.lo, self.hi))
-
-    def axes(self, points_per_axis: int) -> list:
-        if self.empty:
-            return []
-        return [np.linspace(l, h, points_per_axis) for l, h in zip(self.lo, self.hi)]
-
-    def contains(self, point, tol: float = 1e-12) -> bool:
-        return all(l - tol <= v <= h + tol for v, l, h in zip(point, self.lo, self.hi))
-
-
-def compact_box(domain, m: int) -> CompactBox:
-    """Box approximation of the m-th compact exhaustion member of an open set.
-
-    ``domain`` is either the string "whole" with an implicit dimension of 1,
-    a tuple ("whole", n), or a sequence of per-dimension open intervals
-    (a, b) with ``None`` or infinities for unbounded ends.  The box keeps the
-    points with sup-norm at most m and distance at least 1/m from the
-    complement; for products of intervals the distance condition is the
-    per-dimension margin.
+    A block holds at most one coordinate, so a box is an interval: the pair
+    (lo, hi), empty when lo > hi.  ``domain`` is the string "whole" or one
+    open interval (a, b) with ``None`` or infinities for unbounded ends.  The
+    box keeps the points v with |v| <= m and distance at least 1/m from the
+    complement.
     """
     if m < 1:
         raise ValueError("exhaustion index m must be >= 1")
-    if domain == "whole":
-        intervals = [(-math.inf, math.inf)]
-    elif isinstance(domain, tuple) and len(domain) == 2 and domain[0] == "whole":
-        intervals = [(-math.inf, math.inf)] * int(domain[1])
-    else:
-        intervals = [(-math.inf if a is None else float(a),
-                      math.inf if b is None else float(b)) for a, b in domain]
-    lo, hi = [], []
-    for a, b in intervals:
-        l = max(a + 1.0 / m, -float(m)) if math.isfinite(a) else -float(m)
-        h = min(b - 1.0 / m, float(m)) if math.isfinite(b) else float(m)
-        lo.append(l)
-        hi.append(h)
-    return CompactBox(tuple(lo), tuple(hi), m)
+    a, b = (None, None) if domain == "whole" else domain
+    a = -math.inf if a is None else float(a)
+    b = math.inf if b is None else float(b)
+    return max(a + 1.0 / m, -float(m)), min(b - 1.0 / m, float(m))
 
 
 @dataclass(frozen=True)
@@ -171,88 +140,62 @@ class SeminormReport:
     note: str = ""
 
 
-def _unit_sphere(n_xi: int):
-    if n_xi == 1:
-        return [(-1.0,), (1.0,)]
-    raise NotImplementedError("sphere sampling is implemented for one xi dimension")
+_UNIT_XI = (-1.0, 1.0)
 
 
-def _mesh(axes: list) -> list:
-    if not axes:
-        return []
-    grids = np.meshgrid(*axes, indexing="ij")
-    return [g.ravel() for g in grids]
+def _scan_points(layout: VarLayout, x_box, y_box, xi_values, points_per_axis: int,
+                 m: int):
+    """Flat coordinate arrays over the scan grid plus the grid shape: every
+    block present is an array with one entry per scan point.
 
-
-def _scan_points(layout: VarLayout, x_box: CompactBox | None, y_box: CompactBox | None,
-                 xi_points: list, points_per_axis: int):
-    """Flat coordinate arrays over the scan grid plus the grid shape.
-
-    Scan order is lexicographic: x axes vary slowest, then y axes, then the
-    xi sample list; ties in suprema are broken by the first point reached.
+    Each block of ``layout`` is one axis: ``points_per_axis`` points across
+    its box for x and y (``compact_box("whole", m)`` when the box is None)
+    and the values ``xi_values`` for xi.  Scan order is lexicographic: x
+    varies slowest, then y, then xi; ties in suprema are broken by the first
+    point reached.  None when a box of the layout is empty.
     """
     axes = []
-    if layout.n_x:
-        if x_box is None or x_box.empty:
-            return None
-        axes += x_box.axes(points_per_axis)
-    if layout.n_y:
-        if y_box is None or y_box.empty:
-            return None
-        axes += y_box.axes(points_per_axis)
-    shape = tuple(len(a) for a in axes) + ((len(xi_points),) if layout.n_xi else ())
-    space = _mesh(axes)
-    npts = int(np.prod([len(a) for a in axes])) if axes else 1
-    nxi = len(xi_points) if layout.n_xi else 1
-    cols = []
-    for arr in space:
-        cols.append(np.repeat(arr, nxi))
-    for i in range(layout.n_xi):
-        xi_col = np.array([p[i] for p in xi_points])
-        cols.append(np.tile(xi_col, npts))
-    x = tuple(cols[:layout.n_x])
-    y = tuple(cols[layout.n_x:layout.n_x + layout.n_y])
-    xi = tuple(cols[layout.n_x + layout.n_y:])
-    return Coords(x, y, xi), shape
+    for n, box in ((layout.n_x, x_box), (layout.n_y, y_box)):
+        if n:
+            lo, hi = box if box is not None else compact_box("whole", m)
+            if lo > hi:
+                return None
+            axes.append(np.linspace(lo, hi, points_per_axis))
+    if layout.n_xi:
+        axes.append(np.asarray(xi_values, dtype=float))
+    grids = iter(g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
+    return Coords(*(next(grids) if n else None for n in layout)), tuple(a.size for a in axes)
 
 
 def _report_from_scan(name, m, per_key_abs, coords, shape, scale_values=None,
                       flagged=False, note=""):
-    full = np.broadcast_shapes(per_key_abs["__shape__"],
-                               *(np.asarray(c).shape for c in coords.flat()))
+    full = np.broadcast_shapes(*(np.shape(c) for c in coords.flat()))
     stack = np.stack([np.broadcast_to(np.asarray(v, dtype=float), full)
-                      for k, v in per_key_abs.items() if k != "__shape__"])
-    point_max = stack.max(axis=0)
-    flat = point_max.ravel()
+                      for v in per_key_abs.values()])
+    flat = stack.max(axis=0).ravel()
     idx = int(np.argmax(flat))
     value = float(flat[idx])
-    witness = tuple(float(np.broadcast_to(np.asarray(c), full).ravel()[idx])
-                    for c in coords.flat())
+    witness = tuple(float(c[idx]) for c in coords.flat())
     unraveled = tuple(int(i) for i in np.unravel_index(idx, shape)) if shape else ()
     return SeminormReport(name, m, value, witness, unraveled, shape,
                           scale_values or {}, flagged, note)
 
 
-def seminorm_p(phase: PhaseFunction, m: int, x_box: CompactBox | None = None,
-               y_box: CompactBox | None = None, points_per_axis: int = 21) -> SeminormReport:
+def seminorm_p(phase: PhaseFunction, m: int, x_box: tuple | None = None,
+               y_box: tuple | None = None, points_per_axis: int = 21) -> SeminormReport:
     """Sup of |d^nu Phi| over the boxes, unit xi, all |nu| <= m."""
     layout = phase.layout
-    x_box = x_box if x_box is not None else compact_box(("whole", layout.n_x), m)
-    y_box = y_box if y_box is not None else compact_box(("whole", layout.n_y), m)
-    scan = _scan_points(layout, x_box, y_box, _unit_sphere(layout.n_xi), points_per_axis)
+    scan = _scan_points(layout, x_box, y_box, _UNIT_XI, points_per_axis, m)
     if scan is None:
         return SeminormReport("p", m, 0.0, (), (), (), note="empty compact box")
     coords, shape = scan
     iset = IndexSet(layout, m, m, m)
-    table = phase.table(coords, iset)
-    per_key = {"__shape__": np.broadcast_shapes(*(np.asarray(v).shape for v in table.values()))}
-    for k, v in table.items():
-        per_key[k] = np.abs(np.asarray(v))
+    per_key = {k: np.abs(np.asarray(v)) for k, v in phase.table(coords, iset).items()}
     return _report_from_scan("p", m, per_key, coords, shape)
 
 
-def seminorm_q(amplitude: Amplitude, m: int, x_box: CompactBox | None = None,
-               y_box: CompactBox | None = None, xi_radii=(1.0, 2.0, 4.0, 8.0, 16.0),
+def seminorm_q(amplitude: Amplitude, m: int, x_box: tuple | None = None,
+               y_box: tuple | None = None, xi_radii=(1.0, 2.0, 4.0, 8.0, 16.0),
                points_per_axis: int = 15) -> SeminormReport:
     """Weighted sup over derivative keys: |d^nu a| <xi>^(rho l - d - delta (j+k)).
 
@@ -261,15 +204,12 @@ def seminorm_q(amplitude: Amplitude, m: int, x_box: CompactBox | None = None,
     hold and the report is flagged.
     """
     layout = amplitude.layout
-    x_box = x_box if x_box is not None else compact_box(("whole", layout.n_x), m)
-    y_box = y_box if y_box is not None else compact_box(("whole", layout.n_y), m)
     iset = IndexSet(layout, m, m, m)
     nx, ny = layout.n_x, layout.n_y
     scale_values = {}
     best = None
     for s in xi_radii:
-        xi_pts = [tuple(s * u for u in unit) for unit in _unit_sphere(layout.n_xi)] if layout.n_xi else [()]
-        scan = _scan_points(layout, x_box, y_box, xi_pts, points_per_axis)
+        scan = _scan_points(layout, x_box, y_box, (-s, s), points_per_axis, m)
         if scan is None:
             return SeminormReport("q", m, 0.0, (), (), (), note="empty compact box")
         coords, shape = scan
@@ -281,7 +221,6 @@ def seminorm_q(amplitude: Amplitude, m: int, x_box: CompactBox | None = None,
             jk = sum(k[:nx + ny])
             w = bracket ** (amplitude.rho * l - amplitude.d - amplitude.delta * jk)
             per_key[k] = np.abs(np.asarray(v)) * w
-        per_key["__shape__"] = np.broadcast_shapes(*(v.shape for k, v in per_key.items()))
         rep = _report_from_scan("q", m, per_key, coords, shape)
         scale_values[s] = rep.value
         if best is None or rep.value > best.value:
@@ -297,7 +236,7 @@ def seminorm_q(amplitude: Amplitude, m: int, x_box: CompactBox | None = None,
                           best.grid_shape, scale_values, flagged, note)
 
 
-def seminorm_pi(v, m: int, x_box: CompactBox | None = None,
+def seminorm_pi(v, m: int, x_box: tuple | None = None,
                 points_per_axis: int = 21) -> SeminormReport:
     """Sup of |d^j v| over a compact x box, |j| <= m.
 
@@ -309,14 +248,12 @@ def seminorm_pi(v, m: int, x_box: CompactBox | None = None,
         layout = v.layout
         if layout.n_y or layout.n_xi:
             raise ValueError("pi seminorm applies to maps of x only")
-        x_box = x_box if x_box is not None else compact_box(("whole", layout.n_x), m)
-        scan = _scan_points(layout, x_box, None, [], points_per_axis)
+        scan = _scan_points(layout, x_box, None, (), points_per_axis, m)
         if scan is None:
             return SeminormReport("pi", m, 0.0, (), (), (), note="empty compact box")
         coords, shape = scan
         table = v.table(coords, IndexSet(layout, m, m, m))
         per_key = {k: np.abs(np.asarray(val)) for k, val in table.items()}
-        per_key["__shape__"] = np.broadcast_shapes(*(v2.shape for v2 in per_key.values()))
         return _report_from_scan("pi", m, per_key, coords, shape)
     # grid field: the x array in ``points`` + values keyed by x orders
     vals = {k: np.abs(np.asarray(a)) for k, a in v.values.items() if sum(k) <= m}
@@ -339,27 +276,23 @@ class HomogeneityReport:
 
 
 def check_homogeneity(phase: PhaseFunction, scales=(0.5, 2.0, 4.0, 16.0),
-                      x_box: CompactBox | None = None, y_box: CompactBox | None = None,
+                      x_box: tuple | None = None, y_box: tuple | None = None,
                       points_per_axis: int = 9, tol: float = 1e-8) -> HomogeneityReport:
     """Relative residual of Phi(x, y, s*xi) = s*Phi(x, y, xi) over a grid."""
     layout = phase.layout
-    m = 2
-    x_box = x_box if x_box is not None else compact_box(("whole", layout.n_x), m)
-    y_box = y_box if y_box is not None else compact_box(("whole", layout.n_y), m)
-    scan = _scan_points(layout, x_box, y_box, _unit_sphere(layout.n_xi), points_per_axis)
-    coords, shape = scan
+    coords, shape = _scan_points(layout, x_box, y_box, _UNIT_XI, points_per_axis, 2)
     iset = IndexSet(layout, 0, 0, 0)
     base = np.asarray(phase.table(coords, iset)[iset.zero])
     worst = 0.0
     witness = ()
     for s in scales:
-        scaled = Coords(coords.x, coords.y, tuple(s * c for c in coords.xi))
+        scaled = coords._replace(xi=s * coords.xi)
         val = np.asarray(phase.table(scaled, iset)[iset.zero])
         res = np.abs(val - s * base) / (1.0 + abs(s) * np.abs(base))
         i = int(np.argmax(res))
         if res.ravel()[i] > worst:
             worst = float(res.ravel()[i])
-            witness = tuple(float(np.broadcast_to(c, res.shape).ravel()[i]) for c in coords.flat()) + (s,)
+            witness = tuple(float(c[i]) for c in coords.flat()) + (s,)
     return HomogeneityReport(worst <= tol, worst, tuple(scales), witness)
 
 
@@ -380,7 +313,7 @@ class MembershipReport:
 
 
 def check_alpha_membership(phase: PhaseFunction, alpha: float,
-                           x_box: CompactBox | None = None, y_box: CompactBox | None = None,
+                           x_box: tuple | None = None, y_box: tuple | None = None,
                            points_per_axis: int = 33, m: int = 2) -> MembershipReport:
     """Grid minimum of the two nondegeneracy gradients at unit xi.
 
@@ -391,10 +324,9 @@ def check_alpha_membership(phase: PhaseFunction, alpha: float,
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     layout = phase.layout
-    x_box = x_box if x_box is not None else compact_box(("whole", layout.n_x), m)
-    y_box = y_box if y_box is not None else compact_box(("whole", layout.n_y), m)
-    scan = _scan_points(layout, x_box, y_box, _unit_sphere(layout.n_xi), points_per_axis)
-    coords, shape = scan
+    if not layout.n_xi:
+        raise ValueError("the nondegeneracy scan needs a phase with a xi coordinate")
+    coords, shape = _scan_points(layout, x_box, y_box, _UNIT_XI, points_per_axis, m)
     iset = IndexSet(layout, 1, 1, 1)
     t = phase.table(coords, iset)
     nx, ny = layout.n_x, layout.n_y
@@ -404,31 +336,17 @@ def check_alpha_membership(phase: PhaseFunction, alpha: float,
         v = np.asarray(t[key])
         return np.abs(v) ** 2
 
-    g_xi = None
-    for i in range(layout.n_xi):
-        s = sq(nx + ny + i)
-        g_xi = s if g_xi is None else g_xi + s
-    g_y = g_xi.copy() if isinstance(g_xi, np.ndarray) else g_xi
-    for i in range(ny):
-        g_y = g_y + sq(nx + i)
-    full = np.broadcast_shapes(*(np.asarray(c).shape for c in coords.flat()))
-    g_y = np.broadcast_to(g_y, full)
-    iy = int(np.argmin(g_y))
-    min_y = float(g_y.ravel()[iy])
-    wy = tuple(float(np.broadcast_to(np.asarray(c), full).ravel()[iy]) for c in coords.flat())
-    if nx:
-        g_x = g_xi
-        for i in range(nx):
-            g_x = g_x + sq(i)
-        g_x = np.broadcast_to(g_x, full)
-        ix = int(np.argmin(g_x))
-        min_x = float(g_x.ravel()[ix])
-        wx = tuple(float(np.broadcast_to(np.asarray(c), full).ravel()[ix]) for c in coords.flat())
-        passed = min(min_x, min_y) >= alpha
-    else:
-        min_x, wx = None, ()
-        passed = min_y >= alpha
-    return MembershipReport(passed, alpha, min_x, min_y, wx, wy)
+    def minimum(g):
+        """Grid minimum of ``g`` and the scan point where it sits."""
+        g = np.broadcast_to(g, coords.xi.shape)
+        i = int(np.argmin(g))
+        return float(g[i]), tuple(float(c[i]) for c in coords.flat())
+
+    g_xi = sq(nx + ny)
+    min_y, wy = minimum(g_xi + sq(nx) if ny else g_xi)
+    min_x, wx = minimum(g_xi + sq(0)) if nx else (None, ())
+    observed = min_y if min_x is None else min(min_x, min_y)
+    return MembershipReport(observed >= alpha, alpha, min_x, min_y, wx, wy)
 
 
 @dataclass(frozen=True)
@@ -440,7 +358,7 @@ class DerivativeBoundReport:
 
 
 def check_derivative_bound(phase: PhaseFunction, m: int,
-                           x_box: CompactBox | None = None, y_box: CompactBox | None = None,
+                           x_box: tuple | None = None, y_box: tuple | None = None,
                            scales=(1.0, 2.0, 4.0, 8.0, 16.0), points_per_axis: int = 9,
                            negligible: float = 1e-9) -> DerivativeBoundReport:
     """Observed constant in |d^nu Phi| <= C ||xi||^(1-l) p_m(Phi) and scaling fits.
@@ -451,8 +369,6 @@ def check_derivative_bound(phase: PhaseFunction, m: int,
     the bound trivially and are skipped in the fit.
     """
     layout = phase.layout
-    x_box = x_box if x_box is not None else compact_box(("whole", layout.n_x), m)
-    y_box = y_box if y_box is not None else compact_box(("whole", layout.n_y), m)
     p_rep = seminorm_p(phase, m, x_box, y_box, points_per_axis)
     p_val = p_rep.value
     if p_val == 0:
@@ -462,8 +378,7 @@ def check_derivative_bound(phase: PhaseFunction, m: int,
     series: dict = {}
     const = 0.0
     for s in scales:
-        xi_pts = [tuple(s * u for u in unit) for unit in _unit_sphere(layout.n_xi)]
-        coords, shape = _scan_points(layout, x_box, y_box, xi_pts, points_per_axis)
+        coords, shape = _scan_points(layout, x_box, y_box, (-s, s), points_per_axis, m)
         t = phase.table(coords, iset)
         for k, v in t.items():
             l = sum(k[nx + ny:])

@@ -152,8 +152,9 @@ def pseudospectral_halfwave(c_fn, t: float, n_grid: int = 2048,
 
 def point_table(m, point, order: int) -> dict:
     """Exact derivative table of ``m`` up to total order ``order`` at one
-    point ``(x_tuple, y_tuple, xi_tuple)``, evaluated on 0-d coordinates."""
-    coords = Coords(*(tuple(np.asarray(float(v)) for v in block) for block in point))
+    point ``(x_tuple, y_tuple, xi_tuple)``, evaluated on 0-d coordinates; an
+    empty tuple is a block the map does not have."""
+    coords = Coords(*(np.asarray(float(block[0])) if block else None for block in point))
     return m.table(coords, IndexSet(m.layout, order, order, order))
 
 
@@ -201,9 +202,8 @@ def complex_l_ladder(f: dict, coeffs, kappa: int, iset) -> dict:
     coefficient tables, one step per application, with no real factoring.
     """
     layout = iset.layout
-    base = layout.n_x + layout.n_y
-    fields = ([(t_scale(a, -1.0j), base + l) for l, a in enumerate(coeffs.alpha_prime)]
-              + [(t_scale(b, -1.0j), layout.n_x + k) for k, b in enumerate(coeffs.beta_prime)])
+    fields = ((t_scale(coeffs.alpha_prime, -1.0j), layout.n_x + layout.n_y),
+              (t_scale(coeffs.beta_prime, -1.0j), layout.n_x))
     g, cur = f, iset
     for _ in range(kappa):
         nxt = cur.shrink_int(1)
@@ -215,7 +215,7 @@ def complex_l_ladder(f: dict, coeffs, kappa: int, iset) -> dict:
 
 
 def identity_residual(phase_table: dict, coeffs):
-    """gamma + i sum alpha d_xi Phi + i sum beta d_y Phi - 1 at the zero key.
+    """gamma + i alpha d_xi Phi + i beta d_y Phi - 1 at the zero key.
 
     M's complex coefficients alpha = -i alpha', beta = -i beta' are formed
     here from the real fields; the identity makes the residual vanish.
@@ -228,10 +228,8 @@ def identity_residual(phase_table: dict, coeffs):
 
     z = coeffs.iset.zero
     total = coeffs.gamma[z] + 0j
-    for l, a in enumerate(coeffs.alpha_prime):
-        total = total + 1j * (-1j * a[z]) * phase_table[unit(nx + ny + l)]
-    for k, b in enumerate(coeffs.beta_prime):
-        total = total + 1j * (-1j * b[z]) * phase_table[unit(nx + k)]
+    total = total + 1j * (-1j * coeffs.alpha_prime[z]) * phase_table[unit(nx + ny)]
+    total = total + 1j * (-1j * coeffs.beta_prime[z]) * phase_table[unit(nx)]
     return total - 1.0
 
 

@@ -103,12 +103,11 @@ def test_criterion_01_regularizer_identity_at_random_points():
         worst = 0.0
         for name, m in phase_families().items():
             layout = m.layout
-            nx, ny = layout.n_x, layout.n_y
-            xs = [rng.uniform(-2.0, 2.0, n_pts) for _ in range(nx)]
-            ys = [rng.uniform(-2.0, 2.0, n_pts) for _ in range(ny)]
+            x = rng.uniform(-2.0, 2.0, n_pts) if layout.n_x else None
+            y = rng.uniform(-2.0, 2.0, n_pts) if layout.n_y else None
             mag = np.exp(rng.uniform(np.log(0.05), np.log(64.0), n_pts))
             sign = np.where(rng.random(n_pts) < 0.5, -1.0, 1.0)
-            coords = Coords(tuple(xs), tuple(ys), (sign * mag,))
+            coords = Coords(x, y, sign * mag)
             iset = IndexSet(layout, 0, 0)
             phase_t = m.table(coords, IndexSet(layout, 0, 1))
             ct = coefficient_tables(phase_t, coords, CHI, iset)
@@ -205,7 +204,7 @@ def test_criterion_04_regularized_integrand_decay_exponents():
             vals = []
             for radius in radii:
                 g, _, iset_x = _regularized_tables(phase, amap, GAUSS, CHI, plan.kappa,
-                                                   Coords((x,), (y,), (sign * radius,)), 0)
+                                                   Coords(x, y, sign * radius), 0)
                 vals.append(float(np.max(np.abs(g[iset_x.zero]))))
             slope = float(np.polyfit(np.log(radii), np.log(vals), 1)[0])
             bound = d - plan.kappa * min(rho, 1.0 - delta) + 0.1

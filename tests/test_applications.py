@@ -422,12 +422,12 @@ def test_closed_form_wave_rates_equal_the_probe(case):
     window = plan.meta["y_window"]
     d_xi, d_y = map(max, zip(*(
         _probe_rates(PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, t=t,
-                                               sign=s)), (xs,), window)
+                                               sign=s)), xs, window)
         for s in (1, -1))))
     rates = plan.meta["rates"]
     assert abs(rates["d_xi"] - d_xi) <= np.spacing(d_xi)
     assert rates["d_y"] == d_y == 1.0
-    bands, _ = _plan_nodes(None, CutoffChi(), config, (xs,), window, 0, rates=(d_xi, d_y))
+    bands, _ = _plan_nodes(None, CutoffChi(), config, xs, window, 0, rates=(d_xi, d_y))
     assert plan.meta["bands"] == [(lo, hi, xn.size, yn.size)
                                   for lo, hi, xn, _xw, yn, _yw in bands]
     assert np.array_equal(plan.xi, np.concatenate([xn for _lo, _hi, xn, *_ in bands]))

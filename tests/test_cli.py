@@ -65,13 +65,31 @@ def test_unknown_map_family(tmp_path):
     assert main(["apply", "--config", cfg]) == 2
 
 
-def test_phase_dimension_other_than_one_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, "cfg.json",
-                       apply_config(phase={"family": "linear_phase", "n": 2}))
-    assert main(["apply", "--config", cfg]) == 2
+NO_Y_PHASE = {"family": "bracket_power", "exponent": 1.0}
+XI_AMPLITUDE = {"family": "constant", "value": 1.0, "layout": [0, 0, 1],
+                "d": 0.0, "rho": 1.0, "delta": 0.0}
+TWO_X_PHASE = {"family": "sum", "terms": [
+    {"family": "linear_phase"}, {"family": "constant", "value": 0.0, "layout": [2, 1, 1]}]}
+
+
+@pytest.mark.parametrize("command,cfg,message", [
+    ("apply", apply_config(phase={"family": "linear_phase", "n": 2}),
+     "unexpected keyword argument 'n'"),
+    ("apply", apply_config(phase=NO_Y_PHASE, amplitude=XI_AMPLITUDE,
+                           operator={"alpha": None}), "y and xi"),
+    ("apply", apply_config(phase=NO_Y_PHASE, amplitude=XI_AMPLITUDE,
+                           operator={"alpha": 0.25}), "y and xi"),
+    ("converge", apply_config(phase=NO_Y_PHASE, amplitude=XI_AMPLITUDE), "y and xi"),
+    ("apply", apply_config(phase=TWO_X_PHASE), "at most one coordinate"),
+    ("converge", apply_config(phase=TWO_X_PHASE), "at most one coordinate"),
+], ids=["apply-n_keyword", "apply-no_y-alpha_null", "apply-no_y-alpha_0.25",
+        "converge-no_y", "apply-two_x", "converge-two_x"])
+def test_phase_dimension_other_than_one_exits_2(tmp_path, capsys, command, cfg, message):
+    cfg = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unexpected keyword argument 'n'" in captured.err
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("speed,parameter", [
@@ -205,8 +223,8 @@ def test_verify_rejects_nonhomogeneous_phase(tmp_path, capsys):
         "phase": {"family": "sum", "terms": [
             {"family": "linear_phase"},
             {"family": "product", "factors": [
-                {"family": "coordinate", "block": "xi", "index": 0},
-                {"family": "coordinate", "block": "xi", "index": 0},
+                {"family": "coordinate", "block": "xi"},
+                {"family": "coordinate", "block": "xi"},
             ]},
         ]},
     })

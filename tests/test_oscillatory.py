@@ -53,8 +53,8 @@ def test_oscillatory_integral_fourier_pair():
     # integral of exp(-i y xi) exp(-y^2) dy dxi = 2 pi (plain dxi measure)
     phase = PhaseFunction(builtin_map("scaled", factor=-1.0,
                                       inner=builtin_map("product", factors=[
-                                          builtin_map("coordinate", block="y", index=0),
-                                          builtin_map("coordinate", block="xi", index=0),
+                                          builtin_map("coordinate", block="y"),
+                                          builtin_map("coordinate", block="xi"),
                                       ])))
     val = oscillatory_integral(phase, Amplitude(gaussian()))
     assert val == pytest.approx(2.0 * math.pi, abs=1e-7)
@@ -63,8 +63,8 @@ def test_oscillatory_integral_fourier_pair():
 def test_oscillatory_integral_reports_unreachable_tolerance():
     phase = PhaseFunction(builtin_map("scaled", factor=-1.0,
                                       inner=builtin_map("product", factors=[
-                                          builtin_map("coordinate", block="y", index=0),
-                                          builtin_map("coordinate", block="xi", index=0),
+                                          builtin_map("coordinate", block="y"),
+                                          builtin_map("coordinate", block="xi"),
                                       ])))
     config = QuadratureConfig(xi_radius=5.0, abs_tol=1e-14, max_refinements=0)
     with pytest.raises(ToleranceError) as err:
@@ -316,9 +316,8 @@ def test_pair_distribution_closed_form():
     expected = 2.0 * gv - dgv
     assert val == pytest.approx(expected, rel=1e-5)
     # the engine's x and y are one-dimensional, so are the point masses
-    planar = PointDistribution(points=((0.3, 0.1),), weights=(1.0,), orders=((0, 0),))
     with pytest.raises(ValueError, match="real line"):
-        pair_distribution(op, planar, v)
+        PointDistribution(points=((0.3, 0.1),), weights=(1.0,), orders=((0, 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -328,19 +327,19 @@ def test_pair_distribution_closed_form():
 def test_engine_rejects_multidimensional_y():
     with pytest.raises(TypeError):
         builtin_map("linear_phase", n=2)
-    phase = PhaseFunction(builtin_map("constant", value=0.0, layout=VarLayout(2, 2, 2)))
-    amp = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(2, 2, 2)))
+    with pytest.raises(ValueError, match="at most one coordinate"):
+        builtin_map("constant", value=0.0, layout=VarLayout(2, 2, 2))
+    # a phase without y is refused when applied
+    phase = PhaseFunction(builtin_map("bracket_power", exponent=1.0))
+    amp = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(0, 0, 1)))
     op = FioOperator.build(phase, amp, alpha=None)
-    with pytest.raises(NotImplementedError):
-        op.apply(builtin_map("gaussian_bump", block="y", center=0.0, width=1.0),
-                 np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="y and xi"):
+        op.apply(builtin_map("gaussian_bump", block="y", center=0.0, width=1.0), XS)
 
 
 def test_engine_takes_one_x_coordinate():
-    two_x = PhaseFunction(builtin_map("constant", value=0.0, layout=VarLayout(2, 1, 1)))
-    op = FioOperator.build(two_x, unit_amplitude(), alpha=None)
-    with pytest.raises(NotImplementedError):
-        op.apply(gaussian(), XS)
+    with pytest.raises(ValueError, match="at most one coordinate"):
+        builtin_map("constant", value=0.0, layout=VarLayout(2, 1, 1))
     op = FioOperator.build(translation_phase(), unit_amplitude(), alpha=None)
     for points in (XS[:, None], (XS,), np.stack([XS, XS], axis=1)):
         with pytest.raises(ValueError, match="1-d array"):
@@ -352,12 +351,17 @@ def test_build_refuses_two_x_coordinates_before_the_membership_scan(monkeypatch)
         raise AssertionError("membership scan ran on a layout apply refuses")
 
     monkeypatch.setattr(oscillatory, "check_alpha_membership", scan)
-    two_x = builtin_map("sum", terms=[
-        builtin_map("linear_phase"),
-        builtin_map("constant", value=0.0, layout=VarLayout(2, 1, 1))])
-    assert two_x.layout == VarLayout(2, 1, 1)
-    with pytest.raises(NotImplementedError, match="at most one x"):
-        FioOperator.build(two_x, unit_amplitude(), alpha=0.25)
+    # two x coordinates are refused when the map is built
+    with pytest.raises(ValueError, match="at most one coordinate"):
+        builtin_map("sum", terms=[
+            builtin_map("linear_phase"),
+            builtin_map("constant", value=0.0, layout=VarLayout(2, 1, 1))])
+    # a layout the map accepts but apply refuses fails before the scan
+    no_y = builtin_map("bracket_power", exponent=1.0)
+    assert no_y.layout == VarLayout(0, 0, 1)
+    amp = builtin_map("constant", value=1.0, layout=VarLayout(0, 0, 1))
+    with pytest.raises(ValueError, match="y and xi"):
+        FioOperator.build(no_y, amp, alpha=0.25)
 
 
 def test_build_rejects_degenerate_phase():
@@ -365,9 +369,9 @@ def test_build_rejects_degenerate_phase():
         builtin_map("sum", terms=[
             gaussian(block="x", width=np.sqrt(0.5)),
             builtin_map("scaled", factor=-1.0,
-                        inner=builtin_map("coordinate", block="y", index=0)),
+                        inner=builtin_map("coordinate", block="y")),
         ]),
-        builtin_map("coordinate", block="xi", index=0),
+        builtin_map("coordinate", block="xi"),
     ]))
     with pytest.raises(ValueError, match="nondegeneracy|membership"):
         FioOperator.build(bad, unit_amplitude(), alpha=0.25)

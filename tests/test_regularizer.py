@@ -34,7 +34,7 @@ def translation_phase():
 def point_coords(points) -> Coords:
     """Coords of a batch of (x, y, xi) points."""
     x, y, xi = (np.array(c, dtype=float) for c in zip(*points))
-    return Coords((x,), (y,), (xi,))
+    return Coords(x, y, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +81,7 @@ def test_chi_table_is_blank_wholly_beyond_the_clamp():
     layout = VarLayout(1, 1, 1)
     iset = IndexSet(layout, 2, 4)
     xi = np.array([-40.0, -2.0, 1.99, 2.0, 3.5, 40.0])
-    coords = Coords((np.zeros(6),), (np.zeros(6),), (xi,))
+    coords = Coords(np.zeros(6), np.zeros(6), xi)
     table = chi.xi_table(coords, iset)
     assert set(table) == set(iset.keys())
     assert all(_is_scalar_zero(v) for v in table.values())
@@ -91,7 +91,7 @@ def test_chi_table_has_arrays_on_a_chunk_straddling_the_clamp():
     chi = CutoffChi()
     iset = IndexSet(VarLayout(0, 0, 1), 0, 3)
     xi = np.array([1.9, 1.95, 1.99, 2.5])
-    table = chi.xi_table(Coords((), (), (xi,)), iset)
+    table = chi.xi_table(Coords(None, None, xi), iset)
     assert all(isinstance(v, np.ndarray) for v in table.values())
     assert np.array_equal(table[(0,)], chi.values(xi))
     derivs = chi.profile_derivs(xi, 3)
@@ -160,8 +160,8 @@ def test_coefficients_closed_form_outside_cutoff():
     # at (1, 0, 3): r = 18, grad_xi Phi = 1, grad_y Phi = -3, chi = 0
     coeffs, phase_t = coefficients_at(translation_phase(), [(1.0, 0.0, 3.0)])
     z = coeffs.iset.zero
-    assert -1j * coeffs.alpha_prime[0][z] == pytest.approx([-0.5j])
-    assert -1j * coeffs.beta_prime[0][z] == pytest.approx([1j / 6.0])
+    assert -1j * coeffs.alpha_prime[z] == pytest.approx([-0.5j])
+    assert -1j * coeffs.beta_prime[z] == pytest.approx([1j / 6.0])
     assert coeffs.gamma[z] == pytest.approx(0.0)
     assert coeffs.r[z] == pytest.approx([18.0])
     assert np.abs(identity_residual(phase_t, coeffs)) < 1e-15
@@ -192,8 +192,8 @@ def test_identity_holds_at_arbitrary_points(x, y, xi, perturbed):
 def test_inside_cutoff_coefficients_vanish_exactly():
     coeffs, _ = coefficients_at(translation_phase(), [(0.4, -0.2, 0.5)])
     z = coeffs.iset.zero
-    assert coeffs.alpha_prime[0][z] == 0.0
-    assert coeffs.beta_prime[0][z] == 0.0
+    assert coeffs.alpha_prime[z] == 0.0
+    assert coeffs.beta_prime[z] == 0.0
     assert coeffs.gamma[z] == 1.0
 
 
@@ -290,7 +290,7 @@ def ladder_points(xi_lo, xi_hi, kappa, seed, n):
     """Seeded points with |xi| in [xi_lo, xi_hi], the phase table and iset."""
     rng = np.random.default_rng(seed)
     xi = rng.uniform(xi_lo, xi_hi, n) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    coords = Coords((rng.uniform(-1.0, 1.0, n),), (rng.uniform(-1.0, 1.0, n),), (xi,))
+    coords = Coords(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n), xi)
     layout = VarLayout(1, 1, 1)
     phase_t = perturbed_phase().table(coords, IndexSet(layout, 1, kappa + 1))
     return coords, phase_t, IndexSet(layout, 1, kappa)
@@ -332,9 +332,7 @@ def test_derived_fields_match_the_eager_formula(xi_lo, xi_hi):
     coords, phase_t, iset = ladder_points(xi_lo, xi_hi, 3, seed=7, n=n)
     coeffs = coefficient_tables(phase_t, coords, CutoffChi(), iset)
     alpha_ref, beta_ref = eager_coefficient_fields(phase_t, coords, CutoffChi(), iset)
-    assert len(coeffs.alpha_prime) == len(coeffs.beta_prime) == 1
-    for prime, ref in ((coeffs.alpha_prime[0], alpha_ref),
-                       (coeffs.beta_prime[0], beta_ref)):
+    for prime, ref in ((coeffs.alpha_prime, alpha_ref), (coeffs.beta_prime, beta_ref)):
         assert set(prime) == set(iset.keys())
         for key in iset.keys():
             np.testing.assert_allclose(np.broadcast_to(prime[key], (n,)),
