@@ -18,8 +18,8 @@ Layout
 ------
 ``jets``
     Truncated Taylor tables (jets) in the x / y / xi blocks, each of at
-    most one coordinate, with exact arithmetic, composition and a library
-    of built-in smooth maps.
+    most one coordinate, keyed by (x, y, xi) order triples, with exact
+    arithmetic, composition and a library of built-in smooth maps.
 ``symbol_spaces``
     Phase/amplitude containers, seminorm scans on compact boxes (an
     interval per block), homogeneity and non-degeneracy (membership)

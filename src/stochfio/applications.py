@@ -25,6 +25,7 @@ from .jets import (
     SmoothMap,
     VarLayout,
     _resolve_speed,
+    _uni_iset,
     builtin_map,
     make_speed,
     t_compose,
@@ -77,18 +78,16 @@ def rk4_step_count(t: float, tol: float) -> int:
 
 
 def _c_derivs(speed: SmoothMap, z0: np.ndarray, order: int) -> list:
-    iset = IndexSet(VarLayout(1, 0, 0), order, 0)
-    t = speed.provider(Coords(z0, None, None), iset)
-    return [np.asarray(t[(k,)]) if not np.isscalar(t[(k,)]) else t[(k,)]
-            for k in range(order + 1)]
+    t = speed.provider(Coords(z0, None, None), _uni_iset(order))
+    values = (t[(k, 0, 0)] for k in range(order + 1))
+    return [v if np.isscalar(v) else np.asarray(v) for v in values]
 
 
 def _compose_speed(speed: SmoothMap, state: list, order: int, shift: int = 0) -> dict:
-    """Jets of c^(shift)(z(x)) given the jets ``state`` of z."""
+    """Jets of c^(shift)(z(x)) given the jets ``state`` of z, keyed (j, 0, 0)."""
     der = _c_derivs(speed, np.asarray(state[0]), order + shift)
-    table = {(j,): state[j] for j in range(order + 1)}
-    iset = IndexSet(VarLayout(1, 0, 0), order, 0)
-    return t_compose(der[shift:], table, iset)
+    table = {(j, 0, 0): state[j] for j in range(order + 1)}
+    return t_compose(der[shift:], table, _uni_iset(order))
 
 
 def _rk4_path(state: list, rhs, t: float, n_steps: int):
@@ -129,7 +128,7 @@ def solve_characteristics(speed: SmoothMap, x, t: float, order: int = 0,
 
     def rhs(s):
         c_of_z = _compose_speed(speed, s, order)
-        return [-np.asarray(c_of_z[(j,)]) * np.ones_like(x) for j in range(order + 1)]
+        return [-np.asarray(c_of_z[(j, 0, 0)]) * np.ones_like(x) for j in range(order + 1)]
 
     return _rk4(state, rhs, t, n)
 
@@ -157,7 +156,7 @@ def transport_phase(speed: SmoothMap, t: float, tol: float = 1e-10) -> PhaseFunc
 def _order_zero_op(phase: PhaseFunction, amp: Amplitude,
                    config: QuadratureConfig | None) -> FioOperator:
     """The operator of a phase and an order-zero amplitude."""
-    return FioOperator(phase, amp, CutoffChi(), select_kappa(0.0, 1.0, 0.0, 1),
+    return FioOperator(phase, amp, CutoffChi(), select_kappa(0.0, 1.0, 0.0),
                        config or QuadratureConfig())
 
 
@@ -200,16 +199,16 @@ def _flow_rhs(speed: SmoothMap, order: int, s):
     ``s`` is the sign of G, a number or an array over the points.
     """
     m = order + 1
-    iset = IndexSet(VarLayout(1, 0, 0), order, 0)
+    iset = _uni_iset(order)
 
     def rhs(st):
         Fj, Gj = st[:m], st[m:]
         ones = np.ones_like(Fj[0])
         c_of_F = _compose_speed(speed, Fj, order)
         cp_of_F = _compose_speed(speed, Fj, order, shift=1)
-        dF = [s * np.asarray(c_of_F[(j,)]) * ones for j in range(m)]
-        prod = t_mul(cp_of_F, {(j,): Gj[j] for j in range(m)}, iset)
-        dG = [-s * np.asarray(prod[(j,)]) * ones for j in range(m)]
+        dF = [s * np.asarray(c_of_F[(j, 0, 0)]) * ones for j in range(m)]
+        prod = t_mul(cp_of_F, {(j, 0, 0): Gj[j] for j in range(m)}, iset)
+        dG = [-s * np.asarray(prod[(j, 0, 0)]) * ones for j in range(m)]
         return dF + dG
 
     return rhs
@@ -239,8 +238,8 @@ def solve_flows(speed: SmoothMap, x, t: float, sigma: int, order: int = 0,
     for out in _rk4_path(out, _flow_rhs(speed, order, float(sigma)), t, n):
         mg = min(mg, float(np.min(np.abs(out[m]))))
     Fj, Gj = tuple(out[:m]), tuple(out[m:])
-    c_end = np.asarray(_compose_speed(speed, [Fj[0]], 0)[(0,)])
-    c_start = np.asarray(_compose_speed(speed, [x], 0)[(0,)])
+    c_end = np.asarray(_compose_speed(speed, [Fj[0]], 0)[(0, 0, 0)])
+    c_start = np.asarray(_compose_speed(speed, [x], 0)[(0, 0, 0)])
     resid = float(np.max(np.abs(c_end * np.abs(Gj[0]) - c_start)))
     return FlowResult(t, sigma, x, Fj, Gj, mg, resid, mg > regime_threshold)
 
@@ -262,8 +261,8 @@ def eikonal_phi(speed: SmoothMap, x, t: float, sigma: int, order: int = 0,
 
     def rhs(st):
         z, g, _action = st
-        c = np.asarray(_compose_speed(speed, [z], 0)[(0,)])
-        cp = np.asarray(_compose_speed(speed, [z], 0, shift=1)[(0,)])
+        c = np.asarray(_compose_speed(speed, [z], 0)[(0, 0, 0)])
+        cp = np.asarray(_compose_speed(speed, [z], 0, shift=1)[(0, 0, 0)])
         dz = s * c * np.ones_like(z)
         return [dz, -s * cp * g, g * dz - c * np.abs(g)]
 

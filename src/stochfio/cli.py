@@ -50,6 +50,7 @@ from .oscillatory import (
     FioOperator,
     QuadratureConfig,
     ToleranceError,
+    _check_layouts,
     convergence_study,
 )
 from .regularizer import CutoffChi, check_coefficient_symbol_bounds
@@ -105,7 +106,11 @@ def build_map(spec, what: str = "map") -> SmoothMap:
 
 
 def build_phase(cfg: dict, command: str) -> PhaseFunction:
-    return PhaseFunction(build_map(_require(cfg, "phase", command), "phase"))
+    """The phase, refused unless it has the y and xi the engine integrates."""
+    phase = PhaseFunction(build_map(_require(cfg, "phase", command), "phase"))
+    with _config_errors("phase spec"):
+        _check_layouts(phase.layout)
+    return phase
 
 
 def build_amplitude(cfg: dict, command: str) -> Amplitude:

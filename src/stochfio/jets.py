@@ -12,12 +12,17 @@ with or without x and with one y and one xi; time is a parameter of the
 phases that depend on it (``scaled_norm_phase(t=...)``, the flow phases
 of ``applications``), never a coordinate.
 
-Tables are plain dicts keyed by flat multi-index tuples.  Values may be
-scalars or numpy arrays of mutually broadcastable shapes: every caller
-evaluates a map on a :class:`Coords` batch of points through
-:meth:`SmoothMap.table`.  Exact zeros are stored as the scalar ``0.0`` and
-skipped by the kernels; for sparse tables (polynomial phases) this is the
-main source of speed.
+Tables are plain dicts keyed by order triples (j, k, l): the orders of the
+derivative in x, y and xi, whatever blocks the map has.  An
+:class:`IndexSet` holds the triples whose orders stay within its caps and
+are 0 in every block its layout lacks.  A provider fills any index set
+whose layout covers its own: the entries with an order in a block the map
+lacks are exact zeros.  Values may be scalars or numpy arrays of mutually
+broadcastable shapes: every caller evaluates a map on a :class:`Coords`
+batch of points through :meth:`SmoothMap.table`.  Exact zeros are stored as
+the scalar ``0.0`` and skipped by the kernels; for sparse tables
+(polynomial phases, maps of fewer blocks than the table) this is the main
+source of speed.
 
 Index sets may be anisotropic: the order cap on the x block can differ from
 the cap on the (y, xi) blocks.  The regularising operator downstream only
@@ -55,10 +60,6 @@ class VarLayout(NamedTuple):
     n_y: int
     n_xi: int
 
-    @property
-    def nvars(self) -> int:
-        return self.n_x + self.n_y + self.n_xi
-
 
 class Coords(NamedTuple):
     """Coordinate values of a (batch of) evaluation point(s): per block an
@@ -78,7 +79,8 @@ class Coords(NamedTuple):
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Multi-indices with capped order in the x block and in the (y, xi) blocks.
+    """Order triples (j, k, l) with j <= ``cap_x``, k + l <= ``cap_int`` and
+    order 0 in every block ``layout`` lacks.
 
     ``cap_total`` additionally bounds the total order; it defaults to
     ``cap_x + cap_int``.  The isotropic set of all indices of total order
@@ -89,16 +91,13 @@ class IndexSet:
     cap_x: int
     cap_int: int
     cap_total: int | None = None
+    zero = (0, 0, 0)
 
     def __post_init__(self):
         if self.cap_x < 0 or self.cap_int < 0:
             raise ValueError("order caps must be nonnegative")
         if self.cap_total is None:
             object.__setattr__(self, "cap_total", self.cap_x + self.cap_int)
-
-    @property
-    def zero(self) -> tuple:
-        return (0,) * self.layout.nvars
 
     def keys(self) -> tuple:
         return _enum_keys(self.layout, self.cap_x, self.cap_int, self.cap_total)
@@ -117,14 +116,8 @@ class IndexSet:
 
 @lru_cache(maxsize=None)
 def _enum_keys(layout: VarLayout, cap_x: int, cap_int: int, cap_total: int) -> tuple:
-    nx = layout.n_x
-    out = []
-    for k in _iproduct(*(range(cap_total + 1) for _ in range(layout.nvars))):
-        if sum(k) > cap_total:
-            continue
-        if sum(k[:nx]) > cap_x or sum(k[nx:]) > cap_int:
-            continue
-        out.append(k)
+    ranges = (range(c + 1 if n else 1) for c, n in zip((cap_x, cap_int, cap_int), layout))
+    out = [k for k in _iproduct(*ranges) if sum(k) <= cap_total and k[1] + k[2] <= cap_int]
     out.sort(key=lambda k: (sum(k), k))
     return tuple(out)
 
@@ -147,7 +140,7 @@ def _sub_splits(sigma: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# table kernels.  A Table is dict[flat multi-index, scalar or ndarray].
+# table kernels.  A Table is dict[(j, k, l) order triple, scalar or ndarray].
 
 
 def _is_zero(v) -> bool:
@@ -345,31 +338,14 @@ def t_add(a: dict, b: dict, iset: IndexSet) -> dict:
     return out
 
 
-def embed_table(t: dict, src_layout: VarLayout, dst_iset: IndexSet) -> dict:
-    """Lift a table over a sub-layout into a larger layout.
-
-    Entries carrying derivatives in a coordinate the source map does not
-    have are exactly zero.
-    """
-    dl = dst_iset.layout
-    if any(s > d for s, d in zip(src_layout, dl)):
-        raise ValueError("source layout does not fit inside destination layout")
-    kept = [bool(s) for s, d in zip(src_layout, dl) if d]  # per destination variable
-    out = {}
-    for k in dst_iset.keys():
-        if any(o for o, keep in zip(k, kept) if not keep):
-            out[k] = 0.0
-        else:
-            out[k] = t.get(tuple(o for o, keep in zip(k, kept) if keep), 0.0)
-    return out
-
-
-def project_coords(coords: Coords, src_layout: VarLayout) -> Coords:
-    return Coords(*(c if n else None for c, n in zip(coords, src_layout)))
-
-
 def _uni_iset(cap: int) -> IndexSet:
+    """Index set of a scratch table in one variable, carried as the x order."""
     return IndexSet(VarLayout(1, 0, 0), cap, 0)
+
+
+def _block_key(block: str, k: int) -> tuple:
+    """The key of the k-th derivative in the one coordinate of ``block``."""
+    return tuple(k if b == block else 0 for b in Coords._fields)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +357,10 @@ class SmoothMap:
     """A smooth function of (x, y, xi) exposing exact derivative tables.
 
     ``provider(coords, iset)`` returns the dense derivative table on the
-    requested index set; coordinate entries of ``coords`` are scalars or
-    broadcastable numpy arrays.  Providers must be pure so that maps can be
-    shared across worker processes.
+    requested index set, whose layout covers the map's; coordinate entries
+    of ``coords`` are scalars or broadcastable numpy arrays.  Providers must
+    be pure so that maps can be shared across worker processes.
+    :meth:`table` refuses orders above ``DEFAULT_MAX_ORDER``.
 
     ``xi_reflection`` declares how the map behaves under xi -> -xi:
 
@@ -403,7 +380,6 @@ class SmoothMap:
 
     layout: VarLayout
     provider: Callable = field(repr=False)
-    max_order: int = DEFAULT_MAX_ORDER
     describe: str = ""
     support: dict = field(default_factory=dict)
     xi_reflection: str | None = None
@@ -418,8 +394,8 @@ class SmoothMap:
                              f"got {self.xi_reflection!r}")
 
     def table(self, coords: Coords, iset: IndexSet) -> dict:
-        if iset.max_total() > self.max_order:
-            raise ValueError(f"requested order {iset.max_total()} exceeds max_order {self.max_order}")
+        if iset.max_total() > DEFAULT_MAX_ORDER:
+            raise ValueError(f"requested order {iset.max_total()} exceeds {DEFAULT_MAX_ORDER}")
         return self.provider(coords, iset)
 
 
@@ -446,22 +422,17 @@ def _univariate_map(block: str, derivs_fn, describe: str, support=None,
     k = 0..cap at the array of coordinate values v.  A map of x or y is
     hermitian under xi -> -xi; a map of xi is when ``even`` holds.
     """
-    layout = _BLOCK_LAYOUTS[block]
-
     def provider(coords: Coords, iset: IndexSet) -> dict:
-        v = getattr(coords, block)
         cap = iset.cap_for_block(block)
-        der = derivs_fn(np.asarray(v), cap)
+        der = derivs_fn(np.asarray(getattr(coords, block)), cap)
         t = t_blank(iset)
         for k in range(cap + 1):
-            key = (k,)
-            if key in t:
-                t[key] = der[k]
+            t[_block_key(block, k)] = der[k]
         return t
 
     sup = {block: tuple(support)} if support is not None else {}
     reflection = "hermitian" if block != "xi" or even else None
-    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, describe, sup, reflection)
+    return SmoothMap(_BLOCK_LAYOUTS[block], provider, describe, sup, reflection)
 
 
 _GAUSS_SUPPORT_DECADES = 6.5  # exp(-6.5^2) ~ 4.4e-19, below quadrature resolution
@@ -474,11 +445,11 @@ def _gaussian_bump(*, block="y", center=0.0, width=1.0) -> SmoothMap:
 
     def derivs(v, cap):
         u = (v - center) / width
-        s = {(0,): -u * u, (1,): np.asarray(-2.0 * u / width)}
+        s = {(0, 0, 0): -u * u, (1, 0, 0): np.asarray(-2.0 * u / width)}
         for k in range(2, cap + 1):
-            s[(k,)] = -2.0 / width ** 2 if k == 2 else 0.0
+            s[(k, 0, 0)] = -2.0 / width ** 2 if k == 2 else 0.0
         h = t_exp(s, _uni_iset(cap))
-        return [h[(k,)] for k in range(cap + 1)]
+        return [h[(k, 0, 0)] for k in range(cap + 1)]
 
     halfw = _GAUSS_SUPPORT_DECADES * width
     return _univariate_map(block, derivs, f"exp(-(({block}-{center})/{width})^2)",
@@ -498,15 +469,15 @@ def _mollifier_bump(*, block="y", center=0.0, radius=1.0) -> SmoothMap:
         u = (v - center) / radius
         inside = np.abs(u) < 1.0 - eps
         us = np.where(inside, u, 0.0)
-        w = {(0,): 1.0 - us * us, (1,): np.asarray(-2.0 * us / radius)}
+        w = {(0, 0, 0): 1.0 - us * us, (1, 0, 0): np.asarray(-2.0 * us / radius)}
         for k in range(2, cap + 1):
-            w[(k,)] = -2.0 / radius ** 2 if k == 2 else 0.0
+            w[(k, 0, 0)] = -2.0 / radius ** 2 if k == 2 else 0.0
         iset = _uni_iset(cap)
         inv = t_pow(w, -1.0, iset)
         arg = t_scale(inv, -1.0)
-        arg[(0,)] = arg[(0,)] + 1.0
+        arg[iset.zero] = arg[iset.zero] + 1.0
         h = t_exp(arg, iset)
-        return [np.where(inside, h[(k,)], 0.0) for k in range(cap + 1)]
+        return [np.where(inside, h[(k, 0, 0)], 0.0) for k in range(cap + 1)]
 
     return _univariate_map(block, derivs, f"bump at {center}, radius {radius}",
                            (center - radius, center + radius), even=center == 0.0)
@@ -534,9 +505,9 @@ def _trig_polynomial(*, terms, block="x", offset=0.0) -> SmoothMap:
 
 def _bracket_u(v, cap: int) -> dict:
     """Table of 1 + v^2 in one variable."""
-    u = {(0,): 1.0 + v * v, (1,): np.asarray(2.0 * v)}
+    u = {(0, 0, 0): 1.0 + v * v, (1, 0, 0): np.asarray(2.0 * v)}
     for k in range(2, cap + 1):
-        u[(k,)] = 2.0 if k == 2 else 0.0
+        u[(k, 0, 0)] = 2.0 if k == 2 else 0.0
     return u
 
 
@@ -545,7 +516,7 @@ def _bracket_power(*, exponent) -> SmoothMap:
 
     def derivs(v, cap):
         h = t_pow(_bracket_u(np.asarray(v), cap), d / 2.0, _uni_iset(cap))
-        return [h[(k,)] for k in range(cap + 1)]
+        return [h[(k, 0, 0)] for k in range(cap + 1)]
 
     return _univariate_map("xi", derivs, f"<xi>^{d}", even=True)
 
@@ -558,7 +529,7 @@ def _sqrt_cos_symbol(*, omega=2.0) -> SmoothMap:
         q = t_pow(_bracket_u(np.asarray(v), cap), 0.25, iset)
         ep = t_exp(t_scale(q, 1j * omega), iset)
         em = t_exp(t_scale(q, -1j * omega), iset)
-        return [0.5 * (ep[(k,)] + em[(k,)]) for k in range(cap + 1)]
+        return [0.5 * (ep[(k, 0, 0)] + em[(k, 0, 0)]) for k in range(cap + 1)]
 
     return _univariate_map("xi", derivs, f"cos({omega} <xi>^1/2)", even=True)
 
@@ -573,23 +544,19 @@ def _constant(*, value, layout=(0, 0, 0)) -> SmoothMap:
         return t
 
     reflection = "hermitian" if isinstance(value, numbers.Real) else None
-    return SmoothMap(layout, provider, DEFAULT_MAX_ORDER, f"constant {value}",
-                     xi_reflection=reflection)
+    return SmoothMap(layout, provider, f"constant {value}", xi_reflection=reflection)
 
 
 def _xi_table(coords: Coords, iset: IndexSet, derivs) -> dict:
-    """Table of f(xi) over the full layout of ``iset`` (one xi coordinate).
+    """Table of f(xi) on ``iset``, whose layout has xi.
 
     ``derivs(v)`` gives the xi-derivatives of f at v for orders 0, 1, ...;
     the orders it leaves out are exactly zero.
     """
-    if iset.layout.n_xi != 1:
-        raise ValueError("xi tables need exactly one xi coordinate")
     t = t_blank(iset)
     for k, val in enumerate(derivs(np.asarray(coords.xi))):
-        key = iset.zero[:-1] + (k,)
-        if key in t:
-            t[key] = val
+        if (0, 0, k) in t:
+            t[(0, 0, k)] = val
     return t
 
 
@@ -614,7 +581,7 @@ def _linear_phase() -> SmoothMap:
         t[iset.zero] = (x - y) * xi
         return t
 
-    return SmoothMap(VarLayout(1, 1, 1), provider, DEFAULT_MAX_ORDER, "<x-y, xi> on R^1",
+    return SmoothMap(VarLayout(1, 1, 1), provider, "<x-y, xi> on R^1",
                      xi_reflection="odd", standard_form=True)
 
 
@@ -629,13 +596,11 @@ def _scaled_norm_phase(*, speed, t, sign=1) -> SmoothMap:
     lin = _linear_phase()
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
-        c_t = embed_table(speed.provider(Coords(coords.x, None, None),
-                                         IndexSet(speed.layout, iset.cap_x, 0, iset.cap_x)),
-                          speed.layout, iset)
-        prod = t_mul(t_scale(c_t, sign * t), _xi_norm_table(coords, iset), iset)
+        prod = t_mul(t_scale(speed.provider(coords, iset), sign * t),
+                     _xi_norm_table(coords, iset), iset)
         return t_add(lin.provider(coords, iset), prod, iset)
 
-    return SmoothMap(VarLayout(1, 1, 1), provider, DEFAULT_MAX_ORDER,
+    return SmoothMap(VarLayout(1, 1, 1), provider,
                      f"<x-y, xi> {'+' if sign > 0 else '-'} c(x) {t} ||xi||",
                      standard_form=True)
 
@@ -667,19 +632,18 @@ def _tabulated_phase(*, g_provider, describe: str = "xi (g(x) - y)") -> SmoothMa
             t[(0, 1, 1)] = -1.0
         return t
 
-    return SmoothMap(VarLayout(1, 1, 1), provider, DEFAULT_MAX_ORDER, describe,
-                     standard_form=True)
+    return SmoothMap(VarLayout(1, 1, 1), provider, describe, standard_form=True)
 
 
 def _coordinate(*, block) -> SmoothMap:
     def provider(coords: Coords, iset: IndexSet) -> dict:
         t = t_blank(iset)
-        t[(0,)] = np.asarray(getattr(coords, block))
-        if (1,) in t:
-            t[(1,)] = 1.0
+        t[iset.zero] = np.asarray(getattr(coords, block))
+        if _block_key(block, 1) in t:
+            t[_block_key(block, 1)] = 1.0
         return t
 
-    return SmoothMap(_BLOCK_LAYOUTS[block], provider, DEFAULT_MAX_ORDER, f"coordinate {block}",
+    return SmoothMap(_BLOCK_LAYOUTS[block], provider, f"coordinate {block}",
                      xi_reflection="odd" if block == "xi" else "hermitian")
 
 
@@ -687,10 +651,6 @@ def _merge_layout(maps) -> VarLayout:
     return VarLayout(max(m.layout.n_x for m in maps),
                      max(m.layout.n_y for m in maps),
                      max(m.layout.n_xi for m in maps))
-
-
-def _sub_iset(iset: IndexSet, layout: VarLayout) -> IndexSet:
-    return IndexSet(layout, iset.cap_x if layout.n_x else 0, iset.cap_int, iset.cap_total)
 
 
 def _merge_support(maps, mode: str) -> dict:
@@ -738,13 +698,11 @@ def _product(*, factors) -> SmoothMap:
     def provider(coords: Coords, iset: IndexSet) -> dict:
         acc = None
         for f in factors:
-            ft = embed_table(f.provider(project_coords(coords, f.layout), _sub_iset(iset, f.layout)),
-                             f.layout, iset)
+            ft = f.provider(coords, iset)
             acc = ft if acc is None else t_mul(acc, ft, iset)
         return acc
 
-    return SmoothMap(layout, provider, min(f.max_order for f in factors),
-                     " * ".join(f.describe or "?" for f in factors),
+    return SmoothMap(layout, provider, " * ".join(f.describe or "?" for f in factors),
                      _merge_support(factors, "product"), _product_reflection(factors))
 
 
@@ -761,15 +719,13 @@ def _sum(*, terms, coefficients=None) -> SmoothMap:
     def provider(coords: Coords, iset: IndexSet) -> dict:
         acc = t_blank(iset)
         for c, f in zip(coeffs, terms):
-            ft = embed_table(f.provider(project_coords(coords, f.layout), _sub_iset(iset, f.layout)),
-                             f.layout, iset)
+            ft = f.provider(coords, iset)
             if c != 1:
                 ft = t_scale(ft, c)
             acc = t_add(acc, ft, iset)
         return acc
 
-    return SmoothMap(layout, provider, min(f.max_order for f in terms),
-                     " + ".join(f.describe or "?" for f in terms),
+    return SmoothMap(layout, provider, " + ".join(f.describe or "?" for f in terms),
                      _merge_support(terms, "sum"), _real_combination_reflection(terms, coeffs))
 
 
@@ -780,8 +736,8 @@ def _scaled(*, inner, factor) -> SmoothMap:
     def provider(coords: Coords, iset: IndexSet) -> dict:
         return t_scale(inner.provider(coords, iset), factor)
 
-    return SmoothMap(inner.layout, provider, inner.max_order,
-                     f"{factor} * ({inner.describe})", dict(inner.support),
+    return SmoothMap(inner.layout, provider, f"{factor} * ({inner.describe})",
+                     dict(inner.support),
                      _real_combination_reflection([inner], [factor]))
 
 

@@ -72,8 +72,6 @@ from .jets import (
     SmoothMap,
     VarLayout,
     builtin_map,
-    embed_table,
-    project_coords,
     t_exp,
     t_mul,
     t_scale,
@@ -251,7 +249,7 @@ class FioOperator:
                     f"phase fails the alpha = {alpha} nondegeneracy bound: "
                     f"min observed {membership.min_observed:.3g}")
         plan = select_kappa(amplitude.d, amplitude.rho, amplitude.delta,
-                            layout.n_xi, extra_decay)
+                            extra_decay=extra_decay)
         return FioOperator(phase, amplitude, chi or CutoffChi(), plan,
                            config or QuadratureConfig(), membership)
 
@@ -321,11 +319,10 @@ def _probe_rates(phase: PhaseFunction, xs, y_window, n_samples: int = 5):
     d_xi = 0.0
     d_y = 0.0
     iset = IndexSet(layout, 1, 1, 1)
-    x_orders = (0,) * layout.n_x
     for sgn in (-1.0, 1.0):
         t = phase.table(Coords(x, y, np.full(y.size, sgn)), iset)
-        d_xi = max(d_xi, float(np.max(np.abs(np.asarray(t[x_orders + (0, 1)])))))
-        d_y = max(d_y, float(np.max(np.abs(np.asarray(t[x_orders + (1, 0)])))))
+        d_xi = max(d_xi, float(np.max(np.abs(np.asarray(t[(0, 0, 1)])))))
+        d_y = max(d_y, float(np.max(np.abs(np.asarray(t[(0, 1, 0)])))))
     return d_xi, d_y
 
 
@@ -558,13 +555,12 @@ def _band_field(layout: VarLayout, xs, band_totals, meta: dict,
     ``band_contributions`` holds the sup over x of each band's value.
     """
     f = (2.0 * math.pi) ** -1
-    zero = (0,) * layout.nvars
     total = {k: np.zeros(np.shape(v), dtype=complex) for k, v in band_totals[0].items()}
     contributions = []
     for band in band_totals:
         for k, v in band.items():
             total[k] += v
-        contributions.append(f * float(np.max(np.abs(band[zero]))))
+        contributions.append(f * float(np.max(np.abs(band[(0, 0, 0)]))))
     meta = {**meta, "xi_reflected": mirrored, "band_contributions": contributions}
     return GridField(() if xs is None else (xs,),
                      {k[:layout.n_x]: f * v for k, v in total.items()}, meta)
@@ -626,10 +622,8 @@ def _x_tables(op: FioOperator, xs, xi, out_order: int) -> dict:
     iset = IndexSet(op.phase.layout, out_order, 0)
     xi = xi[None, :]
     coords = Coords(xs[:, None], np.zeros_like(xi), xi)
-    amp = op.amplitude.map
-    amp_t = embed_table(amp.table(project_coords(coords, amp.layout),
-                                  IndexSet(amp.layout, out_order, 0)), amp.layout, iset)
-    return t_mul(t_exp(t_scale(op.phase.table(coords, iset), 1.0j), iset), amp_t, iset)
+    return t_mul(t_exp(t_scale(op.phase.table(coords, iset), 1.0j), iset),
+                 op.amplitude.table(coords, iset), iset)
 
 
 @dataclass(frozen=True)
@@ -674,7 +668,7 @@ def _y_first_plan(layout: VarLayout, u: SmoothMap, x_points, signs,
     window = _support_window([u], "y")
     bands, rates = _plan_nodes(None, chi, config, xs, window, 0,
                                rates=rates(xs, window))
-    u_weighted = [yw * u.table(Coords(None, yn, None), IndexSet(u.layout, 0, 0))[(0,)]
+    u_weighted = [yw * u.table(Coords(None, yn, None), IndexSet(u.layout, 0, 0))[(0, 0, 0)]
                   for _lo, _hi, _xn, _xw, yn, yw in bands]
 
     def hat_on(sign):
@@ -796,8 +790,7 @@ def oscillatory_integral(phase, amplitude, chi: CutoffChi | None = None,
     chi = chi or CutoffChi()
     config = config or QuadratureConfig()
     if kappa is None:
-        kappa = select_kappa(amplitude.d, amplitude.rho, amplitude.delta,
-                             layout.n_xi, 0).kappa
+        kappa = select_kappa(amplitude.d, amplitude.rho, amplitude.delta).kappa
     ident = builtin_map("constant", value=1.0, layout=VarLayout(0, 1, 0))
     window = _support_window([amplitude.map], "y", y_window)
     mirrored = _xi_mirrored(phase, amplitude, ident)
@@ -808,7 +801,7 @@ def oscillatory_integral(phase, amplitude, chi: CutoffChi | None = None,
         cfg = config.refined(level) if level else config
         bands, _rates = _plan_nodes(phase, chi, cfg, None, window, kappa)
         parts = _engine(phase, amplitude, ident, chi, kappa, None, 0, cfg, bands, signs)
-        val = complex(sum(band[(0,) * layout.nvars][0]
+        val = complex(sum(band[(0, 0, 0)][0]
                           for band in _band_totals(parts, mirrored)))
         if prev is not None:
             achieved = abs(val - prev)
@@ -859,15 +852,14 @@ def convergence_study(phase, amplitude, u: SmoothMap, x_points, m_tilde: int = 2
         raise ValueError("radii must be positive")
     chi = chi or CutoffChi()
     base = config or QuadratureConfig()
-    plan = select_kappa(amplitude.d, amplitude.rho, amplitude.delta,
-                        phase.layout.n_xi, m_tilde)
+    plan = select_kappa(amplitude.d, amplitude.rho, amplitude.delta, extra_decay=m_tilde)
     fields = []
     for r in radii:
         op = FioOperator(phase, amplitude, chi, plan, replace(base, xi_radius=r))
         fields.append(apply(op, u, x_points).value)
     ref = fields[-1]
     errors = tuple(float(np.max(np.abs(f - ref))) for f in fields[:-1])
-    rate = plan.decay_exponent + phase.layout.n_xi
+    rate = plan.decay_exponent + 1  # the tail integral over the one xi coordinate
     logs = [(math.log(r), math.log(e)) for r, e in zip(radii[:-1], errors) if e > 0]
     fitted = float(np.polyfit([a for a, _ in logs], [b for _, b in logs], 1)[0]) \
         if len(logs) >= 2 else -math.inf

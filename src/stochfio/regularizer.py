@@ -46,8 +46,6 @@ from .jets import (
     _uni_iset,
     _xi_norm_sq_table,
     _xi_norm_table,
-    embed_table,
-    project_coords,
     t_add,
     t_blank,
     t_compose,
@@ -115,23 +113,23 @@ class CutoffChi:
             um = u[mid]
             iset = _uni_iset(order)
             tu = t_blank(iset)
-            tu[(0,)] = um
+            tu[iset.zero] = um
             if order >= 1:
-                tu[(1,)] = 1.0 / width
+                tu[(1, 0, 0)] = 1.0 / width
             tv = t_scale(tu, -1.0)
-            tv[(0,)] = 1.0 - um
+            tv[iset.zero] = 1.0 - um
             a = t_exp(t_scale(t_pow(tv, -1.0, iset), -1.0), iset)
             b = t_exp(t_scale(t_pow(tu, -1.0, iset), -1.0), iset)
             q = t_div(a, t_add(a, b, iset), iset)
             for k in range(order + 1):
-                out[k][mid] = np.broadcast_to(np.real(q[(k,)]), um.shape)
+                out[k][mid] = np.broadcast_to(np.real(q[(k, 0, 0)]), um.shape)
         return out
 
     def values(self, xi) -> np.ndarray:
         return self.profile_derivs(np.abs(np.asarray(xi, dtype=float)), 0)[0]
 
     def xi_table(self, coords: Coords, iset: IndexSet) -> dict:
-        """Derivative table of chi(||xi||) over the full layout of ``iset``.
+        """Derivative table of chi(||xi||) on ``iset``, whose layout has xi.
 
         When every point lies on the clamped outer plateau the table is
         ``t_blank``: exact scalar zeros, which the jet kernels skip.
@@ -153,27 +151,27 @@ class KappaPlan:
     d: float
     rho: float
     delta: float
-    n_xi: int
     extra_decay: int
 
 
-def select_kappa(d: float, rho: float, delta: float, n_xi: int,
+def select_kappa(d: float, rho: float, delta: float, *,
                  extra_decay: int = 0) -> KappaPlan:
     """Smallest kappa making the regularized integrand absolutely integrable.
 
     Each application of L improves the xi decay by min(rho, 1 - delta), so
     the regularized amplitude is O(||xi||^(d - kappa gain)); we require the
-    exponent to be at most -(n_xi + 1 + extra_decay), leaving one power
-    beyond bare integrability plus any decay requested for tail control.
+    exponent to be at most -(2 + extra_decay): one power for the one xi
+    coordinate, one beyond bare integrability, plus any decay requested for
+    tail control.
     """
     if not (0.0 < rho <= 1.0) or not (0.0 <= delta < 1.0):
         raise ValueError("need 0 < rho <= 1 and 0 <= delta < 1")
     if extra_decay < 0:
         raise ValueError("extra_decay must be nonnegative")
     gain = min(rho, 1.0 - delta)
-    required = (d + n_xi + 1 + extra_decay) / gain
+    required = (d + 2 + extra_decay) / gain
     kappa = max(0, math.ceil(required - 1e-12))
-    return KappaPlan(kappa, gain, d - kappa * gain, d, rho, delta, n_xi, extra_decay)
+    return KappaPlan(kappa, gain, d - kappa * gain, d, rho, delta, extra_decay)
 
 
 @dataclass(frozen=True)
@@ -214,10 +212,9 @@ def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
     the factor (1 - chi) and all its derivatives vanish exactly there, so
     the finite quotient is multiplied away and s' = 0 exactly.
     """
-    layout = iset.layout
-    nsq = _xi_norm_sq_table(coords, iset)  # the xi coordinate is the last variable
-    dphi_xi = t_shift(phase_table, layout.nvars - 1, iset)
-    dphi_y = t_shift(phase_table, layout.n_x, iset) if layout.n_y else t_blank(iset)
+    nsq = _xi_norm_sq_table(coords, iset)
+    dphi_xi = t_shift(phase_table, 2, iset)  # key entries 1 and 2 are the y and xi orders
+    dphi_y = t_shift(phase_table, 1, iset) if iset.layout.n_y else t_blank(iset)
     r = t_add(t_mul(nsq, t_mul(dphi_xi, dphi_xi, iset), iset),
               t_mul(dphi_y, dphi_y, iset), iset)
     gamma = chi.xi_table(coords, iset)
@@ -250,8 +247,7 @@ def apply_l_ladder(f: dict, coeffs: RegCoeffTables, kappa: int,
     L^kappa f = i^kappa D^kappa f; otherwise each step is
     g <- gamma g + i D g.
     """
-    layout = iset.layout
-    fields = ((coeffs.xi_field, layout.nvars - 1), (coeffs.y_field, layout.n_x))
+    fields = ((coeffs.xi_field, 2), (coeffs.y_field, 1))  # the xi and y key entries
     outer = all(_is_zero(v) for v in coeffs.gamma.values())
     g = f
     cur = iset
@@ -277,20 +273,15 @@ def _regularized_tables(phase, amp: SmoothMap, psi: SmoothMap, chi: CutoffChi,
     """x-only tables of L^kappa(a psi) and of Phi, and their index set.
 
     ``phase`` is anything with ``layout`` and ``table``; ``amp`` and ``psi``
-    live on sub-layouts of the phase layout.  The product a psi carries
-    ``kappa`` integration orders, one for each application of L.
+    live on sub-layouts of the phase layout, so their providers fill the
+    phase's index sets.  The product a psi carries ``kappa`` integration
+    orders, one for each application of L.
     """
     layout = phase.layout
     iset_f = IndexSet(layout, out_order, kappa)
     iset_x = IndexSet(layout, out_order, 0)
     phase_t = phase.table(coords, IndexSet(layout, out_order, kappa + 1))
-    amp_t = embed_table(amp.provider(project_coords(coords, amp.layout),
-                                     IndexSet(amp.layout, out_order, kappa)),
-                        amp.layout, iset_f)
-    psi_t = embed_table(psi.provider(project_coords(coords, psi.layout),
-                                     IndexSet(psi.layout, out_order, kappa)),
-                        psi.layout, iset_f)
-    f = t_mul(amp_t, psi_t, iset_f)
+    f = t_mul(amp.provider(coords, iset_f), psi.provider(coords, iset_f), iset_f)
     if kappa:
         f = apply_l_ladder(f, coefficient_tables(phase_t, coords, chi, iset_f),
                            kappa, iset_f)
@@ -325,7 +316,7 @@ def check_coefficient_symbol_bounds(phase, chi: CutoffChi,
     0-homogeneous function is constant on each ray) satisfy their bound
     trivially and are skipped rather than fitted.
     """
-    from .symbol_spaces import _scan_points
+    from .symbol_spaces import _checked_scan
 
     pm = _as_map(phase)
     layout = pm.layout
@@ -334,8 +325,8 @@ def check_coefficient_symbol_bounds(phase, chi: CutoffChi,
     iset = IndexSet(layout, m, m, m)
     series: dict = {}
     for s_val in radii:
-        coords, _shape = _scan_points(layout, x_box, y_box, (-s_val, s_val),
-                                      points_per_axis, 2)
+        coords, _shape = _checked_scan(layout, x_box, y_box, (-s_val, s_val),
+                                       points_per_axis, 2)
         phase_t = pm.table(coords, IndexSet(layout, m, m + 1, m + m + 1))
         ct = coefficient_tables(phase_t, coords, chi, iset)
         fields = (("alpha_0", ct.alpha_prime), ("beta_0", ct.beta_prime))
@@ -350,7 +341,7 @@ def check_coefficient_symbol_bounds(phase, chi: CutoffChi,
     misfit = 0.0
     logs = np.log(np.asarray(radii, dtype=float))
     for (name, key), vals in series.items():
-        pred = (0.0 if name == "alpha_0" else -1.0) - key[-1]  # the xi order is last
+        pred = (0.0 if name == "alpha_0" else -1.0) - key[2]
         arr = np.asarray(vals)
         constants[name] = max(constants.get(name, 0.0),
                               float(np.max(arr * np.asarray(radii) ** (-pred))))

@@ -100,20 +100,17 @@ class Amplitude:
 def swapped_map(m: SmoothMap) -> SmoothMap:
     """View of a map with the roles of the x and y blocks exchanged.
 
-    The swap leaves xi alone, so the view keeps the map's ``xi_reflection``.
+    The view asks ``m`` for the caller's layout with x and y swapped, whose
+    x cap is the caller's total order.  The swap leaves xi alone, so the
+    view keeps the map's ``xi_reflection``.
     """
-    inner_layout = m.layout
-    layout = VarLayout(inner_layout.n_y, inner_layout.n_x, inner_layout.n_xi)
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
         T = iset.max_total()
-        inner_iset = IndexSet(inner_layout, T, T, T)
-        t = m.provider(Coords(coords.y, coords.x, coords.xi), inner_iset)
-        out = {}
-        nx, ny = layout.n_x, layout.n_y
-        for k in iset.keys():
-            out[k] = t[k[nx:nx + ny] + k[:nx] + k[nx + ny:]]
-        return out
+        n_x, n_y, n_xi = iset.layout
+        t = m.provider(Coords(coords.y, coords.x, coords.xi),
+                       IndexSet(VarLayout(n_y, n_x, n_xi), T, T, T))
+        return {(j, k, l): t[(k, j, l)] for j, k, l in iset.keys()}
 
     support = dict(m.support)
     sx, sy = support.pop("x", None), support.pop("y", None)
@@ -121,8 +118,8 @@ def swapped_map(m: SmoothMap) -> SmoothMap:
         support["y"] = sx
     if sy is not None:
         support["x"] = sy
-    return SmoothMap(layout, provider, m.max_order, f"swapped({m.describe})", support,
-                     m.xi_reflection)
+    return SmoothMap(VarLayout(m.layout.n_y, m.layout.n_x, m.layout.n_xi), provider,
+                     f"swapped({m.describe})", support, m.xi_reflection)
 
 
 @dataclass(frozen=True)
@@ -167,6 +164,15 @@ def _scan_points(layout: VarLayout, x_box, y_box, xi_values, points_per_axis: in
     return Coords(*(next(grids) if n else None for n in layout)), tuple(a.size for a in axes)
 
 
+def _checked_scan(layout: VarLayout, x_box, y_box, xi_values, points_per_axis: int,
+                  m: int):
+    """``_scan_points``, refusing an empty box with ValueError."""
+    scan = _scan_points(layout, x_box, y_box, xi_values, points_per_axis, m)
+    if scan is None:
+        raise ValueError(f"empty compact box: x_box={x_box}, y_box={y_box}")
+    return scan
+
+
 def _report_from_scan(name, m, per_key_abs, coords, shape, scale_values=None,
                       flagged=False, note=""):
     full = np.broadcast_shapes(*(np.shape(c) for c in coords.flat()))
@@ -205,7 +211,6 @@ def seminorm_q(amplitude: Amplitude, m: int, x_box: tuple | None = None,
     """
     layout = amplitude.layout
     iset = IndexSet(layout, m, m, m)
-    nx, ny = layout.n_x, layout.n_y
     scale_values = {}
     best = None
     for s in xi_radii:
@@ -216,11 +221,9 @@ def seminorm_q(amplitude: Amplitude, m: int, x_box: tuple | None = None,
         table = amplitude.table(coords, iset)
         bracket = math.sqrt(1.0 + s * s)
         per_key = {}
-        for k, v in table.items():
-            l = sum(k[nx + ny:])
-            jk = sum(k[:nx + ny])
-            w = bracket ** (amplitude.rho * l - amplitude.d - amplitude.delta * jk)
-            per_key[k] = np.abs(np.asarray(v)) * w
+        for (j, k, l), v in table.items():
+            w = bracket ** (amplitude.rho * l - amplitude.d - amplitude.delta * (j + k))
+            per_key[(j, k, l)] = np.abs(np.asarray(v)) * w
         rep = _report_from_scan("q", m, per_key, coords, shape)
         scale_values[s] = rep.value
         if best is None or rep.value > best.value:
@@ -280,7 +283,9 @@ def check_homogeneity(phase: PhaseFunction, scales=(0.5, 2.0, 4.0, 16.0),
                       points_per_axis: int = 9, tol: float = 1e-8) -> HomogeneityReport:
     """Relative residual of Phi(x, y, s*xi) = s*Phi(x, y, xi) over a grid."""
     layout = phase.layout
-    coords, shape = _scan_points(layout, x_box, y_box, _UNIT_XI, points_per_axis, 2)
+    if not layout.n_xi:
+        raise ValueError("the homogeneity check needs a phase with a xi coordinate")
+    coords, shape = _checked_scan(layout, x_box, y_box, _UNIT_XI, points_per_axis, 2)
     iset = IndexSet(layout, 0, 0, 0)
     base = np.asarray(phase.table(coords, iset)[iset.zero])
     worst = 0.0
@@ -326,15 +331,11 @@ def check_alpha_membership(phase: PhaseFunction, alpha: float,
     layout = phase.layout
     if not layout.n_xi:
         raise ValueError("the nondegeneracy scan needs a phase with a xi coordinate")
-    coords, shape = _scan_points(layout, x_box, y_box, _UNIT_XI, points_per_axis, m)
-    iset = IndexSet(layout, 1, 1, 1)
-    t = phase.table(coords, iset)
-    nx, ny = layout.n_x, layout.n_y
+    coords, shape = _checked_scan(layout, x_box, y_box, _UNIT_XI, points_per_axis, m)
+    t = phase.table(coords, IndexSet(layout, 1, 1, 1))
 
-    def sq(i):
-        key = tuple(1 if j == i else 0 for j in range(layout.nvars))
-        v = np.asarray(t[key])
-        return np.abs(v) ** 2
+    def sq(key):
+        return np.abs(np.asarray(t[key])) ** 2
 
     def minimum(g):
         """Grid minimum of ``g`` and the scan point where it sits."""
@@ -342,9 +343,9 @@ def check_alpha_membership(phase: PhaseFunction, alpha: float,
         i = int(np.argmin(g))
         return float(g[i]), tuple(float(c[i]) for c in coords.flat())
 
-    g_xi = sq(nx + ny)
-    min_y, wy = minimum(g_xi + sq(nx) if ny else g_xi)
-    min_x, wx = minimum(g_xi + sq(0)) if nx else (None, ())
+    g_xi = sq((0, 0, 1))
+    min_y, wy = minimum(g_xi + sq((0, 1, 0)) if layout.n_y else g_xi)
+    min_x, wx = minimum(g_xi + sq((1, 0, 0))) if layout.n_x else (None, ())
     observed = min_y if min_x is None else min(min_x, min_y)
     return MembershipReport(observed >= alpha, alpha, min_x, min_y, wx, wy)
 
@@ -369,22 +370,20 @@ def check_derivative_bound(phase: PhaseFunction, m: int,
     the bound trivially and are skipped in the fit.
     """
     layout = phase.layout
-    p_rep = seminorm_p(phase, m, x_box, y_box, points_per_axis)
-    p_val = p_rep.value
+    _checked_scan(layout, x_box, y_box, _UNIT_XI, points_per_axis, m)  # refuse an empty box
+    p_val = seminorm_p(phase, m, x_box, y_box, points_per_axis).value
     if p_val == 0:
         raise ValueError("phase has vanishing p seminorm; bound is vacuous")
     iset = IndexSet(layout, m, m, m)
-    nx, ny = layout.n_x, layout.n_y
     series: dict = {}
     const = 0.0
     for s in scales:
         coords, shape = _scan_points(layout, x_box, y_box, (-s, s), points_per_axis, m)
         t = phase.table(coords, iset)
         for k, v in t.items():
-            l = sum(k[nx + ny:])
             mx = float(np.max(np.abs(np.asarray(v))))
             series.setdefault(k, []).append(mx)
-            ratio = mx / (s ** (1 - l) * p_val)
+            ratio = mx / (s ** (1 - k[2]) * p_val)
             const = max(const, ratio)
     fits = {}
     misfit = 0.0
@@ -394,7 +393,6 @@ def check_derivative_bound(phase: PhaseFunction, m: int,
         if np.max(arr) <= negligible:
             continue
         slope = float(np.polyfit(logs, np.log(arr), 1)[0])
-        l = sum(k[nx + ny:])
         fits[k] = slope
-        misfit = max(misfit, abs(slope - (1 - l)))
+        misfit = max(misfit, abs(slope - (1 - k[2])))
     return DerivativeBoundReport(const, p_val, fits, misfit)

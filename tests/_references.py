@@ -181,16 +181,14 @@ def fd_table(m, point, order: int, step: float = 1e-3) -> dict:
     layout = m.layout
     if layout.n_xi and math.hypot(*point[2]) <= 2.0 * step * max(order, 1):
         raise ValueError("stencil would reach across xi = 0; decrease step or move the point")
-    flat = [float(v) for block in point for v in block]
-    ends = (layout.n_x, layout.n_x + layout.n_y)
-    zero = (0,) * layout.nvars
     table = {}
     for key in IndexSet(layout, order, order, order).keys():
         acc = 0.0
         for combo in product(*(_FD_STENCILS[k] for k in key)):
-            shifted = [v + off * step for v, (off, _) in zip(flat, combo)]
-            at = (shifted[:ends[0]], shifted[ends[0]:ends[1]], shifted[ends[1]:])
-            acc += math.prod(c for _, c in combo) * complex(point_table(m, at, 0)[zero])
+            # a block the map lacks has order 0 in every key: its stencil is (0, 1.0)
+            at = tuple((float(block[0]) + off * step,) if block else ()
+                       for block, (off, _) in zip(point, combo))
+            acc += math.prod(c for _, c in combo) * complex(point_table(m, at, 0)[(0, 0, 0)])
         table[key] = acc / step ** sum(key)
     return table
 
@@ -201,9 +199,8 @@ def complex_l_ladder(f: dict, coeffs, kappa: int, iset) -> dict:
     Uses the complex coefficients alpha = -i alpha', beta = -i beta' of the
     coefficient tables, one step per application, with no real factoring.
     """
-    layout = iset.layout
-    fields = ((t_scale(coeffs.alpha_prime, -1.0j), layout.n_x + layout.n_y),
-              (t_scale(coeffs.beta_prime, -1.0j), layout.n_x))
+    fields = ((t_scale(coeffs.alpha_prime, -1.0j), 2),   # the xi order is key entry 2
+              (t_scale(coeffs.beta_prime, -1.0j), 1))    # and the y order entry 1
     g, cur = f, iset
     for _ in range(kappa):
         nxt = cur.shrink_int(1)
@@ -220,16 +217,10 @@ def identity_residual(phase_table: dict, coeffs):
     M's complex coefficients alpha = -i alpha', beta = -i beta' are formed
     here from the real fields; the identity makes the residual vanish.
     """
-    layout = coeffs.iset.layout
-    nx, ny = layout.n_x, layout.n_y
-
-    def unit(i):
-        return tuple(1 if j == i else 0 for j in range(layout.nvars))
-
     z = coeffs.iset.zero
     total = coeffs.gamma[z] + 0j
-    total = total + 1j * (-1j * coeffs.alpha_prime[z]) * phase_table[unit(nx + ny)]
-    total = total + 1j * (-1j * coeffs.beta_prime[z]) * phase_table[unit(nx)]
+    total = total + 1j * (-1j * coeffs.alpha_prime[z]) * phase_table[(0, 0, 1)]
+    total = total + 1j * (-1j * coeffs.beta_prime[z]) * phase_table[(0, 1, 0)]
     return total - 1.0
 
 
@@ -237,12 +228,11 @@ def eager_coefficient_fields(phase_table: dict, coords, chi, iset) -> tuple:
     """alpha' = s' ||xi||^2 d_xi Phi and beta' = s' d_y Phi, built on all of iset.
 
     s' = (1 - chi) / r, with r swapped for 1 where chi == 1 exactly; one y
-    and one xi coordinate, the xi coordinate last.
+    and one xi coordinate, whose orders are key entries 1 and 2.
     """
-    nx = iset.layout.n_x
     nsq = _xi_norm_sq_table(coords, iset)
-    dphi_xi = t_shift(phase_table, nx + 1, iset)
-    dphi_y = t_shift(phase_table, nx, iset)
+    dphi_xi = t_shift(phase_table, 2, iset)
+    dphi_y = t_shift(phase_table, 1, iset)
     r = t_add(t_mul(nsq, t_mul(dphi_xi, dphi_xi, iset), iset),
               t_mul(dphi_y, dphi_y, iset), iset)
     gamma = chi.xi_table(coords, iset)

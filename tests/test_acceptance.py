@@ -200,7 +200,7 @@ def test_criterion_04_regularized_integrand_decay_exponents():
         details = []
         ok = True
         for label, amap, d, rho, delta in classes:
-            plan = select_kappa(d, rho, delta, 1)
+            plan = select_kappa(d, rho, delta)
             vals = []
             for radius in radii:
                 g, _, iset_x = _regularized_tables(phase, amap, GAUSS, CHI, plan.kappa,

@@ -68,6 +68,9 @@ def test_unknown_map_family(tmp_path):
 NO_Y_PHASE = {"family": "bracket_power", "exponent": 1.0}
 XI_AMPLITUDE = {"family": "constant", "value": 1.0, "layout": [0, 0, 1],
                 "d": 0.0, "rho": 1.0, "delta": 0.0}
+NEEDS_Y_AND_XI = "bad phase spec: the quadrature engine needs a phase of y and xi"
+X_XI_PHASE = {"family": "product", "factors": [{"family": "coordinate", "block": "x"},
+                                               {"family": "coordinate", "block": "xi"}]}
 TWO_X_PHASE = {"family": "sum", "terms": [
     {"family": "linear_phase"}, {"family": "constant", "value": 0.0, "layout": [2, 1, 1]}]}
 
@@ -76,14 +79,20 @@ TWO_X_PHASE = {"family": "sum", "terms": [
     ("apply", apply_config(phase={"family": "linear_phase", "n": 2}),
      "unexpected keyword argument 'n'"),
     ("apply", apply_config(phase=NO_Y_PHASE, amplitude=XI_AMPLITUDE,
-                           operator={"alpha": None}), "y and xi"),
+                           operator={"alpha": None}), NEEDS_Y_AND_XI),
     ("apply", apply_config(phase=NO_Y_PHASE, amplitude=XI_AMPLITUDE,
-                           operator={"alpha": 0.25}), "y and xi"),
-    ("converge", apply_config(phase=NO_Y_PHASE, amplitude=XI_AMPLITUDE), "y and xi"),
+                           operator={"alpha": 0.25}), NEEDS_Y_AND_XI),
+    ("converge", apply_config(phase=NO_Y_PHASE, amplitude=XI_AMPLITUDE), NEEDS_Y_AND_XI),
     ("apply", apply_config(phase=TWO_X_PHASE), "at most one coordinate"),
     ("converge", apply_config(phase=TWO_X_PHASE), "at most one coordinate"),
+    ("verify", {"phase": {"family": "coordinate", "block": "xi"}}, NEEDS_Y_AND_XI),
+    ("verify", {"phase": {"family": "gaussian_bump", "block": "x"}}, NEEDS_Y_AND_XI),
+    ("apply", apply_config(phase=X_XI_PHASE, amplitude=XI_AMPLITUDE,
+                           operator={"alpha": None}), NEEDS_Y_AND_XI),
+    ("converge", apply_config(phase=X_XI_PHASE, amplitude=XI_AMPLITUDE), NEEDS_Y_AND_XI),
 ], ids=["apply-n_keyword", "apply-no_y-alpha_null", "apply-no_y-alpha_0.25",
-        "converge-no_y", "apply-two_x", "converge-two_x"])
+        "converge-no_y", "apply-two_x", "converge-two_x", "verify-no_y", "verify-no_xi",
+        "apply-x_xi-alpha_null", "converge-x_xi"])
 def test_phase_dimension_other_than_one_exits_2(tmp_path, capsys, command, cfg, message):
     cfg = write_config(tmp_path, "cfg.json", cfg)
     assert main([command, "--config", cfg]) == 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _references import fd_table, point_table
 from stochfio.jets import (
+    DEFAULT_MAX_ORDER,
     Coords,
     IndexSet,
     VarLayout,
@@ -46,9 +47,9 @@ def test_gaussian_bump_closed_form_derivatives():
     j = point_table(g, ((), (y,), ()), 2)
     u = (y - 0.3) / 1.5
     val = math.exp(-(u ** 2))
-    assert j[(0,)] == pytest.approx(val, rel=1e-14)
-    assert j[(1,)] == pytest.approx(-2 * u / 1.5 * val, rel=1e-13)
-    assert j[(2,)] == pytest.approx((4 * u ** 2 - 2) / 1.5 ** 2 * val, rel=1e-12)
+    assert j[(0, 0, 0)] == pytest.approx(val, rel=1e-14)
+    assert j[(0, 1, 0)] == pytest.approx(-2 * u / 1.5 * val, rel=1e-13)
+    assert j[(0, 2, 0)] == pytest.approx((4 * u ** 2 - 2) / 1.5 ** 2 * val, rel=1e-12)
 
 
 def test_scaled_norm_phase_both_signs():
@@ -203,7 +204,51 @@ def test_index_set_caps_and_shrink():
 def test_smooth_map_order_guard():
     g = builtin_map("gaussian_bump", block="y", center=0.0, width=1.0)
     with pytest.raises(ValueError):
-        point_table(g, ((), (0.0,), ()), g.max_order + 1)
+        point_table(g, ((), (0.0,), ()), DEFAULT_MAX_ORDER + 1)
+
+
+def _maps_of_every_family():
+    """(name, map): one map of each built-in family and speed kind, a
+    swapped map, and a product and a sum of maps on different blocks."""
+    from stochfio.symbol_spaces import swapped_map
+
+    gauss_y = builtin_map("gaussian_bump", block="y", center=0.3, width=0.8)
+    trig_x = builtin_map("trig_polynomial", block="x", terms=[(0.5, 2.0, 0.3)], offset=1.0)
+    bracket = builtin_map("bracket_power", exponent=-1.0)
+    return [
+        ("constant", builtin_map("constant", value=1.5, layout=(0, 1, 0))),
+        ("linear_phase", builtin_map("linear_phase")),
+        ("scaled_norm_phase", builtin_map("scaled_norm_phase", speed={
+            "kind": "affine", "offset": 1.0, "slope": 0.5}, t=0.3)),
+        ("tabulated_phase", builtin_map("tabulated_phase",
+                                        g_provider=lambda x, sgn, order: [x] + [1.0] * order)),
+        ("gaussian_bump", gauss_y),
+        ("mollifier_bump", builtin_map("mollifier_bump", block="xi", radius=7.0)),
+        ("trig_polynomial", trig_x),
+        ("coordinate", builtin_map("coordinate", block="xi")),
+        ("bracket_power", bracket),
+        ("sqrt_cos_symbol", builtin_map("sqrt_cos_symbol", omega=1.0)),
+        ("product", builtin_map("product", factors=[gauss_y, bracket])),
+        ("sum", builtin_map("sum", terms=[trig_x, bracket], coefficients=[2.0, -1.0])),
+        ("scaled", builtin_map("scaled", inner=gauss_y, factor=-0.5)),
+        ("swapped", swapped_map(builtin_map("product", factors=[trig_x, bracket]))),
+        ("speed_constant", make_speed("constant", value=1.2)),
+        ("speed_affine", make_speed("affine", offset=1.0, slope=0.4)),
+        ("speed_trig_field", make_speed("trig_field", offset=1.0, terms=[(0.2, 1.0, 0.0)])),
+    ]
+
+
+@pytest.mark.parametrize("name,m", _maps_of_every_family(),
+                         ids=[name for name, _m in _maps_of_every_family()])
+def test_tables_are_keyed_by_order_triples_on_any_covering_layout(name, m):
+    iset = IndexSet(LAYOUT_111, 2, 3)
+    coords = Coords(np.array([0.3, -0.4]), np.array([0.2, 0.5]), np.array([1.5, -2.0]))
+    table = m.table(coords, iset)
+    assert tuple(table) == iset.keys(), name
+    for key, v in table.items():
+        if any(order and not n for order, n in zip(key, m.layout)):
+            # an order in a block the map lacks: the exact zero the kernels skip
+            assert not isinstance(v, np.ndarray) and v == 0.0, (name, key)
 
 
 ISET_013 = IndexSet(VarLayout(0, 1, 1), 3, 3, 3)  # the sample tables' index set
@@ -333,9 +378,8 @@ def test_declared_xi_reflections_hold(x, y, xi):
         assert m.xi_reflection == kind, name
         at = point_table(m, _point(m.layout, x, y, xi), 3)
         mirrored = point_table(m, _point(m.layout, x, y, -xi), 3)
-        n_xi = m.layout.n_xi
         for key in at:
-            sign = (-1) ** sum(key[len(key) - n_xi:])
+            sign = (-1) ** key[2]  # the xi order
             if kind == "odd":
                 assert at[key].imag == 0, (name, key)
                 expected = -sign * at[key]
@@ -392,13 +436,11 @@ def test_declared_standard_forms_hold(x, y, xi, sign):
         assert m.standard_form, name
         at = point_table(m, _point(m.layout, x, y, sign * xi), 3)
         at_zero = point_table(m, _point(m.layout, x, 0.0, sign * xi), 3)
-        n_x = m.layout.n_x
-        z = (0,) * n_x
         # Phi = phi(x, xi) - y xi with phi(x, xi) = Phi(x, 0, xi)
-        minus_y_xi = {z + (0, 0): -y * sign * xi, z + (1, 0): -sign * xi,
-                      z + (0, 1): -y, z + (1, 1): -1.0}
+        minus_y_xi = {(0, 0, 0): -y * sign * xi, (0, 1, 0): -sign * xi,
+                      (0, 0, 1): -y, (0, 1, 1): -1.0}
         for key in at:
-            phi = at_zero[key] if key[n_x] == 0 else 0.0
+            phi = at_zero[key] if key[1] == 0 else 0.0
             assert at[key] == pytest.approx(phi + minus_y_xi.get(key, 0.0), abs=1e-12), \
                 (name, key)
 

@@ -468,7 +468,7 @@ def _branch_ops(speed, t, amp):
 
     return [FioOperator(PhaseFunction(builtin_map("scaled_norm_phase", speed=speed, t=t,
                                                   sign=s)),
-                        amp, CutoffChi(), select_kappa(0.0, 1.0, 0.0, 1), MIRROR_CONFIG)
+                        amp, CutoffChi(), select_kappa(0.0, 1.0, 0.0), MIRROR_CONFIG)
             for s in (1, -1)]
 
 

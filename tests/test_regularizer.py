@@ -13,8 +13,6 @@ from stochfio.jets import (
     IndexSet,
     VarLayout,
     builtin_map,
-    embed_table,
-    project_coords,
 )
 from stochfio.regularizer import (
     CutoffChi,
@@ -93,11 +91,11 @@ def test_chi_table_has_arrays_on_a_chunk_straddling_the_clamp():
     xi = np.array([1.9, 1.95, 1.99, 2.5])
     table = chi.xi_table(Coords(None, None, xi), iset)
     assert all(isinstance(v, np.ndarray) for v in table.values())
-    assert np.array_equal(table[(0,)], chi.values(xi))
+    assert np.array_equal(table[(0, 0, 0)], chi.values(xi))
     derivs = chi.profile_derivs(xi, 3)
     for k in range(4):
-        assert np.array_equal(table[(k,)], derivs[k])
-    assert np.any(table[(1,)] != 0.0) and np.all(table[(1,)][2:] == 0.0)
+        assert np.array_equal(table[(0, 0, k)], derivs[k])
+    assert np.any(table[(0, 0, 1)] != 0.0) and np.all(table[(0, 0, 1)][2:] == 0.0)
 
 
 def test_chi_validates_radii():
@@ -109,6 +107,7 @@ def test_chi_validates_radii():
 # order selection
 
 
+# n_xi is the engine's one xi coordinate, which the decay target counts
 @pytest.mark.parametrize("d,rho,delta,n_xi,extra,expected", [
     (0.0, 1.0, 0.0, 1, 0, 2),
     (1.0, 1.0, 0.0, 1, 0, 3),
@@ -117,7 +116,7 @@ def test_chi_validates_radii():
     (0.0, 1.0, 0.0, 1, 2, 4),
 ])
 def test_kappa_selection(d, rho, delta, n_xi, extra, expected):
-    plan = select_kappa(d, rho, delta, n_xi, extra_decay=extra)
+    plan = select_kappa(d, rho, delta, extra_decay=extra)
     assert plan.kappa == expected
     assert plan.gain == pytest.approx(min(rho, 1.0 - delta))
     # selected kappa really clears the decay requirement
@@ -126,17 +125,22 @@ def test_kappa_selection(d, rho, delta, n_xi, extra, expected):
 
 @settings(max_examples=200, deadline=None)
 @given(d=st.floats(-3.0, 4.0), rho=st.floats(0.05, 1.0),
-       delta=st.floats(0.0, 0.95), n_xi=st.integers(1, 3),
-       extra=st.integers(0, 3))
-def test_kappa_selection_is_minimal_and_sufficient(d, rho, delta, n_xi, extra):
-    plan = select_kappa(d, rho, delta, n_xi, extra_decay=extra)
-    target = -(n_xi + 1 + extra)
+       delta=st.floats(0.0, 0.95), extra=st.integers(0, 3))
+def test_kappa_selection_is_minimal_and_sufficient(d, rho, delta, extra):
+    plan = select_kappa(d, rho, delta, extra_decay=extra)
+    target = -(2 + extra)
     assert plan.kappa >= 0
     assert d - plan.kappa * plan.gain <= target + 1e-9          # sufficient
     if plan.kappa > 0:
         assert d - (plan.kappa - 1) * plan.gain > target - 1e-9  # minimal
     # asking for more tail decay can never lower the selected order
-    assert select_kappa(d, rho, delta, n_xi, extra_decay=extra + 1).kappa >= plan.kappa
+    assert select_kappa(d, rho, delta, extra_decay=extra + 1).kappa >= plan.kappa
+
+
+def test_kappa_selection_takes_extra_decay_by_keyword_only():
+    # a positional fourth argument, once the xi dimension, is refused
+    with pytest.raises(TypeError):
+        select_kappa(0.0, 1.0, 0.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +303,7 @@ def ladder_points(xi_lo, xi_hi, kappa, seed, n):
 def ladder_case(xi_lo, xi_hi, kappa, amp, seed, n=48):
     coords, phase_t, iset = ladder_points(xi_lo, xi_hi, kappa, seed, n)
     coeffs = coefficient_tables(phase_t, coords, CutoffChi(), iset)
-    f = embed_table(amp.provider(project_coords(coords, amp.layout),
-                                 IndexSet(amp.layout, 0, kappa)), amp.layout, iset)
-    return f, coeffs, iset, n
+    return amp.table(coords, iset), coeffs, iset, n
 
 
 @pytest.mark.parametrize("band,xi_lo,xi_hi", [("transition", 1.0, 2.0),

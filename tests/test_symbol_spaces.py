@@ -6,6 +6,7 @@ import pytest
 from _references import point_table
 from stochfio.jets import VarLayout, builtin_map
 from stochfio.oscillatory import GridField
+from stochfio.regularizer import CutoffChi, check_coefficient_symbol_bounds
 from stochfio.symbol_spaces import (
     Amplitude,
     PhaseFunction,
@@ -158,6 +159,23 @@ def test_homogeneity_rejects_bracket_growth():
     rep = check_homogeneity(bad)
     assert not rep.passed
     assert rep.max_residual > 1e-2
+
+
+def test_homogeneity_refuses_a_phase_without_xi():
+    phase = PhaseFunction(builtin_map("gaussian_bump", block="x"))
+    with pytest.raises(ValueError, match="xi coordinate"):
+        check_homogeneity(phase)
+
+
+@pytest.mark.parametrize("check", [
+    lambda phase, box: check_alpha_membership(phase, 0.25, x_box=box),
+    lambda phase, box: check_homogeneity(phase, x_box=box),
+    lambda phase, box: check_coefficient_symbol_bounds(phase, CutoffChi(), x_box=box),
+    lambda phase, box: check_derivative_bound(phase, 2, x_box=box),
+], ids=["membership", "homogeneity", "coefficient_bounds", "derivative_bound"])
+def test_checks_refuse_an_empty_box(check):
+    with pytest.raises(ValueError, match=r"empty compact box: x_box=\(1.0, 0.0\)"):
+        check(translation_phase(), (1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
