@@ -34,14 +34,12 @@ from .jets import (
 from .oscillatory import (
     _BOTH_SIGNS,
     _POSITIVE_SIGN,
-    FioOperator,
     GridField,
     QuadratureConfig,
     _probe_points,
-    _y_first_apply,
+    _shifted_sums,
     _y_first_plan,
 )
-from .regularizer import CutoffChi, select_kappa
 from .symbol_spaces import Amplitude, PhaseFunction
 
 __all__ = [
@@ -153,25 +151,49 @@ def transport_phase(speed: SmoothMap, t: float, tol: float = 1e-10) -> PhaseFunc
         describe=f"xi (gamma(x, {t}) - y)"), xi_reflection="odd"))
 
 
-def _order_zero_op(phase: PhaseFunction, amp: Amplitude,
-                   config: QuadratureConfig | None) -> FioOperator:
-    """The operator of a phase and an order-zero amplitude."""
-    return FioOperator(phase, amp, CutoffChi(), select_kappa(0.0, 1.0, 0.0),
-                       config or QuadratureConfig())
+def _paired_sums(plan, z) -> tuple:
+    """The band sums P_+(z[i]) + P_-(z[-1 - i]) (``oscillatory._shifted_sums``)
+    of the rows of the shift stack ``z``, and their (2 pi)^-1 band-order totals."""
+    pos, neg = _shifted_sums(plan, z)
+    sums = pos + neg[::-1]
+    return (2.0 * math.pi) ** -1 * sum(sums[..., b] for b in range(sums.shape[-1])), sums
 
 
-_UNIT_AMPLITUDE = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(1, 0, 1)))
+def _shifted_field(u0: SmoothMap, x_points, config: QuadratureConfig | None,
+                   shifts) -> GridField:
+    """The field (2 pi)^-1 [P_+(z_+) + P_-(z_-)] (``_paired_sums``) of a phase
+    xi (z(x, sign xi) - y) with unit amplitude; a real u0 runs xi > 0 alone.
+
+    ``shifts(xs)`` stacks z_+ and z_- on the points ``xs``, or gives one row
+    for both.  d_xi is the largest |z - y| over the probe's x samples and
+    the ends of u0's y window, where |z - y| peaks, and d_y = 1.
+    """
+    t0 = time.perf_counter()
+    mirrored = u0.xi_reflection == "hermitian"
+
+    def rates(xs, window):
+        z = shifts(_probe_points(xs))[..., None]
+        return float(np.max(np.abs(z - np.asarray(window, dtype=float)))), 1.0
+
+    plan = _y_first_plan(u0, x_points, _POSITIVE_SIGN if mirrored else _BOTH_SIGNS,
+                         config or QuadratureConfig(), rates)
+    values, sums = _paired_sums(plan, shifts(plan.xs))
+    contributions = (2.0 * math.pi) ** -1 * np.max(np.abs(sums[0]), axis=0)
+    meta = {**plan.meta, "evaluations": plan.meta["evaluations"] + plan.sum_evaluations,
+            "wall_time": time.perf_counter() - t0, "xi_reflected": mirrored,
+            "band_contributions": [float(v) for v in contributions]}
+    return GridField((plan.xs,), {(0,): values[0]}, meta)
 
 
 def transport_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
                     config: QuadratureConfig | None = None) -> GridField:
     """u(x, t) = u0(gamma(x, t)) evaluated through the operator quadrature.
 
-    The phase xi (gamma(x, t) - y) is in standard form, so the integral is
-    summed y first (``oscillatory._y_first_apply``), serially.
+    The phase xi (gamma(x, t) - y) shifts both half-lines to gamma, so the
+    integral is the y-first sum over the shifted points gamma(x, t).
     """
-    return _y_first_apply(_order_zero_op(transport_phase(speed, t), _UNIT_AMPLITUDE,
-                                         config), u0, x_points)
+    return _shifted_field(u0, x_points, config,
+                          lambda xs: solve_characteristics(speed, xs, t)[0][None])
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +237,7 @@ def _flow_rhs(speed: SmoothMap, order: int, s):
 
 
 def solve_flows(speed: SmoothMap, x, t: float, sigma: int, order: int = 0,
-                tol: float = 1e-10, n_steps: int | None = None,
-                regime_threshold: float = 0.5) -> FlowResult:
+                tol: float = 1e-10, n_steps: int | None = None) -> FlowResult:
     """Integrate dF/dt = c(F) P'(G), dG/dt = -c'(F) P(G) with x jets.
 
     Inside the region |G| > 1/2 the symbol P(G) = |G| (1 - chi(4G)) equals
@@ -224,7 +245,7 @@ def solve_flows(speed: SmoothMap, x, t: float, sigma: int, order: int = 0,
     G.  The conservation law c(F) P(G) = c(x) P(sigma) is monitored as an
     integration check.  ``min_abs_G`` is the smallest |G| at the start and
     at every RK4 step endpoint, and ``in_regime`` reports whether it stayed
-    above the threshold.
+    above 1/2.
     """
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
@@ -241,7 +262,19 @@ def solve_flows(speed: SmoothMap, x, t: float, sigma: int, order: int = 0,
     c_end = np.asarray(_compose_speed(speed, [Fj[0]], 0)[(0, 0, 0)])
     c_start = np.asarray(_compose_speed(speed, [x], 0)[(0, 0, 0)])
     resid = float(np.max(np.abs(c_end * np.abs(Gj[0]) - c_start)))
-    return FlowResult(t, sigma, x, Fj, Gj, mg, resid, mg > regime_threshold)
+    return FlowResult(t, sigma, x, Fj, Gj, mg, resid, mg > 0.5)
+
+
+def _regime_flow(speed: SmoothMap, x, t: float, sigma: int, order: int = 0,
+                 tol: float = 1e-10) -> FlowResult:
+    """``solve_flows``, raising RegimeError for a flow that leaves the regime."""
+    flow = solve_flows(speed, x, t, sigma, order=order, tol=tol)
+    if not flow.in_regime:
+        raise RegimeError(
+            f"half-wave flow left the |G| > 1/2 regime before t = {t} "
+            f"(min |G| = {flow.min_abs_G:.3f}); shorten the time or "
+            "smooth the speed")
+    return flow
 
 
 def eikonal_phi(speed: SmoothMap, x, t: float, sigma: int, order: int = 0,
@@ -254,9 +287,7 @@ def eikonal_phi(speed: SmoothMap, x, t: float, sigma: int, order: int = 0,
     with RK4, as a third component next to the point flow (F, G), as an
     independent consistency check (analytically zero in regime).
     """
-    flow = solve_flows(speed, x, t, sigma, order=order, tol=tol)
-    if not flow.in_regime:
-        raise RegimeError(f"flow left the |G| > 1/2 regime (min |G| = {flow.min_abs_G:.3f})")
+    flow = _regime_flow(speed, x, t, sigma, order=order, tol=tol)
     s = float(sigma)
 
     def rhs(st):
@@ -315,30 +346,19 @@ def regime_horizon(speed: SmoothMap, x, t_max: float, dt: float = 0.05,
             "hit_threshold": margins[-1] <= threshold}
 
 
-def halfwave_phase(speed: SmoothMap, t: float, tol: float = 1e-10,
-                   regime_threshold: float = 0.5,
-                   margins: list | None = None) -> PhaseFunction:
+def halfwave_phase(speed: SmoothMap, t: float, tol: float = 1e-10) -> PhaseFunction:
     """Phase xi (g(x, sign xi) - y) with g the eikonal flow endpoint.
 
     phi(x, t, xi) = |xi| sigma F(t; x, sigma) = xi F(t; x, sigma) for
     sigma = sign(xi), so the half-wave phase is a tabulated transport-type
-    phase whose g depends on the sign of xi.  ``margins``, when given,
-    receives the ``min_abs_G`` of every flow the phase integrates.
+    phase whose g depends on the sign of xi.
     """
     cache = {}  # flow jets keyed by the x array, the order and sigma
 
     def branch(x, sigma, order):
         key = (x.tobytes(), x.shape, order, sigma)
         if key not in cache:
-            flow = solve_flows(speed, x.ravel(), t, sigma, order=order, tol=tol,
-                               regime_threshold=regime_threshold)
-            if margins is not None:
-                margins.append(flow.min_abs_G)
-            if not flow.in_regime:
-                raise RegimeError(
-                    f"half-wave flow left the |G| > 1/2 regime before t = {t} "
-                    f"(min |G| = {flow.min_abs_G:.3f}); shorten the time or "
-                    "smooth the speed")
+            flow = _regime_flow(speed, x.ravel(), t, sigma, order=order, tol=tol)
             cache[key] = [f.reshape(x.shape) for f in flow.F]
         return cache[key]
 
@@ -367,16 +387,21 @@ def halfwave_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
     t; for constant speed it is exact up to the low-frequency part where
     P differs from |xi|.
 
-    The phase is in standard form, so the integral is summed y first and
-    serially, like ``transport_solve``.  The field meta's ``min_abs_G`` is
-    the smallest |G| over both sigma and every x whose flow the run
-    integrated: the grid's own flows, which the y-first sum tables in this
-    process, and the node planner's probe.
+    The phase xi (F(t; x, sign xi) - y) shifts the xi > 0 and xi < 0
+    half-lines to F(t; x, +1) and F(t; x, -1), the points of the y-first
+    sum.  The field meta's ``min_abs_G`` is the smallest |G| of every flow
+    the run integrated: both sigma on the grid and on the plan's probe points.
     """
-    margins = []
-    phase = halfwave_phase(speed, t, margins=margins)
-    field = _y_first_apply(_order_zero_op(phase, _UNIT_AMPLITUDE, config), u0, x_points)
-    return GridField(field.points, field.values, {**field.meta, "min_abs_G": min(margins)})
+    flows = []
+
+    def shifts(xs):
+        pair = [_regime_flow(speed, xs, t, sigma) for sigma in (1, -1)]
+        flows.extend(pair)
+        return np.stack([flow.F[0] for flow in pair])
+
+    field = _shifted_field(u0, x_points, config, shifts)
+    return GridField(field.points, field.values,
+                     {**field.meta, "min_abs_G": min(flow.min_abs_G for flow in flows)})
 
 
 def _speed_values(speed, xs: np.ndarray) -> np.ndarray:
@@ -407,10 +432,9 @@ def _wave_plan(speeds, amp: Amplitude, u0: SmoothMap, t: float, x_points,
         return max(float(np.max(gaps + np.abs(_speed_values(c, xs) * t)[:, None]))
                    for c in speeds), 1.0
 
-    plan = _y_first_plan(VarLayout(1, 1, 1), u0,
-                         np.atleast_1d(np.asarray(x_points, dtype=float)),
+    plan = _y_first_plan(u0, np.atleast_1d(np.asarray(x_points, dtype=float)),
                          _POSITIVE_SIGN if hermitian else _BOTH_SIGNS,
-                         config or QuadratureConfig(), CutoffChi(), rates)
+                         config or QuadratureConfig(), rates)
     iset = IndexSet(amp.layout, 0, 0)
     return replace(plan, hats={
         sign: amp.map.table(Coords(None, None, sign * plan.xi), iset)[iset.zero] * hat
@@ -423,29 +447,13 @@ def _wave_values(plan, c, t: float) -> tuple:
     band sums of each branch, (branches, speeds, N_x, bands).
 
     For xi > 0, Phi_s(x, 0, +-xi) = +-z_{+-s} xi with z_s = x + s t c(x),
-    so branch s is P_+(z_s) + P_-(z_{-s}), where P_+-(z) sums
-    exp(+-i z xi) a w_xi u_hat(+-xi) over the xi > 0 nodes; P_- = conj P_+
-    on a plan of the xi > 0 half-line.  One cos / sin table of the z of
-    every branch and speed serves all the sums, in blocks of at most
-    ``plan.max_elements`` entries.  Each row is summed band by band on its
-    own, so a speed's values do not depend on the speeds summed with it.
+    so branch s is P_+(z_s) + P_-(z_{-s}) (``_paired_sums``, with the
+    amplitude in the plan's hats): one table of the z of every branch and
+    speed serves all the sums.
     """
-    x, starts = plan.xs, plan.edges[:-1]
     tc = t * np.asarray(c, dtype=float)
-    z = np.stack(np.broadcast_arrays(x + tc, x - tc))
-    flat = z.ravel()
-    pos = np.empty((flat.size, starts.size), dtype=complex)
-    neg = np.empty_like(pos) if -1.0 in plan.signs else None
-    rows = max(1, plan.max_elements // plan.xi.size)
-    for s in range(0, flat.size, rows):
-        theta = np.outer(flat[s:s + rows], plan.xi)
-        e = np.cos(theta) + 1j * np.sin(theta)
-        pos[s:s + rows] = np.add.reduceat(e * plan.hats[1.0], starts, axis=1)
-        if neg is not None:
-            neg[s:s + rows] = np.add.reduceat(np.conj(e) * plan.hats[-1.0], starts, axis=1)
-    pos = pos.reshape(z.shape + starts.shape)
-    sums = pos + (np.conj(pos) if neg is None else neg.reshape(pos.shape))[::-1]
-    branches = (2.0 * math.pi) ** -1 * sum(sums[..., b] for b in range(starts.size))
+    z = np.stack(np.broadcast_arrays(plan.xs + tc, plan.xs - tc))
+    branches, sums = _paired_sums(plan, z)
     return branches[0] + branches[1], sums
 
 

@@ -269,7 +269,7 @@ def cmd_apply(cfg: dict, args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     with _config_errors("apply option 'test_function'"):
-        field = op.apply(u, xs, workers=args.workers)
+        field = op.apply(u, xs)
     payload, _ = _field_payload("apply", cfg, field)
     _emit(args, payload, field)
     return 0

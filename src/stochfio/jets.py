@@ -360,7 +360,8 @@ class SmoothMap:
     requested index set, whose layout covers the map's; coordinate entries
     of ``coords`` are scalars or broadcastable numpy arrays.  Providers must
     be pure so that maps can be shared across worker processes.
-    :meth:`table` refuses orders above ``DEFAULT_MAX_ORDER``.
+    :meth:`table` refuses an index set whose layout does not cover the
+    map's, and orders above ``DEFAULT_MAX_ORDER``.
 
     ``xi_reflection`` declares how the map behaves under xi -> -xi:
 
@@ -369,13 +370,9 @@ class SmoothMap:
       real map that is even in xi or does not depend on xi;
     * ``None``: nothing is declared.
 
-    ``standard_form`` declares that the map is a phase in Hormander's
-    standard form Phi(x, y, xi) = phi(x, xi) - y xi: it depends on y only
-    through the term -y xi.  The solvers' y-first evaluation needs it.
-
-    The built-in builders derive both declarations from their parameters.
-    A hand-built map opts in only by declaring them, and the quadrature
-    engine trusts the declarations without checking them.
+    The built-in builders derive the declaration from their parameters.  A
+    hand-built map opts in only by declaring it, and the quadrature engine
+    trusts the declaration without checking it.
     """
 
     layout: VarLayout
@@ -383,7 +380,6 @@ class SmoothMap:
     describe: str = ""
     support: dict = field(default_factory=dict)
     xi_reflection: str | None = None
-    standard_form: bool = False
 
     def __post_init__(self):
         if any(n not in (0, 1) for n in self.layout):
@@ -394,6 +390,9 @@ class SmoothMap:
                              f"got {self.xi_reflection!r}")
 
     def table(self, coords: Coords, iset: IndexSet) -> dict:
+        if any(n > m for n, m in zip(self.layout, iset.layout)):
+            raise ValueError(f"index set layout {tuple(iset.layout)} does not cover "
+                             f"the map's {tuple(self.layout)}")
         if iset.max_total() > DEFAULT_MAX_ORDER:
             raise ValueError(f"requested order {iset.max_total()} exceeds {DEFAULT_MAX_ORDER}")
         return self.provider(coords, iset)
@@ -582,7 +581,7 @@ def _linear_phase() -> SmoothMap:
         return t
 
     return SmoothMap(VarLayout(1, 1, 1), provider, "<x-y, xi> on R^1",
-                     xi_reflection="odd", standard_form=True)
+                     xi_reflection="odd")
 
 
 def _scaled_norm_phase(*, speed, t, sign=1) -> SmoothMap:
@@ -601,8 +600,7 @@ def _scaled_norm_phase(*, speed, t, sign=1) -> SmoothMap:
         return t_add(lin.provider(coords, iset), prod, iset)
 
     return SmoothMap(VarLayout(1, 1, 1), provider,
-                     f"<x-y, xi> {'+' if sign > 0 else '-'} c(x) {t} ||xi||",
-                     standard_form=True)
+                     f"<x-y, xi> {'+' if sign > 0 else '-'} c(x) {t} ||xi||")
 
 
 def _tabulated_phase(*, g_provider, describe: str = "xi (g(x) - y)") -> SmoothMap:
@@ -632,7 +630,7 @@ def _tabulated_phase(*, g_provider, describe: str = "xi (g(x) - y)") -> SmoothMa
             t[(0, 1, 1)] = -1.0
         return t
 
-    return SmoothMap(VarLayout(1, 1, 1), provider, describe, standard_form=True)
+    return SmoothMap(VarLayout(1, 1, 1), provider, describe)
 
 
 def _coordinate(*, block) -> SmoothMap:
@@ -781,10 +779,7 @@ def builtin_map(family: str, **params) -> SmoothMap:
     ``sum`` and ``scaled`` keep a shared declaration under real
     coefficients and ``product`` combines its factors'.  ``tabulated_phase``,
     ``scaled_norm_phase``, trig polynomials in xi and complex constants
-    declare nothing.  ``linear_phase``, ``scaled_norm_phase`` and
-    ``tabulated_phase`` declare ``standard_form``; no other family does:
-    a sum, product or multiple of a standard-form phase may change its
-    y-dependence.
+    declare nothing.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")

@@ -34,26 +34,21 @@ identity, not an approximation.  Declarations come from
 ``SmoothMap.xi_reflection`` and are trusted; any other input runs both
 half-lines.
 
-y-first evaluation: every phase the solvers build has Hormander's
-standard form Phi = phi(x, xi) - y xi (``SmoothMap.standard_form``).  For
-it, integrating by parts in y is exact at each xi, so with an amplitude
-free of y the regularized integral is
-(2 pi)^-1 sum_xi w_xi exp(i phi(x, xi)) a(x, xi) u_hat(xi) with
-u_hat(xi) = sum_y w_y exp(-i y xi) u(y).  The sum runs in two stages.
-``_y_first_plan`` plans the bands at kappa = 0 for the rates it is given
-and forms u_hat on each band's xi > 0 nodes once (N_y N_xi work; for a
-real u the xi < 0 half is its conjugate).  ``_y_first_apply`` then sums
-an operator against it with the x-jets ``out_order`` asks for (N_x N_xi
-work, in blocks): no ladder, and the truncation error is the tail of
-|u_hat| rather than the ladder's O(R^-m).  It runs serially and keeps the
-(band, sign) accumulators.  The transport and half-wave solvers take this
-path.  The wave branches (``applications._wave_values``), and through them
-the wave solver, the expected wave field and the quadrature Monte Carlo
-engine, share the plan and replace stage two by one table of shifted
-points: exp(i Phi_s) at xi > 0 is exp(i z_s xi) with z_s = x + s t c(x).
-``apply``, ``apply_adjoint``, ``pair_distribution``,
-``oscillatory_integral`` and ``convergence_study`` stay on the L^kappa
-ladder, whose truncation they study.
+y-first evaluation: every phase the solvers build is xi (z(x, sign xi) - y)
+for a shift z: gamma(x, t) for transport, F(t; x, sign xi) for the
+half-wave and x + s t c(x) sign xi for wave branch s.  Integrating by
+parts in y is exact at each xi, so with an amplitude a(xi) the regularized
+integral is the sum over shifted points (2 pi)^-1 sum_xi w_xi exp(i z xi)
+a(xi) u_hat(xi) with u_hat(xi) = sum_y w_y exp(-i y xi) u(y).
+``_y_first_plan`` plans the bands at kappa = 0 and forms u_hat on each
+band's xi > 0 nodes once (N_y N_xi work; for a real u the xi < 0 half is
+its conjugate); ``_shifted_sums`` sums each band against one cos / sin
+table of the points (N_z N_xi work, in blocks).  No ladder is applied, so
+the truncation error is the tail of |u_hat| rather than the ladder's
+O(R^-m).  The solvers, the expected wave field and the quadrature Monte
+Carlo engine take this path, serially; ``apply``, ``apply_adjoint``,
+``pair_distribution``, ``oscillatory_integral`` and ``convergence_study``
+stay on the L^kappa ladder, whose truncation they study.
 """
 
 from __future__ import annotations
@@ -128,9 +123,9 @@ class QuadratureConfig:
     elements (128 kB per real entry) and 3.3 ns at 262144 (2 MB).  The
     chunk size depends only on this value and the total point count, never
     on the worker count.  The y-first solver path builds its exp(-i y xi)
-    tables, its x tables and the wave branches' exp(i z xi) tables in
-    blocks of at most this many entries (or one row's worth, if that is
-    more) and runs serially, so ``workers`` only splits the L^kappa ladder.
+    and exp(i z xi) tables in blocks of at most this many entries (or one
+    row's worth, if that is more) and runs serially, so ``workers`` only
+    splits the L^kappa ladder.
     """
 
     xi_radius: float = 40.0
@@ -547,25 +542,6 @@ def _check_layouts(layout: VarLayout, u: SmoothMap | None = None) -> None:
         raise ValueError("test function must be a map of y alone")
 
 
-def _band_field(layout: VarLayout, xs, band_totals, meta: dict,
-                mirrored: bool) -> GridField:
-    """Field of the (2 pi)^-1-normalised band totals on the x points ``xs``
-    (None for a phase without x), summed in band order.
-
-    ``band_contributions`` holds the sup over x of each band's value.
-    """
-    f = (2.0 * math.pi) ** -1
-    total = {k: np.zeros(np.shape(v), dtype=complex) for k, v in band_totals[0].items()}
-    contributions = []
-    for band in band_totals:
-        for k, v in band.items():
-            total[k] += v
-        contributions.append(f * float(np.max(np.abs(band[(0, 0, 0)]))))
-    meta = {**meta, "xi_reflected": mirrored, "band_contributions": contributions}
-    return GridField(() if xs is None else (xs,),
-                     {k[:layout.n_x]: f * v for k, v in total.items()}, meta)
-
-
 def _normalize_x_points(layout: VarLayout, x_points):
     """The 1-d x point array, or None for a phase without x."""
     if layout.n_x == 0:
@@ -582,6 +558,8 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
 
     When the phase is declared odd and the amplitude and u hermitian in xi,
     only the xi > 0 half-line is evaluated and each band gives 2 Re of it.
+    The (2 pi)^-1-normalised bands are summed in band order, and the meta's
+    ``band_contributions`` holds the sup over x of each band's value.
     """
     layout = op.phase.layout
     _check_layouts(layout, u)
@@ -592,14 +570,23 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
     parts, meta = _run_engine(op.phase, op.amplitude, u, op.chi, op.plan.kappa,
                               xs, out_order, op.config, window,
                               _POSITIVE_SIGN if mirrored else _BOTH_SIGNS, workers)
+    f = (2.0 * math.pi) ** -1
+    bands = _band_totals(parts, mirrored)
+    total = {k: np.zeros(np.shape(v), dtype=complex) for k, v in bands[0].items()}
+    for band in bands:
+        for k, v in band.items():
+            total[k] += v
     meta.update({"kappa": op.plan.kappa, "y_window": tuple(window),
-                 "wall_time": time.perf_counter() - t0,
-                 "xi_radius": op.config.xi_radius})
-    return _band_field(layout, xs, _band_totals(parts, mirrored), meta, mirrored)
+                 "wall_time": time.perf_counter() - t0, "xi_radius": op.config.xi_radius,
+                 "xi_reflected": mirrored,
+                 "band_contributions": [f * float(np.max(np.abs(band[(0, 0, 0)])))
+                                        for band in bands]})
+    return GridField(() if xs is None else (xs,),
+                     {k[:layout.n_x]: f * v for k, v in total.items()}, meta)
 
 
 # ---------------------------------------------------------------------------
-# y-first evaluation of standard-form phases
+# y-first evaluation of the solvers' shifted-point phases
 
 
 def _u_hat(u_weighted, yn, xi, max_elements: int) -> np.ndarray:
@@ -617,15 +604,6 @@ def _u_hat(u_weighted, yn, xi, max_elements: int) -> np.ndarray:
     return out
 
 
-def _x_tables(op: FioOperator, xs, xi, out_order: int) -> dict:
-    """x-jets of exp(i Phi(x, 0, xi)) a(x, xi) on the (x points) x (xi) grid."""
-    iset = IndexSet(op.phase.layout, out_order, 0)
-    xi = xi[None, :]
-    coords = Coords(xs[:, None], np.zeros_like(xi), xi)
-    return t_mul(t_exp(t_scale(op.phase.table(coords, iset), 1.0j), iset),
-                 op.amplitude.table(coords, iset), iset)
-
-
 @dataclass(frozen=True)
 class _YFirstPlan:
     """Stage one of the y-first sum: the x points, the node plan and the
@@ -634,7 +612,7 @@ class _YFirstPlan:
     ``hats[sign]`` holds w_xi u_hat(sign xi) on the xi > 0 nodes ``xi`` of
     all bands, band b at ``xi[edges[b]:edges[b + 1]]``; ``max_elements``
     bounds one table built on it.  ``meta``'s ``evaluations`` count the
-    u_hat tables alone; each operator summed adds ``sum_evaluations``.
+    u_hat tables alone; each field summed on it adds ``sum_evaluations``.
     """
 
     xs: np.ndarray
@@ -647,14 +625,14 @@ class _YFirstPlan:
 
     @property
     def sum_evaluations(self) -> int:
-        """N_x N_xi per evaluated half-line: one operator's x sums."""
+        """N_x N_xi per evaluated half-line: one field's x sums."""
         return self.xs.size * len(self.signs) * self.xi.size
 
 
-def _y_first_plan(layout: VarLayout, u: SmoothMap, x_points, signs,
-                  config: QuadratureConfig, chi: CutoffChi, rates) -> _YFirstPlan:
-    """Stage one of the y-first sum of phases of ``layout`` on the half-lines
-    ``signs``: plan the bands, form u_hat.
+def _y_first_plan(u: SmoothMap, x_points, signs, config: QuadratureConfig,
+                  rates) -> _YFirstPlan:
+    """Stage one of the y-first sum on the half-lines ``signs``: plan the
+    bands, form u_hat.
 
     ``rates(xs, window)`` gives the (d_xi, d_y) of the fastest phase the
     plan is to serve.  Each band forms u_hat(xi) = sum_y w_y exp(-i y xi)
@@ -663,10 +641,11 @@ def _y_first_plan(layout: VarLayout, u: SmoothMap, x_points, signs,
     other u a second table.  The plan is taken at kappa = 0: no L is
     applied, so no cutoff derivatives enter.
     """
+    layout = VarLayout(1, 1, 1)  # every solver phase: one x, one y, one xi
     _check_layouts(layout, u)
     xs = _normalize_x_points(layout, x_points)
     window = _support_window([u], "y")
-    bands, rates = _plan_nodes(None, chi, config, xs, window, 0,
+    bands, rates = _plan_nodes(None, CutoffChi(), config, xs, window, 0,
                                rates=rates(xs, window))
     u_weighted = [yw * u.table(Coords(None, yn, None), IndexSet(u.layout, 0, 0))[(0, 0, 0)]
                   for _lo, _hi, _xn, _xw, yn, yw in bands]
@@ -698,49 +677,27 @@ def _y_first_plan(layout: VarLayout, u: SmoothMap, x_points, signs,
                        hats, config.max_chunk_elements, meta)
 
 
-def _y_first_apply(op: FioOperator, u: SmoothMap, x_points,
-                   out_order: int = 0) -> GridField:
-    """``apply`` for a standard-form phase and a y-free amplitude, y first.
+def _shifted_sums(plan: _YFirstPlan, z) -> tuple:
+    """The band sums P_+-(z) of exp(+-i z xi) ``plan.hats[+-1]`` over each
+    band's xi > 0 nodes for every entry of ``z``, each z.shape + (bands,).
 
-    For Phi = phi(x, xi) - y xi, integrating by parts in y is exact at each
-    xi, so the regularized integral is (2 pi)^-1 sum_xi w_xi exp(i phi) a
-    u_hat(xi): no L^kappa ladder, and the truncation error is the tail of
-    |u_hat| beyond the radius.  Stage two sums the (band, sign) parts with
-    the x-jets ``out_order`` asks for, building the x tables in xi-blocks
-    of max(1, max_elements // N_x) nodes, each used up before the next.
-    Runs serially, in this process.
+    On a plan of the xi > 0 half-line P_- = conj P_+.  One cos / sin table
+    of the points serves both, in blocks of at most ``plan.max_elements``
+    entries (or one row); each row is summed on its own, so a point's sums
+    do not depend on the points tabled with it.
     """
-    t0 = time.perf_counter()
-    if not op.phase.map.standard_form:
-        raise ValueError("y-first evaluation needs a phase declared in the "
-                         "standard form phi(x, xi) - y xi")
-    if op.amplitude.layout.n_y:
-        raise ValueError("y-first evaluation needs an amplitude free of y")
-    mirrored = _xi_mirrored(op.phase, op.amplitude, u)
-    plan = _y_first_plan(op.phase.layout, u, x_points,
-                         _POSITIVE_SIGN if mirrored else _BOTH_SIGNS, op.config, op.chi,
-                         lambda xs, window: _probe_rates(op.phase, xs, window))
-    npts, xi, edges = plan.xs.size, plan.xi, plan.edges
-    nbands = edges.size - 1
-    block = max(1, plan.max_elements // npts)
-    keys = IndexSet(op.phase.layout, out_order, 0).keys()
-    parts = [[{} for _ in plan.signs] for _ in range(nbands)]  # (band, sign) sums
-    for j, sign in enumerate(plan.signs):
-        for s in range(0, xi.size, block):
-            e = min(s + block, xi.size)
-            tab = _x_tables(op, plan.xs, sign * xi[s:e], out_order)
-            for b in range(nbands):
-                lo, hi = max(edges[b], s), min(edges[b + 1], e)
-                if lo >= hi:
-                    continue
-                for k in keys:
-                    term = (np.broadcast_to(tab[k], (npts, e - s))[:, lo - s:hi - s]
-                            @ plan.hats[sign][lo:hi])
-                    parts[b][j][k] = parts[b][j].get(k, 0.0) + term
-    meta = {**plan.meta, "evaluations": plan.meta["evaluations"] + plan.sum_evaluations,
-            "wall_time": time.perf_counter() - t0}
-    return _band_field(op.phase.layout, plan.xs, _band_totals(parts, mirrored), meta,
-                       mirrored)
+    flat, starts = np.ravel(z), plan.edges[:-1]
+    pos = np.empty((flat.size, starts.size), dtype=complex)
+    neg = np.empty_like(pos) if -1.0 in plan.signs else None
+    rows = max(1, plan.max_elements // plan.xi.size)
+    for s in range(0, flat.size, rows):
+        theta = np.outer(flat[s:s + rows], plan.xi)
+        e = np.cos(theta) + 1j * np.sin(theta)
+        pos[s:s + rows] = np.add.reduceat(e * plan.hats[1.0], starts, axis=1)
+        if neg is not None:
+            neg[s:s + rows] = np.add.reduceat(np.conj(e) * plan.hats[-1.0], starts, axis=1)
+    pos = pos.reshape(np.shape(z) + starts.shape)
+    return pos, np.conj(pos) if neg is None else neg.reshape(pos.shape)
 
 
 def apply_adjoint(op: FioOperator, v: SmoothMap, y_points, out_order: int = 0,

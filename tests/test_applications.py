@@ -17,9 +17,7 @@ from _references import (
     restarted_horizon,
 )
 from stochfio.applications import (
-    _UNIT_AMPLITUDE,
     RegimeError,
-    _order_zero_op,
     eikonal_phi,
     halfwave_phase,
     halfwave_solve,
@@ -33,7 +31,8 @@ from stochfio.applications import (
     wave_solve,
 )
 from stochfio.jets import VarLayout, builtin_map
-from stochfio.oscillatory import QuadratureConfig, apply
+from stochfio.oscillatory import FioOperator, QuadratureConfig, apply
+from stochfio.regularizer import CutoffChi, select_kappa
 from stochfio.stochastic import (
     TruncatedSpeedModel,
     _damping_amplitude,
@@ -44,6 +43,7 @@ from stochfio.stochastic import (
 from stochfio.symbol_spaces import Amplitude, PhaseFunction
 
 GAUSS = builtin_map("gaussian_bump", block="y", center=0.0, width=1.0)
+UNIT_AMPLITUDE = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(1, 0, 1)))
 FAST = QuadratureConfig(xi_radius=30.0)
 
 
@@ -353,7 +353,8 @@ def _l_kappa_counterparts():
     xs = XS_Y[::2]
 
     def l_kappa(phase, amp, cols):
-        return apply(_order_zero_op(phase, amp, config), GAUSS_OFF, cols).value
+        op = FioOperator(phase, amp, CutoffChi(), select_kappa(0.0, 1.0, 0.0), config)
+        return apply(op, GAUSS_OFF, cols).value
 
     def branches(speed, amp, t):
         return sum(l_kappa(PhaseFunction(builtin_map("scaled_norm_phase", speed=speed,
@@ -366,10 +367,10 @@ def _l_kappa_counterparts():
     return {
         "transport": (
             lambda: transport_solve(trig_speed(), GAUSS_OFF, 0.5, xs, config=config),
-            lambda: l_kappa(transport_phase(trig_speed(), 0.5), _UNIT_AMPLITUDE, xs)),
+            lambda: l_kappa(transport_phase(trig_speed(), 0.5), UNIT_AMPLITUDE, xs)),
         "halfwave": (
             lambda: halfwave_solve(trig_speed(), GAUSS_OFF, 0.2, xs, config=config),
-            lambda: l_kappa(halfwave_phase(trig_speed(), 0.2), _UNIT_AMPLITUDE, xs)),
+            lambda: l_kappa(halfwave_phase(trig_speed(), 0.2), UNIT_AMPLITUDE, xs)),
         "wave": (lambda: wave_solve(affine, GAUSS_OFF, 0.4, xs, config=config),
                  lambda: branches(affine, half, 0.4)),
         "expected_wave": (
@@ -431,3 +432,16 @@ def test_closed_form_wave_rates_equal_the_probe(case):
     assert plan.meta["bands"] == [(lo, hi, xn.size, yn.size)
                                   for lo, hi, xn, _xw, yn, _yw in bands]
     assert np.array_equal(plan.xi, np.concatenate([xn for _lo, _hi, xn, *_ in bands]))
+
+
+@pytest.mark.parametrize("solver", ["transport", "halfwave"])
+def test_closed_form_solver_rates_equal_the_probe(solver):
+    # d_xi = max |z - y| over the probe's x samples is taken at the ends of
+    # the y window, where the probe of the phase xi (z - y) finds it too
+    from stochfio.oscillatory import _probe_rates
+
+    solve, phase = {"transport": (transport_solve, transport_phase),
+                    "halfwave": (halfwave_solve, halfwave_phase)}[solver]
+    field = solve(trig_speed(), GAUSS_OFF, 0.4, XS_Y, config=Y_FIRST)
+    d_xi, d_y = _probe_rates(phase(trig_speed(), 0.4), XS_Y, field.meta["y_window"])
+    assert field.meta["rates"] == {"d_xi": d_xi, "d_y": d_y}

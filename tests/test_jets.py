@@ -249,6 +249,12 @@ def test_tables_are_keyed_by_order_triples_on_any_covering_layout(name, m):
         if any(order and not n for order, n in zip(key, m.layout)):
             # an order in a block the map lacks: the exact zero the kernels skip
             assert not isinstance(v, np.ndarray) and v == 0.0, (name, key)
+    # a layout that lacks one of the map's blocks does not cover it: a map of
+    # y alone is refused (1, 0, 1) rather than tabled on keys it cannot fill
+    last = max(b for b, n in enumerate(m.layout) if n)
+    short = IndexSet(VarLayout(*(int(b != last) for b in range(3))), 1, 2)
+    with pytest.raises(ValueError, match="does not cover"):
+        m.table(coords, short)
 
 
 ISET_013 = IndexSet(VarLayout(0, 1, 1), 3, 3, 3)  # the sample tables' index set
@@ -409,54 +415,3 @@ def test_undeclared_families_stay_undeclared():
         assert m.xi_reflection is None, m.describe
     with pytest.raises(ValueError):
         replace(lin, xi_reflection="even")
-
-
-# ---------------------------------------------------------------------------
-# declared standard form Phi(x, y, xi) = phi(x, xi) - y xi
-
-
-def _standard_form_phases():
-    from stochfio.applications import halfwave_phase, transport_phase
-
-    affine = make_speed("affine", offset=1.0, slope=0.4)
-    return [
-        ("linear_phase", builtin_map("linear_phase")),
-        ("scaled_norm_phase +", builtin_map("scaled_norm_phase", speed=affine, t=0.3, sign=1)),
-        ("scaled_norm_phase -", builtin_map("scaled_norm_phase", speed=2.0, t=0.3, sign=-1)),
-        ("transport_phase", transport_phase(affine, 0.3).map),
-        ("halfwave_phase", halfwave_phase(make_speed("constant", value=1.0), 0.3).map),
-    ]
-
-
-@settings(max_examples=20, deadline=None)
-@given(x=coord, y=coord, xi=st.floats(min_value=0.1, max_value=6.0, allow_nan=False),
-       sign=st.sampled_from([-1.0, 1.0]))
-def test_declared_standard_forms_hold(x, y, xi, sign):
-    for name, m in _standard_form_phases():
-        assert m.standard_form, name
-        at = point_table(m, _point(m.layout, x, y, sign * xi), 3)
-        at_zero = point_table(m, _point(m.layout, x, 0.0, sign * xi), 3)
-        # Phi = phi(x, xi) - y xi with phi(x, xi) = Phi(x, 0, xi)
-        minus_y_xi = {(0, 0, 0): -y * sign * xi, (0, 1, 0): -sign * xi,
-                      (0, 0, 1): -y, (0, 1, 1): -1.0}
-        for key in at:
-            phi = at_zero[key] if key[1] == 0 else 0.0
-            assert at[key] == pytest.approx(phi + minus_y_xi.get(key, 0.0), abs=1e-12), \
-                (name, key)
-
-
-def test_other_maps_declare_no_standard_form():
-    from stochfio.symbol_spaces import swapped_map
-
-    lin = builtin_map("linear_phase")
-    xi = builtin_map("coordinate", block="xi")
-    for m in [
-        builtin_map("sum", terms=[lin, xi]),
-        builtin_map("scaled", inner=lin, factor=2.0),
-        builtin_map("product", factors=[builtin_map("trig_polynomial", block="x",
-                                                    terms=[(0.2, 1.0, 0.0)], offset=1.0), lin]),
-        swapped_map(lin),
-        xi,
-        builtin_map("constant", value=1.0, layout=(1, 1, 1)),
-    ]:
-        assert not m.standard_form, m.describe
