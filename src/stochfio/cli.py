@@ -142,16 +142,21 @@ def build_grid(cfg: dict, command: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def build_quadrature(cfg: dict, workers=None) -> QuadratureConfig:
+def build_quadrature(cfg: dict) -> QuadratureConfig:
     spec = dict(cfg.get("quadrature", {}))
     known = {f.name for f in dataclass_fields(QuadratureConfig)}
     unknown = set(spec) - known
     if unknown:
         raise ConfigError(f"unknown quadrature options: {sorted(unknown)}")
-    if workers is not None:
-        spec["workers"] = int(workers)
     with _config_errors("quadrature options"):
         return QuadratureConfig(**spec)
+
+
+def _workers(args) -> int:
+    """The ``--workers`` count that splits the L^kappa ladder."""
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    return args.workers
 
 
 def _integer(value, what: str) -> int:
@@ -257,7 +262,8 @@ def cmd_apply(cfg: dict, args) -> int:
     amplitude = build_amplitude(cfg, "apply")
     u = build_test_function(cfg, "apply")
     xs = build_grid(cfg, "apply")
-    qc = build_quadrature(cfg, args.workers)
+    qc = build_quadrature(cfg)
+    workers = _workers(args)
     operator_opts = cfg.get("operator", {})
     alpha = operator_opts.get("alpha", 0.25)
     with _config_errors("operator options"):
@@ -269,7 +275,7 @@ def cmd_apply(cfg: dict, args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     with _config_errors("apply option 'test_function'"):
-        field = op.apply(u, xs)
+        field = op.apply(u, xs, workers=workers)
     payload, _ = _field_payload("apply", cfg, field)
     _emit(args, payload, field)
     return 0
@@ -389,11 +395,12 @@ def cmd_converge(cfg: dict, args) -> int:
         slack = float(options.get("slack", 2.0))
     if len(radii) < 3 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError("converge radii must be at least three increasing values")
-    qc = build_quadrature(cfg, args.workers)
+    qc = build_quadrature(cfg)
+    workers = _workers(args)
     # the study rejects bad radii, m_tilde or test function before any work
     with _config_errors("converge options"):
         report = convergence_study(phase, amplitude, u, xs, m_tilde=m_tilde,
-                                   radii=radii, config=qc)
+                                   radii=radii, config=qc, workers=workers)
     respected = bool(report.bound_respected(slack=slack))
     payload = {
         "manifest": make_manifest("converge", cfg),
@@ -447,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format; csv writes a manifest sidecar")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the Monte Carlo base seed")
-        sp.add_argument("--workers", type=int, default=None,
+        sp.add_argument("--workers", type=int, default=1,
                         help="worker processes for the L^kappa ladder of apply "
                              "and converge; transport, halfwave, wave and mc "
                              "run serially and ignore it")

@@ -14,14 +14,20 @@ edges, narrowest at both ends, and 2 kappa more nodes per panel than the
 other bands.  Outside it chi is constant and the integrand varies on the
 scale of exp(i Phi), so the oscillation budget alone sizes those xi-panels;
 a fixed width cap would only add nodes that the phase does not ask for.
-All node tensors are evaluated jointly over (x grid) x (nodes) chunks, so
+Each band's panel edges are one array, and one broadcast of the cached
+Gauss-Legendre rule over them gives the band's nodes and weights.  All
+node tensors are evaluated jointly over (x grid) x (nodes) chunks, so
 the jet kernels see broadcast arrays instead of Python loops.
 
 Each (band, sign) pair has its own accumulator, filled chunk by chunk with
 per-row reductions and summed in the fixed band order, so results are
 byte-identical for a given configuration and x grid no matter how many
 workers split the grid.  The per-band sums also give the band
-contributions reported in the field meta.
+contributions reported in the field meta.  ``apply`` is the one driver of
+the L^kappa ladder, and its ``workers`` argument the one worker count:
+``apply_adjoint`` and ``pair_distribution`` apply the swapped operator,
+``oscillatory_integral`` runs one ``apply`` per refinement level and
+``convergence_study`` one per radius.
 
 Mirrored half-line: when the phase is declared odd in xi
 (Phi(x, y, -xi) = -Phi(x, y, xi), real) and the amplitude and the test
@@ -46,9 +52,8 @@ its conjugate); ``_shifted_sums`` sums each band against one cos / sin
 table of the points (N_z N_xi work, in blocks).  No ladder is applied, so
 the truncation error is the tail of |u_hat| rather than the ladder's
 O(R^-m).  The solvers, the expected wave field and the quadrature Monte
-Carlo engine take this path, serially; ``apply``, ``apply_adjoint``,
-``pair_distribution``, ``oscillatory_integral`` and ``convergence_study``
-stay on the L^kappa ladder, whose truncation they study.
+Carlo engine take this path, serially; ``apply`` and the functions built
+on it stay on the L^kappa ladder, whose truncation they study.
 """
 
 from __future__ import annotations
@@ -124,8 +129,9 @@ class QuadratureConfig:
     chunk size depends only on this value and the total point count, never
     on the worker count.  The y-first solver path builds its exp(-i y xi)
     and exp(i z xi) tables in blocks of at most this many entries (or one
-    row's worth, if that is more) and runs serially, so ``workers`` only
-    splits the L^kappa ladder.
+    row's worth, if that is more) and runs serially.  The worker count is
+    not a quadrature option: it is the ``workers`` argument of ``apply``,
+    which only the L^kappa ladder takes.
     """
 
     xi_radius: float = 40.0
@@ -135,11 +141,10 @@ class QuadratureConfig:
     abs_tol: float = 1e-6
     max_refinements: int = 5
     max_chunk_elements: int = 16384
-    workers: int = 1
 
     def __post_init__(self):
-        if not self.xi_radius > 0:
-            raise ValueError("xi_radius must be positive")
+        if not 0 < self.xi_radius < math.inf:
+            raise ValueError("xi_radius must be positive and finite")
         if self.nodes_per_panel < 1:
             raise ValueError("nodes_per_panel must be at least 1")
         for name in ("y_panel_max_width", "osc_nodes_budget"):
@@ -149,8 +154,6 @@ class QuadratureConfig:
             raise ValueError("max_chunk_elements must be at least 1")
         if self.max_refinements < 0:
             raise ValueError("max_refinements must be nonnegative")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
 
     def refined(self, level: int) -> "QuadratureConfig":
         """Refinement doubles the tail radius and halves the y-panel width
@@ -173,10 +176,6 @@ class GridField:
     def value(self) -> np.ndarray:
         n_x = len(self.points)
         return self.values[(0,) * n_x]
-
-    def derivative(self, key) -> np.ndarray:
-        key = (key,) if isinstance(key, int) else tuple(key)
-        return self.values[key]
 
 
 @dataclass(frozen=True)
@@ -249,11 +248,11 @@ class FioOperator:
                            config or QuadratureConfig(), membership)
 
     def apply(self, u: SmoothMap, x_points, out_order: int = 0,
-              workers: int | None = None) -> GridField:
+              workers: int = 1) -> GridField:
         return apply(self, u, x_points, out_order=out_order, workers=workers)
 
     def apply_adjoint(self, v: SmoothMap, y_points, out_order: int = 0,
-                      workers: int | None = None) -> GridField:
+                      workers: int = 1) -> GridField:
         return apply_adjoint(self, v, y_points, out_order=out_order, workers=workers)
 
     def swapped(self) -> "FioOperator":
@@ -274,27 +273,25 @@ def _gl_rule(p: int):
     return x, w
 
 
-def _gl_nodes(lo: float, hi: float, p: int):
-    x, w = _gl_rule(p)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * x, half * w
-
-
-def _panels(lo: float, hi: float, max_width: float):
+def _panels(lo: float, hi: float, max_width: float) -> np.ndarray:
+    """Edges of the fewest equal panels of [lo, hi] at most ``max_width`` wide."""
     n = max(1, math.ceil((hi - lo) / max_width - 1e-12))
-    edges = np.linspace(lo, hi, n + 1)
-    return list(zip(edges[:-1], edges[1:]))
+    return np.linspace(lo, hi, n + 1)
 
 
-def _graded_panels(lo: float, hi: float, n: int):
-    """``n`` panels with cosine-spaced edges, narrowest at both ends."""
-    edges = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
-    return list(zip(edges[:-1], edges[1:]))
+def _graded_panels(lo: float, hi: float, n: int) -> np.ndarray:
+    """Edges of ``n`` panels with cosine spacing, narrowest at both ends."""
+    return lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
 
 
-def _nodes_on(panels, p: int):
-    xs, ws = zip(*(_gl_nodes(a, b, p) for a, b in panels))
-    return np.concatenate(xs), np.concatenate(ws)
+def _gauss_nodes(edges, p: int):
+    """The ``p``-point Gauss-Legendre nodes and weights of every panel
+    between consecutive ``edges``, panel by panel: one broadcast of the
+    cached rule."""
+    x, w = _gl_rule(p)
+    mid = (0.5 * (edges[1:] + edges[:-1]))[:, None]
+    half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def _probe_points(a, n_samples: int = 5) -> np.ndarray:
@@ -369,12 +366,12 @@ def _plan_nodes(phase, chi, config, xs, y_window, kappa, rates=None):
     bands = []
     for lo, hi in _xi_bands(chi, config.xi_radius):
         if lo < chi.outer_radius and hi <= chi.outer_radius + 1e-12 and lo >= chi.inner_radius - 1e-12:
-            xn, xw = _nodes_on(_graded_panels(lo, hi, kappa + 2), p + 2 * kappa)
+            xn, xw = _gauss_nodes(_graded_panels(lo, hi, kappa + 2), p + 2 * kappa)
         else:
-            xn, xw = _nodes_on(_panels(lo, hi, xi_w), p)
+            xn, xw = _gauss_nodes(_panels(lo, hi, xi_w), p)
         y_rate = max(d_y * hi, 1e-12)
         wy = min(config.y_panel_max_width, budget / y_rate)
-        yn, yw = _nodes_on(_panels(y_window[0], y_window[1], wy), p)
+        yn, yw = _gauss_nodes(_panels(y_window[0], y_window[1], wy), p)
         bands.append((lo, hi, xn, xw, yn, yw))
     return bands, {"d_xi": d_xi, "d_y": d_y}
 
@@ -462,10 +459,8 @@ def _engine(phase, amp, u, chi, kappa, xs, out_order, config,
 _FORK_JOB: dict = {}
 
 
-def _fork_entry(args):
-    i, sl = args
-    job = _FORK_JOB["payload"]
-    return i, _engine(*job, x_slice=sl)
+def _fork_entry(x_slice):
+    return _engine(*_FORK_JOB["payload"], x_slice=x_slice)
 
 
 def _worker_slices(npts: int, workers: int, cpus: int | None) -> list:
@@ -479,30 +474,19 @@ def _worker_slices(npts: int, workers: int, cpus: int | None) -> list:
     return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def _run_engine(phase, amp, u, chi, kappa, xs, out_order, config,
-                y_window, signs, workers):
-    """Plan the nodes, then the (band, sign) sums on every x point."""
-    workers = config.workers if workers is None else workers
-    npts = 1 if xs is None else xs.size
-    bands, rates = _plan_nodes(phase, chi, config, xs, y_window, kappa)
-    job = (phase, amp, u, chi, kappa, xs, out_order, config, bands, signs)
-    slices = _worker_slices(npts, workers, os.cpu_count())
-    if len(slices) > 1 and hasattr(os, "fork"):
-        import multiprocessing as mp
-        ctx = mp.get_context("fork")
-        _FORK_JOB["payload"] = job
-        try:
-            with ctx.Pool(len(slices)) as pool:
-                pieces = pool.map(_fork_entry, list(enumerate(slices)))
-        finally:
-            _FORK_JOB.clear()
-        pieces = [p for _i, p in sorted(pieces, key=lambda t: t[0])]
-        parts = [[{k: np.concatenate([p[b][j][k] for p in pieces]) for k in acc}
-                  for j, acc in enumerate(per_sign)]
-                 for b, per_sign in enumerate(pieces[0])]
-    else:
-        parts = _engine(*job)
-    return parts, _band_meta(bands, rates, _chunk_nodes(config, npts), signs, npts)
+def _fork_parts(job, slices) -> list:
+    """``_engine``'s (band, sign) sums of ``job``, one forked worker per x
+    slice, joined in slice order."""
+    import multiprocessing as mp
+    _FORK_JOB["payload"] = job
+    try:
+        with mp.get_context("fork").Pool(len(slices)) as pool:
+            pieces = pool.map(_fork_entry, slices)  # in slice order
+    finally:
+        _FORK_JOB.clear()
+    return [[{k: np.concatenate([p[b][j][k] for p in pieces]) for k in acc}
+             for j, acc in enumerate(per_sign)]
+            for b, per_sign in enumerate(pieces[0])]
 
 
 # The half-lines the engine evaluates: both, or xi > 0 alone when the xi < 0
@@ -521,16 +505,6 @@ def _xi_mirrored(phase, amp, u: SmoothMap) -> bool:
     return (phase.map.xi_reflection == "odd"
             and amp.map.xi_reflection == "hermitian"
             and u.xi_reflection == "hermitian")
-
-
-def _band_totals(parts, mirrored: bool) -> list:
-    """Per-band sums over both half-lines from the (band, sign) accumulators.
-
-    Mirrored parts hold the xi > 0 half P alone, and P + conj(P) = 2 Re P.
-    """
-    if mirrored:
-        return [{k: 2.0 * v.real for k, v in pos.items()} for (pos,) in parts]
-    return [{k: neg[k] + v for k, v in pos.items()} for neg, pos in parts]
 
 
 def _check_layouts(layout: VarLayout, u: SmoothMap | None = None) -> None:
@@ -553,34 +527,50 @@ def _normalize_x_points(layout: VarLayout, x_points):
 
 
 def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
-          workers: int | None = None, y_window=None) -> GridField:
+          workers: int = 1, y_window=None) -> GridField:
     """Evaluate A[u] (and x derivatives up to ``out_order``) on a grid.
 
-    When the phase is declared odd and the amplitude and u hermitian in xi,
-    only the xi > 0 half-line is evaluated and each band gives 2 Re of it.
-    The (2 pi)^-1-normalised bands are summed in band order, and the meta's
+    Plans the nodes, then sums every (band, sign) over the x points, split
+    into at most ``workers`` forked processes (never more than the points
+    or the CPUs); the result does not depend on the split.  When the phase
+    is declared odd and the amplitude and u hermitian in xi, only the
+    xi > 0 half-line is evaluated and each band gives 2 Re of it.  The
+    (2 pi)^-1-normalised bands are summed in band order, and the meta's
     ``band_contributions`` holds the sup over x of each band's value.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     layout = op.phase.layout
     _check_layouts(layout, u)
     mirrored = _xi_mirrored(op.phase, op.amplitude, u)
+    signs = _POSITIVE_SIGN if mirrored else _BOTH_SIGNS
     xs = _normalize_x_points(layout, x_points)
+    npts = 1 if xs is None else xs.size
     window = _support_window([u, op.amplitude.map], "y", y_window)
     t0 = time.perf_counter()
-    parts, meta = _run_engine(op.phase, op.amplitude, u, op.chi, op.plan.kappa,
-                              xs, out_order, op.config, window,
-                              _POSITIVE_SIGN if mirrored else _BOTH_SIGNS, workers)
-    f = (2.0 * math.pi) ** -1
-    bands = _band_totals(parts, mirrored)
-    total = {k: np.zeros(np.shape(v), dtype=complex) for k, v in bands[0].items()}
-    for band in bands:
+    bands, rates = _plan_nodes(op.phase, op.chi, op.config, xs, window, op.plan.kappa)
+    job = (op.phase, op.amplitude, u, op.chi, op.plan.kappa, xs, out_order, op.config,
+           bands, signs)
+    slices = _worker_slices(npts, workers, os.cpu_count())
+    if len(slices) > 1 and hasattr(os, "fork"):
+        parts = _fork_parts(job, slices)
+    else:
+        parts = _engine(*job)
+    if mirrored:  # the parts hold the xi > 0 half P alone: P + conj(P) = 2 Re P
+        band_sums = [{k: 2.0 * v.real for k, v in pos.items()} for (pos,) in parts]
+    else:
+        band_sums = [{k: neg[k] + v for k, v in pos.items()} for neg, pos in parts]
+    total = {k: np.zeros(np.shape(v), dtype=complex) for k, v in band_sums[0].items()}
+    for band in band_sums:
         for k, v in band.items():
             total[k] += v
+    f = (2.0 * math.pi) ** -1
+    meta = _band_meta(bands, rates, _chunk_nodes(op.config, npts), signs, npts)
     meta.update({"kappa": op.plan.kappa, "y_window": tuple(window),
                  "wall_time": time.perf_counter() - t0, "xi_radius": op.config.xi_radius,
                  "xi_reflected": mirrored,
                  "band_contributions": [f * float(np.max(np.abs(band[(0, 0, 0)])))
-                                        for band in bands]})
+                                        for band in band_sums]})
     return GridField(() if xs is None else (xs,),
                      {k[:layout.n_x]: f * v for k, v in total.items()}, meta)
 
@@ -677,9 +667,10 @@ def _y_first_plan(u: SmoothMap, x_points, signs, config: QuadratureConfig,
                        hats, config.max_chunk_elements, meta)
 
 
-def _shifted_sums(plan: _YFirstPlan, z) -> tuple:
-    """The band sums P_+-(z) of exp(+-i z xi) ``plan.hats[+-1]`` over each
-    band's xi > 0 nodes for every entry of ``z``, each z.shape + (bands,).
+def _shifted_sums(plan: _YFirstPlan, z, signs=(1.0, -1.0)) -> tuple:
+    """The band sums P_s(z) of exp(s i z xi) ``plan.hats[s]`` over each
+    band's xi > 0 nodes for every entry of ``z``, one z.shape + (bands,)
+    array per half-line s in ``signs``.
 
     On a plan of the xi > 0 half-line P_- = conj P_+.  One cos / sin table
     of the points serves both, in blocks of at most ``plan.max_elements``
@@ -687,21 +678,23 @@ def _shifted_sums(plan: _YFirstPlan, z) -> tuple:
     do not depend on the points tabled with it.
     """
     flat, starts = np.ravel(z), plan.edges[:-1]
-    pos = np.empty((flat.size, starts.size), dtype=complex)
-    neg = np.empty_like(pos) if -1.0 in plan.signs else None
+    # a half-line without u_hat of its own (xi < 0 of a xi > 0 plan) is conj P_+
+    tabled = dict.fromkeys(sign if sign in plan.hats else 1.0 for sign in signs)
+    sums = {sign: np.empty((flat.size, starts.size), dtype=complex) for sign in tabled}
     rows = max(1, plan.max_elements // plan.xi.size)
     for s in range(0, flat.size, rows):
         theta = np.outer(flat[s:s + rows], plan.xi)
         e = np.cos(theta) + 1j * np.sin(theta)
-        pos[s:s + rows] = np.add.reduceat(e * plan.hats[1.0], starts, axis=1)
-        if neg is not None:
-            neg[s:s + rows] = np.add.reduceat(np.conj(e) * plan.hats[-1.0], starts, axis=1)
-    pos = pos.reshape(np.shape(z) + starts.shape)
-    return pos, np.conj(pos) if neg is None else neg.reshape(pos.shape)
+        for sign, out in sums.items():
+            out[s:s + rows] = np.add.reduceat((e if sign > 0 else np.conj(e)) * plan.hats[sign],
+                                              starts, axis=1)
+    shape = np.shape(z) + starts.shape
+    return tuple((sums[sign] if sign in sums else np.conj(sums[1.0])).reshape(shape)
+                 for sign in signs)
 
 
 def apply_adjoint(op: FioOperator, v: SmoothMap, y_points, out_order: int = 0,
-                  workers: int | None = None, x_window=None) -> GridField:
+                  workers: int = 1, x_window=None) -> GridField:
     """Evaluate the transpose A^t[v](y) = int int exp(i Phi) a v(x) dx dxi.
 
     Implemented as ``apply`` of the block-swapped operator, so the phase
@@ -712,7 +705,7 @@ def apply_adjoint(op: FioOperator, v: SmoothMap, y_points, out_order: int = 0,
 
 
 def pair_distribution(op: FioOperator, u: PointDistribution, v: SmoothMap,
-                      workers: int | None = None, x_window=None) -> complex:
+                      workers: int = 1, x_window=None) -> complex:
     """Pairing <A[u], v> for a distributional input u = sum w d^(r) delta.
 
     Duality moves A onto the test function: the pairing equals
@@ -727,39 +720,28 @@ def pair_distribution(op: FioOperator, u: PointDistribution, v: SmoothMap,
     return out
 
 
-def oscillatory_integral(phase, amplitude, chi: CutoffChi | None = None,
-                         kappa: int | None = None,
-                         config: QuadratureConfig | None = None,
-                         y_window=None) -> complex:
+def oscillatory_integral(phase, amplitude,
+                         config: QuadratureConfig | None = None) -> complex:
     """Regularized integral int int exp(i Phi(y, xi)) a(y, xi) dy dxi.
 
     The phase has no x block and the measure is plain Lebesgue dxi (no
-    2 pi normalisation).  The quadrature plan is refined (tail radius
+    2 pi normalisation): each value is 2 pi times ``apply`` of the
+    operator to the unit test function of y, with the kappa of the
+    amplitude's class.  The quadrature plan is refined (tail radius
     doubled, y-panels and outer xi-panels halved; the graded transition
     band stays) until two consecutive values agree within ``abs_tol``;
     failure raises ToleranceError with the achieved difference.
     """
     phase, amplitude = _as_symbols(phase, amplitude)
-    layout = phase.layout
-    if layout.n_x != 0:
+    if phase.layout.n_x != 0:
         raise ValueError("oscillatory_integral expects a phase without x block")
-    _check_layouts(layout)
-    chi = chi or CutoffChi()
     config = config or QuadratureConfig()
-    if kappa is None:
-        kappa = select_kappa(amplitude.d, amplitude.rho, amplitude.delta).kappa
-    ident = builtin_map("constant", value=1.0, layout=VarLayout(0, 1, 0))
-    window = _support_window([amplitude.map], "y", y_window)
-    mirrored = _xi_mirrored(phase, amplitude, ident)
-    signs = _POSITIVE_SIGN if mirrored else _BOTH_SIGNS
-    prev = None
-    achieved = math.inf
+    plan = select_kappa(amplitude.d, amplitude.rho, amplitude.delta)
+    unit = builtin_map("constant", value=1.0, layout=VarLayout(0, 1, 0))
+    prev, achieved = None, math.inf
     for level in range(config.max_refinements + 1):
-        cfg = config.refined(level) if level else config
-        bands, _rates = _plan_nodes(phase, chi, cfg, None, window, kappa)
-        parts = _engine(phase, amplitude, ident, chi, kappa, None, 0, cfg, bands, signs)
-        val = complex(sum(band[(0, 0, 0)][0]
-                          for band in _band_totals(parts, mirrored)))
+        op = FioOperator(phase, amplitude, CutoffChi(), plan, config.refined(level))
+        val = 2.0 * math.pi * complex(apply(op, unit, None).value[0])
         if prev is not None:
             achieved = abs(val - prev)
             if achieved <= config.abs_tol:
@@ -793,13 +775,14 @@ class ConvergenceReport:
 def convergence_study(phase, amplitude, u: SmoothMap, x_points, m_tilde: int = 2,
                       radii=(5.0, 10.0, 20.0, 40.0, 80.0),
                       config: QuadratureConfig | None = None,
-                      chi: CutoffChi | None = None) -> ConvergenceReport:
+                      workers: int = 1) -> ConvergenceReport:
     """Observed tail convergence against the guaranteed decay envelope.
 
     kappa is chosen with ``extra_decay = m_tilde``, so the regularized
     integrand is O(||xi||^(-1 - m_tilde)) and the truncation error at radius
     R is O(R^(-m_tilde)).  The study reports sup-norm deviations from the
-    richest radius and the fitted decay rate.
+    richest radius and the fitted decay rate.  Each radius is one ``apply``
+    on ``workers`` processes.
     """
     phase, amplitude = _as_symbols(phase, amplitude)
     radii = tuple(sorted(radii))
@@ -807,13 +790,12 @@ def convergence_study(phase, amplitude, u: SmoothMap, x_points, m_tilde: int = 2
         raise ValueError("m_tilde must be nonnegative")
     if radii[0] <= 0:
         raise ValueError("radii must be positive")
-    chi = chi or CutoffChi()
     base = config or QuadratureConfig()
     plan = select_kappa(amplitude.d, amplitude.rho, amplitude.delta, extra_decay=m_tilde)
     fields = []
     for r in radii:
-        op = FioOperator(phase, amplitude, chi, plan, replace(base, xi_radius=r))
-        fields.append(apply(op, u, x_points).value)
+        op = FioOperator(phase, amplitude, CutoffChi(), plan, replace(base, xi_radius=r))
+        fields.append(apply(op, u, x_points, workers=workers).value)
     ref = fields[-1]
     errors = tuple(float(np.max(np.abs(f - ref))) for f in fields[:-1])
     rate = plan.decay_exponent + 1  # the tail integral over the one xi coordinate

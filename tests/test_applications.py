@@ -445,3 +445,18 @@ def test_closed_form_solver_rates_equal_the_probe(solver):
     field = solve(trig_speed(), GAUSS_OFF, 0.4, XS_Y, config=Y_FIRST)
     d_xi, d_y = _probe_rates(phase(trig_speed(), 0.4), XS_Y, field.meta["y_window"])
     assert field.meta["rates"] == {"d_xi": d_xi, "d_y": d_y}
+
+
+@pytest.mark.parametrize("solver", ["transport", "halfwave"])
+def test_complex_u0_gives_c_times_the_real_field(solver):
+    # a complex u0 is not hermitian, so both half-lines run: transport sums
+    # both at gamma, the half-wave P_+ at F(t; x, +1) and P_- at F(t; x, -1)
+    solve = {"transport": transport_solve, "halfwave": halfwave_solve}[solver]
+    c = 0.6 - 0.8j
+    u0 = builtin_map("product", factors=[
+        GAUSS_OFF, builtin_map("constant", value=c, layout=VarLayout(0, 1, 0))])
+    real = solve(trig_speed(), GAUSS_OFF, 0.4, XS_Y, config=Y_FIRST)
+    cplx = solve(trig_speed(), u0, 0.4, XS_Y, config=Y_FIRST)
+    assert real.meta["xi_reflected"] is True
+    assert cplx.meta["xi_reflected"] is False
+    assert np.max(np.abs(cplx.value - c * real.value)) < 1e-13

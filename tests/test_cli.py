@@ -150,7 +150,30 @@ def test_unknown_quadrature_option(tmp_path):
     assert main(["apply", "--config", cfg]) == 2
 
 
-@pytest.mark.parametrize("option", [{"xi_radius": -4.0}, {"nodes_per_panel": 0}])
+def test_workers_is_not_a_quadrature_option(tmp_path, capsys):
+    # the worker count is the --workers argument alone
+    cfg = write_config(tmp_path, "cfg.json", apply_config(quadrature={"workers": 2}))
+    assert main(["apply", "--config", cfg]) == 2
+    assert "unknown quadrature options: ['workers']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("apply", apply_config()),
+    ("converge", apply_config(converge={"radii": [4.0, 8.0, 16.0]})),
+])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_fewer_than_one_worker_exits_2_naming_the_flag(tmp_path, capsys, command, cfg,
+                                                       workers):
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert main([command, "--config", path, "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: --workers must be at least 1, got {workers}" in captured.err
+
+
+# JSON reads Infinity as a float, and an infinite radius has no finite node plan
+@pytest.mark.parametrize("option", [{"xi_radius": -4.0}, {"nodes_per_panel": 0},
+                                    {"xi_radius": float("inf")}])
 def test_nonsense_quadrature_value_exits_2(tmp_path, capsys, option):
     cfg = write_config(tmp_path, "cfg.json", apply_config(quadrature=option))
     assert main(["apply", "--config", cfg]) == 2
@@ -634,6 +657,21 @@ def test_rerun_and_worker_count_leave_output_unchanged(tmp_path):
         payload["manifest"] = strip_timing(payload["manifest"])
         payloads.append(json.dumps(payload, sort_keys=True))
     assert payloads[0] == payloads[1] == payloads[2]
+
+
+def test_converge_output_does_not_depend_on_the_worker_count(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", apply_config(
+        converge={"radii": [4.0, 8.0, 16.0]}, grid={"lo": -1.0, "hi": 1.0, "n": 5},
+        quadrature={}))
+    texts = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.json"
+        assert main(["converge", "--config", cfg, "--out", str(out),
+                     "--workers", workers]) == 0
+        payload = json.loads(out.read_text())
+        payload["manifest"] = strip_timing(payload["manifest"])
+        texts.append(json.dumps(payload, sort_keys=True))
+    assert texts[0] == texts[1]
 
 
 def test_wave_reruns_are_identical_after_strip_timing(tmp_path):

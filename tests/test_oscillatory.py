@@ -96,8 +96,8 @@ def test_identity_operator_output_jets():
     field = op.apply(gaussian(), XS, out_order=2)
     x = XS
     g = np.exp(-x ** 2)
-    assert np.max(np.abs(field.derivative((1,)) + 2 * x * g)) < 1e-5
-    assert np.max(np.abs(field.derivative((2,)) - (4 * x ** 2 - 2) * g)) < 1e-4
+    assert np.max(np.abs(field.values[(1,)] + 2 * x * g)) < 1e-5
+    assert np.max(np.abs(field.values[(2,)] - (4 * x ** 2 - 2) * g)) < 1e-4
     assert field.meta["nodes"] > 0
     assert field.meta["kappa"] == 2
 
@@ -115,6 +115,12 @@ def test_engine_is_deterministic_across_worker_counts():
     one = op.apply(gaussian(), XS, workers=1)
     two = op.apply(gaussian(), XS, workers=2)
     assert np.array_equal(one.value, two.value)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_apply_refuses_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        build_identity().apply(gaussian(), XS, workers=workers)
 
 
 def test_chunk_counts_cover_the_bands_at_every_worker_count(monkeypatch):
@@ -176,8 +182,8 @@ def test_worker_slices_cap_processes_at_cpus_and_points():
     {"xi_radius": 0.0}, {"xi_radius": -4.0}, {"nodes_per_panel": 0},
     {"y_panel_max_width": 0.0}, {"y_panel_max_width": -0.5},
     {"osc_nodes_budget": math.nan}, {"osc_nodes_budget": 0.0},
-    {"max_chunk_elements": 0}, {"max_refinements": -1}, {"workers": 0},
-    {"xi_radius": math.nan},
+    {"max_chunk_elements": 0}, {"max_refinements": -1}, {"xi_radius": math.nan},
+    {"xi_radius": math.inf},
 ])
 def test_quadrature_config_rejects_nonsense(option):
     with pytest.raises(ValueError):
@@ -627,7 +633,7 @@ def test_transition_band_has_kappa_plus_two_graded_panels(kappa, nodes_per_panel
     assert np.all((lo < xn) & (xn < hi)) and np.all(np.diff(xn) > 0)
     assert xw.sum() == pytest.approx(hi - lo, abs=1e-14)
     # symmetric, narrowest at both plateau edges
-    widths = [b - a for a, b in oscillatory._graded_panels(lo, hi, kappa + 2)]
+    widths = np.diff(oscillatory._graded_panels(lo, hi, kappa + 2))
     assert widths == pytest.approx(widths[::-1], abs=1e-15)
     assert widths[0] < widths[(kappa + 2) // 2]
 
@@ -673,11 +679,11 @@ def test_rough_amplitude_outer_panels_split_in_four_agree(monkeypatch):
     panels = oscillatory._panels
 
     def split_xi_panels(lo, hi, max_width):
-        cut = panels(lo, hi, max_width)
+        edges = panels(lo, hi, max_width)
         if (lo, hi) == tuple(window):
-            return cut
-        return [(a + (b - a) * i / 4, a + (b - a) * (i + 1) / 4) for a, b in cut
-                for i in range(4)]
+            return edges
+        a, b = edges[:-1, None], edges[1:, None]
+        return np.append((a + (b - a) * np.arange(4) / 4).ravel(), edges[-1])
 
     monkeypatch.setattr(oscillatory, "_panels", split_xi_panels)
     fine = op.apply(u, XS)
