@@ -151,10 +151,10 @@ def transport_phase(speed: SmoothMap, t: float, tol: float = 1e-10) -> PhaseFunc
         describe=f"xi (gamma(x, {t}) - y)"), xi_reflection="odd"))
 
 
-def _paired_sums(pos, neg) -> tuple:
-    """The band sums P_+(z[i]) + P_-(z[-1 - i]) of the rows of a shift stack z
-    from its sums ``pos`` and ``neg`` (``oscillatory._shifted_sums``), and
-    their (2 pi)^-1 band-order totals."""
+def _paired_sums(plan, z) -> tuple:
+    """The band sums P_+(z[i]) + P_-(z[-1 - i]) (``oscillatory._shifted_sums``)
+    of the rows of the shift stack ``z``, and their (2 pi)^-1 band-order totals."""
+    pos, neg = _shifted_sums(plan, z)
     sums = pos + neg[::-1]
     return (2.0 * math.pi) ** -1 * sum(sums[..., b] for b in range(sums.shape[-1])), sums
 
@@ -164,10 +164,9 @@ def _shifted_field(u0: SmoothMap, x_points, config: QuadratureConfig | None,
     """The field (2 pi)^-1 [P_+(z_+) + P_-(z_-)] (``_paired_sums``) of a phase
     xi (z(x, sign xi) - y) with unit amplitude; a real u0 runs xi > 0 alone.
 
-    ``shifts(xs)`` stacks z_+ and z_- on the points ``xs``, each summed on
-    its own half-line alone, or gives one row for both.  d_xi is the
-    largest |z - y| over the probe's x samples and the ends of u0's y
-    window, where |z - y| peaks, and d_y = 1.
+    ``shifts(xs)`` stacks z_+ and z_- on the points ``xs``, or gives one row
+    for both.  d_xi is the largest |z - y| over the probe's x samples and
+    the ends of u0's y window, where |z - y| peaks, and d_y = 1.
     """
     t0 = time.perf_counter()
     mirrored = u0.xi_reflection == "hermitian"
@@ -178,12 +177,7 @@ def _shifted_field(u0: SmoothMap, x_points, config: QuadratureConfig | None,
 
     plan = _y_first_plan(u0, x_points, _POSITIVE_SIGN if mirrored else _BOTH_SIGNS,
                          config or QuadratureConfig(), rates)
-    z = shifts(plan.xs)
-    if len(z) == 2:
-        pos_neg = _shifted_sums(plan, z[:1], (1.0,)) + _shifted_sums(plan, z[1:], (-1.0,))
-    else:
-        pos_neg = _shifted_sums(plan, z)
-    values, sums = _paired_sums(*pos_neg)
+    values, sums = _paired_sums(plan, shifts(plan.xs))
     contributions = (2.0 * math.pi) ** -1 * np.max(np.abs(sums[0]), axis=0)
     meta = {**plan.meta, "evaluations": plan.meta["evaluations"] + plan.sum_evaluations,
             "wall_time": time.perf_counter() - t0, "xi_reflected": mirrored,
@@ -459,7 +453,7 @@ def _wave_values(plan, c, t: float) -> tuple:
     """
     tc = t * np.asarray(c, dtype=float)
     z = np.stack(np.broadcast_arrays(plan.xs + tc, plan.xs - tc))
-    branches, sums = _paired_sums(*_shifted_sums(plan, z))
+    branches, sums = _paired_sums(plan, z)
     return branches[0] + branches[1], sums
 
 

@@ -667,10 +667,9 @@ def _y_first_plan(u: SmoothMap, x_points, signs, config: QuadratureConfig,
                        hats, config.max_chunk_elements, meta)
 
 
-def _shifted_sums(plan: _YFirstPlan, z, signs=(1.0, -1.0)) -> tuple:
-    """The band sums P_s(z) of exp(s i z xi) ``plan.hats[s]`` over each
-    band's xi > 0 nodes for every entry of ``z``, one z.shape + (bands,)
-    array per half-line s in ``signs``.
+def _shifted_sums(plan: _YFirstPlan, z) -> tuple:
+    """The band sums P_+-(z) of exp(+-i z xi) ``plan.hats[+-1]`` over each
+    band's xi > 0 nodes for every entry of ``z``, each z.shape + (bands,).
 
     On a plan of the xi > 0 half-line P_- = conj P_+.  One cos / sin table
     of the points serves both, in blocks of at most ``plan.max_elements``
@@ -678,19 +677,17 @@ def _shifted_sums(plan: _YFirstPlan, z, signs=(1.0, -1.0)) -> tuple:
     do not depend on the points tabled with it.
     """
     flat, starts = np.ravel(z), plan.edges[:-1]
-    # a half-line without u_hat of its own (xi < 0 of a xi > 0 plan) is conj P_+
-    tabled = dict.fromkeys(sign if sign in plan.hats else 1.0 for sign in signs)
-    sums = {sign: np.empty((flat.size, starts.size), dtype=complex) for sign in tabled}
+    pos = np.empty((flat.size, starts.size), dtype=complex)
+    neg = np.empty_like(pos) if -1.0 in plan.signs else None
     rows = max(1, plan.max_elements // plan.xi.size)
     for s in range(0, flat.size, rows):
         theta = np.outer(flat[s:s + rows], plan.xi)
         e = np.cos(theta) + 1j * np.sin(theta)
-        for sign, out in sums.items():
-            out[s:s + rows] = np.add.reduceat((e if sign > 0 else np.conj(e)) * plan.hats[sign],
-                                              starts, axis=1)
-    shape = np.shape(z) + starts.shape
-    return tuple((sums[sign] if sign in sums else np.conj(sums[1.0])).reshape(shape)
-                 for sign in signs)
+        pos[s:s + rows] = np.add.reduceat(e * plan.hats[1.0], starts, axis=1)
+        if neg is not None:
+            neg[s:s + rows] = np.add.reduceat(np.conj(e) * plan.hats[-1.0], starts, axis=1)
+    pos = pos.reshape(np.shape(z) + starts.shape)
+    return pos, np.conj(pos) if neg is None else neg.reshape(pos.shape)
 
 
 def apply_adjoint(op: FioOperator, v: SmoothMap, y_points, out_order: int = 0,

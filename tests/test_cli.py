@@ -144,17 +144,13 @@ def test_nonsense_horizon_span_exits_2(tmp_path, capsys, options, name):
     assert name in captured.err
 
 
-def test_unknown_quadrature_option(tmp_path):
-    cfg = write_config(tmp_path, "cfg.json",
-                       apply_config(quadrature={"xi_radius": 30.0, "bogus": 1}))
-    assert main(["apply", "--config", cfg]) == 2
-
-
-def test_workers_is_not_a_quadrature_option(tmp_path, capsys):
-    # the worker count is the --workers argument alone
-    cfg = write_config(tmp_path, "cfg.json", apply_config(quadrature={"workers": 2}))
-    assert main(["apply", "--config", cfg]) == 2
-    assert "unknown quadrature options: ['workers']" in capsys.readouterr().err
+def test_unknown_quadrature_option(tmp_path, capsys):
+    # the worker count is the --workers argument alone, not a quadrature key
+    for quadrature, unknown in [({"xi_radius": 30.0, "bogus": 1}, "['bogus']"),
+                                ({"workers": 2}, "['workers']")]:
+        cfg = write_config(tmp_path, "cfg.json", apply_config(quadrature=quadrature))
+        assert main(["apply", "--config", cfg]) == 2
+        assert f"unknown quadrature options: {unknown}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,cfg", [
