@@ -274,7 +274,8 @@ def cmd_apply(cfg: dict, args) -> int:
                                config=qc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    with _config_errors("apply option 'test_function'"):
+    # a test function the engine cannot take, or a node plan over the bound
+    with _config_errors("apply options"):
         field = op.apply(u, xs, workers=workers)
     payload, _ = _field_payload("apply", cfg, field)
     _emit(args, payload, field)
@@ -287,7 +288,9 @@ def _solver_command(name: str, solver):
         u0 = build_test_function(cfg, name)
         t = build_time(cfg, name)
         xs = build_grid(cfg, name)
-        field = solver(speed, u0, t, xs, config=build_quadrature(cfg))
+        qc = build_quadrature(cfg)
+        with _config_errors(f"{name} options"):
+            field = solver(speed, u0, t, xs, config=qc)
         payload, _ = _field_payload(name, cfg, field)
         _emit(args, payload, field)
         return 0

@@ -155,20 +155,41 @@ def t_mul(a: dict, b: dict, iset: IndexSet) -> dict:
     return _leibniz_rows(a, b, iset, None)
 
 
-def t_mul_shift(a: dict, b: dict, var: int, out_iset: IndexSet) -> dict:
+def t_mul_shift(a: dict, b: dict, var: int, out_iset: IndexSet,
+                into: dict | None = None) -> dict:
     """d_var(a b) on ``out_iset``: entry sigma is (a b)[sigma + e_var].
 
     Only the Leibniz rows of the keys sigma + e_var are formed, in the same
     order as ``t_shift(t_mul(a, b, iset), var, out_iset)``, so the result is
-    bit-identical to that expression.
+    bit-identical to that expression.  Given ``into``, a table on
+    ``out_iset`` whose arrays the caller owns, each row is added to its
+    entry by ``_add_into`` and ``into`` is returned: bit-identical to
+    ``t_add(into, t_mul_shift(a, b, var, out_iset), out_iset)``, without a
+    second table.
     """
-    return _leibniz_rows(a, b, out_iset, var)
+    return _leibniz_rows(a, b, out_iset, var, into)
 
 
-def _leibniz_rows(a: dict, b: dict, iset: IndexSet, var) -> dict:
+def _add_into(a, b):
+    """a + b as ``t_add`` forms it, written into ``a`` when ``a`` is an
+    array that holds the sum (same dtype and shape): ``a`` must be owned by
+    the caller."""
+    if _is_zero(a):
+        return b
+    if _is_zero(b):
+        return a
+    if (isinstance(a, np.ndarray) and np.result_type(a, b) == a.dtype
+            and np.broadcast_shapes(a.shape, np.shape(b)) == a.shape):
+        a += b
+        return a
+    return a + b
+
+
+def _leibniz_rows(a: dict, b: dict, iset: IndexSet, var, into=None) -> dict:
     """Rows of the product a b: entry ``key`` of ``iset`` is row ``key``, or
-    row ``key + e_var`` when ``var`` is given."""
-    out = {}
+    row ``key + e_var`` when ``var`` is given; added into ``into`` when it
+    is given."""
+    out = {} if into is None else into
     for key in iset.keys():
         sigma = key if var is None else _inc(key, var)
         acc = None
@@ -183,7 +204,10 @@ def _leibniz_rows(a: dict, b: dict, iset: IndexSet, var) -> dict:
             if c != 1:
                 term = term * c
             acc = term if acc is None else acc + term
-        out[key] = 0.0 if acc is None else acc
+        if into is None:
+            out[key] = 0.0 if acc is None else acc
+        elif acc is not None:
+            out[key] = _add_into(out[key], acc)
     return out
 
 

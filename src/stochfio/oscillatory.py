@@ -122,12 +122,18 @@ class QuadratureConfig:
     narrowest.  The y-panels are at most ``y_panel_max_width`` wide.
 
     ``max_chunk_elements`` bounds the (x points) x (nodes) size of one
-    table entry.  Each jet product row makes temporaries of that size, so
-    the default keeps them in cache: on a 2-vCPU x86 guest with 2 MB of L2
-    per core, one row term (a b c + acc) took 1.3 ns per element at 16384
+    table entry.  Each jet product row (a b c + acc) makes temporaries of
+    that size, and the default keeps them in cache: on a 2-vCPU x86 guest
+    with 2 MB of L2 per core, one row term took 1.3 ns per element at 16384
     elements (128 kB per real entry) and 3.3 ns at 262144 (2 MB).  The
-    chunk size depends only on this value and the total point count, never
-    on the worker count.  The y-first solver path builds its exp(-i y xi)
+    memory of a chunk is a few whole tables of such entries: the
+    coefficient tables (s', ||xi||^2 d_xi Phi, d_y Phi, chi), and during
+    one L step at most three ladder tables (g and s' g on the current
+    index set and D g on the next, then on a transition chunk g, D g and
+    chi g); see ``apply_l_ladder``.  A kappa = 4, out_order 2 transition
+    chunk of 8,640 nodes at one x point peaks at about 16 MB (tracemalloc).
+    The chunk size depends only on this value and the total point count,
+    never on the worker count.  The y-first solver path builds its exp(-i y xi)
     and exp(i z xi) tables in blocks of at most this many entries (or one
     row's worth, if that is more) and runs serially.  The worker count is
     not a quadrature option: it is the ``workers`` argument of ``apply``,
@@ -220,8 +226,8 @@ class FioOperator:
     membership: object = None
 
     @staticmethod
-    def build(phase, amplitude, alpha: float | None = 0.25, chi: CutoffChi | None = None,
-              extra_decay: int = 0, config: QuadratureConfig | None = None,
+    def build(phase, amplitude, alpha: float | None = 0.25, extra_decay: int = 0,
+              config: QuadratureConfig | None = None,
               x_box=None, y_box=None) -> "FioOperator":
         """Validate membership, pick kappa and freeze the evaluation plan.
 
@@ -244,7 +250,7 @@ class FioOperator:
                     f"min observed {membership.min_observed:.3g}")
         plan = select_kappa(amplitude.d, amplitude.rho, amplitude.delta,
                             extra_decay=extra_decay)
-        return FioOperator(phase, amplitude, chi or CutoffChi(), plan,
+        return FioOperator(phase, amplitude, CutoffChi(), plan,
                            config or QuadratureConfig(), membership)
 
     def apply(self, u: SmoothMap, x_points, out_order: int = 0,
@@ -273,10 +279,14 @@ def _gl_rule(p: int):
     return x, w
 
 
+def _panel_count(lo: float, hi: float, max_width: float) -> int:
+    """The fewest equal panels of [lo, hi] at most ``max_width`` wide."""
+    return max(1, math.ceil((hi - lo) / max_width - 1e-12))
+
+
 def _panels(lo: float, hi: float, max_width: float) -> np.ndarray:
     """Edges of the fewest equal panels of [lo, hi] at most ``max_width`` wide."""
-    n = max(1, math.ceil((hi - lo) / max_width - 1e-12))
-    return np.linspace(lo, hi, n + 1)
+    return np.linspace(lo, hi, _panel_count(lo, hi, max_width) + 1)
 
 
 def _graded_panels(lo: float, hi: float, n: int) -> np.ndarray:
@@ -349,6 +359,12 @@ def _support_window(maps, block: str, default=None):
     return lo, hi
 
 
+# The most nodes a plan may hold, over all bands of one half-line: more than
+# 100 times the largest shipped plan (78,912 nodes, converge.json at R = 32),
+# and far less than would exhaust memory.
+_MAX_PLAN_NODES = 10_000_000
+
+
 def _plan_nodes(phase, chi, config, xs, y_window, kappa, rates=None):
     """Per-band xi and y node arrays; returns list of band node groups.
 
@@ -358,19 +374,30 @@ def _plan_nodes(phase, chi, config, xs, y_window, kappa, rates=None):
     on ever finer scales near the plateau edges.  Every other band's
     xi-panels are sized by the oscillation budget alone.  ``rates``, when
     given, replaces the probe of ``phase``: the (d_xi, d_y) to size for.
+    Every band's panels are counted before any node is built, and a plan
+    of more than ``_MAX_PLAN_NODES`` xi-y nodes is refused (ValueError).
     """
     d_xi, d_y = rates or _probe_rates(phase, xs, y_window)
     p = config.nodes_per_panel
     budget = config.osc_nodes_budget * p
     xi_w = budget / d_xi if d_xi > 0 else math.inf
-    bands = []
+    specs = []  # per band: lo, hi, xi panel width (None: graded), xi nodes per panel, y panel width
+    nodes = 0
     for lo, hi in _xi_bands(chi, config.xi_radius):
+        wy = min(config.y_panel_max_width, budget / max(d_y * hi, 1e-12))
         if lo < chi.outer_radius and hi <= chi.outer_radius + 1e-12 and lo >= chi.inner_radius - 1e-12:
-            xn, xw = _gauss_nodes(_graded_panels(lo, hi, kappa + 2), p + 2 * kappa)
+            w, p_xi, n_xi = None, p + 2 * kappa, kappa + 2
         else:
-            xn, xw = _gauss_nodes(_panels(lo, hi, xi_w), p)
-        y_rate = max(d_y * hi, 1e-12)
-        wy = min(config.y_panel_max_width, budget / y_rate)
+            w, p_xi, n_xi = xi_w, p, _panel_count(lo, hi, xi_w)
+        specs.append((lo, hi, w, p_xi, wy))
+        nodes += n_xi * p_xi * _panel_count(y_window[0], y_window[1], wy) * p
+    if nodes > _MAX_PLAN_NODES:
+        raise ValueError(f"the quadrature plan needs {nodes:.3g} nodes, more than "
+                         f"{_MAX_PLAN_NODES:.0e}: lower xi_radius or raise osc_nodes_budget")
+    bands = []
+    for lo, hi, w, p_xi, wy in specs:
+        xn, xw = _gauss_nodes(_graded_panels(lo, hi, kappa + 2) if w is None
+                              else _panels(lo, hi, w), p_xi)
         yn, yw = _gauss_nodes(_panels(y_window[0], y_window[1], wy), p)
         bands.append((lo, hi, xn, xw, yn, yw))
     return bands, {"d_xi": d_xi, "d_y": d_y}
@@ -691,18 +718,17 @@ def _shifted_sums(plan: _YFirstPlan, z) -> tuple:
 
 
 def apply_adjoint(op: FioOperator, v: SmoothMap, y_points, out_order: int = 0,
-                  workers: int = 1, x_window=None) -> GridField:
+                  workers: int = 1) -> GridField:
     """Evaluate the transpose A^t[v](y) = int int exp(i Phi) a v(x) dx dxi.
 
     Implemented as ``apply`` of the block-swapped operator, so the phase
     needs an x coordinate: it becomes the y the engine integrates over.
     """
-    return apply(op.swapped(), v, y_points, out_order=out_order,
-                 workers=workers, y_window=x_window)
+    return apply(op.swapped(), v, y_points, out_order=out_order, workers=workers)
 
 
 def pair_distribution(op: FioOperator, u: PointDistribution, v: SmoothMap,
-                      workers: int = 1, x_window=None) -> complex:
+                      workers: int = 1) -> complex:
     """Pairing <A[u], v> for a distributional input u = sum w d^(r) delta.
 
     Duality moves A onto the test function: the pairing equals
@@ -710,7 +736,7 @@ def pair_distribution(op: FioOperator, u: PointDistribution, v: SmoothMap,
     from the quadrature engine with output-derivative jets.
     """
     field_ = apply_adjoint(op, v, np.asarray(u.points), out_order=u.max_order,
-                           workers=workers, x_window=x_window)
+                           workers=workers)
     out = 0.0 + 0.0j
     for i, (w, r) in enumerate(zip(u.weights, u.orders)):
         out += w * (-1.0) ** r * field_.values[(r,)][i]

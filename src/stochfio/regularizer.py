@@ -42,6 +42,7 @@ from .jets import (
     Coords,
     IndexSet,
     SmoothMap,
+    _add_into,
     _is_zero,
     _uni_iset,
     _xi_norm_sq_table,
@@ -190,7 +191,6 @@ class RegCoeffTables:
     xi_field: dict
     y_field: dict
     gamma: dict
-    r: dict
     iset: IndexSet
 
     @property
@@ -204,13 +204,14 @@ class RegCoeffTables:
 
 def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
                        iset: IndexSet) -> RegCoeffTables:
-    """Tables of s', ||xi||^2 d_xi Phi, d_y Phi, gamma and r on ``iset``.
+    """Tables of s', ||xi||^2 d_xi Phi, d_y Phi and gamma on ``iset``.
 
     ``phase_table`` must contain every key of ``iset`` plus one extra order
     in each y and xi direction (it is shifted to read the phase gradient).
     On points where chi == 1 exactly, r is swapped for 1 before dividing;
     the factor (1 - chi) and all its derivatives vanish exactly there, so
-    the finite quotient is multiplied away and s' = 0 exactly.
+    the finite quotient is multiplied away and s' = 0 exactly.  r itself is
+    not kept: nothing downstream reads it, and it is freed once s' is formed.
     """
     nsq = _xi_norm_sq_table(coords, iset)
     dphi_xi = t_shift(phase_table, 2, iset)  # key entries 1 and 2 are the y and xi orders
@@ -224,7 +225,8 @@ def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
     r_safe = dict(r)
     r_safe[iset.zero] = np.where(inner, 1.0, np.asarray(r[iset.zero]))
     s = t_div(omc, r_safe, iset)
-    return RegCoeffTables(s, t_mul(nsq, dphi_xi, iset), dphi_y, gamma, r, iset)
+    del r, r_safe, omc
+    return RegCoeffTables(s, t_mul(nsq, dphi_xi, iset), dphi_y, gamma, iset)
 
 
 def _as_map(obj) -> SmoothMap:
@@ -241,27 +243,38 @@ def apply_l_ladder(f: dict, coeffs: RegCoeffTables, kappa: int,
 
     ``f`` lives on ``iset`` (whose int cap must be at least kappa) and the
     coefficient tables on a superset.  Each step forms h = s' g on the
-    current set, then D g = sum d_var(field h) on a table one int order
-    smaller, computing only the product rows each derivative reads.  Where
-    every gamma entry is an exact zero (chi == 0 on the whole chunk),
-    L^kappa f = i^kappa D^kappa f; otherwise each step is
+    current set, then D g = d_xi(xi_field h) + d_y(y_field h) on a table one
+    int order smaller, computing only the product rows each derivative
+    reads.  Where every gamma entry is an exact zero (chi == 0 on the whole
+    chunk), L^kappa f = i^kappa D^kappa f; otherwise each step is
     g <- gamma g + i D g.
+
+    Besides the coefficient tables, one step holds at most three tables:
+    g and h on the current set and D g on the next; on a transition chunk
+    h is dropped before gamma g is formed, so g, D g and gamma g.  The
+    y-term's rows are added in place into the fresh xi-term table, i D g
+    row by row into the fresh gamma g table, and h and D g are dropped once
+    read.  Every sum keeps its operands and their order (``_add_into``), so
+    the result is bit-identical to building each term as a table of its
+    own and adding with ``t_add``.
     """
-    fields = ((coeffs.xi_field, 2), (coeffs.y_field, 1))  # the xi and y key entries
     outer = all(_is_zero(v) for v in coeffs.gamma.values())
     g = f
     cur = iset
     for _ in range(kappa):
         nxt = cur.shrink_int(1)
         h = t_mul(coeffs.s_prime, g, cur)
-        dg = None
-        for c, var in fields:
-            term = t_mul_shift(c, h, var, nxt)
-            dg = term if dg is None else t_add(dg, term, nxt)
+        # key entries 2 and 1 are the xi and y orders
+        dg = t_mul_shift(coeffs.xi_field, h, 2, nxt)
+        dg = t_mul_shift(coeffs.y_field, h, 1, nxt, into=dg)
+        del h
         if outer:
             g = dg
         else:
-            g = t_add(t_mul(coeffs.gamma, g, nxt), t_scale(dg, 1.0j), nxt)
+            g = t_mul(coeffs.gamma, g, nxt)
+            for key in nxt.keys():
+                d = dg.pop(key)
+                g[key] = _add_into(g[key], 0.0 if _is_zero(d) else 1.0j * d)
         cur = nxt
     if outer and kappa % 4:
         g = t_scale(g, _I_POWERS[kappa % 4])

@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own quadrature engine:
 Fourier-side references use dense Gauss-Legendre panels on analytically
 known transforms, characteristic curves come from scipy's adaptive
 Runge-Kutta integrator at tight tolerance, and the L ladder is checked
-against its plain complex recurrence and eagerly built coefficient fields.
+against its plain complex recurrence, its table-building real step and
+eagerly built coefficient fields.
 The horizon scan and the Monte Carlo moments are checked against their
 plain forms: a flow restarted from 0 for every scan time, and a Welford
 update per replicate.  Exact derivative tables are checked against central
@@ -24,10 +25,12 @@ from stochfio.applications import solve_flows
 from stochfio.jets import (
     Coords,
     IndexSet,
+    _is_zero,
     _xi_norm_sq_table,
     t_add,
     t_div,
     t_mul,
+    t_mul_shift,
     t_scale,
     t_shift,
 )
@@ -208,6 +211,35 @@ def complex_l_ladder(f: dict, coeffs, kappa: int, iset) -> dict:
         for c, var in fields:
             acc = t_add(acc, t_scale(t_shift(t_mul(c, g, cur), var, nxt), -1.0), nxt)
         g, cur = acc, nxt
+    return g
+
+
+def table_building_l_ladder(f: dict, coeffs, kappa: int, iset) -> dict:
+    """L^kappa f by the real recurrence, each step building whole tables.
+
+    D g is the ``t_add`` of the two ``t_mul_shift`` terms, and a transition
+    step is g <- t_add(gamma g, t_scale(D g, i)): the same additions, in the
+    same order, as the ladder that accumulates in place, each into a table
+    of its own.
+    """
+    fields = ((coeffs.xi_field, 2), (coeffs.y_field, 1))  # the xi and y key entries
+    outer = all(_is_zero(v) for v in coeffs.gamma.values())
+    g = f
+    cur = iset
+    for _ in range(kappa):
+        nxt = cur.shrink_int(1)
+        h = t_mul(coeffs.s_prime, g, cur)
+        dg = None
+        for c, var in fields:
+            term = t_mul_shift(c, h, var, nxt)
+            dg = term if dg is None else t_add(dg, term, nxt)
+        if outer:
+            g = dg
+        else:
+            g = t_add(t_mul(coeffs.gamma, g, nxt), t_scale(dg, 1.0j), nxt)
+        cur = nxt
+    if outer and kappa % 4:
+        g = t_scale(g, (1.0, 1.0j, -1.0, -1.0j)[kappa % 4])
     return g
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,21 @@ def test_nonsense_quadrature_value_exits_2(tmp_path, capsys, option):
     cfg = write_config(tmp_path, "cfg.json", apply_config(quadrature=option))
     assert main(["apply", "--config", cfg]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["apply", "transport"])
+def test_a_finite_but_huge_radius_exits_2_before_building_nodes(tmp_path, capsys, command):
+    # apply plans on the ladder, transport on the y-first sum; both count the
+    # plan's nodes (about 4e31 here) before building any
+    cfg = json.loads((CONFIG_DIR / f"{command}.json").read_text())
+    cfg["quadrature"]["xi_radius"] = 1e15
+    path = write_config(tmp_path, "cfg.json", cfg)
+    start = time.perf_counter()
+    assert main([command, "--config", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad {command} options: the quadrature plan needs" in captured.err
 
 
 def test_missing_required_entry(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -636,6 +637,23 @@ def test_transition_band_has_kappa_plus_two_graded_panels(kappa, nodes_per_panel
     widths = np.diff(oscillatory._graded_panels(lo, hi, kappa + 2))
     assert widths == pytest.approx(widths[::-1], abs=1e-15)
     assert widths[0] < widths[(kappa + 2) // 2]
+
+
+def test_node_plan_over_the_bound_is_refused_before_any_node_is_built(monkeypatch):
+    config = QuadratureConfig(xi_radius=8.0)
+    args = (translation_phase(), CutoffChi(), config, XS, (-3.0, 3.0), 2)
+    bands, _rates = oscillatory._plan_nodes(*args)
+    nodes = sum(xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands)
+    monkeypatch.setattr(oscillatory, "_MAX_PLAN_NODES", nodes)
+    assert len(oscillatory._plan_nodes(*args)[0]) == len(bands)  # at the bound
+    monkeypatch.setattr(oscillatory, "_MAX_PLAN_NODES", nodes - 1)
+
+    def no_nodes(edges, p):
+        raise AssertionError("nodes built for a refused plan")
+
+    monkeypatch.setattr(oscillatory, "_gauss_nodes", no_nodes)
+    with pytest.raises(ValueError, match=re.escape(f"the quadrature plan needs {nodes:.3g} nodes")):
+        oscillatory._plan_nodes(*args)
 
 
 @pytest.mark.parametrize("extra_decay,parent_nodes", [(0, 22464), (2, 36288)])  # kappa 2, 4

@@ -1,19 +1,26 @@
 """Cutoff profile, order selection, coefficient identity and the L ladder."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _references import complex_l_ladder, eager_coefficient_fields, identity_residual
+from _references import (
+    complex_l_ladder,
+    eager_coefficient_fields,
+    identity_residual,
+    table_building_l_ladder,
+)
 from stochfio.jets import (
     Coords,
     IndexSet,
     VarLayout,
     builtin_map,
 )
+from stochfio import regularizer
 from stochfio.regularizer import (
     CutoffChi,
     _regularized_tables,
@@ -155,9 +162,11 @@ def coefficients_at(phase, points):
 
 
 def test_r_values_translation_phase():
+    # chi = 0 at these points, so s' = (1 - chi) / r = 1 / r with r = 4, 8, 18
     coeffs, _ = coefficients_at(translation_phase(),
                                 [(0.0, 0.0, 2.0), (1.0, 0.0, 2.0), (1.0, 0.0, 3.0)])
-    assert coeffs.r[coeffs.iset.zero] == pytest.approx([4.0, 8.0, 18.0])
+    assert coeffs.gamma[coeffs.iset.zero] == pytest.approx(0.0)
+    assert coeffs.s_prime[coeffs.iset.zero] == pytest.approx([1 / 4.0, 1 / 8.0, 1 / 18.0])
 
 
 def test_coefficients_closed_form_outside_cutoff():
@@ -167,7 +176,7 @@ def test_coefficients_closed_form_outside_cutoff():
     assert -1j * coeffs.alpha_prime[z] == pytest.approx([-0.5j])
     assert -1j * coeffs.beta_prime[z] == pytest.approx([1j / 6.0])
     assert coeffs.gamma[z] == pytest.approx(0.0)
-    assert coeffs.r[z] == pytest.approx([18.0])
+    assert coeffs.s_prime[z] == pytest.approx([1 / 18.0])  # s' = 1 / r where chi = 0
     assert np.abs(identity_residual(phase_t, coeffs)) < 1e-15
 
 
@@ -290,18 +299,18 @@ def complex_amplitude():
         builtin_map("product", factors=[wave, builtin_map("bracket_power", exponent=-1.0)])])
 
 
-def ladder_points(xi_lo, xi_hi, kappa, seed, n):
+def ladder_points(xi_lo, xi_hi, kappa, seed, n, out_order=1):
     """Seeded points with |xi| in [xi_lo, xi_hi], the phase table and iset."""
     rng = np.random.default_rng(seed)
     xi = rng.uniform(xi_lo, xi_hi, n) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
     coords = Coords(rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n), xi)
     layout = VarLayout(1, 1, 1)
-    phase_t = perturbed_phase().table(coords, IndexSet(layout, 1, kappa + 1))
-    return coords, phase_t, IndexSet(layout, 1, kappa)
+    phase_t = perturbed_phase().table(coords, IndexSet(layout, out_order, kappa + 1))
+    return coords, phase_t, IndexSet(layout, out_order, kappa)
 
 
-def ladder_case(xi_lo, xi_hi, kappa, amp, seed, n=48):
-    coords, phase_t, iset = ladder_points(xi_lo, xi_hi, kappa, seed, n)
+def ladder_case(xi_lo, xi_hi, kappa, amp, seed, n=48, out_order=1):
+    coords, phase_t, iset = ladder_points(xi_lo, xi_hi, kappa, seed, n, out_order)
     coeffs = coefficient_tables(phase_t, coords, CutoffChi(), iset)
     return amp.table(coords, iset), coeffs, iset, n
 
@@ -326,6 +335,59 @@ def test_ladder_matches_complex_recurrence(band, xi_lo, xi_hi, kappa, amp_kind):
     if band == "outer" and amp_kind == "real" and kappa % 2 == 0:
         # i^kappa is real: the whole outer ladder stayed in real arithmetic
         assert all(np.isrealobj(v) for v in got.values())
+
+
+def assert_tables_bit_identical(got: dict, ref: dict):
+    assert set(got) == set(ref)
+    for key, r in ref.items():
+        g = got[key]
+        assert _is_scalar_zero(g) == _is_scalar_zero(r), key
+        g, r = np.asarray(g), np.asarray(r)
+        assert g.dtype == r.dtype and g.shape == r.shape, key
+        assert g.tobytes() == r.tobytes(), key
+
+
+@pytest.mark.parametrize("band,xi_lo,xi_hi", [("transition", 1.0, 2.0),
+                                              ("outer", 2.0, 40.0)])
+@pytest.mark.parametrize("kappa", [2, 4])
+@pytest.mark.parametrize("out_order", [0, 2])
+@pytest.mark.parametrize("amp_kind", ["real", "complex"])
+def test_ladder_is_bit_identical_to_the_table_building_step(band, xi_lo, xi_hi, kappa,
+                                                            out_order, amp_kind):
+    # D g accumulated into the xi-term table and i D g into gamma g make the
+    # same additions in the same order as the step that builds each table
+    amp = real_amplitude() if amp_kind == "real" else complex_amplitude()
+    f, coeffs, iset, _n = ladder_case(xi_lo, xi_hi, kappa, amp, seed=300 + kappa + out_order,
+                                      out_order=out_order)
+    assert all(_is_scalar_zero(v) for v in coeffs.gamma.values()) == (band == "outer")
+    assert_tables_bit_identical(apply_l_ladder(f, coeffs, kappa, iset),
+                                table_building_l_ladder(f, coeffs, kappa, iset))
+
+
+def traced_peak(fn) -> int:
+    """Bytes of the tracemalloc peak while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ladder_step_peaks_30_percent_below_the_table_building_step(monkeypatch):
+    # one kappa = 4, out_order 2 chunk of the transition band, where every
+    # step forms gamma g + i D g on complex tables
+    rng = np.random.default_rng(11)
+    n = 4096
+    coords = Coords(np.zeros((1, 1)), rng.uniform(-1.0, 1.0, (1, n)),
+                    rng.uniform(1.0, 2.0, (1, n)))
+    args = (perturbed_phase(), real_amplitude(), gaussian_test_function(), CutoffChi(),
+            4, coords, 2)
+    _regularized_tables(*args)  # fill the key and split caches first
+    lean = traced_peak(lambda: _regularized_tables(*args))
+    monkeypatch.setattr(regularizer, "apply_l_ladder", table_building_l_ladder)
+    building = traced_peak(lambda: _regularized_tables(*args))
+    assert lean <= 0.7 * building
 
 
 @pytest.mark.parametrize("xi_lo,xi_hi", [(0.0, 1.0), (1.0, 2.0), (2.0, 40.0)])
