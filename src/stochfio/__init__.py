@@ -6,7 +6,7 @@ The package computes
               exp(i Phi(x, y, xi)) a(x, y, xi) u(y)  dy dxi
 
 over one y and one frequency coordinate xi (every block of variables holds
-at most one coordinate; x, when present, is one coordinate too), for phase
+at most one coordinate, x too; a phase without x is constant in x), for phase
 functions that are positively homogeneous of degree one in the frequency
 variable and amplitudes in standard symbol classes.  The
 integrals do not converge absolutely; the engine makes them computable by

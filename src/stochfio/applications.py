@@ -131,24 +131,40 @@ def solve_characteristics(speed: SmoothMap, x, t: float, order: int = 0,
     return _rk4(state, rhs, t, n)
 
 
+def _shift_phase(shift, describe: str, odd: bool) -> PhaseFunction:
+    """The phase xi (z(x, sign xi) - y) of the x-jets ``shift(x, sigma,
+    order)`` of z(., sigma) on a flat x array, cached per x array, order and
+    sigma.  With ``odd`` z does not depend on the sign of xi: one branch
+    serves both half-lines and the phase is declared odd in xi."""
+    cache = {}  # branch jets keyed by the x array, the order and sigma
+
+    def branch(x, sigma, order):
+        key = (x.tobytes(), x.shape, order, sigma)
+        if key not in cache:
+            cache[key] = [j.reshape(x.shape) for j in shift(x.ravel(), sigma, order)]
+        return cache[key]
+
+    def g_provider(x, sgn, order):
+        x = np.asarray(x, dtype=float)
+        jets_p = branch(x, 1, order)
+        if odd or np.all(sgn > 0):
+            return jets_p
+        jets_m = branch(x, -1, order)
+        if np.all(sgn < 0):
+            return jets_m
+        return [np.where(sgn > 0, p, q) for p, q in zip(jets_p, jets_m)]
+
+    phase = builtin_map("tabulated_phase", g_provider=g_provider, describe=describe)
+    return PhaseFunction(replace(phase, xi_reflection="odd") if odd else phase)
+
+
 def transport_phase(speed: SmoothMap, t: float, tol: float = 1e-10) -> PhaseFunction:
     """Phase xi (gamma(x, t) - y) driving the transport solution.
 
     gamma does not depend on the sign of xi, so the phase is odd in xi.
     """
-    cache = {}  # characteristic jets keyed by the x array and the order
-
-    def g_provider(x, sgn, order):
-        x = np.asarray(x, dtype=float)
-        key = (x.tobytes(), x.shape, order)
-        if key not in cache:
-            cache[key] = [j.reshape(x.shape) for j in
-                          solve_characteristics(speed, x.ravel(), t, order, tol)]
-        return cache[key]
-
-    return PhaseFunction(replace(builtin_map(
-        "tabulated_phase", g_provider=g_provider,
-        describe=f"xi (gamma(x, {t}) - y)"), xi_reflection="odd"))
+    return _shift_phase(lambda x, _sigma, order: solve_characteristics(speed, x, t, order, tol),
+                        f"xi (gamma(x, {t}) - y)", odd=True)
 
 
 def _paired_sums(plan, z) -> tuple:
@@ -353,29 +369,9 @@ def halfwave_phase(speed: SmoothMap, t: float, tol: float = 1e-10) -> PhaseFunct
     sigma = sign(xi), so the half-wave phase is a tabulated transport-type
     phase whose g depends on the sign of xi.
     """
-    cache = {}  # flow jets keyed by the x array, the order and sigma
-
-    def branch(x, sigma, order):
-        key = (x.tobytes(), x.shape, order, sigma)
-        if key not in cache:
-            flow = _regime_flow(speed, x.ravel(), t, sigma, order=order, tol=tol)
-            cache[key] = [f.reshape(x.shape) for f in flow.F]
-        return cache[key]
-
-    def g_provider(x, sgn, order):
-        x = np.asarray(x, dtype=float)
-        sgn = np.asarray(sgn)
-        jets_p = branch(x, +1, order)
-        if np.all(sgn > 0):
-            return jets_p
-        jets_m = branch(x, -1, order)
-        if np.all(sgn < 0):
-            return jets_m
-        return [np.where(sgn > 0, p, q) for p, q in zip(jets_p, jets_m)]
-
-    return PhaseFunction(builtin_map(
-        "tabulated_phase", g_provider=g_provider,
-        describe=f"half-wave eikonal phase at t = {t}"))
+    return _shift_phase(
+        lambda x, sigma, order: _regime_flow(speed, x, t, sigma, order=order, tol=tol).F,
+        f"half-wave eikonal phase at t = {t}", odd=False)
 
 
 def halfwave_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,

@@ -180,8 +180,8 @@ def build_time(cfg: dict, command: str) -> float:
 
 def _emit(args, payload: dict, field=None) -> None:
     if args.format == "csv":
-        if field is None or not field.points:
-            raise ConfigError(f"command {args.command!r} has no x grid field; "
+        if field is None:
+            raise ConfigError(f"command {args.command!r} writes no field; "
                               "use --format json")
         if not args.out:
             raise ConfigError("--out is required with --format csv")

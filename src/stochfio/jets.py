@@ -7,10 +7,11 @@ space with three coordinate blocks (output variable x, integration
 variable y, frequency variable xi).  A block holds at most one
 coordinate: a map's :class:`VarLayout` says which blocks it has (each
 entry is 0 or 1), and a :class:`Coords` block is an array, or ``None``
-where the map has no such coordinate.  The quadrature engine runs maps
-with or without x and with one y and one xi; time is a parameter of the
-phases that depend on it (``scaled_norm_phase(t=...)``, the flow phases
-of ``applications``), never a coordinate.
+where the map has no such coordinate.  The quadrature engine tables every
+map on one x, one y and one xi, so a map without x runs as a map constant
+in x (its x-jets are exact zeros); time is a parameter of the phases that
+depend on it (``scaled_norm_phase(t=...)``, the flow phases of
+``applications``), never a coordinate.
 
 Tables are plain dicts keyed by order triples (j, k, l): the orders of the
 derivative in x, y and xi, whatever blocks the map has.  An

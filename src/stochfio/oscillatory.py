@@ -77,6 +77,7 @@ from .jets import (
     t_scale,
 )
 from .regularizer import (
+    _ENGINE_LAYOUT,
     CutoffChi,
     KappaPlan,
     _regularized_tables,
@@ -172,7 +173,8 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class GridField:
-    """Values (and x derivatives) of an operator output on an x grid."""
+    """An operator output on one x column: the x array is ``points[0]``, and
+    ``values[(j,)]`` holds the j-th x derivative on it."""
 
     points: tuple
     values: dict
@@ -180,8 +182,7 @@ class GridField:
 
     @property
     def value(self) -> np.ndarray:
-        n_x = len(self.points)
-        return self.values[(0,) * n_x]
+        return self.values[(0,)]
 
 
 @dataclass(frozen=True)
@@ -223,7 +224,6 @@ class FioOperator:
     chi: CutoffChi
     plan: KappaPlan
     config: QuadratureConfig
-    membership: object = None
 
     @staticmethod
     def build(phase, amplitude, alpha: float | None = 0.25, extra_decay: int = 0,
@@ -240,7 +240,6 @@ class FioOperator:
         layout = phase.layout
         if any(a > p for a, p in zip(amplitude.layout, layout)):
             raise ValueError("amplitude layout does not fit the phase layout")
-        membership = None
         if alpha is not None:
             _check_layouts(layout)
             membership = check_alpha_membership(phase, alpha, x_box=x_box, y_box=y_box)
@@ -251,7 +250,7 @@ class FioOperator:
         plan = select_kappa(amplitude.d, amplitude.rho, amplitude.delta,
                             extra_decay=extra_decay)
         return FioOperator(phase, amplitude, CutoffChi(), plan,
-                           config or QuadratureConfig(), membership)
+                           config or QuadratureConfig())
 
     def apply(self, u: SmoothMap, x_points, out_order: int = 0,
               workers: int = 1) -> GridField:
@@ -263,7 +262,7 @@ class FioOperator:
 
     def swapped(self) -> "FioOperator":
         return FioOperator(self.phase.swapped(), self.amplitude.swapped(),
-                           self.chi, self.plan, self.config, self.membership)
+                           self.chi, self.plan, self.config)
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +311,12 @@ def _probe_points(a, n_samples: int = 5) -> np.ndarray:
 
 def _probe_rates(phase: PhaseFunction, xs, y_window, n_samples: int = 5):
     """Max first derivatives of the phase at unit xi over a coarse sample of
-    the x points ``xs`` (None for a phase without x) and the y window."""
-    layout = phase.layout
-    x, y = None, np.linspace(y_window[0], y_window[1], n_samples)
-    if xs is not None:
-        px = _probe_points(xs, n_samples)
-        x, y = np.repeat(px, y.size), np.tile(y, px.size)
+    the x points ``xs`` and the y window."""
+    px, y = _probe_points(xs, n_samples), np.linspace(y_window[0], y_window[1], n_samples)
+    x, y = np.repeat(px, y.size), np.tile(y, px.size)
     d_xi = 0.0
     d_y = 0.0
-    iset = IndexSet(layout, 1, 1, 1)
+    iset = IndexSet(_ENGINE_LAYOUT, 1, 1, 1)
     for sgn in (-1.0, 1.0):
         t = phase.table(Coords(x, y, np.full(y.size, sgn)), iset)
         d_xi = max(d_xi, float(np.max(np.abs(np.asarray(t[(0, 0, 1)])))))
@@ -365,19 +361,23 @@ def _support_window(maps, block: str, default=None):
 _MAX_PLAN_NODES = 10_000_000
 
 
-def _plan_nodes(phase, chi, config, xs, y_window, kappa, rates=None):
-    """Per-band xi and y node arrays; returns list of band node groups.
+def _plan_nodes(chi, config, y_window, kappa, rates):
+    """Per-band xi and y node arrays for a phase whose first derivatives at
+    unit xi are at most ``rates`` = (d_xi, d_y), and the plan meta.
 
     The transition band gets kappa + 2 cosine-graded panels of
     ``nodes_per_panel + 2 kappa`` nodes: each L application differentiates
     the cutoff once more, and the high-order profile derivatives concentrate
     on ever finer scales near the plateau edges.  Every other band's
-    xi-panels are sized by the oscillation budget alone.  ``rates``, when
-    given, replaces the probe of ``phase``: the (d_xi, d_y) to size for.
-    Every band's panels are counted before any node is built, and a plan
-    of more than ``_MAX_PLAN_NODES`` xi-y nodes is refused (ValueError).
+    xi-panels are sized by the oscillation budget alone.  Every band's
+    panels are counted before any node is built, and a plan of more than
+    ``_MAX_PLAN_NODES`` xi-y nodes is refused (ValueError).
+
+    Returns the bands, each (lo, hi, xi nodes, xi weights, y nodes, y
+    weights), and the meta every plan reports: ``bands`` (edges and node
+    counts), ``rates``, ``kappa``, ``y_window`` and ``xi_radius``.
     """
-    d_xi, d_y = rates or _probe_rates(phase, xs, y_window)
+    d_xi, d_y = rates
     p = config.nodes_per_panel
     budget = config.osc_nodes_budget * p
     xi_w = budget / d_xi if d_xi > 0 else math.inf
@@ -400,7 +400,10 @@ def _plan_nodes(phase, chi, config, xs, y_window, kappa, rates=None):
                               else _panels(lo, hi, w), p_xi)
         yn, yw = _gauss_nodes(_panels(y_window[0], y_window[1], wy), p)
         bands.append((lo, hi, xn, xw, yn, yw))
-    return bands, {"d_xi": d_xi, "d_y": d_y}
+    return bands, {"bands": [(lo, hi, int(xn.size), int(yn.size))
+                             for lo, hi, xn, _xw, yn, _yw in bands],
+                   "rates": {"d_xi": d_xi, "d_y": d_y}, "kappa": kappa,
+                   "y_window": tuple(y_window), "xi_radius": config.xi_radius}
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +418,9 @@ def _eval_band(phase, amp, u, chi, kappa, xs, xn, xw, yn, yw, sign,
     xinodes = np.repeat(sign * xn, yn.size)
     wts = np.repeat(xw, yn.size) * np.tile(yw, xn.size)
     total = xinodes.size
-    x = None if xs is None else xs[:, None]
     for s in range(0, total, chunk_nodes):
         sl = slice(s, min(s + chunk_nodes, total))
-        coords = Coords(x, ynodes[None, sl], xinodes[None, sl])
+        coords = Coords(xs[:, None], ynodes[None, sl], xinodes[None, sl])
         g, phase_x, iset_x = _regularized_tables(phase, amp.map, u, chi, kappa,
                                                  coords, out_order)
         tab = t_mul(t_exp(t_scale(phase_x, 1.0j), iset_x), g, iset_x)
@@ -426,7 +428,7 @@ def _eval_band(phase, amp, u, chi, kappa, xs, xn, xw, yn, yw, sign,
         for k in iset_x.keys():
             v = np.asarray(tab[k])
             if v.ndim < 2:
-                v = np.broadcast_to(v, (1 if xs is None else xs.size, w.size))
+                v = np.broadcast_to(v, (xs.size, w.size))
             out_acc[k] += (v * w).sum(axis=1)
     return out_acc
 
@@ -436,45 +438,38 @@ def _chunk_nodes(config, npts: int) -> int:
     return max(config.nodes_per_panel, config.max_chunk_elements // max(npts, 1))
 
 
-def _band_meta(bands, rates, chunk_nodes: int, signs, npts: int) -> dict:
-    """Band edges and node counts; ``nodes`` and ``band_chunks`` count the
-    evaluated half-lines ``signs`` only, and ``evaluations`` the integrand
-    values, one per node and x point."""
+def _band_meta(bands, chunk_nodes: int, signs, npts: int) -> dict:
+    """The ladder's counts: ``nodes`` and ``band_chunks`` count the evaluated
+    half-lines ``signs`` only, and ``evaluations`` the integrand values, one
+    per node and x point."""
     sides = len(signs)
     nodes = sum(sides * xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands)
     return {"evaluation_path": "l_kappa",
-            "bands": [(lo, hi, int(xn.size), int(yn.size))
-                      for lo, hi, xn, _xw, yn, _yw in bands],
             "nodes": nodes,
             "evaluations": npts * nodes,
             "chunk_nodes": chunk_nodes,
             "band_chunks": [sides * math.ceil(xn.size * yn.size / chunk_nodes)
-                            for _lo, _hi, xn, _xw, yn, _yw in bands],
-            "rates": rates}
+                            for _lo, _hi, xn, _xw, yn, _yw in bands]}
 
 
 def _engine(phase, amp, u, chi, kappa, xs, out_order, config,
-            bands, signs, x_slice=None):
-    """Weighted sums over the planned ``bands`` for the x points ``xs`` (None
-    for a phase without x), or those in ``x_slice``.
+            bands, signs, x_slice=slice(None)):
+    """Weighted sums over the planned ``bands`` for the x points
+    ``xs[x_slice]``.
 
     Returns one accumulator per (band, sign): ``parts[b][j]`` maps each
     x-derivative key to the sum over band ``b`` on the half-line ``signs[j]``.
     """
-    layout = phase.layout
-    npts = 1 if xs is None else xs.size
-    if x_slice is not None:
-        xs = xs[x_slice]
-    nloc = 1 if xs is None else xs.size
-    chunk_nodes = _chunk_nodes(config, npts)
-    keys = IndexSet(layout, out_order, 0).keys()
+    chunk_nodes = _chunk_nodes(config, xs.size)
+    xs = xs[x_slice]
+    keys = IndexSet(_ENGINE_LAYOUT, out_order, 0).keys()
     parts = []
     for lo, hi, xn, xw, yn, yw in bands:
         # chi == 1 on the inner band, where L is the identity
         band_kappa = 0 if hi <= chi.inner_radius + 1e-12 else kappa
         per_sign = []
         for sign in signs:
-            acc = {k: np.zeros(nloc, dtype=complex) for k in keys}
+            acc = {k: np.zeros(xs.size, dtype=complex) for k in keys}
             per_sign.append(_eval_band(phase, amp, u, chi, band_kappa, xs, xn, xw,
                                        yn, yw, sign, out_order, chunk_nodes, acc))
         parts.append(per_sign)
@@ -543,10 +538,8 @@ def _check_layouts(layout: VarLayout, u: SmoothMap | None = None) -> None:
         raise ValueError("test function must be a map of y alone")
 
 
-def _normalize_x_points(layout: VarLayout, x_points):
-    """The 1-d x point array, or None for a phase without x."""
-    if layout.n_x == 0:
-        return None
+def _normalize_x_points(x_points) -> np.ndarray:
+    """The 1-d x point array."""
     arr = np.asarray(x_points, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"x points must be a 1-d array, got shape {arr.shape}")
@@ -555,30 +548,32 @@ def _normalize_x_points(layout: VarLayout, x_points):
 
 def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
           workers: int = 1, y_window=None) -> GridField:
-    """Evaluate A[u] (and x derivatives up to ``out_order``) on a grid.
+    """Evaluate A[u] (and x derivatives up to ``out_order``) on the x points.
 
-    Plans the nodes, then sums every (band, sign) over the x points, split
+    Probes the phase's rates on the points and u's y window and plans the
+    nodes from them, then sums every (band, sign) over the x points, split
     into at most ``workers`` forked processes (never more than the points
     or the CPUs); the result does not depend on the split.  When the phase
     is declared odd and the amplitude and u hermitian in xi, only the
     xi > 0 half-line is evaluated and each band gives 2 Re of it.  The
     (2 pi)^-1-normalised bands are summed in band order, and the meta's
-    ``band_contributions`` holds the sup over x of each band's value.
+    ``band_contributions`` holds the sup over x of each band's value.  A
+    phase without x gives the same value at every point, and exact zeros
+    for its x derivatives.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    layout = op.phase.layout
-    _check_layouts(layout, u)
+    _check_layouts(op.phase.layout, u)
     mirrored = _xi_mirrored(op.phase, op.amplitude, u)
     signs = _POSITIVE_SIGN if mirrored else _BOTH_SIGNS
-    xs = _normalize_x_points(layout, x_points)
-    npts = 1 if xs is None else xs.size
+    xs = _normalize_x_points(x_points)
     window = _support_window([u, op.amplitude.map], "y", y_window)
     t0 = time.perf_counter()
-    bands, rates = _plan_nodes(op.phase, op.chi, op.config, xs, window, op.plan.kappa)
+    bands, plan_meta = _plan_nodes(op.chi, op.config, window, op.plan.kappa,
+                                   _probe_rates(op.phase, xs, window))
     job = (op.phase, op.amplitude, u, op.chi, op.plan.kappa, xs, out_order, op.config,
            bands, signs)
-    slices = _worker_slices(npts, workers, os.cpu_count())
+    slices = _worker_slices(xs.size, workers, os.cpu_count())
     if len(slices) > 1 and hasattr(os, "fork"):
         parts = _fork_parts(job, slices)
     else:
@@ -592,14 +587,12 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
         for k, v in band.items():
             total[k] += v
     f = (2.0 * math.pi) ** -1
-    meta = _band_meta(bands, rates, _chunk_nodes(op.config, npts), signs, npts)
-    meta.update({"kappa": op.plan.kappa, "y_window": tuple(window),
-                 "wall_time": time.perf_counter() - t0, "xi_radius": op.config.xi_radius,
-                 "xi_reflected": mirrored,
-                 "band_contributions": [f * float(np.max(np.abs(band[(0, 0, 0)])))
-                                        for band in band_sums]})
-    return GridField(() if xs is None else (xs,),
-                     {k[:layout.n_x]: f * v for k, v in total.items()}, meta)
+    meta = {**plan_meta, **_band_meta(bands, _chunk_nodes(op.config, xs.size), signs,
+                                      xs.size),
+            "wall_time": time.perf_counter() - t0, "xi_reflected": mirrored,
+            "band_contributions": [f * float(np.max(np.abs(band[(0, 0, 0)])))
+                                   for band in band_sums]}
+    return GridField((xs,), {k[:1]: f * v for k, v in total.items()}, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -651,19 +644,17 @@ def _y_first_plan(u: SmoothMap, x_points, signs, config: QuadratureConfig,
     """Stage one of the y-first sum on the half-lines ``signs``: plan the
     bands, form u_hat.
 
-    ``rates(xs, window)`` gives the (d_xi, d_y) of the fastest phase the
-    plan is to serve.  Each band forms u_hat(xi) = sum_y w_y exp(-i y xi)
-    u(y) on its xi > 0 nodes once (N_y N_xi exponentials); a hermitian u
-    (a real function of y) gets u_hat(-xi) = conj u_hat(xi) from it, any
-    other u a second table.  The plan is taken at kappa = 0: no L is
-    applied, so no cutoff derivatives enter.
+    ``rates(xs, window)`` gives, in closed form, the (d_xi, d_y) of the
+    fastest phase the plan is to serve.  Each band forms u_hat(xi) =
+    sum_y w_y exp(-i y xi) u(y) on its xi > 0 nodes once (N_y N_xi
+    exponentials); a hermitian u (a real function of y) gets u_hat(-xi) =
+    conj u_hat(xi) from it, any other u a second table.  The plan is taken
+    at kappa = 0: no L is applied, so no cutoff derivatives enter.
     """
-    layout = VarLayout(1, 1, 1)  # every solver phase: one x, one y, one xi
-    _check_layouts(layout, u)
-    xs = _normalize_x_points(layout, x_points)
+    _check_layouts(_ENGINE_LAYOUT, u)
+    xs = _normalize_x_points(x_points)
     window = _support_window([u], "y")
-    bands, rates = _plan_nodes(None, CutoffChi(), config, xs, window, 0,
-                               rates=rates(xs, window))
+    bands, plan_meta = _plan_nodes(CutoffChi(), config, window, 0, rates(xs, window))
     u_weighted = [yw * u.table(Coords(None, yn, None), IndexSet(u.layout, 0, 0))[(0, 0, 0)]
                   for _lo, _hi, _xn, _xw, yn, yw in bands]
 
@@ -681,13 +672,9 @@ def _y_first_plan(u: SmoothMap, x_points, signs, config: QuadratureConfig,
             hats[-1.0] = hat_on(-1.0)
             hat_tables = 2
     n_xi_n_y = sum(xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands)
-    meta = {"evaluation_path": "y_first",
-            "bands": [(lo, hi, int(xn.size), int(yn.size))
-                      for lo, hi, xn, _xw, yn, _yw in bands],
+    meta = {"evaluation_path": "y_first", **plan_meta,
             "nodes": len(signs) * n_xi_n_y,
-            "evaluations": hat_tables * n_xi_n_y,
-            "rates": rates, "kappa": 0, "y_window": tuple(window),
-            "xi_radius": config.xi_radius}
+            "evaluations": hat_tables * n_xi_n_y}
     return _YFirstPlan(xs, tuple(signs),
                        np.concatenate([xn for _lo, _hi, xn, _xw, _yn, _yw in bands]),
                        np.cumsum([0] + [xn.size for _lo, _hi, xn, _xw, _yn, _yw in bands]),
@@ -749,8 +736,8 @@ def oscillatory_integral(phase, amplitude,
 
     The phase has no x block and the measure is plain Lebesgue dxi (no
     2 pi normalisation): each value is 2 pi times ``apply`` of the
-    operator to the unit test function of y, with the kappa of the
-    amplitude's class.  The quadrature plan is refined (tail radius
+    operator to the unit test function of y at the one point x = 0, with
+    the kappa of the amplitude's class.  The quadrature plan is refined (tail radius
     doubled, y-panels and outer xi-panels halved; the graded transition
     band stays) until two consecutive values agree within ``abs_tol``;
     failure raises ToleranceError with the achieved difference.
@@ -764,7 +751,7 @@ def oscillatory_integral(phase, amplitude,
     prev, achieved = None, math.inf
     for level in range(config.max_refinements + 1):
         op = FioOperator(phase, amplitude, CutoffChi(), plan, config.refined(level))
-        val = 2.0 * math.pi * complex(apply(op, unit, None).value[0])
+        val = 2.0 * math.pi * complex(apply(op, unit, np.zeros(1)).value[0])
         if prev is not None:
             achieved = abs(val - prev)
             if achieved <= config.abs_tol:
@@ -784,7 +771,6 @@ class ConvergenceReport:
     kappa: int
     guaranteed_rate: float
     fitted_rate: float
-    values: tuple = ()
 
     def bound_respected(self, slack: float = 2.0) -> bool:
         """Errors stay under the envelope anchored at the coarsest radius."""
@@ -825,5 +811,4 @@ def convergence_study(phase, amplitude, u: SmoothMap, x_points, m_tilde: int = 2
     logs = [(math.log(r), math.log(e)) for r, e in zip(radii[:-1], errors) if e > 0]
     fitted = float(np.polyfit([a for a, _ in logs], [b for _, b in logs], 1)[0]) \
         if len(logs) >= 2 else -math.inf
-    return ConvergenceReport(radii[:-1], errors, plan.kappa, rate, fitted,
-                             tuple(complex(f[0]) for f in fields))
+    return ConvergenceReport(radii[:-1], errors, plan.kappa, rate, fitted)

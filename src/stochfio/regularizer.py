@@ -42,6 +42,7 @@ from .jets import (
     Coords,
     IndexSet,
     SmoothMap,
+    VarLayout,
     _add_into,
     _is_zero,
     _uni_iset,
@@ -149,10 +150,6 @@ class KappaPlan:
     kappa: int
     gain: float
     decay_exponent: float
-    d: float
-    rho: float
-    delta: float
-    extra_decay: int
 
 
 def select_kappa(d: float, rho: float, delta: float, *,
@@ -172,7 +169,7 @@ def select_kappa(d: float, rho: float, delta: float, *,
     gain = min(rho, 1.0 - delta)
     required = (d + 2 + extra_decay) / gain
     kappa = max(0, math.ceil(required - 1e-12))
-    return KappaPlan(kappa, gain, d - kappa * gain, d, rho, delta, extra_decay)
+    return KappaPlan(kappa, gain, d - kappa * gain)
 
 
 @dataclass(frozen=True)
@@ -281,16 +278,21 @@ def apply_l_ladder(f: dict, coeffs: RegCoeffTables, kappa: int,
     return g
 
 
+# The one layout the quadrature engine tables every map on: one x, one y and
+# one xi.  A map that lacks a block writes exact zeros for every order in
+# it, so a phase without x tables as a phase constant in x.
+_ENGINE_LAYOUT = VarLayout(1, 1, 1)
+
+
 def _regularized_tables(phase, amp: SmoothMap, psi: SmoothMap, chi: CutoffChi,
                         kappa: int, coords: Coords, out_order: int):
     """x-only tables of L^kappa(a psi) and of Phi, and their index set.
 
-    ``phase`` is anything with ``layout`` and ``table``; ``amp`` and ``psi``
-    live on sub-layouts of the phase layout, so their providers fill the
-    phase's index sets.  The product a psi carries ``kappa`` integration
-    orders, one for each application of L.
+    ``phase`` is anything with ``table``; the phase, ``amp`` and ``psi``
+    are all tabled on ``_ENGINE_LAYOUT``.  The product a psi carries
+    ``kappa`` integration orders, one for each application of L.
     """
-    layout = phase.layout
+    layout = _ENGINE_LAYOUT
     iset_f = IndexSet(layout, out_order, kappa)
     iset_x = IndexSet(layout, out_order, 0)
     phase_t = phase.table(coords, IndexSet(layout, out_order, kappa + 1))
@@ -329,7 +331,7 @@ def check_coefficient_symbol_bounds(phase, chi: CutoffChi,
     0-homogeneous function is constant on each ray) satisfy their bound
     trivially and are skipped rather than fitted.
     """
-    from .symbol_spaces import _checked_scan
+    from .symbol_spaces import _scan_points
 
     pm = _as_map(phase)
     layout = pm.layout
@@ -338,8 +340,8 @@ def check_coefficient_symbol_bounds(phase, chi: CutoffChi,
     iset = IndexSet(layout, m, m, m)
     series: dict = {}
     for s_val in radii:
-        coords, _shape = _checked_scan(layout, x_box, y_box, (-s_val, s_val),
-                                       points_per_axis, 2)
+        coords, _shape = _scan_points(layout, x_box, y_box, (-s_val, s_val),
+                                      points_per_axis, 2)
         phase_t = pm.table(coords, IndexSet(layout, m, m + 1, m + m + 1))
         ct = coefficient_tables(phase_t, coords, chi, iset)
         fields = (("alpha_0", ct.alpha_prime), ("beta_0", ct.beta_prime))

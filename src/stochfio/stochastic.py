@@ -6,11 +6,10 @@ the expected operator is again a Fourier integral operator:
 E exp(i Phi) = exp(i Phi_mean - var(Phi)/2) folds the randomness into a
 deterministic amplitude damping exp(-s^2 t^2 xi^2 / 2).
 
-Monte Carlo accumulates complex moments in one streaming pass: each
-replicate, or each block of replicates, enters through the pairwise merge
-of Chan, Golub & LeVeque (1979).  Per-replicate seeds are spawned
-deterministically from one base seed, so results are reproducible and
-mergeable.
+Monte Carlo accumulates complex moments in one streaming pass: each block
+of replicates enters through the pairwise merge of Chan, Golub & LeVeque
+(1979).  Per-replicate seeds are spawned deterministically from one base
+seed, so results are reproducible and mergeable.
 """
 
 from __future__ import annotations
@@ -47,11 +46,9 @@ def map_values(m: SmoothMap, arr, block: str = "y") -> np.ndarray:
     return np.broadcast_to(np.asarray(m.provider(coords, iset)[iset.zero]), arr.shape)
 
 
-def _rng(base_seed: int, index: int | None = None) -> np.random.Generator:
-    if index is None:
-        ss = np.random.SeedSequence(entropy=base_seed)
-    else:
-        ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
+def _rng(base_seed: int, index: int) -> np.random.Generator:
+    """The generator of replicate ``index``: SeedSequence(base_seed, spawn_key=(index,))."""
+    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -209,33 +206,27 @@ def _draw(sampler, base_seed: int, indices) -> tuple:
 
 
 def mc_estimate(sampler, n_samples: int, base_seed: int, shape=None,
-                pairs=(), block: int | None = None) -> MCStats:
-    """Stream ``sampler(rng) -> complex array`` over spawned replicate seeds.
+                pairs=(), *, block: int) -> MCStats:
+    """Stream ``sampler(rngs) -> complex array`` over spawned replicate seeds,
+    ``block`` replicates at a time.
 
+    ``sampler`` takes an iterator over the generators of up to ``block``
+    consecutive replicates and returns their values stacked along a new
+    first axis; each block enters the moments through one merge.
     Replicate i draws from SeedSequence(base_seed, spawn_key=(i,)), so any
-    subset of replicates is reproducible independently of the others.
-    Failed replicates are recorded (index and message) and skipped.
-    ``pairs`` are flat-index pairs to track autocovariance for.
-
-    With ``block`` set, ``sampler(rngs)`` takes an iterator over the
-    generators of up to ``block`` consecutive replicates and returns their
-    values stacked along a new first axis; each block enters the moments
-    through one merge.  A negative or boolean ``base_seed`` raises
-    ValueError before any draw.
+    subset of replicates is reproducible independently of the others, and
+    a replicate's value does not depend on the block it lands in.  Failed
+    replicates are recorded (index and message) and skipped.  ``pairs``
+    are flat-index pairs to track autocovariance for; ``shape`` is the
+    shape of the moments when every replicate fails.  A negative or
+    boolean ``base_seed`` raises ValueError before any draw.
     """
     if isinstance(base_seed, (bool, np.bool_)) or base_seed < 0:
         raise ValueError(f"base_seed must be a non-negative integer, got {base_seed!r}")
-    if block is None:
-        block = 1
-
-        def draw(rngs):
-            return np.asarray(sampler(next(rngs)), dtype=complex)[None]
-    else:
-        draw = sampler
     stats = None
     failures = []
     for start in range(0, n_samples, block):
-        blocks, failed = _draw(draw, base_seed,
+        blocks, failed = _draw(sampler, base_seed,
                                range(start, min(start + block, n_samples)))
         failures += failed
         if blocks:

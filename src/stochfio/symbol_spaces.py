@@ -149,28 +149,19 @@ def _scan_points(layout: VarLayout, x_box, y_box, xi_values, points_per_axis: in
     its box for x and y (``compact_box("whole", m)`` when the box is None)
     and the values ``xi_values`` for xi.  Scan order is lexicographic: x
     varies slowest, then y, then xi; ties in suprema are broken by the first
-    point reached.  None when a box of the layout is empty.
+    point reached.  An empty box of the layout is refused with ValueError.
     """
     axes = []
     for n, box in ((layout.n_x, x_box), (layout.n_y, y_box)):
         if n:
             lo, hi = box if box is not None else compact_box("whole", m)
             if lo > hi:
-                return None
+                raise ValueError(f"empty compact box: x_box={x_box}, y_box={y_box}")
             axes.append(np.linspace(lo, hi, points_per_axis))
     if layout.n_xi:
         axes.append(np.asarray(xi_values, dtype=float))
     grids = iter(g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
     return Coords(*(next(grids) if n else None for n in layout)), tuple(a.size for a in axes)
-
-
-def _checked_scan(layout: VarLayout, x_box, y_box, xi_values, points_per_axis: int,
-                  m: int):
-    """``_scan_points``, refusing an empty box with ValueError."""
-    scan = _scan_points(layout, x_box, y_box, xi_values, points_per_axis, m)
-    if scan is None:
-        raise ValueError(f"empty compact box: x_box={x_box}, y_box={y_box}")
-    return scan
 
 
 def _report_from_scan(name, m, per_key_abs, coords, shape, scale_values=None,
@@ -191,10 +182,7 @@ def seminorm_p(phase: PhaseFunction, m: int, x_box: tuple | None = None,
                y_box: tuple | None = None, points_per_axis: int = 21) -> SeminormReport:
     """Sup of |d^nu Phi| over the boxes, unit xi, all |nu| <= m."""
     layout = phase.layout
-    scan = _scan_points(layout, x_box, y_box, _UNIT_XI, points_per_axis, m)
-    if scan is None:
-        return SeminormReport("p", m, 0.0, (), (), (), note="empty compact box")
-    coords, shape = scan
+    coords, shape = _scan_points(layout, x_box, y_box, _UNIT_XI, points_per_axis, m)
     iset = IndexSet(layout, m, m, m)
     per_key = {k: np.abs(np.asarray(v)) for k, v in phase.table(coords, iset).items()}
     return _report_from_scan("p", m, per_key, coords, shape)
@@ -214,10 +202,7 @@ def seminorm_q(amplitude: Amplitude, m: int, x_box: tuple | None = None,
     scale_values = {}
     best = None
     for s in xi_radii:
-        scan = _scan_points(layout, x_box, y_box, (-s, s), points_per_axis, m)
-        if scan is None:
-            return SeminormReport("q", m, 0.0, (), (), (), note="empty compact box")
-        coords, shape = scan
+        coords, shape = _scan_points(layout, x_box, y_box, (-s, s), points_per_axis, m)
         table = amplitude.table(coords, iset)
         bracket = math.sqrt(1.0 + s * s)
         per_key = {}
@@ -251,10 +236,7 @@ def seminorm_pi(v, m: int, x_box: tuple | None = None,
         layout = v.layout
         if layout.n_y or layout.n_xi:
             raise ValueError("pi seminorm applies to maps of x only")
-        scan = _scan_points(layout, x_box, None, (), points_per_axis, m)
-        if scan is None:
-            return SeminormReport("pi", m, 0.0, (), (), (), note="empty compact box")
-        coords, shape = scan
+        coords, shape = _scan_points(layout, x_box, None, (), points_per_axis, m)
         table = v.table(coords, IndexSet(layout, m, m, m))
         per_key = {k: np.abs(np.asarray(val)) for k, val in table.items()}
         return _report_from_scan("pi", m, per_key, coords, shape)
@@ -285,7 +267,7 @@ def check_homogeneity(phase: PhaseFunction, scales=(0.5, 2.0, 4.0, 16.0),
     layout = phase.layout
     if not layout.n_xi:
         raise ValueError("the homogeneity check needs a phase with a xi coordinate")
-    coords, shape = _checked_scan(layout, x_box, y_box, _UNIT_XI, points_per_axis, 2)
+    coords, shape = _scan_points(layout, x_box, y_box, _UNIT_XI, points_per_axis, 2)
     iset = IndexSet(layout, 0, 0, 0)
     base = np.asarray(phase.table(coords, iset)[iset.zero])
     worst = 0.0
@@ -331,7 +313,7 @@ def check_alpha_membership(phase: PhaseFunction, alpha: float,
     layout = phase.layout
     if not layout.n_xi:
         raise ValueError("the nondegeneracy scan needs a phase with a xi coordinate")
-    coords, shape = _checked_scan(layout, x_box, y_box, _UNIT_XI, points_per_axis, m)
+    coords, shape = _scan_points(layout, x_box, y_box, _UNIT_XI, points_per_axis, m)
     t = phase.table(coords, IndexSet(layout, 1, 1, 1))
 
     def sq(key):
@@ -370,7 +352,6 @@ def check_derivative_bound(phase: PhaseFunction, m: int,
     the bound trivially and are skipped in the fit.
     """
     layout = phase.layout
-    _checked_scan(layout, x_box, y_box, _UNIT_XI, points_per_axis, m)  # refuse an empty box
     p_val = seminorm_p(phase, m, x_box, y_box, points_per_axis).value
     if p_val == 0:
         raise ValueError("phase has vanishing p seminorm; bound is vacuous")

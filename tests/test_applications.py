@@ -428,7 +428,7 @@ def test_closed_form_wave_rates_equal_the_probe(case):
     rates = plan.meta["rates"]
     assert abs(rates["d_xi"] - d_xi) <= np.spacing(d_xi)
     assert rates["d_y"] == d_y == 1.0
-    bands, _ = _plan_nodes(None, CutoffChi(), config, xs, window, 0, rates=(d_xi, d_y))
+    bands, _ = _plan_nodes(CutoffChi(), config, window, 0, (d_xi, d_y))
     assert plan.meta["bands"] == [(lo, hi, xn.size, yn.size)
                                   for lo, hi, xn, _xw, yn, _yw in bands]
     assert np.array_equal(plan.xi, np.concatenate([xn for _lo, _hi, xn, *_ in bands]))

@@ -214,8 +214,9 @@ def test_csv_for_fieldless_command_is_rejected(tmp_path):
                  "--format", "csv", "--out", str(out)]) == 2
 
 
-def test_csv_for_a_field_without_x_is_rejected(tmp_path, capsys):
-    # the phase -y xi has no x block, so apply gives one value and no x grid
+def test_csv_for_a_field_without_x_writes_one_row_per_point(tmp_path):
+    # the phase -y xi has no x block, so the field is constant in x: u(0) = 1
+    # at every grid point
     minus_y_xi = {"family": "scaled", "factor": -1.0, "inner": {
         "family": "product", "factors": [{"family": "coordinate", "block": "y"},
                                          {"family": "coordinate", "block": "xi"}]}}
@@ -223,8 +224,12 @@ def test_csv_for_a_field_without_x_is_rejected(tmp_path, capsys):
         phase=minus_y_xi,
         amplitude={"family": "constant", "value": 1.0, "layout": [0, 1, 1]}))
     out = tmp_path / "field.csv"
-    assert main(["apply", "--config", cfg, "--format", "csv", "--out", str(out)]) == 2
-    assert "no x grid field" in capsys.readouterr().err
+    assert main(["apply", "--config", cfg, "--format", "csv", "--out", str(out)]) == 0
+    columns = read_field_csv(str(out))["columns"]
+    assert np.array_equal(columns["x"], np.linspace(-1.0, 1.0, 9))
+    for name in ("re", "im"):
+        assert np.all(columns[name] == columns[name][0])
+    assert abs(complex(columns["re"][0], columns["im"][0]) - 1.0) < 1e-6
 
 
 # ---------------------------------------------------------------------------

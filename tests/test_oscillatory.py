@@ -457,6 +457,21 @@ def test_mirrored_adjoint_and_pairing_equal_two_sided_runs():
     assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
+def test_apply_of_a_phase_without_x_is_constant_on_the_x_column():
+    # -y xi tables as a phase constant in x: one value on every point, and
+    # the x derivative of exact zeros
+    phase = PhaseFunction(builtin_map("scaled", factor=-1.0, inner=builtin_map(
+        "product", factors=[builtin_map("coordinate", block="y"),
+                            builtin_map("coordinate", block="xi")])))
+    amp = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(0, 1, 1)))
+    field = FioOperator.build(phase, amp, alpha=None).apply(gaussian(), XS, out_order=1)
+    assert set(field.values) == {(0,), (1,)}
+    assert np.all(field.value == field.value[0])
+    assert abs(field.value[0] - 1.0) < 1e-6
+    assert field.values[(1,)].shape == XS.shape
+    assert np.all(field.values[(1,)] == 0.0)
+
+
 def test_mirrored_oscillatory_integral_equals_two_sided_run():
     # -y xi is odd; a product of the y and xi coordinates is not declared,
     # so the odd map is a hand-built declaration
@@ -626,8 +641,8 @@ def test_band_contributions_sum_to_the_field():
 @pytest.mark.parametrize("kappa", [2, 3, 4, 5])
 def test_transition_band_has_kappa_plus_two_graded_panels(kappa, nodes_per_panel):
     config = QuadratureConfig(xi_radius=8.0, nodes_per_panel=nodes_per_panel)
-    bands, _rates = oscillatory._plan_nodes(translation_phase(), CutoffChi(), config,
-                                            (XS,), (-3.0, 3.0), kappa)
+    rates = oscillatory._probe_rates(translation_phase(), XS, (-3.0, 3.0))
+    bands, _meta = oscillatory._plan_nodes(CutoffChi(), config, (-3.0, 3.0), kappa, rates)
     lo, hi, xn, xw, _yn, _yw = bands[1]
     assert (lo, hi) == (1.0, 2.0)
     assert xn.size == (kappa + 2) * (nodes_per_panel + 2 * kappa)
@@ -641,8 +656,9 @@ def test_transition_band_has_kappa_plus_two_graded_panels(kappa, nodes_per_panel
 
 def test_node_plan_over_the_bound_is_refused_before_any_node_is_built(monkeypatch):
     config = QuadratureConfig(xi_radius=8.0)
-    args = (translation_phase(), CutoffChi(), config, XS, (-3.0, 3.0), 2)
-    bands, _rates = oscillatory._plan_nodes(*args)
+    rates = oscillatory._probe_rates(translation_phase(), XS, (-3.0, 3.0))
+    args = (CutoffChi(), config, (-3.0, 3.0), 2, rates)
+    bands, _meta = oscillatory._plan_nodes(*args)
     nodes = sum(xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands)
     monkeypatch.setattr(oscillatory, "_MAX_PLAN_NODES", nodes)
     assert len(oscillatory._plan_nodes(*args)[0]) == len(bands)  # at the bound

@@ -185,14 +185,19 @@ def test_mc_autocovariance_pairs_through_estimate():
     assert stats.variance[4] == pytest.approx(stats.variance[12])
 
 
-def test_replicate_failures_are_recorded_and_skipped():
-    def sampler(rng):
+def unstable_sampler(rngs):
+    """A block sampler whose replicates fail on a first uniform below 0.3."""
+    rows = []
+    for rng in rngs:
         v = rng.random()
         if v < 0.3:
-            raise ValueError("unstable draw")
-        return np.array([v], dtype=complex)
+            raise ValueError(f"unstable draw {v:.3f}")
+        rows.append([v])
+    return np.asarray(rows, dtype=complex)
 
-    stats = mc_estimate(sampler, 40, base_seed=3, shape=(1,))
+
+def test_replicate_failures_are_recorded_and_skipped():
+    stats = mc_estimate(unstable_sampler, 40, base_seed=3, shape=(1,), block=8)
     assert stats.n + len(stats.failures) == 40
     assert stats.n > 0 and len(stats.failures) > 0
     assert all(msg.startswith("ValueError") for _, msg in stats.failures)
@@ -200,14 +205,14 @@ def test_replicate_failures_are_recorded_and_skipped():
 
 def test_replicate_seeds_are_independent_of_population():
     # replicate i draws from spawn_key (i,), so prefix runs agree exactly
-    def sampler(rng):
-        return np.array([rng.normal()], dtype=complex)
+    def sampler(rngs):
+        return np.array([[rng.normal()] for rng in rngs], dtype=complex)
 
-    small = mc_estimate(sampler, 10, base_seed=77)
-    large = mc_estimate(sampler, 20, base_seed=77)
+    small = mc_estimate(sampler, 10, base_seed=77, block=4)
+    large = mc_estimate(sampler, 20, base_seed=77, block=4)
     # the first ten replicates of the larger run are the same draws, so the
     # means relate by exact partial sums; check via merge of the second half
-    again = mc_estimate(sampler, 10, base_seed=77)
+    again = mc_estimate(sampler, 10, base_seed=77, block=4)
     assert np.array_equal(small.mean, again.mean)
     assert large.n == 20
 
@@ -216,30 +221,18 @@ def test_replicate_seeds_are_independent_of_population():
 def test_negative_or_boolean_base_seed_is_rejected_before_any_draw(seed):
     calls = []
 
-    def sampler(rng):
-        calls.append(rng)
-        return np.zeros(1, dtype=complex)
+    def sampler(rngs):
+        calls.append(rngs)
+        return np.zeros((1, 1), dtype=complex)
 
     with pytest.raises(ValueError, match="base_seed"):
-        mc_estimate(sampler, 4, base_seed=seed, shape=(1,))
+        mc_estimate(sampler, 4, base_seed=seed, shape=(1,), block=1)
     assert calls == []
 
 
 def test_failed_replicates_in_a_block_keep_their_index():
-    def sampler(rngs):
-        rows = []
-        for rng in rngs:
-            v = rng.random()
-            if v < 0.3:
-                raise ValueError(f"unstable draw {v:.3f}")
-            rows.append([v])
-        return np.asarray(rows, dtype=complex)
-
-    def one(rng):
-        return sampler(iter([rng]))[0]
-
-    blocked = mc_estimate(sampler, 40, base_seed=3, shape=(1,), block=16)
-    single = mc_estimate(one, 40, base_seed=3, shape=(1,))
+    blocked = mc_estimate(unstable_sampler, 40, base_seed=3, shape=(1,), block=16)
+    single = mc_estimate(unstable_sampler, 40, base_seed=3, shape=(1,), block=1)
     assert blocked.failures == single.failures
     assert len(blocked.failures) > 0 and blocked.n == single.n
     assert np.max(np.abs(blocked.mean - single.mean)) < 1e-15

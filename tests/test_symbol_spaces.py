@@ -172,7 +172,11 @@ def test_homogeneity_refuses_a_phase_without_xi():
     lambda phase, box: check_homogeneity(phase, x_box=box),
     lambda phase, box: check_coefficient_symbol_bounds(phase, CutoffChi(), x_box=box),
     lambda phase, box: check_derivative_bound(phase, 2, x_box=box),
-], ids=["membership", "homogeneity", "coefficient_bounds", "derivative_bound"])
+    lambda phase, box: seminorm_p(phase, 2, x_box=box),
+    lambda phase, box: seminorm_q(Amplitude(phase.map), 2, x_box=box),
+    lambda phase, box: seminorm_pi(builtin_map("gaussian_bump", block="x"), 2, x_box=box),
+], ids=["membership", "homogeneity", "coefficient_bounds", "derivative_bound",
+        "seminorm_p", "seminorm_q", "seminorm_pi"])
 def test_checks_refuse_an_empty_box(check):
     with pytest.raises(ValueError, match=r"empty compact box: x_box=\(1.0, 0.0\)"):
         check(translation_phase(), (1.0, 0.0))
