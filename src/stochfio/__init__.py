@@ -29,8 +29,8 @@ Layout
     number kappa of L powers, the first-order coefficient tables and the
     iterated application of L to amplitude * test-function products.
 ``oscillatory``
-    The quadrature engine: operator assembly, apply / adjoint / pairing,
-    frequency-truncation convergence studies.
+    The quadrature engine: operator assembly, apply, regularized
+    oscillatory integrals and frequency-truncation convergence studies.
 ``applications``
     Transport, half-wave and full wave solvers whose phases come from
     bicharacteristic flows integrated with RK4 and variational jets.
@@ -55,7 +55,6 @@ from .symbol_spaces import (
     Amplitude,
     PhaseFunction,
     check_alpha_membership,
-    check_derivative_bound,
     check_homogeneity,
     compact_box,
     seminorm_p,
@@ -72,20 +71,16 @@ from .oscillatory import (
     ConvergenceReport,
     FioOperator,
     GridField,
-    PointDistribution,
     QuadratureConfig,
     ToleranceError,
     apply,
-    apply_adjoint,
     convergence_study,
     oscillatory_integral,
-    pair_distribution,
 )
 from .applications import (
     FlowResult,
     RegimeError,
     eikonal_phi,
-    halfwave_phase,
     halfwave_solve,
     regime_horizon,
     solve_characteristics,
@@ -102,7 +97,6 @@ from .stochastic import (
     expected_wave_field,
     mc_estimate,
     mc_wave_estimate,
-    sample_speeds,
 )
 
 __version__ = "0.1.0"
@@ -114,22 +108,22 @@ __all__ = [
     "make_speed",
     # symbol spaces
     "Amplitude", "PhaseFunction", "check_alpha_membership",
-    "check_derivative_bound", "check_homogeneity", "compact_box",
+    "check_homogeneity", "compact_box",
     "seminorm_p", "seminorm_pi", "seminorm_q",
     # regularizer
     "CutoffChi", "KappaPlan", "check_coefficient_symbol_bounds",
     "select_kappa",
     # oscillatory
-    "ConvergenceReport", "FioOperator", "GridField", "PointDistribution",
-    "QuadratureConfig", "ToleranceError", "apply", "apply_adjoint",
-    "convergence_study", "oscillatory_integral", "pair_distribution",
+    "ConvergenceReport", "FioOperator", "GridField",
+    "QuadratureConfig", "ToleranceError", "apply",
+    "convergence_study", "oscillatory_integral",
     # applications
-    "FlowResult", "RegimeError", "eikonal_phi", "halfwave_phase",
+    "FlowResult", "RegimeError", "eikonal_phi",
     "halfwave_solve", "regime_horizon",
     "solve_characteristics", "solve_flows", "transport_phase",
     "transport_solve", "wave_solve",
     # stochastic
     "MCStats", "MCWaveResult", "TruncatedSpeedModel",
     "expected_wave_analytic", "expected_wave_field", "mc_estimate",
-    "mc_wave_estimate", "sample_speeds",
+    "mc_wave_estimate",
 ]

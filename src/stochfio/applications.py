@@ -53,7 +53,6 @@ __all__ = [
     "solve_flows",
     "eikonal_phi",
     "regime_horizon",
-    "halfwave_phase",
     "halfwave_solve",
     "wave_solve",
 ]
@@ -362,12 +361,14 @@ def regime_horizon(speed: SmoothMap, x, t_max: float, dt: float = 0.05,
             "hit_threshold": margins[-1] <= threshold}
 
 
-def halfwave_phase(speed: SmoothMap, t: float, tol: float = 1e-10) -> PhaseFunction:
+def _halfwave_phase(speed: SmoothMap, t: float, tol: float = 1e-10) -> PhaseFunction:
     """Phase xi (g(x, sign xi) - y) with g the eikonal flow endpoint.
 
     phi(x, t, xi) = |xi| sigma F(t; x, sigma) = xi F(t; x, sigma) for
     sigma = sign(xi), so the half-wave phase is a tabulated transport-type
-    phase whose g depends on the sign of xi.
+    phase whose g depends on the sign of xi.  ``halfwave_solve`` sums it
+    y-first and never builds it; it is the phase of the L^kappa ladder
+    reference that the tests compare the y-first sum against.
     """
     return _shift_phase(
         lambda x, sigma, order: _regime_flow(speed, x, t, sigma, order=order, tol=tol).F,

@@ -25,7 +25,6 @@ byte-identical for a given configuration and x grid no matter how many
 workers split the grid.  The per-band sums also give the band
 contributions reported in the field meta.  ``apply`` is the one driver of
 the L^kappa ladder, and its ``workers`` argument the one worker count:
-``apply_adjoint`` and ``pair_distribution`` apply the swapped operator,
 ``oscillatory_integral`` runs one ``apply`` per refinement level and
 ``convergence_study`` one per radius.
 
@@ -88,12 +87,9 @@ from .symbol_spaces import Amplitude, PhaseFunction, check_alpha_membership
 __all__ = [
     "QuadratureConfig",
     "GridField",
-    "PointDistribution",
     "FioOperator",
     "ToleranceError",
     "apply",
-    "apply_adjoint",
-    "pair_distribution",
     "oscillatory_integral",
     "convergence_study",
 ]
@@ -185,30 +181,6 @@ class GridField:
         return self.values[(0,)]
 
 
-@dataclass(frozen=True)
-class PointDistribution:
-    """Finite combination of derivatives of point masses on the real line,
-    sum w d^(r) delta_p: float points p and integer orders r."""
-
-    points: tuple
-    weights: tuple
-    orders: tuple
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1:
-            raise ValueError("point masses must sit on the real line")
-        if not (pts.size == len(self.weights) == len(self.orders)):
-            raise ValueError("points, weights and orders must have equal length")
-        object.__setattr__(self, "points", tuple(float(p) for p in pts))
-        object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
-        object.__setattr__(self, "orders", tuple(int(o) for o in self.orders))
-
-    @property
-    def max_order(self) -> int:
-        return max(self.orders, default=0)
-
-
 def _as_symbols(phase, amplitude) -> tuple:
     """Wrap bare maps as a PhaseFunction and an Amplitude (d = 0, rho = 1)."""
     return (phase if isinstance(phase, PhaseFunction) else PhaseFunction(phase),
@@ -227,8 +199,7 @@ class FioOperator:
 
     @staticmethod
     def build(phase, amplitude, alpha: float | None = 0.25, extra_decay: int = 0,
-              config: QuadratureConfig | None = None,
-              x_box=None, y_box=None) -> "FioOperator":
+              config: QuadratureConfig | None = None) -> "FioOperator":
         """Validate membership, pick kappa and freeze the evaluation plan.
 
         ``alpha = None`` skips the nondegeneracy scan (used when the caller
@@ -242,7 +213,7 @@ class FioOperator:
             raise ValueError("amplitude layout does not fit the phase layout")
         if alpha is not None:
             _check_layouts(layout)
-            membership = check_alpha_membership(phase, alpha, x_box=x_box, y_box=y_box)
+            membership = check_alpha_membership(phase, alpha)
             if not membership.passed:
                 raise ValueError(
                     f"phase fails the alpha = {alpha} nondegeneracy bound: "
@@ -255,14 +226,6 @@ class FioOperator:
     def apply(self, u: SmoothMap, x_points, out_order: int = 0,
               workers: int = 1) -> GridField:
         return apply(self, u, x_points, out_order=out_order, workers=workers)
-
-    def apply_adjoint(self, v: SmoothMap, y_points, out_order: int = 0,
-                      workers: int = 1) -> GridField:
-        return apply_adjoint(self, v, y_points, out_order=out_order, workers=workers)
-
-    def swapped(self) -> "FioOperator":
-        return FioOperator(self.phase.swapped(), self.amplitude.swapped(),
-                           self.chi, self.plan, self.config)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +376,12 @@ def _plan_nodes(chi, config, y_window, kappa, rates):
 def _eval_band(phase, amp, u, chi, kappa, xs, xn, xw, yn, yw, sign,
                out_order, chunk_nodes, out_acc):
     """Accumulate the weighted sum of d^j_x [exp(i Phi) L^kappa(a u)] over
-    one band's ``sign`` half-line into ``out_acc`` (per x-key arrays)."""
+    one band's ``sign`` half-line into ``out_acc`` (per x-key arrays).
+
+    An entry that does not depend on x (a (1, chunk) row of an x-free
+    table, or the exact scalar zero of an x derivative it lacks) is reduced
+    once, as one point, and ``+=`` broadcasts its sum over the points.
+    """
     ynodes = yn[None, :].repeat(xn.size, axis=0).ravel()
     xinodes = np.repeat(sign * xn, yn.size)
     wts = np.repeat(xw, yn.size) * np.tile(yw, xn.size)
@@ -426,15 +394,17 @@ def _eval_band(phase, amp, u, chi, kappa, xs, xn, xw, yn, yw, sign,
         tab = t_mul(t_exp(t_scale(phase_x, 1.0j), iset_x), g, iset_x)
         w = wts[sl]
         for k in iset_x.keys():
-            v = np.asarray(tab[k])
-            if v.ndim < 2:
-                v = np.broadcast_to(v, (xs.size, w.size))
-            out_acc[k] += (v * w).sum(axis=1)
+            out_acc[k] += (np.atleast_2d(tab[k]) * w).sum(axis=1)
     return out_acc
 
 
 def _chunk_nodes(config, npts: int) -> int:
-    """Nodes per chunk, from the total x point count (not a worker's share)."""
+    """Nodes per chunk, from the total x point count (not a worker's share).
+
+    ``apply`` passes one point for an operator whose phase and amplitude
+    lack x: its tables are (1, chunk) rows whatever the point count, so the
+    x-free table is chunked as one point.
+    """
     return max(config.nodes_per_panel, config.max_chunk_elements // max(npts, 1))
 
 
@@ -452,15 +422,14 @@ def _band_meta(bands, chunk_nodes: int, signs, npts: int) -> dict:
                             for _lo, _hi, xn, _xw, yn, _yw in bands]}
 
 
-def _engine(phase, amp, u, chi, kappa, xs, out_order, config,
+def _engine(phase, amp, u, chi, kappa, xs, out_order, chunk_nodes,
             bands, signs, x_slice=slice(None)):
     """Weighted sums over the planned ``bands`` for the x points
-    ``xs[x_slice]``.
+    ``xs[x_slice]``, in chunks of ``chunk_nodes`` nodes.
 
     Returns one accumulator per (band, sign): ``parts[b][j]`` maps each
     x-derivative key to the sum over band ``b`` on the half-line ``signs[j]``.
     """
-    chunk_nodes = _chunk_nodes(config, xs.size)
     xs = xs[x_slice]
     keys = IndexSet(_ENGINE_LAYOUT, out_order, 0).keys()
     parts = []
@@ -557,8 +526,9 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
     is declared odd and the amplitude and u hermitian in xi, only the
     xi > 0 half-line is evaluated and each band gives 2 Re of it.  The
     (2 pi)^-1-normalised bands are summed in band order, and the meta's
-    ``band_contributions`` holds the sup over x of each band's value.  A
-    phase without x gives the same value at every point, and exact zeros
+    ``band_contributions`` holds the sup over x of each band's value.  An
+    operator whose phase and amplitude lack x is tabled and summed as at
+    one point: it gives that point's value at every point, and exact zeros
     for its x derivatives.
     """
     if workers < 1:
@@ -571,7 +541,9 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
     t0 = time.perf_counter()
     bands, plan_meta = _plan_nodes(op.chi, op.config, window, op.plan.kappa,
                                    _probe_rates(op.phase, xs, window))
-    job = (op.phase, op.amplitude, u, op.chi, op.plan.kappa, xs, out_order, op.config,
+    x_tables = op.phase.layout.n_x or op.amplitude.layout.n_x
+    chunk_nodes = _chunk_nodes(op.config, xs.size if x_tables else 1)
+    job = (op.phase, op.amplitude, u, op.chi, op.plan.kappa, xs, out_order, chunk_nodes,
            bands, signs)
     slices = _worker_slices(xs.size, workers, os.cpu_count())
     if len(slices) > 1 and hasattr(os, "fork"):
@@ -587,8 +559,7 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
         for k, v in band.items():
             total[k] += v
     f = (2.0 * math.pi) ** -1
-    meta = {**plan_meta, **_band_meta(bands, _chunk_nodes(op.config, xs.size), signs,
-                                      xs.size),
+    meta = {**plan_meta, **_band_meta(bands, chunk_nodes, signs, xs.size),
             "wall_time": time.perf_counter() - t0, "xi_reflected": mirrored,
             "band_contributions": [f * float(np.max(np.abs(band[(0, 0, 0)])))
                                    for band in band_sums]}
@@ -702,32 +673,6 @@ def _shifted_sums(plan: _YFirstPlan, z) -> tuple:
             neg[s:s + rows] = np.add.reduceat(np.conj(e) * plan.hats[-1.0], starts, axis=1)
     pos = pos.reshape(np.shape(z) + starts.shape)
     return pos, np.conj(pos) if neg is None else neg.reshape(pos.shape)
-
-
-def apply_adjoint(op: FioOperator, v: SmoothMap, y_points, out_order: int = 0,
-                  workers: int = 1) -> GridField:
-    """Evaluate the transpose A^t[v](y) = int int exp(i Phi) a v(x) dx dxi.
-
-    Implemented as ``apply`` of the block-swapped operator, so the phase
-    needs an x coordinate: it becomes the y the engine integrates over.
-    """
-    return apply(op.swapped(), v, y_points, out_order=out_order, workers=workers)
-
-
-def pair_distribution(op: FioOperator, u: PointDistribution, v: SmoothMap,
-                      workers: int = 1) -> complex:
-    """Pairing <A[u], v> for a distributional input u = sum w d^(r) delta.
-
-    Duality moves A onto the test function: the pairing equals
-    sum_i w_i (-1)^(|r_i|) d^(r_i) (A^t v)(y_i), and the adjoint values come
-    from the quadrature engine with output-derivative jets.
-    """
-    field_ = apply_adjoint(op, v, np.asarray(u.points), out_order=u.max_order,
-                           workers=workers)
-    out = 0.0 + 0.0j
-    for i, (w, r) in enumerate(zip(u.weights, u.orders)):
-        out += w * (-1.0) ** r * field_.values[(r,)][i]
-    return out
 
 
 def oscillatory_integral(phase, amplitude,

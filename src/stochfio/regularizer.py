@@ -205,7 +205,7 @@ def coefficient_tables(phase_table: dict, coords: Coords, chi: CutoffChi,
 
     ``phase_table`` must contain every key of ``iset`` plus one extra order
     in each y and xi direction (it is shifted to read the phase gradient).
-    On points where chi == 1 exactly, r is swapped for 1 before dividing;
+    On points where chi == 1 exactly, r is replaced by 1 before dividing;
     the factor (1 - chi) and all its derivatives vanish exactly there, so
     the finite quotient is multiplied away and s' = 0 exactly.  r itself is
     not kept: nothing downstream reads it, and it is freed once s' is formed.

@@ -27,7 +27,6 @@ from .symbol_spaces import Amplitude
 
 __all__ = [
     "TruncatedSpeedModel",
-    "sample_speeds",
     "MCStats",
     "mc_estimate",
     "expected_wave_field",
@@ -91,8 +90,8 @@ def _speeds_of_uniforms(model: TruncatedSpeedModel, u: np.ndarray) -> np.ndarray
     return model.c0 + model.s * w
 
 
-def sample_speeds(model: TruncatedSpeedModel, rng: np.random.Generator,
-                  n: int) -> np.ndarray:
+def _sample_speeds(model: TruncatedSpeedModel, rng: np.random.Generator,
+                   n: int) -> np.ndarray:
     """Inverse-CDF draws of the truncated speed, c in [alpha, 2 c0 - alpha]."""
     return _speeds_of_uniforms(model, rng.random(n))
 

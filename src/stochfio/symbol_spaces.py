@@ -34,8 +34,6 @@ __all__ = [
     "seminorm_pi",
     "check_homogeneity",
     "check_alpha_membership",
-    "check_derivative_bound",
-    "swapped_map",
 ]
 
 
@@ -69,9 +67,6 @@ class PhaseFunction:
     def table(self, coords, iset):
         return self.map.table(coords, iset)
 
-    def swapped(self) -> "PhaseFunction":
-        return PhaseFunction(swapped_map(self.map))
-
 
 @dataclass(frozen=True)
 class Amplitude:
@@ -92,34 +87,6 @@ class Amplitude:
 
     def table(self, coords, iset):
         return self.map.table(coords, iset)
-
-    def swapped(self) -> "Amplitude":
-        return Amplitude(swapped_map(self.map), self.d, self.rho, self.delta)
-
-
-def swapped_map(m: SmoothMap) -> SmoothMap:
-    """View of a map with the roles of the x and y blocks exchanged.
-
-    The view asks ``m`` for the caller's layout with x and y swapped, whose
-    x cap is the caller's total order.  The swap leaves xi alone, so the
-    view keeps the map's ``xi_reflection``.
-    """
-
-    def provider(coords: Coords, iset: IndexSet) -> dict:
-        T = iset.max_total()
-        n_x, n_y, n_xi = iset.layout
-        t = m.provider(Coords(coords.y, coords.x, coords.xi),
-                       IndexSet(VarLayout(n_y, n_x, n_xi), T, T, T))
-        return {(j, k, l): t[(k, j, l)] for j, k, l in iset.keys()}
-
-    support = dict(m.support)
-    sx, sy = support.pop("x", None), support.pop("y", None)
-    if sx is not None:
-        support["y"] = sx
-    if sy is not None:
-        support["x"] = sy
-    return SmoothMap(VarLayout(m.layout.n_y, m.layout.n_x, m.layout.n_xi), provider,
-                     f"swapped({m.describe})", support, m.xi_reflection)
 
 
 @dataclass(frozen=True)
@@ -330,50 +297,3 @@ def check_alpha_membership(phase: PhaseFunction, alpha: float,
     min_x, wx = minimum(g_xi + sq((1, 0, 0))) if layout.n_x else (None, ())
     observed = min_y if min_x is None else min(min_x, min_y)
     return MembershipReport(observed >= alpha, alpha, min_x, min_y, wx, wy)
-
-
-@dataclass(frozen=True)
-class DerivativeBoundReport:
-    constant: float
-    p_value: float
-    exponent_fits: dict
-    max_exponent_misfit: float
-
-
-def check_derivative_bound(phase: PhaseFunction, m: int,
-                           x_box: tuple | None = None, y_box: tuple | None = None,
-                           scales=(1.0, 2.0, 4.0, 8.0, 16.0), points_per_axis: int = 9,
-                           negligible: float = 1e-9) -> DerivativeBoundReport:
-    """Observed constant in |d^nu Phi| <= C ||xi||^(1-l) p_m(Phi) and scaling fits.
-
-    For each xi-order l, the max of |d^nu Phi| over the boxes is fitted
-    against ||xi|| in log-log; 1-homogeneity predicts the exponent 1 - l.
-    Series that vanish identically (within ``negligible`` of zero) satisfy
-    the bound trivially and are skipped in the fit.
-    """
-    layout = phase.layout
-    p_val = seminorm_p(phase, m, x_box, y_box, points_per_axis).value
-    if p_val == 0:
-        raise ValueError("phase has vanishing p seminorm; bound is vacuous")
-    iset = IndexSet(layout, m, m, m)
-    series: dict = {}
-    const = 0.0
-    for s in scales:
-        coords, shape = _scan_points(layout, x_box, y_box, (-s, s), points_per_axis, m)
-        t = phase.table(coords, iset)
-        for k, v in t.items():
-            mx = float(np.max(np.abs(np.asarray(v))))
-            series.setdefault(k, []).append(mx)
-            ratio = mx / (s ** (1 - k[2]) * p_val)
-            const = max(const, ratio)
-    fits = {}
-    misfit = 0.0
-    logs = np.log(np.asarray(scales, dtype=float))
-    for k, vals in series.items():
-        arr = np.asarray(vals)
-        if np.max(arr) <= negligible:
-            continue
-        slope = float(np.polyfit(logs, np.log(arr), 1)[0])
-        fits[k] = slope
-        misfit = max(misfit, abs(slope - (1 - k[2])))
-    return DerivativeBoundReport(const, p_val, fits, misfit)

@@ -35,7 +35,7 @@ from stochfio.jets import (
     t_shift,
 )
 from stochfio.regularizer import CutoffChi
-from stochfio.stochastic import _rng, map_values, sample_speeds
+from stochfio.stochastic import _rng, _sample_speeds, map_values
 
 
 def gauss_panels(a: float, b: float, panel_width: float, nodes: int = 16):
@@ -82,16 +82,15 @@ def halfwave_gaussian_reference(c0: float, t: float, xs, center: float = 0.0,
     return kernel @ (integrand * w) / (2.0 * np.pi)
 
 
-def fourier_pair_value(amp_fn, xs, center: float = 0.0, width: float = 1.0,
-                       radius: float = 60.0) -> np.ndarray:
+def fourier_pair_value(amp_fn, xs, radius: float = 60.0) -> np.ndarray:
     """(2 pi)^-1 integral of a(xi) exp(i x xi) u0_hat(xi) d xi.
 
-    Oracle for operators with x- and y-independent amplitudes applied to a
-    gaussian through the phase (x - y) xi.
+    Oracle for operators with x- and y-independent amplitudes applied to the
+    unit gaussian u0 = exp(-y^2) through the phase (x - y) xi.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     xi, w = gauss_panels(-radius, radius, 0.25, 16)
-    integrand = np.asarray(amp_fn(xi), dtype=complex) * gaussian_hat(xi, center, width)
+    integrand = np.asarray(amp_fn(xi), dtype=complex) * gaussian_hat(xi)
     kernel = np.exp(1j * np.outer(xs, xi))
     return kernel @ (integrand * w) / (2.0 * np.pi)
 
@@ -320,6 +319,6 @@ def translation_mc_moments(model, u0, t: float, xs, n_samples: int,
     (u0(x - ct) + u0(x + ct)) / 2 on its own."""
     rows = []
     for i in range(n_samples):
-        c = float(sample_speeds(model, _rng(base_seed, i), 1)[0])
+        c = float(_sample_speeds(model, _rng(base_seed, i), 1)[0])
         rows.append(0.5 * (map_values(u0, xs - c * t) + map_values(u0, xs + c * t)))
     return welford_moments(rows, pairs)

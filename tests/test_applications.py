@@ -18,8 +18,8 @@ from _references import (
 )
 from stochfio.applications import (
     RegimeError,
+    _halfwave_phase,
     eikonal_phi,
-    halfwave_phase,
     halfwave_solve,
     make_speed,
     regime_horizon,
@@ -257,7 +257,7 @@ def test_halfwave_meta_reports_the_flow_margin():
 
 def test_halfwave_phase_rejects_out_of_regime_flows():
     steep = make_speed("affine", offset=1.0, slope=0.9)
-    phase = halfwave_phase(steep, 1.0)
+    phase = _halfwave_phase(steep, 1.0)
     with pytest.raises(RegimeError):
         point_table(phase.map, ((0.0,), (0.0,), (1.0,)), 1)
 
@@ -370,7 +370,7 @@ def _l_kappa_counterparts():
             lambda: l_kappa(transport_phase(trig_speed(), 0.5), UNIT_AMPLITUDE, xs)),
         "halfwave": (
             lambda: halfwave_solve(trig_speed(), GAUSS_OFF, 0.2, xs, config=config),
-            lambda: l_kappa(halfwave_phase(trig_speed(), 0.2), UNIT_AMPLITUDE, xs)),
+            lambda: l_kappa(_halfwave_phase(trig_speed(), 0.2), UNIT_AMPLITUDE, xs)),
         "wave": (lambda: wave_solve(affine, GAUSS_OFF, 0.4, xs, config=config),
                  lambda: branches(affine, half, 0.4)),
         "expected_wave": (
@@ -441,7 +441,7 @@ def test_closed_form_solver_rates_equal_the_probe(solver):
     from stochfio.oscillatory import _probe_rates
 
     solve, phase = {"transport": (transport_solve, transport_phase),
-                    "halfwave": (halfwave_solve, halfwave_phase)}[solver]
+                    "halfwave": (halfwave_solve, _halfwave_phase)}[solver]
     field = solve(trig_speed(), GAUSS_OFF, 0.4, XS_Y, config=Y_FIRST)
     d_xi, d_y = _probe_rates(phase(trig_speed(), 0.4), XS_Y, field.meta["y_window"])
     assert field.meta["rates"] == {"d_xi": d_xi, "d_y": d_y}

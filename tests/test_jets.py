@@ -208,10 +208,8 @@ def test_smooth_map_order_guard():
 
 
 def _maps_of_every_family():
-    """(name, map): one map of each built-in family and speed kind, a
-    swapped map, and a product and a sum of maps on different blocks."""
-    from stochfio.symbol_spaces import swapped_map
-
+    """(name, map): one map of each built-in family and speed kind, and a
+    product and a sum of maps on different blocks."""
     gauss_y = builtin_map("gaussian_bump", block="y", center=0.3, width=0.8)
     trig_x = builtin_map("trig_polynomial", block="x", terms=[(0.5, 2.0, 0.3)], offset=1.0)
     bracket = builtin_map("bracket_power", exponent=-1.0)
@@ -231,7 +229,6 @@ def _maps_of_every_family():
         ("product", builtin_map("product", factors=[gauss_y, bracket])),
         ("sum", builtin_map("sum", terms=[trig_x, bracket], coefficients=[2.0, -1.0])),
         ("scaled", builtin_map("scaled", inner=gauss_y, factor=-0.5)),
-        ("swapped", swapped_map(builtin_map("product", factors=[trig_x, bracket]))),
         ("speed_constant", make_speed("constant", value=1.2)),
         ("speed_affine", make_speed("affine", offset=1.0, slope=0.4)),
         ("speed_trig_field", make_speed("trig_field", offset=1.0, terms=[(0.2, 1.0, 0.0)])),
@@ -336,7 +333,6 @@ def test_jet_linear_combination(y, xi, c1, c2):
 def _declared_maps():
     """Built-in families and compositions with a declared xi reflection."""
     from stochfio.applications import transport_phase
-    from stochfio.symbol_spaces import swapped_map
 
     lin = builtin_map("linear_phase")
     xi = builtin_map("coordinate", block="xi")
@@ -367,9 +363,6 @@ def _declared_maps():
          "hermitian"),
         ("scaled odd", builtin_map("scaled", inner=lin, factor=-1.5), "odd"),
         ("scaled hermitian", builtin_map("scaled", inner=bracket, factor=2.5), "hermitian"),
-        ("swapped odd", swapped_map(lin), "odd"),
-        ("swapped hermitian",
-         swapped_map(builtin_map("product", factors=[trig_x, gauss_y, bracket])), "hermitian"),
     ]
 
 
@@ -395,14 +388,14 @@ def test_declared_xi_reflections_hold(x, y, xi):
 
 
 def test_undeclared_families_stay_undeclared():
-    from stochfio.applications import halfwave_phase
+    from stochfio.applications import _halfwave_phase
 
     lin = builtin_map("linear_phase")
     bracket = builtin_map("bracket_power", exponent=1.0)
     undeclared = [
         builtin_map("tabulated_phase", g_provider=lambda x, sgn, order: [x] + [1.0] * order),
         builtin_map("scaled_norm_phase", speed=2.0, t=0.3, sign=1),
-        halfwave_phase(make_speed("constant", value=1.0), 0.3).map,
+        _halfwave_phase(make_speed("constant", value=1.0), 0.3).map,
         builtin_map("trig_polynomial", block="xi", terms=[(1.0, 2.0, 0.0)]),
         builtin_map("constant", value=1.0 + 2.0j, layout=(1, 1, 1)),
         builtin_map("gaussian_bump", block="xi", center=0.5),

@@ -1,4 +1,4 @@
-"""Quadrature engine: applies, adjoints, pairings and tail convergence."""
+"""Quadrature engine: applies, oscillatory integrals and tail convergence."""
 
 import json
 import math
@@ -14,14 +14,12 @@ from stochfio.cli import main
 from stochfio.jets import VarLayout, builtin_map
 from stochfio.oscillatory import (
     FioOperator,
-    PointDistribution,
     QuadratureConfig,
     ToleranceError,
     convergence_study,
     oscillatory_integral,
     _gl_rule,
     _worker_slices,
-    pair_distribution,
 )
 from stochfio.regularizer import CutoffChi
 from stochfio.symbol_spaces import Amplitude, PhaseFunction
@@ -269,21 +267,10 @@ def test_x_amplitude_acts_as_multiplication():
     assert np.max(np.abs(field.value - exact)) < 1e-6
 
 
-def test_adjoint_is_the_transposed_multiplication():
-    amp = Amplitude(mult_factor())
-    op = FioOperator.build(translation_phase(), amp)
-    ys = XS
-    field = op.apply_adjoint(gaussian(center=0.1, width=1.1), ys)
-    exact = np.exp(-((ys - 0.4) / 1.3) ** 2) * np.exp(-((ys - 0.1) / 1.1) ** 2)
-    assert np.max(np.abs(field.value - exact)) < 1e-6
-
-
-def test_adjoint_transposes_x_dependent_smoothing_amplitude():
-    # For a(x, xi) = g(x) <xi>:  A u = g * (<D> u)  while  A^t v = <D>(g v).
-    # Both sides are checked against dense Fourier references; the gaussian
-    # product g * v is itself a gaussian, so the adjoint reference is exact.
+def test_x_dependent_smoothing_amplitude_applies_g_times_bracket():
+    # For a(x, xi) = g(x) <xi>:  A u = g * (<D> u), checked against a dense
+    # Fourier reference.
     c1, w1 = 0.4, 1.3
-    c2, w2 = 0.1, 1.1
     amp = Amplitude(builtin_map("product", factors=[
         gaussian(center=c1, width=w1, block="x"),
         builtin_map("bracket_power", exponent=1.0),
@@ -295,36 +282,6 @@ def test_adjoint_transposes_x_dependent_smoothing_amplitude():
     forward = op.apply(gaussian(), pts).value
     ref_fwd = np.exp(-((pts - c1) / w1) ** 2) * fourier_pair_value(bracket, pts)
     assert np.max(np.abs(forward - ref_fwd)) < 1e-6
-
-    adj = op.apply_adjoint(gaussian(center=c2, width=w2, block="y"), pts).value
-    w_prod = 1.0 / math.sqrt(1.0 / w1 ** 2 + 1.0 / w2 ** 2)
-    c_prod = w_prod ** 2 * (c1 / w1 ** 2 + c2 / w2 ** 2)
-    scale = math.exp(-(c1 - c2) ** 2 / (w1 ** 2 + w2 ** 2))
-    ref_adj = scale * fourier_pair_value(bracket, pts, center=c_prod,
-                                         width=w_prod)
-    assert np.max(np.abs(adj - ref_adj)) < 1e-6
-
-
-def test_pair_distribution_closed_form():
-    # A is multiplication by g(x) = exp(-((x - 0.4) / 1.3)^2), so pairing
-    # 2 delta_{0.3} - delta'_{-0.4} against v reduces to point evaluations.
-    amp = Amplitude(mult_factor())
-    op = FioOperator.build(translation_phase(), amp)
-    v = gaussian(center=0.1, width=1.1, block="y")
-    dist = PointDistribution(points=(0.3, -0.4), weights=(2.0, 1.0),
-                             orders=(0, 1))
-    val = pair_distribution(op, dist, v)
-
-    g = lambda y: np.exp(-((y - 0.4) / 1.3) ** 2)
-    dg = lambda y: -2 * (y - 0.4) / 1.3 ** 2 * g(y)
-    vv = lambda y: np.exp(-((y - 0.1) / 1.1) ** 2)
-    dv = lambda y: -2 * (y - 0.1) / 1.1 ** 2 * vv(y)
-    gv, dgv = g(0.3) * vv(0.3), dg(-0.4) * vv(-0.4) + g(-0.4) * dv(-0.4)
-    expected = 2.0 * gv - dgv
-    assert val == pytest.approx(expected, rel=1e-5)
-    # the engine's x and y are one-dimensional, so are the point masses
-    with pytest.raises(ValueError, match="real line"):
-        PointDistribution(points=((0.3, 0.1),), weights=(1.0,), orders=((0, 0),))
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +401,13 @@ def test_mirrored_apply_equals_two_sided_apply(phase_kind, extra_decay):
                        _two_sided_op(op).apply(u, XS, out_order=2))
 
 
-def test_mirrored_adjoint_and_pairing_equal_two_sided_runs():
+def test_mirrored_apply_of_an_x_dependent_amplitude_equals_two_sided_apply():
     amp = Amplitude(builtin_map("trig_polynomial", block="x", terms=[(0.5, 1.0, 0.2)],
                                 offset=1.0))
     op = FioOperator.build(translation_phase(), amp, alpha=None, config=MIRROR_CONFIG)
-    full = _two_sided_op(op)
     v = gaussian(width=0.8)
-    _assert_same_field(op.apply_adjoint(v, XS, out_order=1),
-                       full.apply_adjoint(v, XS, out_order=1))
-    dist = PointDistribution(points=(0.1, -0.4), weights=(1.0, 0.5), orders=(0, 1))
-    got, ref = pair_distribution(op, dist, v), pair_distribution(full, dist, v)
-    assert abs(got - ref) <= 1e-13 * abs(ref)
+    _assert_same_field(op.apply(v, XS, out_order=1),
+                       _two_sided_op(op).apply(v, XS, out_order=1))
 
 
 def test_apply_of_a_phase_without_x_is_constant_on_the_x_column():
@@ -464,12 +417,20 @@ def test_apply_of_a_phase_without_x_is_constant_on_the_x_column():
         "product", factors=[builtin_map("coordinate", block="y"),
                             builtin_map("coordinate", block="xi")])))
     amp = Amplitude(builtin_map("constant", value=1.0, layout=VarLayout(0, 1, 1)))
-    field = FioOperator.build(phase, amp, alpha=None).apply(gaussian(), XS, out_order=1)
+    op = FioOperator.build(phase, amp, alpha=None)
+    field = op.apply(gaussian(), XS, out_order=1)
     assert set(field.values) == {(0,), (1,)}
     assert np.all(field.value == field.value[0])
     assert abs(field.value[0] - 1.0) < 1e-6
     assert field.values[(1,)].shape == XS.shape
     assert np.all(field.values[(1,)] == 0.0)
+    # the x-free tables are chunked and reduced as one point, whatever the
+    # point count: the one-point value on every point, bit for bit
+    one = op.apply(gaussian(), XS[:1])
+    many = op.apply(gaussian(), np.linspace(-1.0, 1.0, 33))
+    assert np.all(many.value == one.value[0])
+    for key in ("band_chunks", "chunk_nodes"):
+        assert many.meta[key] == one.meta[key], key
 
 
 def test_mirrored_oscillatory_integral_equals_two_sided_run():

@@ -13,11 +13,11 @@ from stochfio.stochastic import (
     _BLOCK_ELEMENTS,
     MCStats,
     TruncatedSpeedModel,
+    _sample_speeds,
     expected_wave_analytic,
     expected_wave_field,
     mc_estimate,
     mc_wave_estimate,
-    sample_speeds,
 )
 
 GAUSS = builtin_map("gaussian_bump", block="y", center=0.0, width=1.0)
@@ -45,7 +45,7 @@ def test_model_validation():
 def test_sampled_speeds_respect_the_hyperbolicity_floor():
     rng = np.random.default_rng(5)
     wide = TruncatedSpeedModel(1.0, 0.5, alpha=0.25)
-    draws = sample_speeds(wide, rng, 20000)
+    draws = _sample_speeds(wide, rng, 20000)
     assert draws.min() >= 0.25
     assert draws.max() <= 2.0 * 1.0 - 0.25
     assert abs(draws.mean() - 1.0) < 0.01  # symmetric truncation keeps the mean
@@ -54,7 +54,7 @@ def test_sampled_speeds_respect_the_hyperbolicity_floor():
 def test_deterministic_limit_model():
     det = TruncatedSpeedModel(2.0, 0.0)
     assert det.bound == 0.0 and det.truncation_mass == 0.0
-    draws = sample_speeds(det, np.random.default_rng(0), 8)
+    draws = _sample_speeds(det, np.random.default_rng(0), 8)
     assert np.all(draws == 2.0)
 
 

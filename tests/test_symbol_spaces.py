@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from _references import point_table
 from stochfio.jets import VarLayout, builtin_map
 from stochfio.oscillatory import GridField
 from stochfio.regularizer import CutoffChi, check_coefficient_symbol_bounds
@@ -11,7 +10,6 @@ from stochfio.symbol_spaces import (
     Amplitude,
     PhaseFunction,
     check_alpha_membership,
-    check_derivative_bound,
     check_homogeneity,
     compact_box,
     seminorm_p,
@@ -171,12 +169,11 @@ def test_homogeneity_refuses_a_phase_without_xi():
     lambda phase, box: check_alpha_membership(phase, 0.25, x_box=box),
     lambda phase, box: check_homogeneity(phase, x_box=box),
     lambda phase, box: check_coefficient_symbol_bounds(phase, CutoffChi(), x_box=box),
-    lambda phase, box: check_derivative_bound(phase, 2, x_box=box),
     lambda phase, box: seminorm_p(phase, 2, x_box=box),
     lambda phase, box: seminorm_q(Amplitude(phase.map), 2, x_box=box),
     lambda phase, box: seminorm_pi(builtin_map("gaussian_bump", block="x"), 2, x_box=box),
-], ids=["membership", "homogeneity", "coefficient_bounds", "derivative_bound",
-        "seminorm_p", "seminorm_q", "seminorm_pi"])
+], ids=["membership", "homogeneity", "coefficient_bounds", "seminorm_p", "seminorm_q",
+        "seminorm_pi"])
 def test_checks_refuse_an_empty_box(check):
     with pytest.raises(ValueError, match=r"empty compact box: x_box=\(1.0, 0.0\)"):
         check(translation_phase(), (1.0, 0.0))
@@ -218,33 +215,3 @@ def test_membership_without_x_block_is_vacuous_on_x():
 def test_membership_requires_positive_alpha():
     with pytest.raises(ValueError):
         check_alpha_membership(translation_phase(), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# derivative growth bound
-
-
-def test_derivative_bound_homogeneous_phase():
-    rep = check_derivative_bound(translation_phase(), 2)
-    assert rep.max_exponent_misfit < 1e-8
-    assert np.isfinite(rep.constant) and rep.constant > 0
-
-
-def test_swapped_phase_exchanges_blocks():
-    phase = PhaseFunction(builtin_map("product", factors=[
-        builtin_map("sum", terms=[
-            builtin_map("coordinate", block="x"),
-            builtin_map("scaled", factor=-1.0,
-                        inner=builtin_map("coordinate", block="y")),
-            builtin_map("gaussian_bump", block="x", center=0.2, width=0.7),
-        ]),
-        builtin_map("coordinate", block="xi"),
-    ]))
-    sw = phase.swapped()
-    pt_fwd = ((0.4,), (-0.3,), (1.5,))
-    pt_rev = ((-0.3,), (0.4,), (1.5,))
-    j, js = point_table(phase.map, pt_fwd, 2), point_table(sw.map, pt_rev, 2)
-    assert js[(0, 0, 0)] == pytest.approx(j[(0, 0, 0)], rel=1e-12)
-    assert js[(1, 0, 0)] == pytest.approx(j[(0, 1, 0)], rel=1e-12)
-    assert js[(0, 1, 0)] == pytest.approx(j[(1, 0, 0)], rel=1e-12)
-    assert js[(1, 0, 1)] == pytest.approx(j[(0, 1, 1)], rel=1e-12)
