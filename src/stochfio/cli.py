@@ -199,8 +199,9 @@ def _field_payload(command: str, cfg: dict, field) -> tuple:
     meta = fdict.get("meta", {})
     extra = {key: meta.get(key) for key in ("evaluation_path", "evaluations",
                                             "kappa", "nodes", "xi_radius")}
-    if "min_abs_G" in meta:
-        extra["min_abs_G"] = meta["min_abs_G"]
+    for key in ("min_abs_G", "unit_sphere_nodes"):
+        if key in meta:
+            extra[key] = meta[key]
     manifest = make_manifest(command, cfg, extra=extra)
     if timing:
         manifest["timing"] = timing

@@ -395,9 +395,14 @@ class SmoothMap:
       real map that is even in xi or does not depend on xi;
     * ``None``: nothing is declared.
 
-    The built-in builders derive the declaration from their parameters.  A
-    hand-built map opts in only by declaring it, and the quadrature engine
-    trusts the declaration without checking it.
+    ``xi_degree`` declares positive homogeneity in xi:
+    m(x, y, s xi) = s^xi_degree m(x, y, xi) for every s > 0, so that
+    xi d_xi m = xi_degree m (Euler's relation), on each half-line; ``None``
+    declares nothing.
+
+    The built-in families derive both declarations from their parameters.
+    A hand-built map opts in only by declaring them, and the quadrature
+    engine trusts the declarations without checking them.
     """
 
     layout: VarLayout
@@ -405,6 +410,7 @@ class SmoothMap:
     describe: str = ""
     support: dict = field(default_factory=dict)
     xi_reflection: str | None = None
+    xi_degree: float | None = None
 
     def __post_init__(self):
         if any(n not in (0, 1) for n in self.layout):
@@ -413,6 +419,12 @@ class SmoothMap:
         if self.xi_reflection not in XI_REFLECTIONS:
             raise ValueError(f"xi_reflection must be one of {XI_REFLECTIONS}, "
                              f"got {self.xi_reflection!r}")
+        if self.xi_degree is not None and not (
+                isinstance(self.xi_degree, numbers.Real)
+                and not isinstance(self.xi_degree, (bool, np.bool_))
+                and math.isfinite(self.xi_degree)):
+            raise ValueError(f"xi_degree must be a finite real number or None, "
+                             f"got {self.xi_degree!r}")
 
     def table(self, coords: Coords, iset: IndexSet) -> dict:
         if any(n > m for n, m in zip(self.layout, iset.layout)):
@@ -444,7 +456,8 @@ def _univariate_map(block: str, derivs_fn, describe: str, support=None,
 
     ``derivs_fn(v, cap)`` returns the list of derivative values d^k/dv^k for
     k = 0..cap at the array of coordinate values v.  A map of x or y is
-    hermitian under xi -> -xi; a map of xi is when ``even`` holds.
+    hermitian under xi -> -xi, and of xi degree 0; a map of xi is hermitian
+    when ``even`` holds, and declares no degree.
     """
     def provider(coords: Coords, iset: IndexSet) -> dict:
         cap = iset.cap_for_block(block)
@@ -456,7 +469,8 @@ def _univariate_map(block: str, derivs_fn, describe: str, support=None,
 
     sup = {block: tuple(support)} if support is not None else {}
     reflection = "hermitian" if block != "xi" or even else None
-    return SmoothMap(_BLOCK_LAYOUTS[block], provider, describe, sup, reflection)
+    return SmoothMap(_BLOCK_LAYOUTS[block], provider, describe, sup, reflection,
+                     None if block == "xi" else 0)
 
 
 _GAUSS_SUPPORT_DECADES = 6.5  # exp(-6.5^2) ~ 4.4e-19, below quadrature resolution
@@ -568,7 +582,8 @@ def _constant(*, value, layout=(0, 0, 0)) -> SmoothMap:
         return t
 
     reflection = "hermitian" if isinstance(value, numbers.Real) else None
-    return SmoothMap(layout, provider, f"constant {value}", xi_reflection=reflection)
+    return SmoothMap(layout, provider, f"constant {value}", xi_reflection=reflection,
+                     xi_degree=0)
 
 
 def _xi_table(coords: Coords, iset: IndexSet, derivs) -> dict:
@@ -606,7 +621,7 @@ def _linear_phase() -> SmoothMap:
         return t
 
     return SmoothMap(VarLayout(1, 1, 1), provider, "<x-y, xi> on R^1",
-                     xi_reflection="odd")
+                     xi_reflection="odd", xi_degree=1)
 
 
 def _scaled_norm_phase(*, speed, t, sign=1) -> SmoothMap:
@@ -625,7 +640,7 @@ def _scaled_norm_phase(*, speed, t, sign=1) -> SmoothMap:
         return t_add(lin.provider(coords, iset), prod, iset)
 
     return SmoothMap(VarLayout(1, 1, 1), provider,
-                     f"<x-y, xi> {'+' if sign > 0 else '-'} c(x) {t} ||xi||")
+                     f"<x-y, xi> {'+' if sign > 0 else '-'} c(x) {t} ||xi||", xi_degree=1)
 
 
 def _tabulated_phase(*, g_provider, describe: str = "xi (g(x) - y)") -> SmoothMap:
@@ -634,7 +649,9 @@ def _tabulated_phase(*, g_provider, describe: str = "xi (g(x) - y)") -> SmoothMa
     ``g_provider(x, sgn, order)`` returns the list of d^j g / dx^j arrays for
     j = 0..order; it may depend on sign(xi) (sgn is an array broadcastable
     against x), so the map declares no xi reflection.  A caller whose g does
-    not depend on the sign may declare the phase odd.
+    not depend on the sign may declare the phase odd.  On each half-line
+    the phase is xi times a function of (x, y, sign xi), so it declares
+    xi degree 1 whatever g is.
     """
 
     def provider(coords: Coords, iset: IndexSet) -> dict:
@@ -655,7 +672,7 @@ def _tabulated_phase(*, g_provider, describe: str = "xi (g(x) - y)") -> SmoothMa
             t[(0, 1, 1)] = -1.0
         return t
 
-    return SmoothMap(VarLayout(1, 1, 1), provider, describe)
+    return SmoothMap(VarLayout(1, 1, 1), provider, describe, xi_degree=1)
 
 
 def _coordinate(*, block) -> SmoothMap:
@@ -666,8 +683,9 @@ def _coordinate(*, block) -> SmoothMap:
             t[_block_key(block, 1)] = 1.0
         return t
 
+    on_xi = block == "xi"
     return SmoothMap(_BLOCK_LAYOUTS[block], provider, f"coordinate {block}",
-                     xi_reflection="odd" if block == "xi" else "hermitian")
+                     xi_reflection="odd" if on_xi else "hermitian", xi_degree=int(on_xi))
 
 
 def _merge_layout(maps) -> VarLayout:
@@ -693,15 +711,29 @@ def _merge_support(maps, mode: str) -> dict:
 
 
 def _product_reflection(factors) -> str | None:
-    """An even number of odd factors times hermitian ones is hermitian; a
-    product of odd factors only, an odd number of them, is odd."""
+    """An even number of odd factors times hermitian ones is hermitian.  An
+    odd number of odd factors is odd when every other factor lacks xi: a
+    hermitian map free of xi equals its own conjugate, so it is real (and
+    even)."""
     kinds = [f.xi_reflection for f in factors]
     if None in kinds:
         return None
-    n_odd = kinds.count("odd")
-    if n_odd % 2 == 0:
+    if kinds.count("odd") % 2 == 0:
         return "hermitian"
-    return "odd" if n_odd == len(kinds) else None
+    real_even = all(kind == "odd" or not f.layout.n_xi for f, kind in zip(factors, kinds))
+    return "odd" if real_even else None
+
+
+def _product_degree(factors) -> float | None:
+    """Degrees of homogeneity in xi add up under products."""
+    degrees = [f.xi_degree for f in factors]
+    return None if None in degrees else sum(degrees)
+
+
+def _shared_degree(maps) -> float | None:
+    """Sums and multiples of maps sharing one degree keep it."""
+    degrees = {m.xi_degree for m in maps}
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def _real_combination_reflection(maps, coefficients) -> str | None:
@@ -726,7 +758,8 @@ def _product(*, factors) -> SmoothMap:
         return acc
 
     return SmoothMap(layout, provider, " * ".join(f.describe or "?" for f in factors),
-                     _merge_support(factors, "product"), _product_reflection(factors))
+                     _merge_support(factors, "product"), _product_reflection(factors),
+                     _product_degree(factors))
 
 
 def _sum(*, terms, coefficients=None) -> SmoothMap:
@@ -749,7 +782,8 @@ def _sum(*, terms, coefficients=None) -> SmoothMap:
         return acc
 
     return SmoothMap(layout, provider, " + ".join(f.describe or "?" for f in terms),
-                     _merge_support(terms, "sum"), _real_combination_reflection(terms, coeffs))
+                     _merge_support(terms, "sum"), _real_combination_reflection(terms, coeffs),
+                     _shared_degree(terms))
 
 
 def _scaled(*, inner, factor) -> SmoothMap:
@@ -761,7 +795,7 @@ def _scaled(*, inner, factor) -> SmoothMap:
 
     return SmoothMap(inner.layout, provider, f"{factor} * ({inner.describe})",
                      dict(inner.support),
-                     _real_combination_reflection([inner], [factor]))
+                     _real_combination_reflection([inner], [factor]), inner.xi_degree)
 
 
 _FAMILIES = {
@@ -802,9 +836,17 @@ def builtin_map(family: str, **params) -> SmoothMap:
     the xi ``coordinate`` are odd; real constants, maps of x or y, xi bumps
     centred at 0, ``bracket_power`` and ``sqrt_cos_symbol`` are hermitian;
     ``sum`` and ``scaled`` keep a shared declaration under real
-    coefficients and ``product`` combines its factors'.  ``tabulated_phase``,
+    coefficients and ``product`` combines its factors' (an odd number of odd
+    factors times maps free of xi is odd).  ``tabulated_phase``,
     ``scaled_norm_phase``, trig polynomials in xi and complex constants
     declare nothing.
+
+    Each family also derives the map's ``xi_degree``: the linear,
+    scaled-norm and tabulated phases and the xi ``coordinate`` have degree
+    1; constants and maps of x or y alone degree 0; ``product`` adds its
+    factors' degrees, and ``sum`` and ``scaled`` keep a shared degree.
+    ``bracket_power``, ``sqrt_cos_symbol``, xi bumps and trig polynomials
+    in xi declare none.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")

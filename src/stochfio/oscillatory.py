@@ -23,10 +23,22 @@ Each (band, sign) pair has its own accumulator, filled chunk by chunk with
 per-row reductions and summed in the fixed band order, so results are
 byte-identical for a given configuration and x grid no matter how many
 workers split the grid.  The per-band sums also give the band
-contributions reported in the field meta.  ``apply`` is the one driver of
-the L^kappa ladder, and its ``workers`` argument the one worker count:
-``oscillatory_integral`` runs one ``apply`` per refinement level and
-``convergence_study`` one per radius.
+contributions reported in the field meta.
+
+Unit-sphere bands: beyond the cutoff's outer radius chi == 0, and for a
+phase of xi degree 1 and an amplitude of a declared xi degree d
+(``SmoothMap.xi_degree``) L^kappa(a u) at rho sigma is i^kappa
+rho^(d - kappa) times D^kappa(a u) at sigma (Euler's relation, see
+``regularizer``).  Such a band runs the ladder once per sign and y rule,
+on the (x points) x (y nodes) grid at xi = sigma, and each chunk only
+scales those tables to its nodes, forms exp(i Phi) and reduces.  The
+transition band, and every band of an operator that lacks either
+declaration, runs the ladder at each node.  The meta's
+``unit_sphere_nodes`` counts the nodes of the unit-sphere bands.
+
+``apply`` alone runs the L^kappa ladder, and its ``workers``
+argument is the one worker count: ``oscillatory_integral`` runs one ``apply``
+per refinement level and ``convergence_study`` one per radius.
 
 Mirrored half-line: when the phase is declared odd in xi
 (Phi(x, y, -xi) = -Phi(x, y, xi), real) and the amplitude and the test
@@ -79,7 +91,9 @@ from .regularizer import (
     _ENGINE_LAYOUT,
     CutoffChi,
     KappaPlan,
+    _euler_tables,
     _regularized_tables,
+    _unit_sphere_tables,
     select_kappa,
 )
 from .symbol_spaces import Amplitude, PhaseFunction, check_alpha_membership
@@ -123,12 +137,18 @@ class QuadratureConfig:
     that size, and the default keeps them in cache: on a 2-vCPU x86 guest
     with 2 MB of L2 per core, one row term took 1.3 ns per element at 16384
     elements (128 kB per real entry) and 3.3 ns at 262144 (2 MB).  The
-    memory of a chunk is a few whole tables of such entries: the
-    coefficient tables (s', ||xi||^2 d_xi Phi, d_y Phi, chi), and during
-    one L step at most three ladder tables (g and s' g on the current
-    index set and D g on the next, then on a transition chunk g, D g and
-    chi g); see ``apply_l_ladder``.  A kappa = 4, out_order 2 transition
-    chunk of 8,640 nodes at one x point peaks at about 16 MB (tracemalloc).
+    memory of a per-node ladder chunk is a few whole tables of such
+    entries: the coefficient tables (s', ||xi||^2 d_xi Phi, d_y Phi, chi),
+    and during one L step at most three ladder tables (s' g on the current
+    index set, g and D g on the next, then on a transition chunk g, D g
+    and chi g); see ``apply_l_ladder``.  A kappa = 4, out_order 2
+    transition chunk of 8,640 nodes at one x point peaks at about 14 MB
+    (tracemalloc).  On the bands that run the ladder on the unit xi-sphere
+    (see the module docstring) a chunk holds only the scaled Phi and
+    L^kappa(a u) tables and their product with exp(i Phi): over the
+    benchmark's apply ops on the same guest such a band took about 70 ns
+    per (node, x point) evaluation, unit-sphere ladder included, where the
+    per-node ladder took 530 ns.
     The chunk size depends only on this value and the total point count,
     never on the worker count.  The y-first solver path builds its exp(-i y xi)
     and exp(i z xi) tables in blocks of at most this many entries (or one
@@ -374,13 +394,16 @@ def _plan_nodes(chi, config, y_window, kappa, rates):
 
 
 def _eval_band(phase, amp, u, chi, kappa, xs, xn, xw, yn, yw, sign,
-               out_order, chunk_nodes, out_acc):
+               out_order, chunk_nodes, out_acc, unit=None):
     """Accumulate the weighted sum of d^j_x [exp(i Phi) L^kappa(a u)] over
     one band's ``sign`` half-line into ``out_acc`` (per x-key arrays).
 
-    An entry that does not depend on x (a (1, chunk) row of an x-free
-    table, or the exact scalar zero of an x derivative it lacks) is reduced
-    once, as one point, and ``+=`` broadcasts its sum over the points.
+    Given ``unit``, the band's tables at xi = ``sign`` on its y nodes
+    (``_unit_sphere_tables``), each chunk scales them to its nodes
+    (``_euler_tables``); otherwise each chunk runs the L^kappa ladder.  An
+    entry that does not depend on x (a (1, chunk) row of an x-free table,
+    or the exact scalar zero of an x derivative it lacks) is reduced once,
+    as one point, and ``+=`` broadcasts its sum over the points.
     """
     ynodes = yn[None, :].repeat(xn.size, axis=0).ravel()
     xinodes = np.repeat(sign * xn, yn.size)
@@ -389,8 +412,12 @@ def _eval_band(phase, amp, u, chi, kappa, xs, xn, xw, yn, yw, sign,
     for s in range(0, total, chunk_nodes):
         sl = slice(s, min(s + chunk_nodes, total))
         coords = Coords(xs[:, None], ynodes[None, sl], xinodes[None, sl])
-        g, phase_x, iset_x = _regularized_tables(phase, amp.map, u, chi, kappa,
-                                                 coords, out_order)
+        if unit is None:
+            g, phase_x, iset_x = _regularized_tables(phase, amp.map, u, chi, kappa,
+                                                     coords, out_order)
+        else:
+            g, phase_x, iset_x = _euler_tables(unit, coords,
+                                               np.arange(sl.start, sl.stop) % yn.size)
         tab = t_mul(t_exp(t_scale(phase_x, 1.0j), iset_x), g, iset_x)
         w = wts[sl]
         for k in iset_x.keys():
@@ -408,14 +435,17 @@ def _chunk_nodes(config, npts: int) -> int:
     return max(config.nodes_per_panel, config.max_chunk_elements // max(npts, 1))
 
 
-def _band_meta(bands, chunk_nodes: int, signs, npts: int) -> dict:
+def _band_meta(bands, chunk_nodes: int, signs, npts: int, degrees) -> dict:
     """The ladder's counts: ``nodes`` and ``band_chunks`` count the evaluated
-    half-lines ``signs`` only, and ``evaluations`` the integrand values, one
-    per node and x point."""
+    half-lines ``signs`` only, ``unit_sphere_nodes`` the nodes of the bands
+    whose ``degrees`` entry is set, and ``evaluations`` the integrand
+    values, one per node and x point."""
     sides = len(signs)
-    nodes = sum(sides * xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands)
+    counts = [sides * xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands]
+    nodes = sum(counts)
     return {"evaluation_path": "l_kappa",
             "nodes": nodes,
+            "unit_sphere_nodes": sum(n for n, d in zip(counts, degrees) if d is not None),
             "evaluations": npts * nodes,
             "chunk_nodes": chunk_nodes,
             "band_chunks": [sides * math.ceil(xn.size * yn.size / chunk_nodes)
@@ -423,24 +453,37 @@ def _band_meta(bands, chunk_nodes: int, signs, npts: int) -> dict:
 
 
 def _engine(phase, amp, u, chi, kappa, xs, out_order, chunk_nodes,
-            bands, signs, x_slice=slice(None)):
+            bands, signs, degrees, x_slice=slice(None)):
     """Weighted sums over the planned ``bands`` for the x points
     ``xs[x_slice]``, in chunks of ``chunk_nodes`` nodes.
 
-    Returns one accumulator per (band, sign): ``parts[b][j]`` maps each
-    x-derivative key to the sum over band ``b`` on the half-line ``signs[j]``.
+    A band whose ``degrees`` entry is set (``_unit_sphere_degrees``) runs the
+    ladder once per sign and y rule, at xi = sign on its y nodes, and scales
+    it to each node; every other band runs it at every node.  Returns one
+    accumulator per (band, sign): ``parts[b][j]`` maps each x-derivative
+    key to the sum over band ``b`` on the half-line ``signs[j]``.
     """
     xs = xs[x_slice]
     keys = IndexSet(_ENGINE_LAYOUT, out_order, 0).keys()
+    units = {}  # unit-sphere tables by sign and y rule
     parts = []
-    for lo, hi, xn, xw, yn, yw in bands:
+    for (lo, hi, xn, xw, yn, yw), degree in zip(bands, degrees):
         # chi == 1 on the inner band, where L is the identity
         band_kappa = 0 if hi <= chi.inner_radius + 1e-12 else kappa
         per_sign = []
         for sign in signs:
+            unit = None
+            if degree is not None:
+                key = (sign, yn.tobytes())
+                if key not in units:
+                    units[key] = _unit_sphere_tables(
+                        phase, amp.map, u, band_kappa, degree,
+                        Coords(xs[:, None], yn[None, :], np.full((1, yn.size), sign)),
+                        out_order)
+                unit = units[key]
             acc = {k: np.zeros(xs.size, dtype=complex) for k in keys}
             per_sign.append(_eval_band(phase, amp, u, chi, band_kappa, xs, xn, xw,
-                                       yn, yw, sign, out_order, chunk_nodes, acc))
+                                       yn, yw, sign, out_order, chunk_nodes, acc, unit))
         parts.append(per_sign)
     return parts
 
@@ -498,6 +541,15 @@ def _xi_mirrored(phase, amp, u: SmoothMap) -> bool:
             and u.xi_reflection == "hermitian")
 
 
+def _unit_sphere_degrees(phase, amp, chi: CutoffChi, bands) -> list:
+    """Per band, the amplitude's xi degree where the band runs the ladder
+    on the unit xi-sphere, else None: the band lies beyond the cutoff's
+    outer radius, the phase declares xi degree 1 and the amplitude a
+    degree (u, a map of y alone, has degree 0)."""
+    d = amp.map.xi_degree if phase.map.xi_degree == 1 else None
+    return [d if lo >= chi.outer_radius else None for lo, *_rest in bands]
+
+
 def _check_layouts(layout: VarLayout, u: SmoothMap | None = None) -> None:
     """The engine integrates over y and xi, and a test function ``u``, when
     given, is a map of y alone."""
@@ -543,8 +595,9 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
                                    _probe_rates(op.phase, xs, window))
     x_tables = op.phase.layout.n_x or op.amplitude.layout.n_x
     chunk_nodes = _chunk_nodes(op.config, xs.size if x_tables else 1)
+    degrees = _unit_sphere_degrees(op.phase, op.amplitude, op.chi, bands)
     job = (op.phase, op.amplitude, u, op.chi, op.plan.kappa, xs, out_order, chunk_nodes,
-           bands, signs)
+           bands, signs, degrees)
     slices = _worker_slices(xs.size, workers, os.cpu_count())
     if len(slices) > 1 and hasattr(os, "fork"):
         parts = _fork_parts(job, slices)
@@ -559,7 +612,7 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
         for k, v in band.items():
             total[k] += v
     f = (2.0 * math.pi) ** -1
-    meta = {**plan_meta, **_band_meta(bands, chunk_nodes, signs, xs.size),
+    meta = {**plan_meta, **_band_meta(bands, chunk_nodes, signs, xs.size, degrees),
             "wall_time": time.perf_counter() - t0, "xi_reflected": mirrored,
             "band_contributions": [f * float(np.max(np.abs(band[(0, 0, 0)])))
                                    for band in band_sums]}

@@ -20,8 +20,29 @@ L = gamma + i D with the real operator
 and the ladder runs in real arithmetic on real data.  Factoring s' out
 leaves one dense product per step (s' g): the two phase-gradient fields
 have few nonzero entries for phases linear in xi on each half-line, and
-each derivative forms only the Leibniz rows it reads.  Where chi == 0 exactly (beyond the clamped outer edge of the
-profile), the cutoff table holds exact zeros and L^kappa = i^kappa D^kappa.
+each derivative forms only the Leibniz rows it reads.  Where chi == 0
+exactly (beyond the clamped outer edge of the profile), the cutoff table
+holds exact zeros and L^kappa = i^kappa D^kappa.
+
+Euler step: let the phase be positively homogeneous of degree 1 in xi and
+a psi of degree d (``SmoothMap.xi_degree``; psi is a map of y alone, of
+degree 0).  Then r has degree 2, s' degree -2, ||xi||^2 d_xi Phi degree 2
+and d_y Phi degree 1, so D lowers the degree by one, and beyond the cutoff
+
+    L^kappa(a psi)(x, y, rho sigma) = i^kappa rho^(d - kappa) D^kappa(a psi)(x, y, sigma)
+
+with rho = ||xi|| and sigma = sign xi.  ``_unit_sphere_tables`` runs the
+ladder once at xi = sigma on tables without xi orders: at step k the
+xi-term F = ||xi||^2 d_xi Phi s' g has degree m = d - k, and Euler's
+relation xi d_xi F = m F turns its xi-derivative into m sigma F.
+``_euler_tables`` scales the result, and Phi(rho sigma) = rho Phi(sigma),
+to each node.  Each unit-sphere entry serves every xi node of its y node,
+so its rounding error does not average out over the nodes as the per-node
+ladder's does: the unit-sphere ladder runs in numpy's long double and is
+rounded once.  The quadrature engine takes this path on the bands beyond
+the outer radius when the phase declares degree 1 and the amplitude a
+degree; every other band, and every other operator, runs the ladder at
+each node.
 
 Reflection xi -> -xi: for a real phase that is odd in xi, d_xi Phi and r
 are even and d_y Phi is odd, so D maps a table g with g(-xi) = conj g(xi)
@@ -35,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -247,13 +269,14 @@ def apply_l_ladder(f: dict, coeffs: RegCoeffTables, kappa: int,
     g <- gamma g + i D g.
 
     Besides the coefficient tables, one step holds at most three tables:
-    g and h on the current set and D g on the next; on a transition chunk
-    h is dropped before gamma g is formed, so g, D g and gamma g.  The
-    y-term's rows are added in place into the fresh xi-term table, i D g
-    row by row into the fresh gamma g table, and h and D g are dropped once
-    read.  Every sum keeps its operands and their order (``_add_into``), so
-    the result is bit-identical to building each term as a table of its
-    own and adding with ``t_add``.
+    h on the current set, and g and D g on the next: once h is formed, g
+    keeps only the entries gamma g reads (none on an outer chunk).  On a
+    transition chunk h is dropped before gamma g is formed, so g, D g and
+    gamma g.  The y-term's rows are added in place into the fresh xi-term
+    table, i D g row by row into the fresh gamma g table, and h and D g are
+    dropped once read.  Every sum keeps its operands and their order
+    (``_add_into``), so the result is bit-identical to building each term
+    as a table of its own and adding with ``t_add``.
     """
     outer = all(_is_zero(v) for v in coeffs.gamma.values())
     g = f
@@ -261,6 +284,8 @@ def apply_l_ladder(f: dict, coeffs: RegCoeffTables, kappa: int,
     for _ in range(kappa):
         nxt = cur.shrink_int(1)
         h = t_mul(coeffs.s_prime, g, cur)
+        # gamma g reads g on the next set alone, an outer step not at all
+        g = None if outer else {key: g[key] for key in nxt.keys()}
         # key entries 2 and 1 are the xi and y orders
         dg = t_mul_shift(coeffs.xi_field, h, 2, nxt)
         dg = t_mul_shift(coeffs.y_field, h, 1, nxt, into=dg)
@@ -302,6 +327,87 @@ def _regularized_tables(phase, amp: SmoothMap, psi: SmoothMap, chi: CutoffChi,
                            kappa, iset_f)
     keys = iset_x.keys()
     return {k: f[k] for k in keys}, {k: phase_t[k] for k in keys}, iset_x
+
+
+def _cast(table: dict, real, cplx) -> dict:
+    """``table`` with every array entry in the real or complex dtype given."""
+    return {k: v if _is_zero(v) else np.asarray(v, cplx if np.iscomplexobj(v) else real)
+            for k, v in table.items()}
+
+
+class _UnitSphere(NamedTuple):
+    """x-only tables of i^kappa D^kappa(a psi) (``g``) and of Phi
+    (``phase``) at xi = sigma, each entry an exact zero or an (x rows, y
+    nodes) array, and the degree d - kappa of L^kappa(a psi)."""
+
+    g: dict
+    phase: dict
+    iset_x: IndexSet
+    degree: float
+
+
+def _unit_sphere_tables(phase, amp: SmoothMap, psi: SmoothMap, kappa: int, degree: float,
+                        coords: Coords, out_order: int) -> _UnitSphere:
+    """The ladder of ``_regularized_tables`` where chi == 0, run once at
+    xi = sigma for a phase of xi degree 1 and an ``amp`` of xi degree
+    ``degree``; ``psi`` is a map of y alone, ``coords.xi`` is sigma = +-1
+    everywhere and ``coords.y`` holds the y nodes on its last axis.
+
+    The tables carry (x, y) orders only.  At step k the table g of
+    D^k(a psi) and the xi-term ||xi||^2 d_xi Phi s' g of D g are of degree
+    m = degree - k, so by Euler's relation the xi-derivative of that term is
+    m sigma times it at ||xi|| = 1, where ||xi||^2 = 1 too.  The ladder runs
+    in long double and is rounded once, at the end.
+    """
+    layout = _ENGINE_LAYOUT
+    iset_f = IndexSet(layout, out_order, kappa)
+    phase_t = phase.table(coords, IndexSet(layout, out_order, kappa + 1))
+    cur = IndexSet(VarLayout(1, 1, 0), out_order, kappa)  # no xi orders
+    wide = (np.longdouble, np.clongdouble)
+    g = _cast(t_mul(amp.provider(coords, iset_f), psi.provider(coords, iset_f), cur), *wide)
+    sigma = float(np.ravel(coords.xi)[0])
+    # key entries 2 and 1 are the xi and y orders
+    xi_field = _cast(t_shift(phase_t, 2, cur), *wide)
+    y_field = _cast(t_shift(phase_t, 1, cur), *wide)
+    one = t_blank(cur)
+    one[cur.zero] = 1.0
+    s_prime = t_div(one, t_add(t_mul(xi_field, xi_field, cur),
+                               t_mul(y_field, y_field, cur), cur), cur)
+    for step in range(kappa):
+        nxt = cur.shrink_int(1)
+        h = t_mul(s_prime, g, cur)
+        m = degree - step
+        dg = t_scale(t_mul(xi_field, h, nxt), m * sigma) if m else t_blank(nxt)
+        g = t_mul_shift(y_field, h, 1, nxt, into=dg)
+        cur = nxt
+    g = _cast(g, float, complex)
+    if kappa % 4:
+        g = t_scale(g, _I_POWERS[kappa % 4])
+    n_y = np.shape(coords.y)[-1]
+
+    def rows(v):
+        if _is_zero(v):
+            return v
+        a = np.atleast_2d(v)
+        return np.broadcast_to(a, (a.shape[0], n_y))
+
+    keys = cur.keys()
+    return _UnitSphere({k: rows(g[k]) for k in keys}, {k: rows(phase_t[k]) for k in keys},
+                       IndexSet(layout, out_order, 0), degree - kappa)
+
+
+def _euler_tables(unit: _UnitSphere, coords: Coords, y_index) -> tuple:
+    """``_regularized_tables`` at nodes where chi == 0, from the tables of
+    ``unit`` at y node ``y_index`` of each node: Phi(rho sigma) = rho
+    Phi(sigma) and L^kappa(a psi)(rho sigma) = rho^(d - kappa)
+    i^kappa D^kappa(a psi)(sigma), with rho = ||xi||."""
+    rho = np.abs(coords.xi)
+    power = rho ** unit.degree
+
+    def at(table, factor):
+        return {k: v if _is_zero(v) else v[:, y_index] * factor for k, v in table.items()}
+
+    return at(unit.g, power), at(unit.phase, rho), unit.iset_x
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,10 @@ def test_apply_writes_json_with_manifest(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["manifest"]["command"] == "apply"
     assert payload["manifest"]["kappa"] == 2
+    # the nodes beyond the cutoff, where L^kappa ran on the unit xi-sphere
+    assert payload["manifest"]["unit_sphere_nodes"] == \
+        payload["field"]["meta"]["unit_sphere_nodes"] > 0
+    assert "unit_sphere_nodes" not in payload["manifest"].get("timing", {})
     xs = np.array(payload["field"]["points"][0])
     got = np.array(payload["field"]["values"]["0"]["re"])
     assert np.max(np.abs(got - np.exp(-xs ** 2))) < 1e-6

@@ -359,6 +359,13 @@ def _declared_maps():
         ("sum of hermitian maps", builtin_map("sum", terms=[gauss_y, bracket]), "hermitian"),
         ("product odd odd", builtin_map("product", factors=[xi, lin]), "hermitian"),
         ("product odd odd odd", builtin_map("product", factors=[xi, xi, lin]), "odd"),
+        # a hermitian map free of xi is real: odd times it stays odd
+        ("product odd real", builtin_map("product", factors=[
+            builtin_map("coordinate", block="y"), xi]), "odd"),
+        ("product odd odd real", builtin_map("product", factors=[xi, gauss_y, lin, trig_x]),
+         "hermitian"),
+        ("-y xi", builtin_map("scaled", factor=-1.0, inner=builtin_map("product", factors=[
+            builtin_map("coordinate", block="y"), xi])), "odd"),
         ("product hermitian", builtin_map("product", factors=[trig_x, gauss_y, bracket]),
          "hermitian"),
         ("scaled odd", builtin_map("scaled", inner=lin, factor=-1.5), "odd"),
@@ -408,3 +415,80 @@ def test_undeclared_families_stay_undeclared():
         assert m.xi_reflection is None, m.describe
     with pytest.raises(ValueError):
         replace(lin, xi_reflection="even")
+
+
+# ---------------------------------------------------------------------------
+# declared degrees of homogeneity in xi
+
+
+def _degree_maps():
+    """Built-in families and compositions with a declared xi degree."""
+    from stochfio.applications import _halfwave_phase, transport_phase
+
+    lin = builtin_map("linear_phase")
+    xi = builtin_map("coordinate", block="xi")
+    gauss_y = builtin_map("gaussian_bump", block="y", center=0.3, width=0.8)
+    trig_x = builtin_map("trig_polynomial", block="x", terms=[(0.5, 2.0, 0.3)], offset=1.0)
+    norm = builtin_map("scaled_norm_phase", speed={"kind": "affine", "offset": 1.0,
+                                                   "slope": 0.5}, t=0.3, sign=-1)
+    speed = make_speed("affine", offset=1.0, slope=0.4)
+    return [
+        ("constant", builtin_map("constant", value=1.7, layout=(1, 1, 1)), 0),
+        ("complex constant", builtin_map("constant", value=1.0 - 2.0j, layout=(1, 1, 1)), 0),
+        ("linear_phase", lin, 1),
+        ("scaled_norm_phase", norm, 1),
+        ("tabulated_phase", builtin_map(
+            "tabulated_phase", g_provider=lambda x, sgn, order: [x * sgn] + [sgn] * order), 1),
+        ("transport_phase", transport_phase(speed, 0.3).map, 1),
+        ("half-wave phase", _halfwave_phase(speed, 0.3).map, 1),
+        ("coordinate xi", xi, 1),
+        ("coordinate y", builtin_map("coordinate", block="y"), 0),
+        ("gaussian_bump y", gauss_y, 0),
+        ("mollifier_bump x", builtin_map("mollifier_bump", block="x", radius=2.0), 0),
+        ("trig_polynomial x", trig_x, 0),
+        ("product", builtin_map("product", factors=[xi, trig_x, lin, gauss_y]), 2),
+        ("sum", builtin_map("sum", terms=[lin, norm, xi], coefficients=[0.5, 2.0, 1.0j]), 1),
+        ("scaled", builtin_map("scaled", inner=builtin_map("product", factors=[xi, xi, xi]),
+                               factor=-0.5j), 3),
+    ]
+
+
+@settings(max_examples=20, deadline=None)
+@given(x=coord, y=coord, xi=st.floats(min_value=0.1, max_value=6.0, allow_nan=False),
+       sign=st.sampled_from([-1.0, 1.0]))
+def test_declared_xi_degrees_satisfy_euler(x, y, xi, sign):
+    # m of degree n: every xi d_xi m_(j, k, l) = (n - l) m_(j, k, l), that
+    # is xi m_(j, k, l + 1) = (n - l) m_(j, k, l), on every key up to order 3
+    xi = sign * xi
+    for name, m, degree in _degree_maps():
+        assert m.xi_degree == degree, name
+        at = point_table(m, _point(m.layout, x, y, xi), 4)
+        for (j, k, l), v in at.items():
+            if j + k + l > 3:
+                continue
+            d_xi = at.get((j, k, l + 1), 0.0)  # a map without xi has no such key
+            lhs, rhs = xi * d_xi, (degree - l) * v
+            assert abs(lhs - rhs) <= 1e-11 * max(1.0, abs(lhs), abs(rhs)), (name, (j, k, l))
+
+
+def test_undeclared_degrees_stay_undeclared():
+    from stochfio.jets import SmoothMap
+
+    lin = builtin_map("linear_phase")
+    bracket = builtin_map("bracket_power", exponent=1.0)
+    undeclared = [
+        bracket,
+        builtin_map("sqrt_cos_symbol", omega=2.0),
+        builtin_map("gaussian_bump", block="xi", width=1.3),
+        builtin_map("mollifier_bump", block="xi", radius=7.0),
+        builtin_map("trig_polynomial", block="xi", terms=[(1.0, 2.0, 0.0)]),
+        SmoothMap(VarLayout(0, 1, 0), lambda coords, iset: t_blank(iset), "hand-built"),
+        builtin_map("sum", terms=[lin, builtin_map("coordinate", block="y")]),
+        builtin_map("product", factors=[lin, bracket]),
+        builtin_map("scaled", inner=bracket, factor=2.0),
+    ]
+    for m in undeclared:
+        assert m.xi_degree is None, m.describe
+    for bad in (True, "1", math.nan, math.inf, 1.0j):
+        with pytest.raises(ValueError):
+            replace(lin, xi_degree=bad)

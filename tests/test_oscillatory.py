@@ -128,17 +128,28 @@ def test_chunk_counts_cover_the_bands_at_every_worker_count(monkeypatch):
     two_sided = replace(mirrored, phase=PhaseFunction(
         replace(mirrored.phase.map, xi_reflection=None)))
     evaluate = oscillatory._regularized_tables
+    scale = oscillatory._euler_tables
     for op, sides in ((mirrored, 1), (two_sided, 2)):
         chunk_sizes = []
+        unit_sphere_chunks = []
 
         def counted(phase, amp, psi, chi, kappa, coords, out_order):
             chunk_sizes.append(coords.xi[0].size)
             return evaluate(phase, amp, psi, chi, kappa, coords, out_order)
 
+        def counted_scaled(unit, coords, y_index):
+            # a chunk of the bands beyond the cutoff, scaled from the unit sphere
+            chunk_sizes.append(coords.xi[0].size)
+            unit_sphere_chunks.append(coords.xi[0].size)
+            return scale(unit, coords, y_index)
+
         monkeypatch.setattr(oscillatory, "_regularized_tables", counted)
+        monkeypatch.setattr(oscillatory, "_euler_tables", counted_scaled)
         one = op.apply(gaussian(), XS, workers=1)
         monkeypatch.undo()
         meta = one.meta
+        outer = [sides * n_xi * n_y for lo, _hi, n_xi, n_y in meta["bands"] if lo >= 2.0]
+        assert meta["unit_sphere_nodes"] == sum(unit_sphere_chunks) == sum(outer) > 0
         assert meta["xi_reflected"] == (sides == 1)
         assert meta["chunk_nodes"] == 4096 // XS.size
         assert len(meta["band_chunks"]) == len(meta["bands"])
@@ -151,7 +162,7 @@ def test_chunk_counts_cover_the_bands_at_every_worker_count(monkeypatch):
             start += count
         two = op.apply(gaussian(), XS, workers=2)
         for key in ("chunk_nodes", "band_chunks", "bands", "nodes", "xi_reflected",
-                    "band_contributions"):
+                    "band_contributions", "unit_sphere_nodes"):
             assert two.meta[key] == meta[key]
 
 
@@ -433,17 +444,90 @@ def test_apply_of_a_phase_without_x_is_constant_on_the_x_column():
         assert many.meta[key] == one.meta[key], key
 
 
-def test_mirrored_oscillatory_integral_equals_two_sided_run():
-    # -y xi is odd; a product of the y and xi coordinates is not declared,
-    # so the odd map is a hand-built declaration
+def test_mirrored_oscillatory_integral_equals_two_sided_run(monkeypatch):
+    # -y xi is odd: the y coordinate is real and free of xi, so the product
+    # of the y and xi coordinates is declared odd, and -1 times it too
     minus_y_xi = builtin_map("scaled", factor=-1.0, inner=builtin_map("product", factors=[
         builtin_map("coordinate", block="y"), builtin_map("coordinate", block="xi")]))
-    assert minus_y_xi.xi_reflection is None
-    odd = PhaseFunction(replace(minus_y_xi, xi_reflection="odd"))
-    got = oscillatory_integral(odd, Amplitude(gaussian()))
-    ref = oscillatory_integral(PhaseFunction(minus_y_xi), Amplitude(gaussian()))
+    assert minus_y_xi.xi_reflection == "odd"
+    sides = []
+    run = oscillatory.apply
+
+    def counted(op, u, x_points, **kwargs):
+        field = run(op, u, x_points, **kwargs)
+        sides.append(field.meta["xi_reflected"])
+        return field
+
+    monkeypatch.setattr(oscillatory, "apply", counted)
+    got = oscillatory_integral(PhaseFunction(minus_y_xi), Amplitude(gaussian()))
+    assert sides and all(sides)  # every level evaluated xi > 0 alone
+    sides.clear()
+    ref = oscillatory_integral(PhaseFunction(_two_sided(minus_y_xi)), Amplitude(gaussian()))
+    assert sides and not any(sides)
     assert abs(got - ref) <= 1e-13 * abs(ref)
     assert got.imag == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the bands beyond the cutoff run the L^kappa ladder on the unit xi-sphere
+
+
+def _undeclared_op(op):
+    return replace(op, amplitude=replace(op.amplitude, map=replace(op.amplitude.map,
+                                                                   xi_degree=None)))
+
+
+@pytest.mark.parametrize("extra_decay", [0, 2])  # kappa 2 and 4
+@pytest.mark.parametrize("phase_kind", ["linear", "transport", "scaled_norm"])
+def test_unit_sphere_apply_equals_the_ladder_at_every_node(phase_kind, extra_decay):
+    from stochfio.applications import make_speed, transport_phase
+
+    speed = make_speed("affine", offset=1.0, slope=0.5)
+    phase = {"linear": translation_phase(),
+             "transport": transport_phase(speed, 0.3),
+             "scaled_norm": PhaseFunction(builtin_map("scaled_norm_phase", speed=speed,
+                                                      t=0.3, sign=1))}[phase_kind]
+    amp = Amplitude(builtin_map("trig_polynomial", block="x", terms=[(0.5, 1.0, 0.2)],
+                                offset=1.0))
+    op = FioOperator.build(phase, amp, alpha=None, extra_decay=extra_decay,
+                           config=MIRROR_CONFIG)
+    u = gaussian(center=0.1, width=0.6)
+    fast = op.apply(u, XS, out_order=2)
+    slow = _undeclared_op(op).apply(u, XS, out_order=2)
+    outer = sum(n_xi * n_y for lo, _hi, n_xi, n_y in fast.meta["bands"] if lo >= 2.0)
+    sides = 1 if fast.meta["xi_reflected"] else 2
+    assert fast.meta["unit_sphere_nodes"] == sides * outer > 0
+    assert slow.meta["unit_sphere_nodes"] == 0
+    assert fast.meta["nodes"] == slow.meta["nodes"]
+    for key, ref in slow.values.items():
+        assert np.max(np.abs(fast.values[key] - ref)) <= 1e-13 * np.max(np.abs(ref)), key
+
+
+@pytest.mark.parametrize("amp_map", [
+    builtin_map("bracket_power", exponent=-1.0),
+    builtin_map("gaussian_bump", block="xi", width=12.0),
+    builtin_map("product", factors=[builtin_map("constant", value=1.0, layout=(1, 1, 1)),
+                                    builtin_map("sqrt_cos_symbol", omega=1.0)]),
+], ids=["bracket_power", "xi bump", "sqrt_cos_symbol"])
+def test_an_amplitude_without_a_degree_runs_the_ladder_at_every_node(amp_map, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the unit-sphere ladder ran for an undeclared amplitude")
+
+    monkeypatch.setattr(oscillatory, "_unit_sphere_tables", refuse)
+    monkeypatch.setattr(oscillatory, "_euler_tables", refuse)
+    assert amp_map.xi_degree is None
+    op = FioOperator.build(translation_phase(), Amplitude(amp_map), alpha=None,
+                           config=MIRROR_CONFIG)
+    field = op.apply(gaussian(), XS, out_order=1)
+    assert field.meta["unit_sphere_nodes"] == 0
+    assert np.all(np.isfinite(field.value))
+
+
+def test_a_phase_of_another_degree_runs_the_ladder_at_every_node():
+    # a linear phase declared of degree 2 is not eligible, whatever the amplitude
+    phase = PhaseFunction(replace(translation_phase().map, xi_degree=2))
+    op = FioOperator.build(phase, unit_amplitude(), alpha=None, config=MIRROR_CONFIG)
+    assert op.apply(gaussian(), XS).meta["unit_sphere_nodes"] == 0
 
 
 def _branch_ops(speed, t, amp, config):

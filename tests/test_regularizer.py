@@ -23,7 +23,9 @@ from stochfio.jets import (
 from stochfio import regularizer
 from stochfio.regularizer import (
     CutoffChi,
+    _euler_tables,
     _regularized_tables,
+    _unit_sphere_tables,
     apply_l_ladder,
     check_coefficient_symbol_bounds,
     coefficient_tables,
@@ -402,3 +404,59 @@ def test_derived_fields_match_the_eager_formula(xi_lo, xi_hi):
             np.testing.assert_allclose(np.broadcast_to(prime[key], (n,)),
                                        np.broadcast_to(ref[key], (n,)),
                                        rtol=1e-14, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the ladder on the unit xi-sphere, scaled to the outer nodes
+
+
+def _outer_phase(kind):
+    from stochfio.applications import transport_phase
+    from stochfio.jets import make_speed
+
+    speed = {"kind": "affine", "offset": 1.0, "slope": 0.5}
+    if kind == "linear":
+        return builtin_map("linear_phase")
+    if kind == "transport":
+        return transport_phase(make_speed(**speed), 0.3).map
+    return builtin_map("scaled_norm_phase", speed=speed, t=0.3, sign=-1)
+
+
+def _outer_amplitude(kind):
+    trig_x = builtin_map("trig_polynomial", block="x", terms=[(0.5, 1.5, 0.2)], offset=1.0)
+    if kind == "constant":
+        return builtin_map("constant", value=1.3, layout=(1, 1, 1))
+    if kind == "x-dependent":
+        return trig_x
+    return builtin_map("product", factors=[builtin_map("coordinate", block="xi"), trig_x])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("amp_kind", ["constant", "x-dependent", "degree 1"])
+@pytest.mark.parametrize("phase_kind", ["linear", "transport", "scaled_norm"])
+def test_unit_sphere_ladder_scaled_equals_the_ladder_at_outer_nodes(phase_kind, amp_kind,
+                                                                     sign):
+    # L^kappa(a psi)(rho sigma) = i^kappa rho^(d - kappa) D^kappa(a psi)(sigma)
+    # and Phi(rho sigma) = rho Phi(sigma) beyond the cutoff, key by key
+    phase, amp = _outer_phase(phase_kind), _outer_amplitude(amp_kind)
+    assert phase.xi_degree == 1
+    psi = builtin_map("gaussian_bump", block="y", center=0.1, width=0.7)
+    xs, ys, rhos = np.array([-0.6, 0.1, 0.7]), np.linspace(-1.2, 1.3, 5), (2.0, 5.0, 30.0)
+    node_y = np.tile(ys, len(rhos))
+    coords = Coords(xs[:, None], node_y[None, :], sign * np.repeat(rhos, ys.size)[None, :])
+    unit_coords = Coords(xs[:, None], ys[None, :], np.full((1, ys.size), sign))
+    shape = (xs.size, len(rhos), ys.size)
+    for kappa in (2, 3, 4):
+        for out_order in (0, 1, 2):
+            ref_g, ref_phase, ref_iset = _regularized_tables(phase, amp, psi, CutoffChi(),
+                                                             kappa, coords, out_order)
+            unit = _unit_sphere_tables(phase, amp, psi, kappa, amp.xi_degree, unit_coords,
+                                       out_order)
+            g, phase_x, iset_x = _euler_tables(unit, coords, np.arange(node_y.size) % ys.size)
+            assert iset_x == ref_iset
+            for key in ref_iset.keys():
+                for got, ref in ((g[key], ref_g[key]), (phase_x[key], ref_phase[key])):
+                    ref = np.broadcast_to(ref, (xs.size, node_y.size)).reshape(shape)
+                    got = np.broadcast_to(got, (xs.size, node_y.size)).reshape(shape)
+                    scale = np.max(np.abs(ref), axis=(0, 2), keepdims=True)  # per rho
+                    assert np.all(np.abs(got - ref) <= 1e-12 * scale), (kappa, out_order, key)
