@@ -25,16 +25,19 @@ byte-identical for a given configuration and x grid no matter how many
 workers split the grid.  The per-band sums also give the band
 contributions reported in the field meta.
 
-Unit-sphere bands: beyond the cutoff's outer radius chi == 0, and for a
-phase of xi degree 1 and an amplitude of a declared xi degree d
-(``SmoothMap.xi_degree``) L^kappa(a u) at rho sigma is i^kappa
-rho^(d - kappa) times D^kappa(a u) at sigma (Euler's relation, see
-``regularizer``).  Such a band runs the ladder once per sign and y rule,
-on the (x points) x (y nodes) grid at xi = sigma, and each chunk only
-scales those tables to its nodes, forms exp(i Phi) and reduces.  The
-transition band, and every band of an operator that lacks either
-declaration, runs the ladder at each node.  The meta's
-``unit_sphere_nodes`` counts the nodes of the unit-sphere bands.
+Word sums: for a phase of xi degree 1 and an amplitude of a declared xi
+degree d (``SmoothMap.xi_degree``), L^kappa(a u) at rho sigma is a short
+sum of separable words c_w(rho) T_w(x, y) (see ``regularizer``).  Such an
+operator runs the word ladder once per sign and y rule, on the
+(x points) x (y nodes) grid at xi = sigma, and the coefficients once per
+band at its xi nodes; each chunk sums the band's words at its nodes (one
+small matrix product per x point), forms exp(i Phi) and reduces.  The
+inner band sums one word, rho^d (a u) (L is the identity there), the
+bands beyond the cutoff one merged word (chi == 0 there), and the
+transition band the 2^(kappa + 1) - 1 words of length up to kappa.  An
+operator that lacks either declaration runs the ladder at each node.  The
+meta's ``unit_sphere_nodes`` counts the nodes summed from word tables: all
+of them, or none.
 
 ``apply`` alone runs the L^kappa ladder, and its ``workers``
 argument is the one worker count: ``oscillatory_integral`` runs one ``apply``
@@ -91,9 +94,11 @@ from .regularizer import (
     _ENGINE_LAYOUT,
     CutoffChi,
     KappaPlan,
-    _euler_tables,
+    _band_words,
     _regularized_tables,
     _unit_sphere_tables,
+    _word_coefficients,
+    _word_sums,
     select_kappa,
 )
 from .symbol_spaces import Amplitude, PhaseFunction, check_alpha_membership
@@ -143,12 +148,16 @@ class QuadratureConfig:
     index set, g and D g on the next, then on a transition chunk g, D g
     and chi g); see ``apply_l_ladder``.  A kappa = 4, out_order 2
     transition chunk of 8,640 nodes at one x point peaks at about 14 MB
-    (tracemalloc).  On the bands that run the ladder on the unit xi-sphere
-    (see the module docstring) a chunk holds only the scaled Phi and
-    L^kappa(a u) tables and their product with exp(i Phi): over the
-    benchmark's apply ops on the same guest such a band took about 70 ns
-    per (node, x point) evaluation, unit-sphere ladder included, where the
-    per-node ladder took 530 ns.
+    (tracemalloc).  An operator that sums words (see the module docstring)
+    holds per chunk only the chunk's Phi and L^kappa(a u) tables, their
+    product with exp(i Phi) and the word products of one x key: the same
+    transition chunk peaks at about 1.7 MB, and its 31 word tables and
+    their coefficients at 0.3 MB each.  Over 40 seeded apply ops of the
+    benchmark's matrix on the same guest (CPU time, the linear and
+    transport phases alike) the transition band took about 180 ns per
+    (node, x point) evaluation, word tables and coefficients included,
+    where the per-node ladder took 1,130 ns, and the bands beyond the
+    cutoff about 155 ns.
     The chunk size depends only on this value and the total point count,
     never on the worker count.  The y-first solver path builds its exp(-i y xi)
     and exp(i z xi) tables in blocks of at most this many entries (or one
@@ -394,30 +403,31 @@ def _plan_nodes(chi, config, y_window, kappa, rates):
 
 
 def _eval_band(phase, amp, u, chi, kappa, xs, xn, xw, yn, yw, sign,
-               out_order, chunk_nodes, out_acc, unit=None):
+               out_order, chunk_nodes, out_acc, words=None):
     """Accumulate the weighted sum of d^j_x [exp(i Phi) L^kappa(a u)] over
     one band's ``sign`` half-line into ``out_acc`` (per x-key arrays).
 
-    Given ``unit``, the band's tables at xi = ``sign`` on its y nodes
-    (``_unit_sphere_tables``), each chunk scales them to its nodes
-    (``_euler_tables``); otherwise each chunk runs the L^kappa ladder.  An
+    Given ``words``, the word ladder at xi = ``sign`` on the band's y nodes,
+    the words the band sums and their coefficients at its xi nodes
+    (``_unit_sphere_tables``, ``_band_words``, ``_word_coefficients``),
+    each chunk sums the words at its nodes (``_word_sums``); otherwise each chunk runs the L^kappa ladder.  An
     entry that does not depend on x (a (1, chunk) row of an x-free table,
     or the exact scalar zero of an x derivative it lacks) is reduced once,
     as one point, and ``+=`` broadcasts its sum over the points.
     """
-    ynodes = yn[None, :].repeat(xn.size, axis=0).ravel()
-    xinodes = np.repeat(sign * xn, yn.size)
     wts = np.repeat(xw, yn.size) * np.tile(yw, xn.size)
-    total = xinodes.size
+    total = wts.size
+    if words is None:
+        ynodes = yn[None, :].repeat(xn.size, axis=0).ravel()
+        xinodes = np.repeat(sign * xn, yn.size)
     for s in range(0, total, chunk_nodes):
         sl = slice(s, min(s + chunk_nodes, total))
-        coords = Coords(xs[:, None], ynodes[None, sl], xinodes[None, sl])
-        if unit is None:
+        if words is None:
+            coords = Coords(xs[:, None], ynodes[None, sl], xinodes[None, sl])
             g, phase_x, iset_x = _regularized_tables(phase, amp.map, u, chi, kappa,
                                                      coords, out_order)
         else:
-            g, phase_x, iset_x = _euler_tables(unit, coords,
-                                               np.arange(sl.start, sl.stop) % yn.size)
+            g, phase_x, iset_x = _word_sums(*words, xn, sl)
         tab = t_mul(t_exp(t_scale(phase_x, 1.0j), iset_x), g, iset_x)
         w = wts[sl]
         for k in iset_x.keys():
@@ -435,17 +445,17 @@ def _chunk_nodes(config, npts: int) -> int:
     return max(config.nodes_per_panel, config.max_chunk_elements // max(npts, 1))
 
 
-def _band_meta(bands, chunk_nodes: int, signs, npts: int, degrees) -> dict:
+def _band_meta(bands, chunk_nodes: int, signs, npts: int, degree) -> dict:
     """The ladder's counts: ``nodes`` and ``band_chunks`` count the evaluated
-    half-lines ``signs`` only, ``unit_sphere_nodes`` the nodes of the bands
-    whose ``degrees`` entry is set, and ``evaluations`` the integrand
-    values, one per node and x point."""
+    half-lines ``signs`` only, ``unit_sphere_nodes`` the nodes summed from
+    the word tables (all of them when the operator has a ``degree``, else
+    none), and ``evaluations`` the integrand values, one per node and x
+    point."""
     sides = len(signs)
-    counts = [sides * xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands]
-    nodes = sum(counts)
+    nodes = sum(sides * xn.size * yn.size for _lo, _hi, xn, _xw, yn, _yw in bands)
     return {"evaluation_path": "l_kappa",
             "nodes": nodes,
-            "unit_sphere_nodes": sum(n for n, d in zip(counts, degrees) if d is not None),
+            "unit_sphere_nodes": 0 if degree is None else nodes,
             "evaluations": npts * nodes,
             "chunk_nodes": chunk_nodes,
             "band_chunks": [sides * math.ceil(xn.size * yn.size / chunk_nodes)
@@ -453,37 +463,46 @@ def _band_meta(bands, chunk_nodes: int, signs, npts: int, degrees) -> dict:
 
 
 def _engine(phase, amp, u, chi, kappa, xs, out_order, chunk_nodes,
-            bands, signs, degrees, x_slice=slice(None)):
+            bands, signs, degree, x_slice=slice(None)):
     """Weighted sums over the planned ``bands`` for the x points
     ``xs[x_slice]``, in chunks of ``chunk_nodes`` nodes.
 
-    A band whose ``degrees`` entry is set (``_unit_sphere_degrees``) runs the
-    ladder once per sign and y rule, at xi = sign on its y nodes, and scales
-    it to each node; every other band runs it at every node.  Returns one
-    accumulator per (band, sign): ``parts[b][j]`` maps each x-derivative
-    key to the sum over band ``b`` on the half-line ``signs[j]``.
+    Given the amplitude's xi ``degree`` (``_unit_sphere_degree``), the word
+    ladder runs once per sign and y rule, at xi = sign on the y nodes, each
+    band takes its words from it and its word coefficients at its xi nodes,
+    and each chunk sums the words.  The inner band takes one word, rho^d
+    (L is the identity there), the bands beyond the cutoff one merged
+    word, and the transition band every word of length up to kappa.
+    Without a degree every band runs the ladder at every node.  Returns
+    one accumulator per (band,
+    sign): ``parts[b][j]`` maps each x-derivative key to the sum over band
+    ``b`` on the half-line ``signs[j]``.
     """
     xs = xs[x_slice]
     keys = IndexSet(_ENGINE_LAYOUT, out_order, 0).keys()
-    units = {}  # unit-sphere tables by sign and y rule
+    ladders = {}  # word tables by sign and y rule
     parts = []
-    for (lo, hi, xn, xw, yn, yw), degree in zip(bands, degrees):
-        # chi == 1 on the inner band, where L is the identity
+    for lo, hi, xn, xw, yn, yw in bands:
+        # chi == 1 on the inner band, where L is the identity, and 0 beyond it
         band_kappa = 0 if hi <= chi.inner_radius + 1e-12 else kappa
+        merged = lo >= chi.outer_radius
+        if degree is not None:
+            coeffs = _word_coefficients(band_kappa, degree, chi, xn, merged)
         per_sign = []
         for sign in signs:
-            unit = None
+            words = None
             if degree is not None:
-                key = (sign, yn.tobytes())
-                if key not in units:
-                    units[key] = _unit_sphere_tables(
-                        phase, amp.map, u, band_kappa, degree,
+                rule = (sign, yn.tobytes())
+                if rule not in ladders:
+                    ladders[rule] = _unit_sphere_tables(
+                        phase, amp.map, u, kappa, degree,
                         Coords(xs[:, None], yn[None, :], np.full((1, yn.size), sign)),
                         out_order)
-                unit = units[key]
+                ladder = ladders[rule]
+                words = (ladder, _band_words(ladder, band_kappa, merged), coeffs)
             acc = {k: np.zeros(xs.size, dtype=complex) for k in keys}
             per_sign.append(_eval_band(phase, amp, u, chi, band_kappa, xs, xn, xw,
-                                       yn, yw, sign, out_order, chunk_nodes, acc, unit))
+                                       yn, yw, sign, out_order, chunk_nodes, acc, words))
         parts.append(per_sign)
     return parts
 
@@ -541,13 +560,11 @@ def _xi_mirrored(phase, amp, u: SmoothMap) -> bool:
             and u.xi_reflection == "hermitian")
 
 
-def _unit_sphere_degrees(phase, amp, chi: CutoffChi, bands) -> list:
-    """Per band, the amplitude's xi degree where the band runs the ladder
-    on the unit xi-sphere, else None: the band lies beyond the cutoff's
-    outer radius, the phase declares xi degree 1 and the amplitude a
-    degree (u, a map of y alone, has degree 0)."""
-    d = amp.map.xi_degree if phase.map.xi_degree == 1 else None
-    return [d if lo >= chi.outer_radius else None for lo, *_rest in bands]
+def _unit_sphere_degree(phase, amp):
+    """The amplitude's xi degree when every band sums words tabled on the
+    unit xi-sphere, else None: the phase declares xi degree 1 and the
+    amplitude a degree (u, a map of y alone, has degree 0)."""
+    return amp.map.xi_degree if phase.map.xi_degree == 1 else None
 
 
 def _check_layouts(layout: VarLayout, u: SmoothMap | None = None) -> None:
@@ -595,9 +612,9 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
                                    _probe_rates(op.phase, xs, window))
     x_tables = op.phase.layout.n_x or op.amplitude.layout.n_x
     chunk_nodes = _chunk_nodes(op.config, xs.size if x_tables else 1)
-    degrees = _unit_sphere_degrees(op.phase, op.amplitude, op.chi, bands)
+    degree = _unit_sphere_degree(op.phase, op.amplitude)
     job = (op.phase, op.amplitude, u, op.chi, op.plan.kappa, xs, out_order, chunk_nodes,
-           bands, signs, degrees)
+           bands, signs, degree)
     slices = _worker_slices(xs.size, workers, os.cpu_count())
     if len(slices) > 1 and hasattr(os, "fork"):
         parts = _fork_parts(job, slices)
@@ -612,7 +629,7 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
         for k, v in band.items():
             total[k] += v
     f = (2.0 * math.pi) ** -1
-    meta = {**plan_meta, **_band_meta(bands, chunk_nodes, signs, xs.size, degrees),
+    meta = {**plan_meta, **_band_meta(bands, chunk_nodes, signs, xs.size, degree),
             "wall_time": time.perf_counter() - t0, "xi_reflected": mirrored,
             "band_contributions": [f * float(np.max(np.abs(band[(0, 0, 0)])))
                                    for band in band_sums]}

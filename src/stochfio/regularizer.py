@@ -24,25 +24,35 @@ each derivative forms only the Leibniz rows it reads.  Where chi == 0
 exactly (beyond the clamped outer edge of the profile), the cutoff table
 holds exact zeros and L^kappa = i^kappa D^kappa.
 
-Euler step: let the phase be positively homogeneous of degree 1 in xi and
-a psi of degree d (``SmoothMap.xi_degree``; psi is a map of y alone, of
-degree 0).  Then r has degree 2, s' degree -2, ||xi||^2 d_xi Phi degree 2
-and d_y Phi degree 1, so D lowers the degree by one, and beyond the cutoff
+Word ladder: let the phase be positively homogeneous of degree 1 in xi,
+so Phi = rho phi(x, y) on each half-line xi = rho sigma (rho = ||xi||),
+and a psi of degree d (``SmoothMap.xi_degree``; psi is a map of y alone,
+of degree 0), so a psi = rho^d F(x, y); chi depends on rho alone.  With
+R = phi^2 + phi_y^2, r = rho^2 R, and for g = f(rho) G(x, y)
 
-    L^kappa(a psi)(x, y, rho sigma) = i^kappa rho^(d - kappa) D^kappa(a psi)(x, y, sigma)
+    D g = [(1 - chi) f]'(rho) T_A G + ((1 - chi) f / rho) T_B G,
+    T_A G = (phi / R) G,    T_B G = d_y(phi_y G / R).
 
-with rho = ||xi|| and sigma = sign xi.  ``_unit_sphere_tables`` runs the
-ladder once at xi = sigma on tables without xi orders: at step k the
-xi-term F = ||xi||^2 d_xi Phi s' g has degree m = d - k, and Euler's
-relation xi d_xi F = m F turns its xi-derivative into m sigma F.
-``_euler_tables`` scales the result, and Phi(rho sigma) = rho Phi(sigma),
-to each node.  Each unit-sphere entry serves every xi node of its y node,
-so its rounding error does not average out over the nodes as the per-node
-ladder's does: the unit-sphere ladder runs in numpy's long double and is
-rounded once.  The quadrature engine takes this path on the bands beyond
-the outer radius when the phase declares degree 1 and the amplitude a
-degree; every other band, and every other operator, runs the ladder at
-each node.
+So L^kappa(a psi) = sum_w c_w(rho) T_w F over the words w in {A, B} of
+length at most kappa (7 at kappa = 2, 31 at kappa = 4), with
+T_wA = T_A T_w.  The scalar coefficients start from c = rho^d for the
+empty word, and each application of L maps c_w to chi c_w and adds
+i [(1 - chi) c_w]' to c_wA and i (1 - chi) c_w / rho to c_wB.
+``_unit_sphere_tables`` runs the table ladder once at xi = sigma, on
+tables without xi orders, ``_band_words`` picks the words a band sums,
+``_word_coefficients`` runs the scalar ladder on the band's radii, and
+``_word_sums`` sums the words at each node, with Phi(rho sigma) =
+rho Phi(sigma).  Two cases keep a single word.  At kappa = 0 (the inner
+band, where L is the identity) it is rho^d F.  Where chi == 0 every
+coefficient is a multiple of rho^(d - kappa), so the words of length
+kappa merge into one table, i^kappa rho^(d - kappa) times D^kappa(a psi)
+at sigma, the word T_w weighted by the product of (d - k) over its A
+steps k (Euler's relation for the xi-term of degree d - k).  Each table
+entry serves every xi node of its y node, so its rounding error does not
+average out over the nodes as the per-node ladder's does: both ladders
+run in numpy's long double and are rounded once.  The quadrature engine
+takes this path on every band when the phase declares degree 1 and the
+amplitude a degree; every other operator runs the ladder at each node.
 
 Reflection xi -> -xi: for a real phase that is odd in xi, d_xi Phi and r
 are even and d_y Phi is odd, so D maps a table g with g(-xi) = conj g(xi)
@@ -335,55 +345,52 @@ def _cast(table: dict, real, cplx) -> dict:
             for k, v in table.items()}
 
 
-class _UnitSphere(NamedTuple):
-    """x-only tables of i^kappa D^kappa(a psi) (``g``) and of Phi
-    (``phase``) at xi = sigma, each entry an exact zero or an (x rows, y
-    nodes) array, and the degree d - kappa of L^kappa(a psi)."""
+class _WordLadder(NamedTuple):
+    """The word tables of ``_unit_sphere_tables`` at xi = sigma on ``n_y``
+    y nodes, and the tables of Phi there.
 
-    g: dict
+    ``generations[l]`` is the x-only table of the 2^l words of length l in
+    word order: per x key an exact zero or a (words, x rows, y nodes) long
+    double array.  ``phase`` holds an exact zero or an (x rows, y nodes)
+    array per x key.
+    """
+
+    generations: list
     phase: dict
     iset_x: IndexSet
+    n_y: int
     degree: float
 
 
-def _unit_sphere_tables(phase, amp: SmoothMap, psi: SmoothMap, kappa: int, degree: float,
-                        coords: Coords, out_order: int) -> _UnitSphere:
-    """The ladder of ``_regularized_tables`` where chi == 0, run once at
-    xi = sigma for a phase of xi degree 1 and an ``amp`` of xi degree
-    ``degree``; ``psi`` is a map of y alone, ``coords.xi`` is sigma = +-1
-    everywhere and ``coords.y`` holds the y nodes on its last axis.
+def _interleave(a, b):
+    """The entries ``a`` and ``b`` interleaved along the word axis 0:
+    a[0], b[0], a[1], b[1], ..., the children wA and wB of each word w."""
+    if _is_zero(a) and _is_zero(b):
+        return 0.0
+    a, b = np.broadcast_arrays(a, b)
+    return np.stack((a, b), axis=1).reshape((-1,) + a.shape[1:])
 
-    The tables carry (x, y) orders only.  At step k the table g of
-    D^k(a psi) and the xi-term ||xi||^2 d_xi Phi s' g of D g are of degree
-    m = degree - k, so by Euler's relation the xi-derivative of that term is
-    m sigma times it at ||xi|| = 1, where ||xi||^2 = 1 too.  The ladder runs
-    in long double and is rounded once, at the end.
+
+def _unit_sphere_tables(phase, amp: SmoothMap, psi: SmoothMap, kappa: int, degree: float,
+                        coords: Coords, out_order: int) -> _WordLadder:
+    """The word tables T_w(a psi) of L^kappa(a psi) at xi = sigma, for a
+    phase of xi degree 1 and an ``amp`` of xi degree ``degree``; ``psi`` is
+    a map of y alone, ``coords.xi`` is sigma = +-1 everywhere and
+    ``coords.y`` holds the y nodes on its last axis.
+
+    The tables carry (x, y) orders only.  Each step maps every word table G
+    of the last generation to T_A G = (phi / R) G and T_B G =
+    d_y(phi_y G / R), with phi = Phi(sigma) = sigma d_xi Phi(sigma) and
+    R = phi^2 + phi_y^2, one int order down; the children wA, wB of each
+    word w follow in the order of w.  The ladder runs in long double.
     """
     layout = _ENGINE_LAYOUT
     iset_f = IndexSet(layout, out_order, kappa)
+    iset_x = IndexSet(layout, out_order, 0)
     phase_t = phase.table(coords, IndexSet(layout, out_order, kappa + 1))
     cur = IndexSet(VarLayout(1, 1, 0), out_order, kappa)  # no xi orders
-    wide = (np.longdouble, np.clongdouble)
-    g = _cast(t_mul(amp.provider(coords, iset_f), psi.provider(coords, iset_f), cur), *wide)
-    sigma = float(np.ravel(coords.xi)[0])
-    # key entries 2 and 1 are the xi and y orders
-    xi_field = _cast(t_shift(phase_t, 2, cur), *wide)
-    y_field = _cast(t_shift(phase_t, 1, cur), *wide)
-    one = t_blank(cur)
-    one[cur.zero] = 1.0
-    s_prime = t_div(one, t_add(t_mul(xi_field, xi_field, cur),
-                               t_mul(y_field, y_field, cur), cur), cur)
-    for step in range(kappa):
-        nxt = cur.shrink_int(1)
-        h = t_mul(s_prime, g, cur)
-        m = degree - step
-        dg = t_scale(t_mul(xi_field, h, nxt), m * sigma) if m else t_blank(nxt)
-        g = t_mul_shift(y_field, h, 1, nxt, into=dg)
-        cur = nxt
-    g = _cast(g, float, complex)
-    if kappa % 4:
-        g = t_scale(g, _I_POWERS[kappa % 4])
     n_y = np.shape(coords.y)[-1]
+    wide = (np.longdouble, np.clongdouble)
 
     def rows(v):
         if _is_zero(v):
@@ -391,23 +398,152 @@ def _unit_sphere_tables(phase, amp: SmoothMap, psi: SmoothMap, kappa: int, degre
         a = np.atleast_2d(v)
         return np.broadcast_to(a, (a.shape[0], n_y))
 
-    keys = cur.keys()
-    return _UnitSphere({k: rows(g[k]) for k in keys}, {k: rows(phase_t[k]) for k in keys},
-                       IndexSet(layout, out_order, 0), degree - kappa)
+    f = t_mul(amp.provider(coords, iset_f), psi.provider(coords, iset_f), cur)
+    g = _cast({k: v if _is_zero(v) else rows(v)[None] for k, v in f.items()}, *wide)
+    sigma = float(np.ravel(coords.xi)[0])
+    # key entries 2 and 1 are the xi and y orders
+    xi_field = _cast(t_shift(phase_t, 2, cur), *wide)
+    phi = t_scale(xi_field, sigma)
+    phi_y = _cast(t_shift(phase_t, 1, cur), *wide)
+    one = t_blank(cur)
+    one[cur.zero] = 1.0
+    r_inv = t_div(one, t_add(t_mul(xi_field, xi_field, cur), t_mul(phi_y, phi_y, cur), cur),
+                  cur)
+    keys = iset_x.keys()
+    generations = []
+    for _ in range(kappa):
+        nxt = cur.shrink_int(1)
+        generations.append({k: g[k] for k in keys})
+        h = t_mul(r_inv, g, cur)
+        t_a, t_b = t_mul(phi, h, nxt), t_mul_shift(phi_y, h, 1, nxt)
+        g = {k: _interleave(t_a[k], t_b[k]) for k in nxt.keys()}
+        cur = nxt
+    generations.append(g)
+    return _WordLadder(generations, {k: rows(phase_t[k]) for k in keys}, iset_x, n_y, degree)
 
 
-def _euler_tables(unit: _UnitSphere, coords: Coords, y_index) -> tuple:
-    """``_regularized_tables`` at nodes where chi == 0, from the tables of
-    ``unit`` at y node ``y_index`` of each node: Phi(rho sigma) = rho
-    Phi(sigma) and L^kappa(a psi)(rho sigma) = rho^(d - kappa)
-    i^kappa D^kappa(a psi)(sigma), with rho = ||xi||."""
-    rho = np.abs(coords.xi)
-    power = rho ** unit.degree
+def _band_words(ladder: _WordLadder, kappa: int, merged: bool) -> tuple:
+    """The words of ``ladder`` that a band of ``kappa`` applications of L
+    sums, rounded to double: per length parity p, the words of length
+    parity p in word order, per x key an exact zero or an (x rows, words,
+    y nodes) array.  The coefficient of a word of length l is i^l times a
+    real function of rho, so the even words make the real part of
+    L^kappa(a psi) and the odd words the imaginary part.
 
-    def at(table, factor):
-        return {k: v if _is_zero(v) else v[:, y_index] * factor for k, v in table.items()}
+    The inner band (kappa = 0) sums the empty word alone, the transition
+    band every word of length up to kappa.  Given ``merged`` (chi == 0 on
+    the band) only the words of length kappa have a nonzero coefficient,
+    each i^kappa rho^(d - kappa) times the product of (d - k) over the A
+    steps k (Euler's relation for the xi-term of degree d - k), so they
+    merge, in long double, into one word: i^kappa rho^(d - kappa) times
+    D^kappa(a psi) at sigma.
+    """
+    if merged:
+        weights = np.ones(1, np.longdouble)
+        for step in range(kappa):
+            weights = _interleave((ladder.degree - step) * weights, weights)
+        last = ladder.generations[kappa]
+        generations = [(kappa, 1, {k: v if _is_zero(v) else np.tensordot(
+            weights, np.broadcast_to(v, weights.shape + v.shape[1:]), 1)[None]
+            for k, v in last.items()})]
+    else:
+        generations = [(length, 2 ** length, ladder.generations[length])
+                       for length in range(kappa + 1)]
+    words = ({}, {})
+    for k in ladder.iset_x.keys():
+        for parity, out in enumerate(words):
+            entries = [(count, t[k]) for length, count, t in generations
+                       if length % 2 == parity]
+            if all(_is_zero(v) for _count, v in entries):
+                out[k] = 0.0
+                continue
+            rows = max(np.shape(v)[1] for _count, v in entries if not _is_zero(v))
+            stacked = np.concatenate([np.broadcast_to(v, (count, rows, ladder.n_y))
+                                      for count, v in entries]).transpose(1, 0, 2)
+            out[k] = np.ascontiguousarray(stacked,
+                                          complex if np.iscomplexobj(stacked) else float)
+    return words
 
-    return at(unit.g, power), at(unit.phase, rho), unit.iset_x
+
+def _word_coefficients(kappa: int, degree: float, chi: CutoffChi, rho, merged: bool) -> tuple:
+    """The real factors of the word coefficients of ``_unit_sphere_tables``
+    at the radii ``rho``: per length parity a (rho nodes, words) array, the
+    words in word order and the factor i^l of a word of length l folded in
+    up to the i of the odd words.
+
+    The ladder runs on rho-jets of real factors r_w, c_w = i^|w| r_w,
+    starting from r = rho^degree for the empty word: each step maps r_w to
+    chi r_w and adds [(1 - chi) r_w]' to r_wA and (1 - chi) r_w / rho to
+    r_wB, consuming one rho order; the chi jets are
+    ``CutoffChi.profile_derivs`` at ``rho``.  It runs in long double and is
+    rounded once.  Given ``merged`` (chi == 0 on ``rho``) the one merged
+    word has r = rho^(degree - kappa).
+    """
+    if merged:
+        generations = [(kappa, np.asarray(rho, float)[None] ** (degree - kappa))]
+    else:
+        cur = _uni_iset(kappa)  # the rho order, carried as the x order
+        rho_t = t_blank(cur)
+        rho_t[cur.zero] = np.asarray(rho, np.longdouble)
+        if kappa:
+            rho_t[(1, 0, 0)] = 1.0
+        chi_t = {(k, 0, 0): np.asarray(v, np.longdouble)
+                 for k, v in enumerate(chi.profile_derivs(rho, kappa))}
+        omc = t_scale(chi_t, -1.0)
+        omc[cur.zero] = 1.0 - chi_t[cur.zero]
+        inv_rho = t_pow(rho_t, -1.0, cur)
+        r = {k: v if _is_zero(v) else v[None] for k, v in t_pow(rho_t, degree, cur).items()}
+        for step in range(kappa):
+            nxt = _uni_iset(kappa - step - 1)
+            p = t_mul(omc, r, cur)
+            kept, d_a, d_b = t_mul(chi_t, r, nxt), t_shift(p, 0, nxt), t_mul(p, inv_rho, nxt)
+            words = 2 ** (step + 1) - 1
+            r = {}
+            for k in nxt.keys():
+                r[k] = np.zeros((2 * words + 1, np.size(rho)), np.longdouble)
+                r[k][:words] += kept[k]
+                r[k][1::2] += d_a[k]  # word w sits at i, wA at 2 i + 1, wB at 2 i + 2
+                r[k][2::2] += d_b[k]
+            cur = nxt
+        generations = [(length, r[cur.zero][2 ** length - 1:2 ** (length + 1) - 1])
+                       for length in range(kappa + 1)]
+    out = []
+    for parity in (0, 1):
+        rows = [(-1.0) ** (length // 2) * c for length, c in generations
+                if length % 2 == parity]
+        out.append(np.ascontiguousarray(np.concatenate(rows).T, float) if rows
+                   else np.zeros((np.size(rho), 0)))
+    return tuple(out)
+
+
+def _word_sums(ladder: _WordLadder, words: tuple, coeffs: tuple, rho, nodes: slice) -> tuple:
+    """``_regularized_tables`` at the nodes ``nodes`` of a band whose nodes
+    run over the radii ``rho`` and, fastest, the y nodes of ``ladder``, from
+    the band's ``words`` (``_band_words``) and their ``coeffs``
+    (``_word_coefficients``).
+
+    At x point x and node (rho sigma, y), L^kappa(a psi) is the sum over
+    the words of c_w(rho) T_w(a psi)(x, y), and Phi is rho Phi(x, y,
+    sigma).  The chunk's xi rows give one small matrix product per x row
+    and length parity, (xi rows, words) by (words, y nodes), so a point's
+    values depend on the chunk alone and not on the points tabled with it.
+    """
+    n_y = ladder.n_y
+    j0, j1 = nodes.start // n_y, -(-nodes.stop // n_y)
+    cut = slice(nodes.start - j0 * n_y, nodes.stop - j0 * n_y)
+
+    def chunk(a):  # (x rows, xi rows, y nodes) -> (x rows, the chunk's nodes)
+        return a.reshape(a.shape[0], -1)[:, cut]
+
+    g = {}
+    for k in ladder.iset_x.keys():
+        re, im = (None if _is_zero(t[k]) else chunk(np.matmul(c[j0:j1], t[k]))
+                  for t, c in zip(words, coeffs))
+        g[k] = (0.0 if re is None and im is None else re if im is None
+                else 1j * im if re is None else re + 1j * im)
+    phase = {k: v if _is_zero(v) else chunk(v[:, None, :] * rho[j0:j1, None])
+             for k, v in ladder.phase.items()}
+    return g, phase, ladder.iset_x
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,7 @@ def test_chunk_counts_cover_the_bands_at_every_worker_count(monkeypatch):
     two_sided = replace(mirrored, phase=PhaseFunction(
         replace(mirrored.phase.map, xi_reflection=None)))
     evaluate = oscillatory._regularized_tables
-    scale = oscillatory._euler_tables
+    contract = oscillatory._word_sums
     for op, sides in ((mirrored, 1), (two_sided, 2)):
         chunk_sizes = []
         unit_sphere_chunks = []
@@ -137,19 +137,18 @@ def test_chunk_counts_cover_the_bands_at_every_worker_count(monkeypatch):
             chunk_sizes.append(coords.xi[0].size)
             return evaluate(phase, amp, psi, chi, kappa, coords, out_order)
 
-        def counted_scaled(unit, coords, y_index):
-            # a chunk of the bands beyond the cutoff, scaled from the unit sphere
-            chunk_sizes.append(coords.xi[0].size)
-            unit_sphere_chunks.append(coords.xi[0].size)
-            return scale(unit, coords, y_index)
+        def counted_words(ladder, words, coeffs, rho, nodes):
+            # a chunk summed from the word tables on the unit sphere
+            chunk_sizes.append(nodes.stop - nodes.start)
+            unit_sphere_chunks.append(nodes.stop - nodes.start)
+            return contract(ladder, words, coeffs, rho, nodes)
 
         monkeypatch.setattr(oscillatory, "_regularized_tables", counted)
-        monkeypatch.setattr(oscillatory, "_euler_tables", counted_scaled)
+        monkeypatch.setattr(oscillatory, "_word_sums", counted_words)
         one = op.apply(gaussian(), XS, workers=1)
         monkeypatch.undo()
         meta = one.meta
-        outer = [sides * n_xi * n_y for lo, _hi, n_xi, n_y in meta["bands"] if lo >= 2.0]
-        assert meta["unit_sphere_nodes"] == sum(unit_sphere_chunks) == sum(outer) > 0
+        assert meta["unit_sphere_nodes"] == sum(unit_sphere_chunks) == meta["nodes"] > 0
         assert meta["xi_reflected"] == (sides == 1)
         assert meta["chunk_nodes"] == 4096 // XS.size
         assert len(meta["band_chunks"]) == len(meta["bands"])
@@ -166,12 +165,33 @@ def test_chunk_counts_cover_the_bands_at_every_worker_count(monkeypatch):
             assert two.meta[key] == meta[key]
 
 
-def test_apply_does_not_depend_on_the_chunk_size():
-    fields = [build_identity(config=QuadratureConfig(
-        xi_radius=8.0, max_chunk_elements=elements)).apply(gaussian(), XS, out_order=2)
-        for elements in (4096, 16384, 262144)]
-    # the identity operator is mirrored: one half-line, half the chunks of two
-    assert [sum(f.meta["band_chunks"]) for f in fields] == [32, 9, 4]
+def _transport_kappa4():
+    from stochfio.applications import make_speed, transport_phase
+
+    phase = transport_phase(make_speed("affine", offset=1.0, slope=0.5), 0.3)
+    return lambda config: FioOperator.build(phase, unit_amplitude(), alpha=None,
+                                            extra_decay=2, config=config)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["identity", "transport kappa 4"])
+def test_apply_does_not_depend_on_the_chunk_size(kind, workers):
+    build = (lambda config: build_identity(config=config)) if kind == "identity" \
+        else _transport_kappa4()
+    ops = [build(QuadratureConfig(xi_radius=8.0, max_chunk_elements=elements))
+           for elements in (4096, 16384, 262144)]
+    fields = [op.apply(gaussian(), XS, out_order=2, workers=workers) for op in ops]
+    if kind == "identity":
+        # the identity operator is mirrored: one half-line, half the chunks of two
+        assert [sum(f.meta["band_chunks"]) for f in fields] == [32, 9, 4]
+    else:
+        assert fields[0].meta["kappa"] == 4
+        assert fields[0].meta["unit_sphere_nodes"] == fields[0].meta["nodes"]
+    if workers > 1:  # the split over the x points changes no bit
+        for op, field in zip(ops, fields):
+            serial = op.apply(gaussian(), XS, out_order=2)
+            for key, ref in serial.values.items():
+                assert np.array_equal(field.values[key], ref), key
     for other in fields[1:]:
         for key, ref in fields[0].values.items():
             assert np.max(np.abs(other.values[key] - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -494,9 +514,7 @@ def test_unit_sphere_apply_equals_the_ladder_at_every_node(phase_kind, extra_dec
     u = gaussian(center=0.1, width=0.6)
     fast = op.apply(u, XS, out_order=2)
     slow = _undeclared_op(op).apply(u, XS, out_order=2)
-    outer = sum(n_xi * n_y for lo, _hi, n_xi, n_y in fast.meta["bands"] if lo >= 2.0)
-    sides = 1 if fast.meta["xi_reflected"] else 2
-    assert fast.meta["unit_sphere_nodes"] == sides * outer > 0
+    assert fast.meta["unit_sphere_nodes"] == fast.meta["nodes"] > 0
     assert slow.meta["unit_sphere_nodes"] == 0
     assert fast.meta["nodes"] == slow.meta["nodes"]
     for key, ref in slow.values.items():
@@ -514,7 +532,9 @@ def test_an_amplitude_without_a_degree_runs_the_ladder_at_every_node(amp_map, mo
         raise AssertionError("the unit-sphere ladder ran for an undeclared amplitude")
 
     monkeypatch.setattr(oscillatory, "_unit_sphere_tables", refuse)
-    monkeypatch.setattr(oscillatory, "_euler_tables", refuse)
+    monkeypatch.setattr(oscillatory, "_band_words", refuse)
+    monkeypatch.setattr(oscillatory, "_word_coefficients", refuse)
+    monkeypatch.setattr(oscillatory, "_word_sums", refuse)
     assert amp_map.xi_degree is None
     op = FioOperator.build(translation_phase(), Amplitude(amp_map), alpha=None,
                            config=MIRROR_CONFIG)

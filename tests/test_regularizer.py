@@ -23,9 +23,11 @@ from stochfio.jets import (
 from stochfio import regularizer
 from stochfio.regularizer import (
     CutoffChi,
-    _euler_tables,
+    _band_words,
     _regularized_tables,
     _unit_sphere_tables,
+    _word_coefficients,
+    _word_sums,
     apply_l_ladder,
     check_coefficient_symbol_bounds,
     coefficient_tables,
@@ -434,29 +436,37 @@ def _outer_amplitude(kind):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("amp_kind", ["constant", "x-dependent", "degree 1"])
 @pytest.mark.parametrize("phase_kind", ["linear", "transport", "scaled_norm"])
-def test_unit_sphere_ladder_scaled_equals_the_ladder_at_outer_nodes(phase_kind, amp_kind,
-                                                                     sign):
-    # L^kappa(a psi)(rho sigma) = i^kappa rho^(d - kappa) D^kappa(a psi)(sigma)
-    # and Phi(rho sigma) = rho Phi(sigma) beyond the cutoff, key by key
+def test_unit_sphere_words_equal_the_ladder_at_every_band(phase_kind, amp_kind, sign):
+    # L^kappa(a psi)(rho sigma) = sum_w c_w(rho) T_w(a psi)(sigma) and
+    # Phi(rho sigma) = rho Phi(sigma), key by key, at inner, near-edge and
+    # transition nodes (every word) and beyond the cutoff (one merged word)
     phase, amp = _outer_phase(phase_kind), _outer_amplitude(amp_kind)
     assert phase.xi_degree == 1
     psi = builtin_map("gaussian_bump", block="y", center=0.1, width=0.7)
-    xs, ys, rhos = np.array([-0.6, 0.1, 0.7]), np.linspace(-1.2, 1.3, 5), (2.0, 5.0, 30.0)
-    node_y = np.tile(ys, len(rhos))
-    coords = Coords(xs[:, None], node_y[None, :], sign * np.repeat(rhos, ys.size)[None, :])
+    xs, ys = np.array([-0.6, 0.1, 0.7]), np.linspace(-1.2, 1.3, 5)
     unit_coords = Coords(xs[:, None], ys[None, :], np.full((1, ys.size), sign))
-    shape = (xs.size, len(rhos), ys.size)
-    for kappa in (2, 3, 4):
-        for out_order in (0, 1, 2):
-            ref_g, ref_phase, ref_iset = _regularized_tables(phase, amp, psi, CutoffChi(),
-                                                             kappa, coords, out_order)
-            unit = _unit_sphere_tables(phase, amp, psi, kappa, amp.xi_degree, unit_coords,
-                                       out_order)
-            g, phase_x, iset_x = _euler_tables(unit, coords, np.arange(node_y.size) % ys.size)
-            assert iset_x == ref_iset
-            for key in ref_iset.keys():
-                for got, ref in ((g[key], ref_g[key]), (phase_x[key], ref_phase[key])):
-                    ref = np.broadcast_to(ref, (xs.size, node_y.size)).reshape(shape)
-                    got = np.broadcast_to(got, (xs.size, node_y.size)).reshape(shape)
-                    scale = np.max(np.abs(ref), axis=(0, 2), keepdims=True)  # per rho
-                    assert np.all(np.abs(got - ref) <= 1e-12 * scale), (kappa, out_order, key)
+    chi = CutoffChi()
+    for rhos, merged in (((0.5, 1.02, 1.5, 1.98), False), ((2.0, 5.0, 30.0), True)):
+        rho = np.array(rhos)
+        node_y = np.tile(ys, rho.size)
+        coords = Coords(xs[:, None], node_y[None, :], sign * np.repeat(rho, ys.size)[None, :])
+        shape = (xs.size, rho.size, ys.size)
+        for kappa in (1, 2, 3, 4):
+            for out_order in (0, 1, 2):
+                ref_g, ref_phase, ref_iset = _regularized_tables(phase, amp, psi, chi, kappa,
+                                                                 coords, out_order)
+                ladder = _unit_sphere_tables(phase, amp, psi, kappa, amp.xi_degree,
+                                             unit_coords, out_order)
+                g, phase_x, iset_x = _word_sums(
+                    ladder, _band_words(ladder, kappa, merged),
+                    _word_coefficients(kappa, amp.xi_degree, chi, rho, merged),
+                    rho, slice(0, node_y.size))
+                assert iset_x == ref_iset
+                for key in ref_iset.keys():
+                    for got, ref in ((g[key], ref_g[key]), (phase_x[key], ref_phase[key])):
+                        ref = np.broadcast_to(ref, (xs.size, node_y.size)).reshape(shape)
+                        got = np.broadcast_to(got, (xs.size, node_y.size)).reshape(shape)
+                        scale = np.max(np.abs(ref), axis=(0, 2), keepdims=True)  # per rho
+                        assert np.all(np.abs(got - ref) <= 1e-13 * scale), \
+                            (rhos, kappa, out_order, key)
+
