@@ -36,6 +36,7 @@ from .oscillatory import (
     _POSITIVE_SIGN,
     GridField,
     QuadratureConfig,
+    _normalize_x_points,
     _probe_points,
     _shifted_sums,
     _y_first_plan,
@@ -123,25 +124,45 @@ def solve_characteristics(speed: SmoothMap, x, t: float, order: int = 0,
                           for j in range(1, order + 1)]
     n = n_steps if n_steps is not None else rk4_step_count(t, tol)
 
-    def rhs(s):
+    def rhs(s):  # a scalar jet broadcasts in the RK4 update, to the same bits
         c_of_z = _compose_speed(speed, s, order)
-        return [-np.asarray(c_of_z[(j, 0, 0)]) * np.ones_like(x) for j in range(order + 1)]
+        return [-np.asarray(c_of_z[(j, 0, 0)]) for j in range(order + 1)]
 
     return _rk4(state, rhs, t, n)
 
 
-def _shift_phase(shift, describe: str, odd: bool) -> PhaseFunction:
-    """The phase xi (z(x, sign xi) - y) of the x-jets ``shift(x, sigma,
-    order)`` of z(., sigma) on a flat x array, cached per x array, order and
-    sigma.  With ``odd`` z does not depend on the sign of xi: one branch
-    serves both half-lines and the phase is declared odd in xi."""
-    cache = {}  # branch jets keyed by the x array, the order and sigma
+def _held_jets(shift):
+    """``shift(x, sigma, order)`` (the x-jets of z(., sigma) on a flat x
+    array) answered from the jets it has already solved.
+
+    Each solve runs on the distinct values of a request alone, and its jets
+    are kept per sigma, keyed by the bits of those values.  A request whose
+    values are all held at its order or a higher one is answered by index.
+    This gives the jets of a direct solve bit for bit: RK4 works point by
+    point, and the order-k jets do not depend on the highest order solved.
+    """
+    held = {}  # sigma -> [(sorted distinct x bits, order, jets on them)]
 
     def branch(x, sigma, order):
-        key = (x.tobytes(), x.shape, order, sigma)
-        if key not in cache:
-            cache[key] = [j.reshape(x.shape) for j in shift(x.ravel(), sigma, order)]
-        return cache[key]
+        bits = np.ascontiguousarray(x, dtype=float).view(np.uint64).ravel()
+        for keys, top, jets in held.get(sigma, ()):
+            at = np.searchsorted(keys, bits)
+            if top >= order and np.all(at < keys.size) and np.array_equal(keys[at], bits):
+                return [j[at].reshape(x.shape) for j in jets[:order + 1]]
+        keys, at = np.unique(bits, return_inverse=True)
+        jets = shift(keys.view(float), sigma, order)
+        held.setdefault(sigma, []).append((keys, order, jets))
+        return [j[at].reshape(x.shape) for j in jets]
+
+    return branch
+
+
+def _shift_phase(shift, describe: str, odd: bool) -> PhaseFunction:
+    """The phase xi (z(x, sign xi) - y) of the x-jets ``shift(x, sigma,
+    order)`` of z(., sigma) on a flat x array, held per distinct x value
+    (``_held_jets``).  With ``odd`` z does not depend on the sign of xi:
+    one branch serves both half-lines and the phase is declared odd in xi."""
+    branch = _held_jets(shift)
 
     def g_provider(x, sgn, order):
         x = np.asarray(x, dtype=float)
@@ -205,10 +226,13 @@ def transport_solve(speed: SmoothMap, u0: SmoothMap, t: float, x_points,
     """u(x, t) = u0(gamma(x, t)) evaluated through the operator quadrature.
 
     The phase xi (gamma(x, t) - y) shifts both half-lines to gamma, so the
-    integral is the y-first sum over the shifted points gamma(x, t).
+    integral is the y-first sum over the shifted points gamma(x, t).  gamma
+    is solved once, on the rate probe's x samples and the points together.
     """
-    return _shifted_field(u0, x_points, config,
-                          lambda xs: solve_characteristics(speed, xs, t)[0][None])
+    xs = _normalize_x_points(x_points)
+    gamma = _held_jets(lambda x, _sigma, order: solve_characteristics(speed, x, t, order))
+    gamma(np.concatenate([_probe_points(xs), xs]), 1, 0)
+    return _shifted_field(u0, xs, config, lambda pts: gamma(pts, 1, 0)[0][None])
 
 
 # ---------------------------------------------------------------------------

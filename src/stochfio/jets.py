@@ -363,8 +363,10 @@ def t_add(a: dict, b: dict, iset: IndexSet) -> dict:
     return out
 
 
+@lru_cache(maxsize=None)
 def _uni_iset(cap: int) -> IndexSet:
-    """Index set of a scratch table in one variable, carried as the x order."""
+    """Index set of a scratch table in one variable, carried as the x order,
+    shared: the set is frozen."""
     return IndexSet(VarLayout(1, 0, 0), cap, 0)
 
 

@@ -137,33 +137,39 @@ class QuadratureConfig:
     brings in concentrate at the plateau edges, where the graded panels are
     narrowest.  The y-panels are at most ``y_panel_max_width`` wide.
 
-    ``max_chunk_elements`` bounds the (x points) x (nodes) size of one
-    table entry.  Each jet product row (a b c + acc) makes temporaries of
-    that size, and the default keeps them in cache: on a 2-vCPU x86 guest
-    with 2 MB of L2 per core, one row term took 1.3 ns per element at 16384
-    elements (128 kB per real entry) and 3.3 ns at 262144 (2 MB).  The
-    memory of a per-node ladder chunk is a few whole tables of such
-    entries: the coefficient tables (s', ||xi||^2 d_xi Phi, d_y Phi, chi),
-    and during one L step at most three ladder tables (s' g on the current
-    index set, g and D g on the next, then on a transition chunk g, D g
-    and chi g); see ``apply_l_ladder``.  A kappa = 4, out_order 2
+    ``max_chunk_elements`` bounds the (x points) x (x keys) x (nodes) size
+    of one chunk's table: each of its ``out_order + 1`` x keys holds an
+    (x points) x (nodes) entry.  Each jet product row (a b c + acc) makes
+    temporaries of an entry's size, and the default keeps a chunk's
+    entries in cache: on a 2-vCPU x86 guest with 2 MB of L2 per core, one
+    row term took 1.3 ns per element at 16384 elements (128 kB per real
+    entry) and 3.3 ns at 262144 (2 MB).  The memory of a per-node ladder
+    chunk is a few whole tables of such entries: the coefficient tables
+    (s', ||xi||^2 d_xi Phi, d_y Phi, chi), and during one L step at most
+    three ladder tables (s' g on the current index set, g and D g on the
+    next, then on a transition chunk g, D g and chi g); see
+    ``apply_l_ladder``.  A kappa = 4, out_order 2
     transition chunk of 8,640 nodes at one x point peaks at about 14 MB
     (tracemalloc).  An operator that sums words (see the module docstring)
     holds per chunk only the chunk's Phi and L^kappa(a u) tables, their
     product with exp(i Phi) and the word products of one x key: the same
     transition chunk peaks at about 1.7 MB, and its 31 word tables and
-    their coefficients at 0.3 MB each.  Over 40 seeded apply ops of the
+    their coefficients at 0.3 MB each.  Each chunk's tables are freed
+    before the next chunk builds its own; sized by the x keys, a 7-point,
+    out_order 2 apply of the linear phase at radius 32 peaks at about
+    1.4 MB (tracemalloc), against 3.9 MB when a chunk held (x points) x
+    (nodes) entries per key.  Over 40 seeded apply ops of the
     benchmark's matrix on the same guest (CPU time, the linear and
     transport phases alike) the transition band took about 180 ns per
     (node, x point) evaluation, word tables and coefficients included,
     where the per-node ladder took 1,130 ns, and the bands beyond the
     cutoff about 155 ns.
-    The chunk size depends only on this value and the total point count,
-    never on the worker count.  The y-first solver path builds its exp(-i y xi)
-    and exp(i z xi) tables in blocks of at most this many entries (or one
-    row's worth, if that is more) and runs serially.  The worker count is
-    not a quadrature option: it is the ``workers`` argument of ``apply``,
-    which only the L^kappa ladder takes.
+    The chunk size depends only on this value, the total point count and
+    ``out_order``, never on the worker count.  The y-first solver path
+    builds its exp(-i y xi) and exp(i z xi) tables in blocks of at most
+    this many entries (or one row's worth, if that is more) and runs
+    serially.  The worker count is not a quadrature option: it is the
+    ``workers`` argument of ``apply``, which only the L^kappa ladder takes.
     """
 
     xi_radius: float = 40.0
@@ -301,18 +307,31 @@ def _probe_points(a, n_samples: int = 5) -> np.ndarray:
     return np.linspace(a.min(), a.max(), n_samples) if a.size > 1 else a[:1]
 
 
-def _probe_rates(phase: PhaseFunction, xs, y_window, n_samples: int = 5):
+def _probe_rates(phase: PhaseFunction, xs, y_window, out_order: int = 0,
+                 n_samples: int = 5):
     """Max first derivatives of the phase at unit xi over a coarse sample of
-    the x points ``xs`` and the y window."""
+    the x points ``xs`` and the y window.
+
+    The probe tables the points ``xs`` too, at x order ``out_order``, and
+    takes the rates from the sample rows alone: a phase that keeps its
+    x-jets per x value (``applications.transport_phase``) then answers the
+    engine's tables from the probe's solve.
+    """
     px, y = _probe_points(xs, n_samples), np.linspace(y_window[0], y_window[1], n_samples)
-    x, y = np.repeat(px, y.size), np.tile(y, px.size)
+    n = px.size * y.size
+    x = np.concatenate([np.repeat(px, y.size), xs])
+    y = np.concatenate([np.tile(y, px.size), np.full(xs.size, y_window[0])])
     d_xi = 0.0
     d_y = 0.0
-    iset = IndexSet(_ENGINE_LAYOUT, 1, 1, 1)
+    iset = IndexSet(_ENGINE_LAYOUT, out_order, 1, max(out_order, 1))
+
+    def sampled(v):
+        return float(np.max(np.abs(np.broadcast_to(v, x.shape)[:n])))
+
     for sgn in (-1.0, 1.0):
         t = phase.table(Coords(x, y, np.full(y.size, sgn)), iset)
-        d_xi = max(d_xi, float(np.max(np.abs(np.asarray(t[(0, 0, 1)])))))
-        d_y = max(d_y, float(np.max(np.abs(np.asarray(t[(0, 1, 0)])))))
+        d_xi = max(d_xi, sampled(t[(0, 0, 1)]))
+        d_y = max(d_y, sampled(t[(0, 1, 0)]))
     return d_xi, d_y
 
 
@@ -432,17 +451,22 @@ def _eval_band(phase, amp, u, chi, kappa, xs, xn, xw, yn, yw, sign,
         w = wts[sl]
         for k in iset_x.keys():
             out_acc[k] += (np.atleast_2d(tab[k]) * w).sum(axis=1)
+        del g, phase_x, tab  # freed before the next chunk builds its tables
     return out_acc
 
 
-def _chunk_nodes(config, npts: int) -> int:
-    """Nodes per chunk, from the total x point count (not a worker's share).
+def _chunk_nodes(config, npts: int, out_order: int) -> int:
+    """Nodes per chunk, from the total x point count (not a worker's share)
+    and the x keys: a chunk's table holds (points) x (nodes) entries for
+    each x order up to ``out_order``.
 
-    ``apply`` passes one point for an operator whose phase and amplitude
-    lack x: its tables are (1, chunk) rows whatever the point count, so the
-    x-free table is chunked as one point.
+    ``apply`` passes one point and order 0 for an operator whose phase and
+    amplitude lack x: its tables are (1, chunk) rows whatever the point
+    count, and its x derivatives exact zeros, so the x-free table is
+    chunked as one point and one key.
     """
-    return max(config.nodes_per_panel, config.max_chunk_elements // max(npts, 1))
+    return max(config.nodes_per_panel,
+               config.max_chunk_elements // (max(npts, 1) * (out_order + 1)))
 
 
 def _band_meta(bands, chunk_nodes: int, signs, npts: int, degree) -> dict:
@@ -609,9 +633,10 @@ def apply(op: FioOperator, u: SmoothMap, x_points, out_order: int = 0,
     window = _support_window([u, op.amplitude.map], "y", y_window)
     t0 = time.perf_counter()
     bands, plan_meta = _plan_nodes(op.chi, op.config, window, op.plan.kappa,
-                                   _probe_rates(op.phase, xs, window))
+                                   _probe_rates(op.phase, xs, window, out_order))
     x_tables = op.phase.layout.n_x or op.amplitude.layout.n_x
-    chunk_nodes = _chunk_nodes(op.config, xs.size if x_tables else 1)
+    chunk_nodes = (_chunk_nodes(op.config, xs.size, out_order) if x_tables
+                   else _chunk_nodes(op.config, 1, 0))
     degree = _unit_sphere_degree(op.phase, op.amplitude)
     job = (op.phase, op.amplitude, u, op.chi, op.plan.kappa, xs, out_order, chunk_nodes,
            bands, signs, degree)

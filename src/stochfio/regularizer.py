@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -467,52 +468,73 @@ def _band_words(ladder: _WordLadder, kappa: int, merged: bool) -> tuple:
 
 def _word_coefficients(kappa: int, degree: float, chi: CutoffChi, rho, merged: bool) -> tuple:
     """The real factors of the word coefficients of ``_unit_sphere_tables``
-    at the radii ``rho``: per length parity a (rho nodes, words) array, the
-    words in word order and the factor i^l of a word of length l folded in
-    up to the i of the odd words.
+    at the radii ``rho``: per length parity a read-only (rho nodes, words)
+    array, the words in word order and the factor i^l of a word of length
+    l folded in up to the i of the odd words.
+
+    Given ``merged`` (chi == 0 on ``rho``) the one merged word has
+    r = rho^(degree - kappa).  Otherwise the arrays come from the scalar
+    ladder (``_ladder_coefficients``), which a band's radii share with
+    every other apply of the same kappa and node plan.
+    """
+    rho = np.ascontiguousarray(rho, dtype=float)
+    if merged:
+        return _by_parity([(kappa, rho[None] ** (degree - kappa))], rho.size)
+    return _ladder_coefficients(kappa, degree, chi, rho.tobytes())
+
+
+@lru_cache(maxsize=16, typed=True)
+def _ladder_coefficients(kappa: int, degree: float, chi: CutoffChi, rho_bits: bytes) -> tuple:
+    """``_word_coefficients`` off the cutoff's outer plateau at the radii
+    whose float64 bits are ``rho_bits``, kept for the 16 most recently used
+    keys: the inner and transition bands' radii depend on kappa and the
+    node plan alone.
 
     The ladder runs on rho-jets of real factors r_w, c_w = i^|w| r_w,
     starting from r = rho^degree for the empty word: each step maps r_w to
     chi r_w and adds [(1 - chi) r_w]' to r_wA and (1 - chi) r_w / rho to
     r_wB, consuming one rho order; the chi jets are
     ``CutoffChi.profile_derivs`` at ``rho``.  It runs in long double and is
-    rounded once.  Given ``merged`` (chi == 0 on ``rho``) the one merged
-    word has r = rho^(degree - kappa).
+    rounded once.
     """
-    if merged:
-        generations = [(kappa, np.asarray(rho, float)[None] ** (degree - kappa))]
-    else:
-        cur = _uni_iset(kappa)  # the rho order, carried as the x order
-        rho_t = t_blank(cur)
-        rho_t[cur.zero] = np.asarray(rho, np.longdouble)
-        if kappa:
-            rho_t[(1, 0, 0)] = 1.0
-        chi_t = {(k, 0, 0): np.asarray(v, np.longdouble)
-                 for k, v in enumerate(chi.profile_derivs(rho, kappa))}
-        omc = t_scale(chi_t, -1.0)
-        omc[cur.zero] = 1.0 - chi_t[cur.zero]
-        inv_rho = t_pow(rho_t, -1.0, cur)
-        r = {k: v if _is_zero(v) else v[None] for k, v in t_pow(rho_t, degree, cur).items()}
-        for step in range(kappa):
-            nxt = _uni_iset(kappa - step - 1)
-            p = t_mul(omc, r, cur)
-            kept, d_a, d_b = t_mul(chi_t, r, nxt), t_shift(p, 0, nxt), t_mul(p, inv_rho, nxt)
-            words = 2 ** (step + 1) - 1
-            r = {}
-            for k in nxt.keys():
-                r[k] = np.zeros((2 * words + 1, np.size(rho)), np.longdouble)
-                r[k][:words] += kept[k]
-                r[k][1::2] += d_a[k]  # word w sits at i, wA at 2 i + 1, wB at 2 i + 2
-                r[k][2::2] += d_b[k]
-            cur = nxt
-        generations = [(length, r[cur.zero][2 ** length - 1:2 ** (length + 1) - 1])
-                       for length in range(kappa + 1)]
+    rho = np.frombuffer(rho_bits)
+    cur = _uni_iset(kappa)  # the rho order, carried as the x order
+    rho_t = t_blank(cur)
+    rho_t[cur.zero] = np.asarray(rho, np.longdouble)
+    if kappa:
+        rho_t[(1, 0, 0)] = 1.0
+    chi_t = {(k, 0, 0): np.asarray(v, np.longdouble)
+             for k, v in enumerate(chi.profile_derivs(rho, kappa))}
+    omc = t_scale(chi_t, -1.0)
+    omc[cur.zero] = 1.0 - chi_t[cur.zero]
+    inv_rho = t_pow(rho_t, -1.0, cur)
+    r = {k: v if _is_zero(v) else v[None] for k, v in t_pow(rho_t, degree, cur).items()}
+    for step in range(kappa):
+        nxt = _uni_iset(kappa - step - 1)
+        p = t_mul(omc, r, cur)
+        kept, d_a, d_b = t_mul(chi_t, r, nxt), t_shift(p, 0, nxt), t_mul(p, inv_rho, nxt)
+        words = 2 ** (step + 1) - 1
+        r = {}
+        for k in nxt.keys():
+            r[k] = np.zeros((2 * words + 1, rho.size), np.longdouble)
+            r[k][:words] += kept[k]
+            r[k][1::2] += d_a[k]  # word w sits at i, wA at 2 i + 1, wB at 2 i + 2
+            r[k][2::2] += d_b[k]
+        cur = nxt
+    return _by_parity([(length, r[cur.zero][2 ** length - 1:2 ** (length + 1) - 1])
+                       for length in range(kappa + 1)], rho.size)
+
+
+def _by_parity(generations, n_rho: int) -> tuple:
+    """The (rho nodes, words) arrays of ``_word_coefficients`` from the
+    (length, (words, rho nodes) factors) ``generations``, read-only."""
     out = []
     for parity in (0, 1):
         rows = [(-1.0) ** (length // 2) * c for length, c in generations
                 if length % 2 == parity]
         out.append(np.ascontiguousarray(np.concatenate(rows).T, float) if rows
-                   else np.zeros((np.size(rho), 0)))
+                   else np.zeros((n_rho, 0)))
+        out[-1].flags.writeable = False
     return tuple(out)
 
 

@@ -16,6 +16,7 @@ from _references import (
     pseudospectral_halfwave,
     restarted_horizon,
 )
+from stochfio import applications
 from stochfio.applications import (
     RegimeError,
     _halfwave_phase,
@@ -101,6 +102,66 @@ def test_characteristic_jets_match_finite_differences():
     minus = solve_characteristics(trig_speed(), xs - h, 0.5)[0][0]
     fd = (plus - minus) / (2 * h)
     assert float(series[1][0]) == pytest.approx(float(fd), rel=1e-6)
+
+
+def _counted_solves(monkeypatch):
+    """The x arrays and orders of every solve_characteristics call."""
+    calls = []
+
+    def counted(speed, x, t, order=0, tol=1e-10, n_steps=None):
+        calls.append((np.array(x), order))
+        return solve_characteristics(speed, x, t, order, tol, n_steps)
+
+    monkeypatch.setattr(applications, "solve_characteristics", counted)
+    return calls
+
+
+@pytest.mark.parametrize("out_order, n_points", [(0, 20), (2, 7)])
+def test_transport_op_solves_its_characteristics_twice(out_order, n_points, monkeypatch):
+    # the membership scan solves on its 33 distinct x values (of 2,178 scan
+    # points); the rate probe solves on its samples and the points, and the
+    # engine's tables are answered from that solve
+    calls = _counted_solves(monkeypatch)
+    phase = transport_phase(make_speed("affine", offset=1.0, slope=0.5), 0.3)
+    op = FioOperator.build(phase, UNIT_AMPLITUDE, alpha=0.25, config=FAST)
+    xs = np.linspace(-0.5, 0.5, n_points) + 0.003
+    field = op.apply(GAUSS, xs, out_order=out_order)
+    assert len(calls) == 2
+    (scan, scan_order), (probe, probe_order) = calls
+    assert scan.size == np.unique(scan).size == 33 and scan_order == 1
+    assert probe_order == out_order
+    samples = np.linspace(xs[0], xs[-1], 5)
+    assert np.array_equal(np.sort(probe), np.unique(np.concatenate([samples, xs])))
+    assert field.meta["unit_sphere_nodes"] == field.meta["nodes"]
+
+
+def test_transport_solve_solves_its_characteristics_once(monkeypatch):
+    calls = _counted_solves(monkeypatch)
+    transport_solve(trig_speed(), GAUSS, 0.4, np.linspace(-1.0, 1.0, 8), config=FAST)
+    assert len(calls) == 1
+
+
+def test_held_characteristic_jets_equal_a_direct_solve(monkeypatch):
+    # requests with repeats, both zeros and a lower order after a higher one
+    # are answered bit for bit as a direct solve on the request
+    speed, t = trig_speed(), 0.5
+    calls = _counted_solves(monkeypatch)
+    gamma = applications._held_jets(
+        lambda x, _sigma, order: applications.solve_characteristics(speed, x, t, order))
+    first = np.array([0.3, -0.0, 0.3, 0.0, -1.2, 0.7, -1.2])
+    requests = [(first, 2), (first[[4, 0, 1]], 0), (first[:, None], 1),
+                (np.array([0.7, 2.5, 0.3]), 1), (np.array([[2.5], [0.3]]), 0)]
+    for x, order in requests:
+        got = gamma(x, 1, order)
+        ref = solve_characteristics(speed, x.ravel(), t, order)
+        assert len(got) == order + 1
+        for g, r in zip(got, ref):
+            assert g.shape == x.shape
+            assert np.array_equal(g.ravel(), r) and np.array_equal(np.signbit(g.ravel()),
+                                                                   np.signbit(r))
+    # two solves: the first request on its 5 distinct values, and the one
+    # that holds 2.5
+    assert [(x.size, order) for x, order in calls] == [(5, 2), (3, 1)]
 
 
 # ---------------------------------------------------------------------------

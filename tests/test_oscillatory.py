@@ -178,12 +178,15 @@ def _transport_kappa4():
 def test_apply_does_not_depend_on_the_chunk_size(kind, workers):
     build = (lambda config: build_identity(config=config)) if kind == "identity" \
         else _transport_kappa4()
+    sizes = (4096, 16384, 262144)
     ops = [build(QuadratureConfig(xi_radius=8.0, max_chunk_elements=elements))
-           for elements in (4096, 16384, 262144)]
+           for elements in sizes]
     fields = [op.apply(gaussian(), XS, out_order=2, workers=workers) for op in ops]
+    # a chunk holds (points) x (nodes) entries for each of the 3 x keys
+    assert [f.meta["chunk_nodes"] for f in fields] == [e // (XS.size * 3) for e in sizes]
     if kind == "identity":
         # the identity operator is mirrored: one half-line, half the chunks of two
-        assert [sum(f.meta["band_chunks"]) for f in fields] == [32, 9, 4]
+        assert [sum(f.meta["band_chunks"]) for f in fields] == [90, 24, 4]
     else:
         assert fields[0].meta["kappa"] == 4
         assert fields[0].meta["unit_sphere_nodes"] == fields[0].meta["nodes"]
@@ -461,7 +464,7 @@ def test_apply_of_a_phase_without_x_is_constant_on_the_x_column():
     many = op.apply(gaussian(), np.linspace(-1.0, 1.0, 33))
     assert np.all(many.value == one.value[0])
     for key in ("band_chunks", "chunk_nodes"):
-        assert many.meta[key] == one.meta[key], key
+        assert many.meta[key] == one.meta[key] == field.meta[key], key
 
 
 def test_mirrored_oscillatory_integral_equals_two_sided_run(monkeypatch):
@@ -717,6 +720,22 @@ def test_transition_band_has_kappa_plus_two_graded_panels(kappa, nodes_per_panel
     widths = np.diff(oscillatory._graded_panels(lo, hi, kappa + 2))
     assert widths == pytest.approx(widths[::-1], abs=1e-15)
     assert widths[0] < widths[(kappa + 2) // 2]
+
+
+@pytest.mark.parametrize("out_order", [0, 2])
+def test_probe_rates_come_from_the_samples_alone(out_order):
+    # the probe tables the points too, at x order out_order, but a shift g
+    # that peaks between the samples, at x = 0.1, gives the samples' rates
+    def g_provider(x, _sgn, order):
+        u = (x - 0.1) / 0.05
+        g = 10.0 * np.exp(-u ** 2)
+        return [g, -2.0 * u / 0.05 * g, (4.0 * u ** 2 - 2.0) / 0.05 ** 2 * g][:order + 1]
+
+    phase = PhaseFunction(builtin_map("tabulated_phase", g_provider=g_provider))
+    xs, window = np.linspace(-1.0, 1.0, 21), (-0.5, 0.5)
+    rates = oscillatory._probe_rates(phase, xs, window, out_order)
+    assert rates == oscillatory._probe_rates(phase, oscillatory._probe_points(xs), window)
+    assert rates[0] < 2.0 < np.max(np.abs(g_provider(xs, 1.0, 0)[0] - window[0]))
 
 
 def test_node_plan_over_the_bound_is_refused_before_any_node_is_built(monkeypatch):

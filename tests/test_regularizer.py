@@ -26,6 +26,7 @@ from stochfio.regularizer import (
     _band_words,
     _regularized_tables,
     _unit_sphere_tables,
+    _ladder_coefficients,
     _word_coefficients,
     _word_sums,
     apply_l_ladder,
@@ -470,3 +471,20 @@ def test_unit_sphere_words_equal_the_ladder_at_every_band(phase_kind, amp_kind, 
                         assert np.all(np.abs(got - ref) <= 1e-13 * scale), \
                             (rhos, kappa, out_order, key)
 
+
+def test_word_coefficients_are_kept_read_only_by_the_radii_bits():
+    chi = CutoffChi()
+    rho = np.linspace(1.01, 1.99, 7)
+    for kappa in (0, 2, 4):
+        first = _word_coefficients(kappa, 0, chi, rho, False)
+        again = _word_coefficients(kappa, 0, chi, rho.copy(), False)
+        fresh = _ladder_coefficients.__wrapped__(kappa, 0, chi, rho.tobytes())
+        for a, b, c in zip(first, again, fresh):
+            assert a is b and not a.flags.writeable
+            assert np.array_equal(a, c)
+    assert _word_coefficients(2, 0, chi, rho + 1e-9, False)[0] is not \
+        _word_coefficients(2, 0, chi, rho, False)[0]
+    # beyond the cutoff: the one merged word of length 2, i^2 rho^(d - 2)
+    even, odd = _word_coefficients(2, 1, chi, rho + 2.0, True)
+    assert not even.flags.writeable and odd.shape == (rho.size, 0)
+    assert np.array_equal(even, -(rho + 2.0)[:, None] ** -1.0)
